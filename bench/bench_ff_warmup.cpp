@@ -13,9 +13,9 @@
 // check.sh FF stage's gate (>= 5x); BENCH_ff.json carries the evidence.
 //
 // The wall clocks come from the sweep runner (one point per run, -j forced
-// to 1 so neither measurement is perturbed by the other).  Digest equality
-// across kernel-thread counts is NOT this harness's job — `ctest -L
-// fastforward` pins that; this harness reports cost only.
+// to 1 so neither measurement is perturbed by the other).  Digest pinning
+// is NOT this harness's job — `ctest -L fastforward` does that; this
+// harness reports cost only.
 //
 //   --json <path>   write the BENCH_ff.json document there (`-` = stdout)
 //   --warmup <ps>   warm-up region length (default 200 us)

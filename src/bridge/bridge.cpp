@@ -53,21 +53,14 @@ class Bridge::SlaveSide final : public sim::Component {
     b_.slaveEvaluate();
     // Side A drained (bwd_ structurally empty — see the AsyncFifo wake
     // caveat): quiesce until a_port_.req or bwd_ push wakes us (wired in
-    // the Bridge constructor).  Deliberately side-local: reading the master
-    // side's queues here would race with its lane under the sharded kernel,
-    // and work still in flight towards side B keeps the *master* awake and
-    // non-idle instead.
+    // the Bridge constructor).  Deliberately side-local: work still in
+    // flight towards side B keeps the *master* awake and non-idle instead.
     if (b_.slaveIdle()) sleep();
   }
   bool idle() const override { return b_.slaveIdle(); }
 
  private:
-  // Audited cross-lane aliasing: the two bridge sides may evaluate on
-  // different lanes, but every b_ access from this side is either an
-  // endpoint-disjoint CDC FIFO operation (fwd_ push / bwd_ pop — both
-  // instrumented by MPSOC_RACECHECK's endpoint keys), a const config read,
-  // or the side-local slaveIdle() predicate.
-  Bridge& b_;  // mpsoc-lint: allow(cross-lane-deref)
+  Bridge& b_;
 
   // The Bridge itself is not a Component; each side manifests the bridge
   // state its own evaluate() mutates (the CDC FIFOs are registered
@@ -113,7 +106,7 @@ class Bridge::MasterSide final : public txn::MasterBase {
     const RequestPtr& orig = staged_.front().req;
 
     auto clone = std::make_shared<txn::Request>(*orig);
-    clone->id = txn::nextTransactionId();
+    clone->id = clk_.simulator().nextTransactionId();
     clone->root_id = orig->root_id;
     clone->beats = txn::repackBeats(orig->beats, orig->bytes_per_beat,
                                     b_.cfg_.width_b_bytes);
@@ -137,11 +130,10 @@ class Bridge::MasterSide final : public txn::MasterBase {
 
   bool idle() const override {
     // fwd_'s structural occupancy is master-side state for idleness
-    // purposes: the master is fwd_'s consumer (reading committed occupancy
-    // is race-free on its lane), and counting in-flight crossings here keeps
-    // runUntilIdle from declaring the platform quiescent while an item sits
-    // in the synchroniser — coverage the bridge-wide predicate used to
-    // provide before it was split side-local.
+    // purposes: the master is fwd_'s consumer, and counting in-flight
+    // crossings here keeps runUntilIdle from declaring the platform
+    // quiescent while an item sits in the synchroniser — coverage the
+    // bridge-wide predicate used to provide before it was split side-local.
     return staged_.empty() && done_.empty() && outstanding() == 0 &&
            b_.fwd_.sizeIgnoringSync() == 0;
   }
@@ -160,10 +152,7 @@ class Bridge::MasterSide final : public txn::MasterBase {
   }
 
  private:
-  // Audited cross-lane aliasing (see SlaveSide::b_): fwd_ pop / bwd_ push
-  // are endpoint-disjoint from the slave side's accesses, cfg_ is const, and
-  // the reads_fwd_/writes_fwd_ counters are mutated by this side only.
-  Bridge& b_;  // mpsoc-lint: allow(cross-lane-deref)
+  Bridge& b_;
   std::deque<Staged> staged_;
   std::deque<RequestPtr> done_;
   std::unordered_map<std::uint64_t, RequestPtr> origin_;
@@ -207,11 +196,6 @@ void Bridge::attachMonitors(verify::VerifyContext& ctx) {
 
 void Bridge::setAuditor(txn::TxnAuditor* auditor) {
   master_side_->setAuditor(auditor);
-}
-
-void Bridge::setEvalLanes(std::uint32_t lane_a, std::uint32_t lane_b) {
-  slave_side_->setEvalLane(lane_a);
-  master_side_->setEvalLane(lane_b);
 }
 
 void Bridge::slaveEvaluate() {
@@ -310,11 +294,9 @@ void Bridge::slaveEvaluate() {
 bool Bridge::slaveIdle() const {
   // Side-A-local: everything read here is mutated only by the slave side's
   // own evaluate (staged_a_/pending_/acks_), by its own pops (a_port_.req,
-  // bwd_ consumer counters) or at commit time (bwd_ committed occupancy) —
-  // never by the master side mid-edge, so the sharded kernel may evaluate
-  // the two sides concurrently.  An item in flight towards side B is covered
-  // by the master side: fwd_'s structural occupancy folds into
-  // MasterSide::idle().
+  // bwd_ consumer counters) or at commit time (bwd_ committed occupancy).
+  // An item in flight towards side B is covered by the master side: fwd_'s
+  // structural occupancy folds into MasterSide::idle().
   return staged_a_.empty() && pending_.empty() && acks_.empty() &&
          bwd_.sizeIgnoringSync() == 0 && a_port_.req.empty();
 }

@@ -122,11 +122,6 @@ class Bridge : public sim::LtChannel {
     return cfg_.split_reads ? bw : bw * 0.5;
   }
 
-  /// Shard-lane assignment for the two sides (side A evaluates in clk_a's
-  /// domain, side B in clk_b's).  The sides share no mid-edge mutable state
-  /// (see slaveIdle()), so they may land on different lanes.
-  void setEvalLanes(std::uint32_t lane_a, std::uint32_t lane_b);
-
  private:
   /// A read accepted on side A, awaiting its side-B data.
   struct PendingRead {

@@ -119,9 +119,7 @@ NamedScenario generateScenario(std::uint64_t seed, std::uint64_t index) {
 // --------------------------------------------------------------------------
 // Checking.
 
-Fuzzer::Fuzzer(FuzzOptions opts) : opts_(std::move(opts)) {
-  if (opts_.thread_counts.empty()) opts_.thread_counts = {1};
-}
+Fuzzer::Fuzzer(FuzzOptions opts) : opts_(std::move(opts)) {}
 
 FuzzVerdict Fuzzer::check(const NamedScenario& sc) {
   if (opts_.runner) {
@@ -129,26 +127,23 @@ FuzzVerdict Fuzzer::check(const NamedScenario& sc) {
     return opts_.runner(sc);
   }
 
-  const std::vector<unsigned>& tcs = opts_.thread_counts;
-  std::vector<std::string> labels;
-  labels.reserve(tcs.size());
-  for (unsigned t : tcs) labels.push_back(sc.name + "@t" + std::to_string(t));
-  simulations_ += tcs.size();
+  // Gating is behaviour-neutral by the sleep() contract, so the ungated run
+  // must reproduce the gated digest exactly.
+  const std::vector<std::string> labels = {sc.name + "@gated",
+                                           sc.name + "@ungated"};
+  simulations_ += labels.size();
 
   SweepOptions so;
   so.jobs = opts_.jobs;
   SweepRunner runner(so);
-  // runJobs, not run(): run() clamps kernel_threads to the host parallelism
-  // and would quietly serialize the whole determinism check on a 1-core box.
   const SweepOutcome out = runner.runJobs(labels, [&](std::size_t i) {
     PlatformConfig cfg = sc.config;
     cfg.verify = cfg.verify || opts_.verify;
-    cfg.racecheck = cfg.racecheck || opts_.racecheck;
     cfg.statecheck = cfg.statecheck || opts_.statecheck;
-    cfg.kernel_threads = tcs[i];
-    // All runs carry the scenario's own label: the canonical digest covers
+    cfg.activity_gating = i == 0;
+    // Both runs carry the scenario's own label: the canonical digest covers
     // every result field *including* the label, so digesting under the
-    // per-thread display labels would diverge by construction.
+    // display labels would diverge by construction.
     return sc.duration_ps != 0 ? runScenarioFor(cfg, sc.name, sc.duration_ps)
                                : runScenario(cfg, sc.name);
   });
@@ -156,16 +151,12 @@ FuzzVerdict Fuzzer::check(const NamedScenario& sc) {
   if (const PointResult* f = out.firstFailure()) {
     return {true, f->label + ": " + f->error};
   }
-  const std::uint64_t d0 = digestValue(out.points[0].result);
-  for (std::size_t i = 1; i < out.points.size(); ++i) {
-    const std::uint64_t di = digestValue(out.points[i].result);
-    if (di != d0) {
-      std::ostringstream os;
-      os << "cross-thread digest divergence: " << labels[0] << " = "
-         << digestHex(out.points[0].result) << " but " << labels[i] << " = "
-         << digestHex(out.points[i].result);
-      return {true, os.str()};
-    }
+  if (digestValue(out.points[0].result) != digestValue(out.points[1].result)) {
+    std::ostringstream os;
+    os << "gating digest divergence: " << labels[0] << " = "
+       << digestHex(out.points[0].result) << " but " << labels[1] << " = "
+       << digestHex(out.points[1].result);
+    return {true, os.str()};
   }
   return {};
 }
@@ -290,13 +281,7 @@ namespace {
 std::string shellFlags(const FuzzOptions& o) {
   std::string flags;
   if (o.verify) flags += " --verify";
-  if (o.racecheck) flags += " --racecheck";
   if (o.statecheck) flags += " --statecheck";
-  flags += " --threads ";
-  for (std::size_t i = 0; i < o.thread_counts.size(); ++i) {
-    if (i) flags += ",";
-    flags += std::to_string(o.thread_counts[i]);
-  }
   return flags;
 }
 

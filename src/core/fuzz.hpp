@@ -13,21 +13,17 @@
 // standard library: no std::uniform_*_distribution, whose sequences are not
 // portable.
 //
-// Each case is run through core::SweepRunner at several kernel-thread counts
-// with the compile-gated checkers requested by FuzzOptions (protocol
-// monitors + auditor, lane-ownership race checking, optionally the
-// checkpoint-equivalence oracle).  A case fails when any run throws
+// Each case is run twice through core::SweepRunner, with kernel activity
+// gating on and off, under the compile-gated checkers requested by
+// FuzzOptions (protocol monitors + auditor, optionally the
+// checkpoint-equivalence oracle).  A case fails when either run throws
 // (InvariantViolation, ProtocolViolation, ...) or when the canonical result
-// digests diverge across thread counts.  Failures are greedily delta-debugged
+// digests of the two runs diverge — the signature of a component that went
+// to sleep with work pending.  Failures are greedily delta-debugged
 // over config dimensions (collapse topology, drop masters via master_limit,
 // reset timings, halve the workload, ...) to a local fixpoint, and the
 // minimal reproducer is written to the corpus directory with the exact
 // command that replays it.
-//
-// Note SweepRunner::runJobs() (not run()) drives the thread-count fan-out:
-// run() clamps per-point kernel_threads to the host parallelism, which would
-// silently turn a 4-thread determinism check into a serial run on a small CI
-// box.  runJobs() runs exactly what it is given.
 
 #include <cstdint>
 #include <functional>
@@ -86,13 +82,10 @@ using FuzzRunner = std::function<FuzzVerdict(const platform::NamedScenario&)>;
 struct FuzzOptions {
   std::uint64_t seed = 1;
   std::uint64_t count = 20;
-  /// Kernel-thread counts every case must agree across (digest-identical).
-  std::vector<unsigned> thread_counts = {1, 2, 4};
   bool verify = true;      ///< protocol monitors + transaction auditor
-  bool racecheck = true;   ///< lane-ownership race checker
   bool statecheck = false; ///< checkpoint-equivalence oracle (slower)
   bool shrink = true;      ///< delta-debug failures to a minimal reproducer
-  /// SweepRunner pool width for the per-case thread-count fan-out.
+  /// SweepRunner pool width for the per-case gated/ungated pair.
   unsigned jobs = 1;
   /// Upper bound on shrink probes (each probe = one full check()).
   std::size_t max_shrink_runs = 200;
@@ -130,8 +123,8 @@ class Fuzzer {
   /// pile of correlated ones).
   FuzzReport run();
 
-  /// Verdict for one scenario under the configured checkers and thread
-  /// counts: failed on any throw or on cross-thread digest divergence.
+  /// Verdict for one scenario under the configured checkers: failed on any
+  /// throw or on a gated/ungated digest divergence.
   FuzzVerdict check(const platform::NamedScenario& sc);
 
   /// Greedy delta-debug to a local fixpoint: repeatedly apply dimension

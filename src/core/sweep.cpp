@@ -109,21 +109,8 @@ SweepOutcome SweepRunner::run(const std::vector<SweepPoint>& points) const {
   std::vector<std::string> labels;
   labels.reserve(points.size());
   for (const auto& p : points) labels.push_back(p.label);
-  // Nested-parallelism budget: a sweep running J points concurrently gives
-  // each point at most hw/J kernel threads, so `--sweep -j N` with sharded
-  // kernels never oversubscribes the machine.  Clamping only ever *lowers*
-  // the thread count, and digests are thread-count-invariant by the sharded
-  // kernel's commit-order contract, so results are unchanged.
-  const unsigned jobs_used = static_cast<unsigned>(std::min<std::size_t>(
-      resolveJobs(opts_.jobs), std::max<std::size_t>(points.size(), 1)));
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned per_point_budget = std::max(1u, hw / std::max(1u, jobs_used));
-  return runJobs(labels, [&points, per_point_budget](std::size_t i) {
-    SweepPoint pt = points[i];
-    const unsigned want = pt.config.kernel_threads == 0
-                              ? std::max(1u, std::thread::hardware_concurrency())
-                              : pt.config.kernel_threads;
-    pt.config.kernel_threads = std::min(want, per_point_budget);
+  return runJobs(labels, [&points](std::size_t i) {
+    const SweepPoint& pt = points[i];
     return pt.duration_ps > 0
                ? runScenarioFor(pt.config, pt.label, pt.duration_ps)
                : runScenario(pt.config, pt.label);

@@ -7,9 +7,8 @@
 // components, RNG streams (seeded from the config, never from global state),
 // stats probes and verify context.  Nothing mutable is shared between points,
 // so points may run concurrently; the only process-wide state a run touches
-// is explicitly thread-safe (the Logger sink, the atomic transaction-id
-// counter — see src/sim/log.hpp and src/txn/transaction.cpp) and none of it
-// feeds simulation behaviour.  The result of a sweep is therefore
+// is the thread-safe Logger sink (src/sim/log.hpp), which feeds no simulation
+// behaviour.  Transaction ids come from each point's own Simulator.  The result of a sweep is therefore
 // byte-identical at -j1 and -jN, which tools/check.sh and the determinism
 // tests enforce via the canonical digests of core/digest.hpp.
 //

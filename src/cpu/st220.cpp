@@ -27,7 +27,7 @@ void St220::scheduleFill(std::uint64_t line_addr, std::uint32_t line_bytes) {
 
 void St220::issueFill(std::uint64_t line_addr, std::uint32_t line_bytes) {
   auto req = std::make_shared<txn::Request>();
-  req->id = txn::nextTransactionId();
+  req->id = clk_.simulator().nextTransactionId();
   req->root_id = req->id;
   req->op = Opcode::Read;
   req->addr = line_addr;
@@ -41,7 +41,7 @@ void St220::issueFill(std::uint64_t line_addr, std::uint32_t line_bytes) {
 
 void St220::issueWriteback(std::uint64_t line_addr, std::uint32_t line_bytes) {
   auto req = std::make_shared<txn::Request>();
-  req->id = txn::nextTransactionId();
+  req->id = clk_.simulator().nextTransactionId();
   req->root_id = req->id;
   req->op = Opcode::Write;
   req->addr = line_addr;
@@ -124,7 +124,7 @@ void St220::evaluate() {
     if (dres.write_through && canIssuePosted() && port_.req.canPush()) {
       // Write-through store of a single word.
       auto req = std::make_shared<txn::Request>();
-      req->id = txn::nextTransactionId();
+      req->id = clk_.simulator().nextTransactionId();
       req->root_id = req->id;
       req->op = Opcode::Write;
       req->addr = data_seq_;

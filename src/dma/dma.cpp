@@ -73,7 +73,7 @@ void DmaEngine::issueNextRead() {
   const std::uint32_t beats = sliceBeats(remaining);
 
   auto req = std::make_shared<txn::Request>();
-  req->id = txn::nextTransactionId();
+  req->id = clk_.simulator().nextTransactionId();
   req->root_id = req->id;
   req->op = Opcode::Read;
   req->addr = d.src + read_offset_;
@@ -106,7 +106,7 @@ void DmaEngine::issueNextWrite() {
   write_queue_.pop_front();
 
   auto req = std::make_shared<txn::Request>();
-  req->id = txn::nextTransactionId();
+  req->id = clk_.simulator().nextTransactionId();
   req->root_id = req->id;
   req->op = Opcode::Write;
   req->addr = pw.dst;

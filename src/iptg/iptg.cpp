@@ -93,7 +93,7 @@ void Iptg::evaluate() {
 
 txn::RequestPtr Iptg::makeRequest(AgentState& a, std::size_t agent_idx) {
   auto req = std::make_shared<txn::Request>();
-  req->id = txn::nextTransactionId();
+  req->id = clk_.simulator().nextTransactionId();
   req->root_id = req->id;
   req->bytes_per_beat = cfg_.bytes_per_beat;
   req->priority = a.profile.priority;

@@ -25,8 +25,7 @@ class NocMesh::MasterAdapter final : public sim::Component {
     // adapters shares its egress FIFO: each adapter consumes only response
     // packets for requests it injected (outstanding_), leaving request
     // packets and co-located masters' responses at the head for their owner
-    // (all of a node's adapters share one eval lane, so the owner drains the
-    // head on this or the next edge).
+    // (the owner drains the head on this or the next edge).
     while (!egress_.empty() &&
            egress_.front()->kind == NocPacket::Kind::Response &&
            outstanding_.count(egress_.front()->req->id) != 0 &&
@@ -59,8 +58,6 @@ class NocMesh::MasterAdapter final : public sim::Component {
   bool idle() const override {
     return egress_.empty() && port_.req.empty();
   }
-
-  NodeId at() const { return at_; }
 
  private:
   NocMesh& mesh_;
@@ -121,8 +118,6 @@ class NocMesh::SlaveAdapter final : public sim::Component {
   bool idle() const override {
     return egress_.empty() && port_.rsp.empty() && origin_.empty();
   }
-
-  NodeId at() const { return at_; }
 
  private:
   NocMesh& mesh_;
@@ -202,17 +197,6 @@ void NocMesh::attachSlave(txn::TargetPort& port, NodeId at, std::uint64_t base,
   slaves_.push_back(std::make_unique<SlaveAdapter>(
       clk_, name_ + ".sa" + std::to_string(at), *this, port, at,
       *egress_[at]));
-}
-
-std::uint32_t NocMesh::assignEvalLanes(std::uint32_t first_lane) {
-  for (std::size_t i = 0; i < routers_.size(); ++i) {
-    routers_[i]->setEvalLane(first_lane + static_cast<std::uint32_t>(i));
-  }
-  adapter_lane_base_ =
-      first_lane + static_cast<std::uint32_t>(routers_.size());
-  for (auto& m : masters_) m->setEvalLane(adapterLane(m->at()));
-  for (auto& s : slaves_) s->setEvalLane(adapterLane(s->at()));
-  return adapter_lane_base_ + static_cast<std::uint32_t>(routers_.size());
 }
 
 std::uint64_t NocMesh::totalHops() const {

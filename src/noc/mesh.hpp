@@ -52,24 +52,6 @@ class NocMesh : public sim::LtChannel {
   void attachSlave(txn::TargetPort& port, NodeId at, std::uint64_t base,
                    std::uint64_t size);
 
-  /// Shard-lane partition for the multi-threaded kernel (see
-  /// Platform::assignEvalLanes and DESIGN.md "Race checking").  Every FIFO of
-  /// the fabric is single-producer/single-consumer across lanes except two
-  /// per-node shared ends: a node's adapters both push the router's Local
-  /// input and both pop the shared egress FIFO, so all adapters of one node
-  /// share `adapterLane(node)`; each router gets its own lane (it only pops
-  /// its own inputs and pushes downstream FIFOs it is the sole producer of).
-  /// Returns the first lane index past the mesh's allocation.
-  std::uint32_t assignEvalLanes(std::uint32_t first_lane);
-
-  /// Lane shared by every adapter at `node` (valid after assignEvalLanes).
-  /// Components that mutate an adapter-owned FIFO end out of order — e.g. an
-  /// LMI controller popAt()-ing the request FIFO a SlaveAdapter pushes —
-  /// must be co-sharded onto this lane.
-  std::uint32_t adapterLane(NodeId node) const {
-    return adapter_lane_base_ + node;
-  }
-
   /// Total packets moved across all routers (each hop counts once).
   std::uint64_t totalHops() const;
 
@@ -99,7 +81,6 @@ class NocMesh : public sim::LtChannel {
   std::string name_;
   MeshConfig cfg_;
   sim::ClockDomain& clk_;
-  std::uint32_t adapter_lane_base_ = 0;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<MasterAdapter>> masters_;
   std::vector<std::unique_ptr<SlaveAdapter>> slaves_;

@@ -126,23 +126,6 @@ struct PlatformConfig {
   /// anything (with it OFF this flag only creates an empty context).
   bool verify = false;
 
-  /// Deterministic lane-ownership race checking for the sharded kernel (see
-  /// Simulator::setRaceCheck and DESIGN.md "Race checking"): attribute every
-  /// evaluate-phase mutation to its shard lane and abort with
-  /// InvariantViolation on any cross-lane access within one edge.  Works at
-  /// any kernel_threads value, including 1 — the lane partition itself is
-  /// checked, no racy interleaving required.  Requires MPSOC_RACECHECK=ON to
-  /// observe anything (with it OFF this flag is ignored).
-  bool racecheck = false;
-
-  /// Worker threads for the kernel's sharded evaluate phase (see
-  /// Simulator::setKernelThreads): 1 = serial kernel (default), N > 1 =
-  /// evaluate shards concurrently on a kernel-resident pool, 0 = one thread
-  /// per hardware core.  Digests are bit-identical across values by
-  /// construction — commit stays single-threaded in slot order — which the
-  /// sharding tests and the check.sh kernel-perf smoke both assert.
-  unsigned kernel_threads = 1;
-
   /// Checkpoint-equivalence oracle (see DESIGN.md "State manifests &
   /// checkpointing"): at `statecheck_at_ps` the run checkpoints the full
   /// platform state, executes `statecheck_edges` further edges, digests,

@@ -3,9 +3,6 @@
 #ifndef MPSOC_VERIFY
 #define MPSOC_VERIFY 0
 #endif
-#ifndef MPSOC_RACECHECK
-#define MPSOC_RACECHECK 0
-#endif
 #ifndef MPSOC_STATECHECK
 #define MPSOC_STATECHECK 0
 #endif
@@ -15,7 +12,6 @@ namespace mpsoc::platform {
 std::vector<std::string> compiledOutCheckers(const PlatformConfig& cfg) {
   std::vector<std::string> out;
   if (cfg.verify && !MPSOC_VERIFY) out.emplace_back("verify");
-  if (cfg.racecheck && !MPSOC_RACECHECK) out.emplace_back("racecheck");
   if (cfg.statecheck && !MPSOC_STATECHECK) out.emplace_back("statecheck");
   return out;
 }

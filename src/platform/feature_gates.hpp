@@ -1,7 +1,7 @@
 #pragma once
 // Unified "requested but compiled out" diagnostics for the compile-gated
-// checkers (MPSOC_VERIFY protocol monitors, MPSOC_RACECHECK lane-ownership
-// race checking, MPSOC_STATECHECK checkpoint-equivalence oracle).
+// checkers (MPSOC_VERIFY protocol monitors, MPSOC_STATECHECK
+// checkpoint-equivalence oracle).
 //
 // Each checker is a two-level opt-in: a CMake option compiles the hooks in
 // or out, and a PlatformConfig flag attaches them at runtime.  A run that

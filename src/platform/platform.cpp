@@ -47,103 +47,6 @@ Platform::Platform(PlatformConfig cfg) : cfg_(cfg) {
   // (the order labels digest items, so it must be deterministic).
   sim_.addCheckpointable(&mem_fifo_probe_);
   if (verify_) sim_.addCheckpointable(verify_.get());
-  sim_.setKernelThreads(cfg_.kernel_threads);
-  if (cfg_.racecheck) sim_.setRaceCheck(true);
-  // The race checker validates the lane map even on a serial kernel, so the
-  // topology lanes are assigned whenever either consumer needs them.
-  if (cfg_.kernel_threads != 1 || cfg_.racecheck) assignEvalLanes();
-}
-
-void Platform::assignEvalLanes() {
-  // Sharding contract (see DESIGN.md "Kernel hot path"): two components may
-  // evaluate on different lanes iff no FIFO end is mutated by both mid-edge.
-  // Plain push/pop pairs are single-producer/single-consumer safe across
-  // lanes; what forces co-sharding is out-of-order removal (popAt), which
-  // touches the producer-side counters of a FIFO someone else pushes:
-  //
-  //  * every bus pops its targets' rsp FIFOs by identity -> bus + the
-  //    components servicing its target ports share a lane;
-  //  * the AXI bus additionally pops initiator req FIFOs by identity ->
-  //    on AXI platforms every initiator joins its bus's lane;
-  //  * the LMI scheduler pops its req FIFO out of order -> LMI + the bus
-  //    pushing that FIFO share a lane.
-  //
-  // Everything else — each IPTG, the DSP, the DMA engine, each bridge
-  // master side (STBus/AHB) — is lane-free and gets its own shard, which is
-  // where the intra-domain parallelism of the fig3/fig5 platforms comes
-  // from (most edges are single-domain, so domain-granular sharding alone
-  // would serialize them).
-  std::uint32_t next = 0;
-
-  if (mesh_) {
-    // Packet fabric: each router owns a lane (all its FIFO ends are
-    // single-producer/single-consumer across lanes); a node's adapters share
-    // a per-node lane (they co-mutate the node's Local input and egress
-    // FIFOs).  The LMI pops the request FIFO its slave adapter pushes *out
-    // of order* (popAt), so it joins the memory node's adapter lane; the
-    // in-order on-chip memory and every master are lane-free.
-    next = mesh_->assignEvalLanes(0);
-    if (lmi_) lmi_->setEvalLane(mesh_->adapterLane(nocMemNode()));
-    if (onchip_) onchip_->setEvalLane(next++);
-    for (auto& g : iptgs_) g->setEvalLane(next++);
-    if (cpu_) cpu_->setEvalLane(next++);
-    if (dma_) dma_->setEvalLane(next++);
-    return;
-  }
-
-  const bool axi = cfg_.protocol == Protocol::Axi;
-  auto initiatorLane = [&](std::uint32_t bus_lane) {
-    return axi ? bus_lane : next++;
-  };
-
-  // Central shard: the N8 bus plus the memories it pops responses from.
-  const std::uint32_t central_lane = next++;
-  central_->setEvalLane(central_lane);
-  if (scratchpad_) scratchpad_->setEvalLane(central_lane);
-  if (onchip_) onchip_->setEvalLane(central_lane);
-  if (mem_node_) {
-    // AHB/AXI + LMI: the STBus memory node and the LMI sit behind the membr
-    // CDC and form their own shard (the node pushes the LMI req FIFO the
-    // LMI scheduler pops out of order, so the pair stays together).
-    const std::uint32_t mem_lane = next++;
-    mem_node_->setEvalLane(mem_lane);
-    if (lmi_) lmi_->setEvalLane(mem_lane);
-  } else if (lmi_) {
-    lmi_->setEvalLane(central_lane);  // native STBus: central pushes/pops it
-  }
-
-  // Satellite shards: each cluster bus anchors a lane; its uplink bridge's
-  // A side (a target of that bus) joins it below.
-  for (auto& c : clusters_) c.bus->setEvalLane(next++);
-  if (cpu_node_) cpu_node_->setEvalLane(next++);
-
-  for (auto& b : bridges_) {
-    const std::string& n = b->name();
-    if (n == "membr") {
-      // A side is a central-bus target; B side initiates on the (always
-      // STBus, hence in-order) memory node.
-      b->setEvalLanes(central_lane, next++);
-    } else if (n == "cpu_conv") {
-      b->setEvalLanes(cpu_node_->evalLane(), initiatorLane(central_lane));
-    } else {
-      Cluster* c = clusterFor(n.substr(0, n.size() - 3));  // "<name>_up"
-      b->setEvalLanes(c ? c->bus->evalLane() : central_lane,
-                      initiatorLane(central_lane));
-    }
-  }
-
-  auto laneForMaster = [&](const sim::Component& m) {
-    for (auto& c : clusters_) {
-      if (&m.clk() == c.clk) return initiatorLane(c.bus->evalLane());
-    }
-    if (cpu_node_ && &m.clk() == clk_cpu_) {
-      return initiatorLane(cpu_node_->evalLane());
-    }
-    return initiatorLane(central_lane);
-  };
-  for (auto& g : iptgs_) g->setEvalLane(laneForMaster(*g));
-  if (cpu_) cpu_->setEvalLane(laneForMaster(*cpu_));
-  if (dma_) dma_->setEvalLane(laneForMaster(*dma_));
 }
 
 void Platform::attachVerification() {

@@ -152,11 +152,6 @@ class Platform {
   /// execute cfg_.ff_check_edges edges and digest, rewind, re-execute and
   /// assert bit-identical digests.  Always compiled in (unlike statecheck).
   void ffHandoffOracle();
-  /// Partition the platform into evaluate-phase shard lanes for the
-  /// multi-threaded kernel (see Simulator::setKernelThreads).  Components
-  /// that pop each other's FIFOs out of order mid-edge are co-sharded;
-  /// everything else gets its own lane.  Called once, after construction.
-  void assignEvalLanes();
 
   /// NoC topology helpers: the memory's node and the mesh node the i-th
   /// master lands on (round-robin over the non-memory nodes).

@@ -181,10 +181,6 @@ NamedScenario parseScenario(const std::string& text) {
       out.duration_ps = static_cast<sim::Picos>(parseU64(val, line_no));
     } else if (key == "seed") {
       cfg.seed = parseU64(val, line_no);
-    } else if (key == "kernel_threads") {
-      cfg.kernel_threads = static_cast<unsigned>(parseU64(val, line_no));
-    } else if (key == "racecheck") {
-      cfg.racecheck = parseBool(val, line_no);
     } else if (key == "verify") {
       cfg.verify = parseBool(val, line_no);
     } else if (key == "statecheck") {
@@ -284,9 +280,7 @@ std::string emitScenario(const NamedScenario& scenario) {
      << "phase2_end_ps = " << cfg.phase2_end_ps << "\n"
      << "duration_ps = " << scenario.duration_ps << "\n"
      << "seed = " << cfg.seed << "\n"
-     << "kernel_threads = " << cfg.kernel_threads << "\n"
      << "verify = " << b(cfg.verify) << "\n"
-     << "racecheck = " << b(cfg.racecheck) << "\n"
      << "statecheck = " << b(cfg.statecheck) << "\n"
      << "statecheck_at_ps = " << cfg.statecheck_at_ps << "\n"
      << "statecheck_edges = " << cfg.statecheck_edges << "\n"

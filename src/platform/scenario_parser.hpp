@@ -46,7 +46,6 @@
 //   duration_ps = 0             # run for a fixed simulated time (two-phase)
 //   seed = 1
 //   verify = false              # attach protocol monitors + auditor
-//   racecheck = false           # lane-ownership race checking
 //   statecheck = false          # checkpoint-equivalence oracle
 //   statecheck_at_ps = 1000000  # oracle checkpoint instant
 //   statecheck_edges = 2000     # oracle window length (edges)

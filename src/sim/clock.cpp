@@ -1,51 +1,39 @@
 #include "sim/clock.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "sim/component.hpp"
 #include "sim/simulator.hpp"
 
 namespace mpsoc::sim {
 
-namespace detail {
-thread_local std::vector<CommitEntry>* tl_commit_buf = nullptr;
-}  // namespace detail
-
 ClockDomain::ClockDomain(Simulator& sim, std::string name, Picos period_ps)
     : sim_(sim), name_(std::move(name)), period_ps_(period_ps),
       next_edge_ps_(period_ps) {}
 
 void ClockDomain::addComponent(Component* c) {
-  std::lock_guard<std::mutex> lock(sim_.registrationMutex());
   components_.push_back(c);
   sim_.noteComponentAdded(c);
 }
 
 void ClockDomain::removeComponent(Component* c) {
-  std::lock_guard<std::mutex> lock(sim_.registrationMutex());
   components_.erase(std::remove(components_.begin(), components_.end(), c),
                     components_.end());
   sim_.noteComponentRemoved(c);
 }
 
 void ClockDomain::addUpdatable(Updatable* u, CommitPolicy p) {
-  {
-    std::lock_guard<std::mutex> lock(sim_.registrationMutex());
-    updatables_.push_back(u);
-  }
+  updatables_.push_back(u);
   if (p == CommitPolicy::EveryEdge) markAlwaysCommit(u);
 }
 
 void ClockDomain::markAlwaysCommit(Updatable* u) {
-  std::lock_guard<std::mutex> lock(sim_.registrationMutex());
   if (u->always_commit_) return;
   u->always_commit_ = true;
   always_commit_.push_back(u);
 }
 
 void ClockDomain::removeUpdatable(Updatable* u) {
-  std::lock_guard<std::mutex> lock(sim_.registrationMutex());
   updatables_.erase(std::remove(updatables_.begin(), updatables_.end(), u),
                     updatables_.end());
   commit_queue_.erase(
@@ -57,7 +45,7 @@ void ClockDomain::removeUpdatable(Updatable* u) {
 }
 
 void ClockDomain::evaluateEdge() {
-  beginEdge();
+  ++cycle_;
   evaluateComponents(false);
 }
 
@@ -71,15 +59,11 @@ void ClockDomain::evaluateComponents(bool reverse) {
     }
     return;
   }
-  evaluateFrom(0);
-}
-
-void ClockDomain::evaluateFrom(std::size_t begin) {
   const bool gate = sim_.activityGating();
   // Index loop: a component constructed during evaluate() (mid-run
   // registration) is appended to components_ and joins this very edge, in
   // deterministic registration order.
-  for (std::size_t i = begin; i < components_.size(); ++i) {
+  for (std::size_t i = 0; i < components_.size(); ++i) {
     Component* c = components_[i];
     if (gate && c->asleep()) continue;
     c->evaluate();
@@ -91,7 +75,7 @@ void ClockDomain::commitEdge() {
     u->commit();
   }
   for (Updatable* u : commit_queue_) {
-    u->commit_queued_.store(false, std::memory_order_relaxed);
+    u->commit_queued_ = false;
     if (!u->always_commit_) u->commit();
   }
   commit_queue_.clear();

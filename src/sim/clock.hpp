@@ -2,7 +2,6 @@
 // A clock domain: a periodic edge source that drives a set of components and
 // commits the staged state (FIFOs, registers) bound to it.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -17,24 +16,6 @@ class ClockDomain;
 class Component;
 class Simulator;
 class Updatable;
-
-namespace detail {
-/// Commit-intent record staged by a worker lane during the sharded evaluate
-/// phase: `clk` is the domain whose commit queue the updatable belongs on
-/// (for an AsyncFifo popped by a consumer lane this is the *producer*
-/// domain, which may not even be on the current edge).
-struct CommitEntry {
-  ClockDomain* clk;
-  Updatable* u;
-};
-/// Per-lane commit buffer of the lane the current thread is evaluating, or
-/// nullptr outside the sharded evaluate phase.  Thread-local (not static
-/// shared state): each kernel worker — and the main thread while it runs a
-/// lane — targets its own lane's buffer, and the kernel merges the buffers
-/// into the per-domain commit queues in deterministic lane order after the
-/// evaluate barrier.
-extern thread_local std::vector<CommitEntry>* tl_commit_buf;
-}  // namespace detail
 
 /// Anything holding staged (to-be-registered) state that must become visible
 /// only at the end of the current clock edge.  SyncFifo is the main
@@ -97,11 +78,7 @@ class Updatable {
 
  private:
   friend class ClockDomain;
-  /// Enqueued for commit at this edge's end.  Atomic because under the
-  /// sharded kernel the producer and the consumer lane of one FIFO may race
-  /// to enqueue it; the relaxed exchange guarantees a single enqueue, and
-  /// the evaluate barrier orders the enqueue against the commit phase.
-  std::atomic<bool> commit_queued_{false};
+  bool commit_queued_ = false;  ///< enqueued for commit at this edge's end
   bool always_commit_ = false;  ///< committed on every edge (observed FIFOs)
 };
 
@@ -137,10 +114,8 @@ class ClockDomain {
   /// FIFOs free at commit time.
   enum class CommitPolicy { EveryEdge, WhenQueued };
 
-  // Registration (components and updatables) is serialized on the
-  // simulator's registration mutex: mid-run construction may happen inside a
-  // worker lane while other lanes run, and the registration vectors must not
-  // tear.  Definitions live in clock.cpp (they need the Simulator type).
+  // Registration (components and updatables).  Definitions live in
+  // clock.cpp (they need the Simulator type).
   void addComponent(Component* c);
   void removeComponent(Component* c);
   void addUpdatable(Updatable* u, CommitPolicy p = CommitPolicy::EveryEdge);
@@ -150,22 +125,9 @@ class ClockDomain {
   /// edge; updatables marked always-commit are never enqueued (they commit
   /// unconditionally).  FIFOs call this from push/pop, so an untouched FIFO
   /// costs nothing in the commit phase.
-  ///
-  /// Inside a sharded evaluate phase the intent lands in the calling lane's
-  /// thread-local buffer instead of commit_queue_; the kernel merges the
-  /// buffers in lane order after the barrier.  The serial path keeps plain
-  /// relaxed load/store (no lock-prefixed instruction on the 1-thread hot
-  /// path).
   void queueCommit(Updatable* u) {
-    if (u->always_commit_) return;
-    if (detail::tl_commit_buf) {
-      if (!u->commit_queued_.exchange(true, std::memory_order_relaxed)) {
-        detail::tl_commit_buf->push_back({this, u});
-      }
-      return;
-    }
-    if (u->commit_queued_.load(std::memory_order_relaxed)) return;
-    u->commit_queued_.store(true, std::memory_order_relaxed);
+    if (u->always_commit_ || u->commit_queued_) return;
+    u->commit_queued_ = true;
     commit_queue_.push_back(u);
   }
 
@@ -183,22 +145,12 @@ class ClockDomain {
 
   /// Phase 1 of an edge: bump the cycle counter and run every component.
   void evaluateEdge();
-  /// Cycle-counter half of evaluateEdge(), split out so the sharded kernel
-  /// can bump every slot domain before dispatching lanes (lane components
-  /// read now() concurrently).
-  void beginEdge() { ++cycle_; }
-  /// Re-run the components of the current edge without bumping the cycle
-  /// counter (deep-check replay).  `reverse` flips the registration order to
-  /// expose order-dependent evaluate logic.
+  /// Run the components of the current edge without bumping the cycle
+  /// counter.  The forward pass (`reverse` false) skips sleeping components
+  /// when activity gating is on; the deep-check replay pass (`reverse` true)
+  /// runs every component in reverse registration order to expose
+  /// order-dependent evaluate logic.
   void evaluateComponents(bool reverse);
-  /// Evaluate (with activity gating) the components registered at index
-  /// `begin` and later — the sharded kernel's catch-up pass for components
-  /// constructed mid-edge inside a worker lane, mirroring the serial index
-  /// loop that picks up same-edge registrations.
-  void evaluateFrom(std::size_t begin);
-  /// Append an updatable whose commit_queued_ flag a worker lane already
-  /// claimed (lane-buffer merge; see queueCommit).
-  void mergeQueuedCommit(Updatable* u) { commit_queue_.push_back(u); }
   /// Phase 2 of an edge: commit all staged state and schedule the next edge.
   void commitEdge();
 

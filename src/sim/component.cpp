@@ -18,14 +18,11 @@ Component::~Component() {
 }
 
 void Component::sleep() {
-  // Only the component itself may sleep (from its own evaluate()), so a
-  // relaxed read-then-store is race-free; the atomic store is for concurrent
-  // asleep() readers on other lanes.
-  if (asleep_.load(std::memory_order_relaxed)) return;
+  if (asleep_) return;
   SIM_CHECK_CTX(idle(), name_, &clk_,
                 "sleep() while not idle: a component may only declare itself "
                 "quiescent when it has no pending work");
-  asleep_.store(true, std::memory_order_relaxed);
+  asleep_ = true;
   clk_.simulator().noteSleep();
 }
 
@@ -33,9 +30,8 @@ void Component::restoreStateBase() {
   // Mirror sleep()/wake() without their contracts: a restore may legally put
   // the component back into either activity state, and only the simulator's
   // asleep counter must stay balanced.
-  const bool cur = asleep_.load(std::memory_order_relaxed);
-  if (cur == state_base_asleep_) return;
-  asleep_.store(state_base_asleep_, std::memory_order_relaxed);
+  if (asleep_ == state_base_asleep_) return;
+  asleep_ = state_base_asleep_;
   if (state_base_asleep_) {
     clk_.simulator().noteSleep();
   } else {
@@ -44,11 +40,8 @@ void Component::restoreStateBase() {
 }
 
 void Component::wake() {
-  // wake() may be called concurrently from another lane (a programming
-  // interface such as DmaEngine::program) as well as from commit-time FIFO
-  // hooks; the exchange makes racing wakes count exactly once against the
-  // kernel's asleep counter.
-  if (!asleep_.exchange(false, std::memory_order_relaxed)) return;
+  if (!asleep_) return;
+  asleep_ = false;
   clk_.simulator().noteWake();
 }
 

@@ -2,7 +2,6 @@
 // Base class for everything with per-cycle behaviour (traffic generators,
 // interconnect engines, memories, bridges, processors).
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -11,16 +10,6 @@
 #include "sim/time.hpp"
 
 namespace mpsoc::sim {
-
-/// Evaluate-lane key: components with the same key evaluate on the same
-/// worker thread (in registration order) when the kernel runs sharded.  The
-/// default, kAutoEvalLane, groups a component with every other component of
-/// its clock domain — always safe, because cross-domain interaction flows
-/// exclusively through AsyncFifo crossings whose producer/consumer state is
-/// disjoint.  Platforms opt into finer lanes (per traffic generator, per
-/// bridge side) where the topology proves independence; see DESIGN.md
-/// "Kernel hot path".
-inline constexpr std::uint32_t kAutoEvalLane = 0xffffffffu;
 
 class Component {
  public:
@@ -87,11 +76,8 @@ class Component {
   // provably no-op evaluations.  Deep-check replay re-evaluates sleeping
   // components and flags any that would have staged work.
 
-  /// True while this component has declared itself quiescent.  Relaxed load:
-  /// under the sharded kernel the flag may be read by one worker while a
-  /// commit-time or cross-component wake clears it; any interleaving is
-  /// behaviour-neutral because sleep() is only legal while idle().
-  bool asleep() const { return asleep_.load(std::memory_order_relaxed); }
+  /// True while this component has declared itself quiescent.
+  bool asleep() const { return asleep_; }
 
   /// Clear the quiescent flag; the kernel resumes evaluating this component
   /// from the next edge (or this edge, if called during its evaluate phase
@@ -103,20 +89,6 @@ class Component {
   Cycle now() const { return clk_.now(); }
   const std::string& name() const { return name_; }
 
-  // --- sharded-evaluate protocol --------------------------------------------
-
-  /// Assign this component to an explicit evaluate lane (see kAutoEvalLane).
-  /// Callers guarantee that components in *different* lanes never touch each
-  /// other's evaluate-phase state except through opposite ends of a FIFO.
-  void setEvalLane(std::uint32_t lane) { eval_lane_ = lane; }
-  std::uint32_t evalLane() const { return eval_lane_; }
-
-  /// Components that inspect *other* components during evaluate() (the
-  /// progress watchdog scans every component's idle state) cannot join any
-  /// concurrent lane; the kernel evaluates them on the main thread after the
-  /// parallel lanes of the edge have completed.
-  virtual bool serialEvaluate() const { return false; }
-
  protected:
   /// Declare this component quiescent.  Only legal while idle() holds.
   void sleep();
@@ -125,9 +97,7 @@ class Component {
 
   /// Snapshot the base-class activity flag (every manifest covers it, so a
   /// replayed or restored window re-sleeps/re-wakes identically).
-  void saveStateBase() {
-    state_base_asleep_ = asleep_.load(std::memory_order_relaxed);
-  }
+  void saveStateBase() { state_base_asleep_ = asleep_; }
   /// Restore the activity flag, keeping the kernel's asleep counter balanced.
   void restoreStateBase();
   void digestStateBase(state::Digest& d) const { d.add(asleep() ? 1u : 0u); }
@@ -136,9 +106,8 @@ class Component {
   std::string name_;
 
  private:
-  std::atomic<bool> asleep_{false};
+  bool asleep_ = false;
   bool state_base_asleep_ = false;
-  std::uint32_t eval_lane_ = kAutoEvalLane;
 };
 
 }  // namespace mpsoc::sim

@@ -20,8 +20,8 @@
 //     the accurate counters and the canonical result digest never see it.
 //   * Transactions in flight at FF entry stay frozen in their FIFOs and
 //     complete after handoff at their stale scheduled times.
-//   * The engine is single-threaded and draws no random numbers, so the
-//     fast-forwarded prefix is bit-identical at any --kernel-threads value.
+//   * The engine draws no random numbers, so the fast-forwarded prefix is
+//     bit-identical run after run.
 //
 // Validation discipline: every component implementing an LT hook carries an
 // "LT-EQUIV:" tag naming its accurate/LT equivalence test (enforced by the

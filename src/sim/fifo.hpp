@@ -33,7 +33,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -41,7 +40,6 @@
 #include "sim/check.hpp"
 #include "sim/clock.hpp"
 #include "sim/component.hpp"
-#include "sim/racecheck.hpp"
 #include "sim/simulator.hpp"
 #include "sim/state.hpp"
 #include "sim/time.hpp"
@@ -104,11 +102,6 @@ class SyncFifo final : public Updatable {
     checkPhase("push");
     SIM_CHECK_CTX(canPush(), name_, &clk_,
                   "push() on full FIFO (capacity " << capacity_ << ")");
-#if MPSOC_RACECHECK
-    // Push endpoint: staged_n_ and the staged ring slots belong to whichever
-    // lane produces into this FIFO.
-    rc::touchFifoPush(this, name_, &clk_);
-#endif
 #if MPSOC_VERIFY
     notifyTaps(push_taps_, v);
 #endif
@@ -140,12 +133,6 @@ class SyncFifo final : public Updatable {
   T pop() {
     checkPhase("pop");
     SIM_CHECK_CTX(!empty(), name_, &clk_, "pop() on empty FIFO");
-#if MPSOC_RACECHECK
-    // Pop endpoint: pop_count_ belongs to the consuming lane (disjoint from
-    // the push endpoint's staged state, so producer and consumer may live on
-    // different lanes).
-    rc::touchFifoPop(this, name_, &clk_);
-#endif
     clk_.queueCommit(this);
     T v = takeAt(pop_count_);
     ++pop_count_;
@@ -163,14 +150,6 @@ class SyncFifo final : public Updatable {
     SIM_CHECK_CTX(i < size(), name_, &clk_,
                   "popAt(" << i << ") beyond visible occupancy " << size());
     if (i == 0) return pop();
-#if MPSOC_RACECHECK
-    // Out-of-order removal rewrites the committed ring, which sits
-    // contiguously with the staged region: this is a mutation of *both*
-    // endpoints, so a FIFO that is popAt()-serviced forces its producer and
-    // consumer onto one lane (the assignEvalLanes co-sharding rule).
-    rc::touchFifoPop(this, name_, &clk_);
-    rc::touchFifoPush(this, name_, &clk_);
-#endif
     clk_.queueCommit(this);
     const std::size_t idx = pop_count_ + i;
     T v = takeAt(idx);
@@ -381,21 +360,7 @@ class SyncFifo final : public Updatable {
 #if MPSOC_VERIFY
   void notifyTaps(const std::vector<Tap>& taps, const T& v) const {
     if (taps.empty() || clk_.simulator().inReplay()) return;
-#if MPSOC_RACECHECK
-    // Tap dispatch is serialized on the simulator's tap mutex (or the kernel
-    // is serial): synchronized by design, counted but never conflict-checked.
-    rc::noteSynchronized();
-#endif
-    // Sharded kernel: a monitor may tap ports whose producer and consumer
-    // evaluate on different lanes (a bridge monitor watches both sides), so
-    // tap dispatch serializes on the simulator's tap mutex.  Serial kernel:
-    // tapMutex() is nullptr and monitored runs pay nothing extra.
-    if (std::mutex* mu = clk_.simulator().tapMutex()) {
-      std::lock_guard<std::mutex> lock(*mu);
-      for (const auto& t : taps) t(v);
-    } else {
-      for (const auto& t : taps) t(v);
-    }
+    for (const auto& t : taps) t(v);
   }
 #endif
 
@@ -481,9 +446,6 @@ class AsyncFifo final : public Updatable {
     checkPhase("push");
     SIM_CHECK_CTX(canPush(), name_, &prod_,
                   "push() on full FIFO (capacity " << capacity_ << ")");
-#if MPSOC_RACECHECK
-    rc::touchFifoPush(this, name_, &prod_);
-#endif
     prod_.queueCommit(this);
     staged_.push_back(std::move(v));
   }
@@ -509,9 +471,6 @@ class AsyncFifo final : public Updatable {
   T pop() {
     checkPhase("pop");
     SIM_CHECK_CTX(canPop(), name_, &cons_, "pop() with no readable item");
-#if MPSOC_RACECHECK
-    rc::touchFifoPop(this, name_, &cons_);
-#endif
     prod_.queueCommit(this);
     T v = takeAt(pop_count_);
     ++pop_count_;

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <thread>
-#include <unordered_map>
 
 #include "sim/check.hpp"
 #include "sim/component.hpp"
-#include "sim/eval_pool.hpp"
-#include "sim/racecheck.hpp"
 #include "sim/state.hpp"
 
 namespace mpsoc::sim {
@@ -19,32 +15,6 @@ constexpr Picos kNever = std::numeric_limits<Picos>::max();
 
 Simulator::Simulator() = default;
 Simulator::~Simulator() = default;
-
-void Simulator::setKernelThreads(unsigned n) {
-  if (n == 0) {
-    n = std::thread::hardware_concurrency();
-    if (n == 0) n = 1;
-  }
-  if (n == kernel_threads_) return;
-  kernel_threads_ = n;
-  pool_.reset();
-  plans_.clear();
-  plans_generation_ = ~0ULL;
-  if (n > 1) pool_ = std::make_unique<EvalPool>(n - 1);
-}
-
-void Simulator::setRaceCheck(bool on) {
-#if MPSOC_RACECHECK
-  if (on == (racecheck_ != nullptr)) return;
-  racecheck_ = on ? std::make_unique<RaceCheck>() : nullptr;
-  // The checker changes which kernel path step() takes (plan-driven lanes
-  // even at one thread); drop cached plans so the switch is clean mid-run.
-  plans_.clear();
-  plans_generation_ = ~0ULL;
-#else
-  (void)on;  // compiled out: the kernel stays byte-for-byte on its usual path
-#endif
-}
 
 ClockDomain& Simulator::addClockDomain(const std::string& name, double mhz) {
   domains_.push_back(
@@ -147,19 +117,7 @@ bool Simulator::step() {
       ++deep_stats_.skipped_edges;
     }
   }
-  // Sharded path: only when a pool exists (or the race checker needs the
-  // lane partition — it checks ownership even at one thread), deep-check is
-  // off (the replay passes re-evaluate whole domains and must stay serial —
-  // results are identical either way, by the very contract deep-check
-  // enforces) and the slot actually splits into more than one lane.
-  ShardPlan* plan = ((pool_ || racecheck_) && !deep_check_)
-                        ? planFor(edge_scratch_)
-                        : nullptr;
-  if (plan && plan->lanes.size() > 1) {
-    evaluateSlotParallel(*plan);
-  } else {
-    for (ClockDomain* d : edge_scratch_) d->evaluateEdge();
-  }
+  for (ClockDomain* d : edge_scratch_) d->evaluateEdge();
 
   if (deep_check_) deepCheckEdge(edge_scratch_, replayable);
 
@@ -213,150 +171,6 @@ void Simulator::deepCheckEdge(const std::vector<ClockDomain*>& edge_domains,
   for (ClockDomain* d : edge_domains) {
     for (Updatable* u : d->updatables()) u->checkInvariants();
   }
-}
-
-Simulator::ShardPlan* Simulator::planFor(
-    const std::vector<ClockDomain*>& slot) {
-  if (plans_generation_ != component_generation_) {
-    plans_.clear();
-    plans_generation_ = component_generation_;
-  }
-  std::uint64_t mask = 0;
-  for (ClockDomain* d : slot) {
-    if (d->index() >= 64) return nullptr;  // bitmask key exhausted: stay serial
-    mask |= 1ULL << d->index();
-  }
-  for (const auto& p : plans_) {
-    if (p->mask == mask) return p.get();
-  }
-  plans_.push_back(std::make_unique<ShardPlan>());
-  ShardPlan* plan = plans_.back().get();
-  plan->mask = mask;
-  buildPlan(*plan, slot);
-  return plan;
-}
-
-void Simulator::buildPlan(ShardPlan& plan,
-                          const std::vector<ClockDomain*>& slot) {
-  // Lanes appear in first-use order while components are walked in
-  // (domain index, registration) order, so the partition — and therefore the
-  // lane-merge order of commit intents — is deterministic.
-  std::unordered_map<std::uint32_t, std::size_t> lane_of;
-  for (ClockDomain* d : slot) {
-    plan.snapshot.emplace_back(d, d->components().size());
-    for (Component* c : d->components()) {
-      if (c->serialEvaluate()) {
-        plan.serial_tail.push_back(c);
-        continue;
-      }
-      std::uint32_t key = c->evalLane();
-      if (key == kAutoEvalLane) {
-        // Domain-default lane: always safe — cross-domain interaction flows
-        // only through AsyncFifo crossings with disjoint per-side state.
-        key = 0x80000000u | static_cast<std::uint32_t>(d->index());
-      }
-      auto [it, fresh] = lane_of.try_emplace(key, plan.lanes.size());
-      if (fresh) plan.lanes.emplace_back();
-      plan.lanes[it->second].components.push_back(c);
-    }
-  }
-}
-
-void Simulator::runLaneThunk(void* ctx, std::size_t lane) {
-  auto* self = static_cast<Simulator*>(ctx);
-  self->runLane(*self->current_plan_, lane);
-}
-
-void Simulator::runLane(ShardPlan& plan, std::size_t lane_idx) {
-  Lane& lane = plan.lanes[lane_idx];
-  detail::tl_commit_buf = &lane.commit_buf;
-#if MPSOC_RACECHECK
-  if (racecheck_) {
-    rc::tl_lane.rc = racecheck_.get();
-    rc::tl_lane.lane = static_cast<std::uint32_t>(lane_idx);
-  }
-#endif
-  const bool gate = activity_gating_;
-  try {
-    for (Component* c : lane.components) {
-      if (gate && c->asleep()) continue;
-#if MPSOC_RACECHECK
-      if (racecheck_) {
-        // The component's own members are state it mutates by definition:
-        // record the Object self-touch before evaluate() runs, so two lanes
-        // sharing one component (a broken plan) or an RC_TOUCH from another
-        // lane conflict deterministically.
-        rc::tl_lane.component = c;
-        racecheck_->touch(c, rc::Endpoint::Object, c->name(), &c->clk(),
-                          rc::tl_lane.lane, c);
-      }
-#endif
-      c->evaluate();
-    }
-  } catch (...) {
-    lane.error = std::current_exception();
-  }
-#if MPSOC_RACECHECK
-  rc::tl_lane = rc::LaneContext{};
-#endif
-  detail::tl_commit_buf = nullptr;
-}
-
-void Simulator::evaluateSlotParallel(ShardPlan& plan) {
-  // Cycle counters first: lane components read now() concurrently.
-  for (ClockDomain* d : edge_scratch_) d->beginEdge();
-  for (Lane& lane : plan.lanes) lane.error = nullptr;
-#if MPSOC_RACECHECK
-  if (racecheck_) racecheck_->beginEdge(edges_executed_, now_ps_);
-#endif
-
-  current_plan_ = &plan;
-  if (pool_) {
-    EvalPool::Job job;
-    job.ctx = this;
-    job.run_lane = &Simulator::runLaneThunk;
-    job.lanes = plan.lanes.size();
-    pool_->run(job);
-  } else {
-    // Race checking at --kernel-threads 1: same lane partition, run inline
-    // in lane order on this thread.  Ownership conflicts are detected just
-    // as at any thread count, and the first conflicting pair — hence the
-    // report — is identical run after run.
-    for (std::size_t i = 0; i < plan.lanes.size(); ++i) runLane(plan, i);
-  }
-  current_plan_ = nullptr;
-
-  // Merge the per-lane commit intents into the owning domains' queues, in
-  // lane order.  Commit order within an edge is behaviour-neutral (staged
-  // state is disjoint per updatable and wake hooks are idempotent), and the
-  // merge order is deterministic regardless of worker scheduling.  Merged
-  // even when a lane threw, mirroring the serial kernel where an exception
-  // unwinds past commitEdge with the queue populated and the next commit
-  // drains it.
-  for (Lane& lane : plan.lanes) {
-    for (const detail::CommitEntry& e : lane.commit_buf) {
-      e.clk->mergeQueuedCommit(e.u);
-    }
-    lane.commit_buf.clear();
-  }
-
-  // Deterministic error propagation: the lowest lane's exception wins,
-  // independent of which worker hit it first.
-  for (Lane& lane : plan.lanes) {
-    if (lane.error) std::rethrow_exception(lane.error);
-  }
-
-  // Serial tail: components that inspect global state (watchdogs) run with
-  // the workers parked, seeing the complete staged edge.
-  const bool gate = activity_gating_;
-  for (Component* c : plan.serial_tail) {
-    if (gate && c->asleep()) continue;
-    c->evaluate();
-  }
-
-  // Catch-up: components constructed mid-edge inside a lane join this very
-  // edge, as the serial index loop guarantees for same-domain spawns.
-  for (const auto& [d, n0] : plan.snapshot) d->evaluateFrom(n0);
 }
 
 void Simulator::addCheckpointable(Checkpointable* c) {
@@ -553,9 +367,7 @@ bool Simulator::allIdle() const {
 }
 
 bool Simulator::anyComponentBusy(const Component* exclude) const {
-  if (asleep_count_.load(std::memory_order_relaxed) >= component_count_) {
-    return false;
-  }
+  if (asleep_count_ >= component_count_) return false;
   for (const auto& d : domains_) {
     for (const Component* c : d->components()) {
       if (c == exclude || c->asleep()) continue;

@@ -18,12 +18,9 @@
 // sleep()/wake() protocol are skipped during evaluate and counted idle
 // without polling.  See DESIGN.md "Kernel".
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,9 +29,6 @@
 #include "sim/time.hpp"
 
 namespace mpsoc::sim {
-
-class EvalPool;
-class RaceCheck;
 
 /// Where the kernel is within the two-phase edge protocol.  FIFOs use this to
 /// reject mutations outside their legal window: push/pop only during
@@ -93,35 +87,14 @@ class Simulator {
   void setActivityGating(bool on) { activity_gating_ = on; }
   bool activityGating() const { return activity_gating_; }
 
-  /// Sharded evaluate phase (see DESIGN.md "Kernel hot path"): partition the
-  /// components of every coincident-edge slot into lanes (per clock domain
-  /// by default, finer where the platform declared independent lanes via
-  /// Component::setEvalLane) and evaluate the lanes concurrently on a
-  /// persistent worker pool.  Commit stays single-threaded in the existing
-  /// deterministic slot order, so results are bit-identical to the serial
-  /// kernel.  `n` threads evaluate in total (the kernel thread itself plus
-  /// n - 1 pool workers); 1 restores the serial kernel, 0 means one thread
-  /// per hardware thread.  Deep-check mode always evaluates serially.
-  void setKernelThreads(unsigned n);
-  unsigned kernelThreads() const { return kernel_threads_; }
-
-  /// Deterministic lane-ownership race checking (see src/sim/racecheck.hpp):
-  /// when on, every evaluate-phase mutation — FIFO endpoints, each
-  /// component's own members, RC_TOUCH-annotated foreign state — is
-  /// attributed to the shard lane performing it, and two lanes touching the
-  /// same state within one edge raise InvariantViolation.  Works at any
-  /// kernel thread count: at --kernel-threads 1 the kernel still builds the
-  /// shard plan and runs the lanes inline in lane order, so a bad lane
-  /// assignment is reported identically run after run, no racy interleaving
-  /// required.  No-op when compiled out (MPSOC_RACECHECK=OFF).
-  void setRaceCheck(bool on);
-  /// Non-null while race checking is active (always null when compiled out).
-  RaceCheck* raceCheck() const { return racecheck_.get(); }
+  /// Draw a fresh transaction id (txn::Request::id), unique within this
+  /// simulation.  Deliberately not checkpointed: a rewound window keeps
+  /// drawing fresh ids, which is why ids never enter a state digest (see
+  /// src/sim/state.hpp).
+  std::uint64_t nextTransactionId() { return next_txn_id_++; }
 
   /// Number of components currently asleep / registered (activity counters).
-  std::size_t asleepComponents() const {
-    return asleep_count_.load(std::memory_order_relaxed);
-  }
+  std::size_t asleepComponents() const { return asleep_count_; }
   std::size_t totalComponents() const { return component_count_; }
 
   /// True when some component other than `exclude` is awake and non-idle.
@@ -237,23 +210,8 @@ class Simulator {
 
   void noteComponentAdded(Component* c);
   void noteComponentRemoved(Component* c);
-  void noteSleep() { asleep_count_.fetch_add(1, std::memory_order_relaxed); }
-  void noteWake() { asleep_count_.fetch_sub(1, std::memory_order_relaxed); }
-
-  /// Serializes component/updatable registration: mid-run construction can
-  /// happen inside a worker lane while other lanes run.  Callers hold it
-  /// only around vector mutation; it is never held across user code.
-  std::mutex& registrationMutex() { return registration_mutex_; }
-
-  /// Mutex the MPSOC_VERIFY FIFO taps serialize on while the evaluate phase
-  /// is sharded (monitors observe ports whose two ends live on different
-  /// lanes); nullptr when the kernel is serial, so monitored single-thread
-  /// runs pay nothing.  Sound because causally related protocol events are
-  /// separated by at least one commit (registered-occupancy FIFOs), and
-  /// same-edge events of different transactions are order-independent.
-  std::mutex* tapMutex() {
-    return kernel_threads_ > 1 ? &tap_mutex_ : nullptr;
-  }
+  void noteSleep() { ++asleep_count_; }
+  void noteWake() { --asleep_count_; }
 
  private:
   /// One instant of the cached edge schedule: every domain whose next edge
@@ -264,38 +222,8 @@ class Simulator {
     std::vector<ClockDomain*> domains;
   };
 
-  /// One evaluate lane of a shard plan: components evaluated sequentially on
-  /// one worker, plus that lane's commit-intent buffer and error slot.
-  struct Lane {
-    std::vector<Component*> components;
-    std::vector<detail::CommitEntry> commit_buf;
-    std::exception_ptr error;
-  };
-
-  /// Cached partition of one coincident-domain set into evaluate lanes.
-  /// Keyed by the slot's domain-index bitmask; invalidated whenever the
-  /// component population changes.
-  struct ShardPlan {
-    std::uint64_t mask = 0;
-    std::vector<Lane> lanes;
-    /// Components that must not run concurrently with anything (watchdogs
-    /// scanning global state); evaluated on the kernel thread after the
-    /// lane barrier.
-    std::vector<Component*> serial_tail;
-    /// Per-domain component count at plan build, for the mid-edge
-    /// registration catch-up pass.
-    std::vector<std::pair<ClockDomain*, std::size_t>> snapshot;
-  };
-
   void deepCheckEdge(const std::vector<ClockDomain*>& edge_domains,
                      bool replayable);
-  /// Plan for this slot's domain set, building/caching as needed; nullptr
-  /// when the slot cannot or should not be sharded.
-  ShardPlan* planFor(const std::vector<ClockDomain*>& slot);
-  void buildPlan(ShardPlan& plan, const std::vector<ClockDomain*>& slot);
-  void evaluateSlotParallel(ShardPlan& plan);
-  void runLane(ShardPlan& plan, std::size_t lane_idx);
-  static void runLaneThunk(void* ctx, std::size_t lane);
   /// Time of the next edge instant, without executing it.
   Picos nextEdgeTime();
   void rebuildSchedule();
@@ -321,6 +249,7 @@ class Simulator {
   bool in_replay_ = false;
   bool finished_ = false;
   bool activity_gating_ = true;
+  std::uint64_t next_txn_id_ = 1;
 
   // Cached coincident-edge schedule (multi-domain path; a single domain short
   // circuits it).  slot_pool_ recycles slot vectors so the steady-state edge
@@ -330,19 +259,6 @@ class Simulator {
   std::vector<ClockDomain*> edge_scratch_;
   bool schedule_valid_ = false;
 
-  // Sharded-evaluate state.  kernel_threads_ == 1 leaves pool_ null and the
-  // kernel byte-for-byte on its serial path.
-  unsigned kernel_threads_ = 1;
-  std::unique_ptr<EvalPool> pool_;
-  // Non-null only while race checking is on; the plan/lane machinery then
-  // engages even with pool_ null (lanes run inline on the kernel thread).
-  std::unique_ptr<RaceCheck> racecheck_;
-  std::vector<std::unique_ptr<ShardPlan>> plans_;
-  std::uint64_t plans_generation_ = ~0ULL;
-  ShardPlan* current_plan_ = nullptr;
-  std::mutex registration_mutex_;
-  std::mutex tap_mutex_;
-
   // Checkpoint / deep-check bookkeeping.
   KernelCheckpoint ckpt_;
   std::vector<Checkpointable*> checkpointables_;
@@ -350,7 +266,7 @@ class Simulator {
 
   // Activity bookkeeping.
   std::size_t component_count_ = 0;
-  std::atomic<std::size_t> asleep_count_{0};
+  std::size_t asleep_count_ = 0;
   /// Bumped on every component registration/removal; consumers holding a
   /// component list (runUntilIdle's idle-scan cache) re-derive it on change.
   std::uint64_t component_generation_ = 0;

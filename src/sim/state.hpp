@@ -32,10 +32,10 @@
 // pass double-counts.
 //
 // Digest canon: transaction ids (Request::id/root_id) are volatile — a
-// restored window re-issues new requests from the process-wide id counter, so
-// ids differ between the two statecheck passes (and, at --kernel-threads > 1,
-// between runs).  Ids therefore never enter a digest, and id-keyed containers
-// digest their *values* commutatively so iteration order cannot matter.
+// restored window re-issues new requests from the simulator's id counter,
+// which is not checkpointed, so ids differ between the two statecheck passes.
+// Ids therefore never enter a digest, and id-keyed containers digest their
+// *values* commutatively so iteration order cannot matter.
 //
 // This header is deliberately free of kernel dependencies (no component.hpp /
 // clock.hpp) so low-level payload types (txn::Request, noc::NocPacket) can

@@ -65,11 +65,6 @@ class Watchdog final : public Component {
   /// The watchdog itself never keeps the simulation alive.
   bool idle() const override { return true; }
 
-  /// The busy test scans every other component's state, so the watchdog can
-  /// never share an edge with concurrently evaluating lanes; the sharded
-  /// kernel runs it on the main thread after the lane barrier.
-  bool serialEvaluate() const override { return true; }
-
   /// Restore-path re-baseline: `last_progress_` is a reading of the progress
   /// sampler, not state the watchdog owns.  Restoring the manifested value
   /// into a kernel whose activity counters rewound (a fresh simulator

@@ -10,7 +10,6 @@ namespace mpsoc::txn {
 
 void TxnAuditor::onIssue(const sim::ClockDomain& clk, const Request& req,
                          bool fire_and_forget) {
-  std::lock_guard<std::mutex> lock(mu_);
   SIM_CHECK_CTX(live_.find(req.id) == live_.end() && !completed_.count(req.id),
                 "txn-audit", &clk,
                 "transaction id " << req.id << " (" << req.source
@@ -27,7 +26,6 @@ void TxnAuditor::onIssue(const sim::ClockDomain& clk, const Request& req,
 }
 
 void TxnAuditor::onRetire(const sim::ClockDomain& clk, const Response& rsp) {
-  std::lock_guard<std::mutex> lock(mu_);
   SIM_CHECK_CTX(rsp.req != nullptr, "txn-audit", &clk,
                 "retirement carries no request");
   const std::uint64_t id = rsp.req->id;
@@ -45,7 +43,6 @@ void TxnAuditor::onRetire(const sim::ClockDomain& clk, const Response& rsp) {
 }
 
 void TxnAuditor::finish(bool expect_drained) const {
-  std::lock_guard<std::mutex> lock(mu_);
   if (expect_drained && !live_.empty()) {
     // Sort leaked ids so the report (and any test asserting on it) is
     // deterministic regardless of hash-map iteration order.

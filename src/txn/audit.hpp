@@ -17,7 +17,6 @@
 // with the interconnect inflight tables it cross-checks.
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -37,18 +36,9 @@ class TxnAuditor {
   /// Record a retirement (response delivered back to the issuing master).
   void onRetire(const sim::ClockDomain& clk, const Response& rsp);
 
-  std::uint64_t issued() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return issued_;
-  }
-  std::uint64_t retired() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return retired_;
-  }
-  std::size_t inFlight() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return live_.size();
-  }
+  std::uint64_t issued() const { return issued_; }
+  std::uint64_t retired() const { return retired_; }
+  std::size_t inFlight() const { return live_.size(); }
 
   /// End-of-run audit.  When `expect_drained` is set (finite workloads run
   /// to completion) any still-live transaction is reported as a leak; for
@@ -60,14 +50,12 @@ class TxnAuditor {
   /// same transactions, which the no-duplication books would flag unless the
   /// ledger is wound back with the simulation.
   void saveCheckpoint() {
-    std::lock_guard<std::mutex> lock(mu_);
     ckpt_live_ = live_;
     ckpt_completed_ = completed_;
     ckpt_issued_ = issued_;
     ckpt_retired_ = retired_;
   }
   void restoreCheckpoint() {
-    std::lock_guard<std::mutex> lock(mu_);
     live_ = ckpt_live_;
     completed_ = ckpt_completed_;
     issued_ = ckpt_issued_;
@@ -81,14 +69,6 @@ class TxnAuditor {
     sim::Picos issued_ps = 0;
   };
 
-  /// Masters report from their evaluate(), which under the sharded kernel
-  /// runs on concurrent worker lanes; the ledger is one shared map, so every
-  /// hook serializes here.  Auditing is opt-in (--verify runs), so the
-  /// uncontended lock never taxes benchmark configurations.  Soundness does
-  /// not depend on same-edge arrival order: issue and retirement of one
-  /// transaction are separated by at least one commit, and the checks are
-  /// per-id.
-  mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Live> live_;
   std::unordered_set<std::uint64_t> completed_;
   std::uint64_t issued_ = 0;

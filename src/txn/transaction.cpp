@@ -1,18 +1,6 @@
 #include "txn/transaction.hpp"
 
-#include <atomic>
-
 namespace mpsoc::txn {
-
-std::uint64_t nextTransactionId() {
-  // Process-wide and atomic: concurrent simulations (sweep workers) draw from
-  // the same counter, so the ids a given run sees depend on scheduling.  That
-  // is safe for determinism because ids are only ever used as opaque map keys
-  // and uniqueness witnesses — nothing behavioural (arbitration, ordering,
-  // stats) reads their numeric value.  Keep it that way.
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 std::uint32_t repackBeats(std::uint32_t beats, std::uint32_t from_bytes,
                           std::uint32_t to_bytes) {

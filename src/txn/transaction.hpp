@@ -26,7 +26,7 @@ inline const char* toString(Opcode op) {
 }
 
 struct Request {
-  std::uint64_t id = 0;        ///< unique per run
+  std::uint64_t id = 0;        ///< unique per simulation
   std::uint64_t root_id = 0;   ///< id of the original request across bridges
   Opcode op = Opcode::Read;
   std::uint64_t addr = 0;
@@ -49,7 +49,7 @@ struct Request {
   std::uint64_t endAddr() const { return addr + bytes(); }
 
   /// Digest canon for the statecheck oracle: every field except the volatile
-  /// id/root_id (re-issued requests draw fresh ids from the process-wide
+  /// id/root_id (re-issued requests draw fresh ids from the simulator's
   /// counter, so ids differ between the two oracle passes — see
   /// src/sim/state.hpp "Digest canon").  Snapshot/restore still copies the
   /// whole object, ids included.
@@ -100,9 +100,6 @@ struct Response {
 };
 
 using ResponsePtr = std::shared_ptr<Response>;
-
-/// Process-wide monotonically increasing transaction id source.
-std::uint64_t nextTransactionId();
 
 /// Recompute the number of beats when a payload crosses a bus-width boundary
 /// (GenConv data-width conversion).  Rounds up to whole beats.

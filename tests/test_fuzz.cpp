@@ -1,6 +1,6 @@
 // Tests for the scenario fuzzer (core/fuzz.hpp): generator determinism and
 // validity, the emit/parse round-trip fixpoint, scenario-parser diagnostics
-// (pinned message substrings), the monitored multi-thread check, and the
+// (pinned message substrings), the monitored gated/ungated check, and the
 // delta-debug shrinker against a planted bug.
 
 #include <gtest/gtest.h>
@@ -138,20 +138,19 @@ TEST(ScenarioParserDiagnostics, SemanticValidationRunsAfterParse) {
             std::string::npos);
 }
 
-// --- the monitored multi-thread check -------------------------------------
+// --- the monitored gated/ungated check ----------------------------------
 
-TEST(FuzzCheck, GeneratedCaseAgreesAcrossThreadCounts) {
-  // One real monitored run of a generated scenario at kernel-threads 1/2/4:
-  // any throw or cross-thread digest divergence fails.  This is the fuzz
+TEST(FuzzCheck, GeneratedCaseAgreesGatedAndUngated) {
+  // One real monitored run of a generated scenario with activity gating on
+  // and off: any throw or digest divergence fails.  This is the fuzz
   // campaign's oracle, pinned into tier-1 at a single-case scale.
   core::FuzzOptions opts;
-  opts.thread_counts = {1, 2, 4};
   opts.corpus_dir.clear();
   core::Fuzzer fuzzer(opts);
   const auto sc = core::generateScenario(11, 2);
   const core::FuzzVerdict v = fuzzer.check(sc);
   EXPECT_FALSE(v.failed) << v.error;
-  EXPECT_EQ(fuzzer.simulations(), 3u);
+  EXPECT_EQ(fuzzer.simulations(), 2u);
 }
 
 // --- the shrinker, against a planted bug ----------------------------------

@@ -43,6 +43,13 @@ struct GoldenCase {
   core::ScenarioResult (*run)();
 };
 
+// Without this gtest prints the case as a raw byte dump, which embeds the
+// (ASLR-randomised) string and function pointers in the discovered ctest
+// name, so the name changed on every build.  Print the stem instead.
+void PrintTo(const GoldenCase& gc, std::ostream* os) {
+  *os << '"' << gc.name << '"';
+}
+
 core::ScenarioResult runScenarioFile(const char* stem) {
   const auto sc =
       platform::loadScenario(std::string(MPSOC_SCENARIO_DIR) + "/" + stem);

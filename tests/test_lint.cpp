@@ -3,17 +3,17 @@
 // tests/lint/ holds one directory per rule.  Each directory contains a
 // deliberately-bad fixture (`bad.*`) whose findings are pinned below, plus an
 // `allowed.*` twin where the identical defect carries an
-// `// mpsoc-lint: allow(<rule>)` annotation and must be silent.  The
-// cross-lane-deref corpus adds `rctouch.cpp`, where RC_TOUCH() attributes the
-// foreign access instead of the annotation.  tests/lint/clean/ collects
+// `// mpsoc-lint: allow(<rule>)` annotation and must be silent.  A rule may
+// pin more than one bad fixture (shared-static covers a namespace-scope and
+// an evaluate()-local static).  tests/lint/clean/ collects
 // near-misses (static_assert, `static const`, ordered std::map iteration,
 // `override` present) that must not fire at all; the unmanifested-state
 // corpus keeps its near-misses (auto-exempt references/const, dotted foreign
 // entries, WITH_BASE base argument) in its own clean.hpp next to the rigs.
 //
-// The fixtures live under a nested src/ (and src/stbus, src/platform) so the
-// path-scoped rules see them as kernel / protocol / platform code; the
-// whole-tree lint invocations exclude the corpus with `--skip tests/lint/`.
+// The fixtures live under a nested src/ (and src/stbus) so the path-scoped
+// rules see them as kernel / protocol code; the whole-tree lint invocations
+// exclude the corpus with `--skip tests/lint/`.
 //
 // The test shells out to the real binary (MPSOC_LINT_BIN, injected by CMake)
 // and diffs the parsed findings against the expected set — rule name, file
@@ -89,7 +89,7 @@ std::string fixtureDir(const std::string& rule) {
 
 // One pinned finding: the rule's bad fixture must report exactly these
 // (file, line) locations — and nothing else in the directory, which also
-// proves the allow()/RC_TOUCH twin fixtures stay silent.
+// proves the allow() twin fixtures stay silent.
 struct RuleCase {
   const char* rule;
   const char* file;               // relative to tests/lint/
@@ -107,9 +107,9 @@ const std::vector<RuleCase>& ruleCases() {
       {"raw-txn-fifo", "raw-txn-fifo/src/bad.hpp", {5}},
       {"idle-busy-poll", "idle-busy-poll/src/bad.cpp", {4}},
       {"shared-static", "shared-static/src/bad.cpp", {4}},
-      {"evaluate-local-static", "evaluate-local-static/src/bad.cpp", {4}},
-      {"cross-lane-deref", "cross-lane-deref/src/bad.cpp", {11}},
-      {"unlaned-component", "unlaned-component/src/platform/bad.cpp", {5}},
+      // A mutable static inside evaluate() is shared across sweep workers
+      // just the same.
+      {"shared-static", "shared-static/src/bad_evaluate.cpp", {4}},
       // Line 9: member in no manifest.  Line 10: duplicate entry and a typo'd
       // name (two findings, one pinned location).  Line 13: a Component
       // subclass with state but no manifest at all.
@@ -124,15 +124,20 @@ const std::vector<RuleCase>& ruleCases() {
 
 }  // namespace
 
-// Every rule directory: the bad fixture yields exactly the pinned findings
-// (exit 1), and the allow()-annotated / RC_TOUCH twins contribute none.
+// Every rule directory: the bad fixtures yield exactly the pinned findings
+// (exit 1), and the allow()-annotated twins contribute none.
 TEST(Lint, RuleFixturesMatchExpectedFindings) {
-  for (const RuleCase& rc : ruleCases()) {
-    SCOPED_TRACE(rc.rule);
-    const LintRun run = runLint(fixtureDir(rc.rule));
+  std::set<std::string> rules;
+  for (const RuleCase& rc : ruleCases()) rules.insert(rc.rule);
+  for (const std::string& rule : rules) {
+    SCOPED_TRACE(rule);
+    const LintRun run = runLint(fixtureDir(rule));
     EXPECT_EQ(run.exit_code, 1) << run.output;
     std::set<std::tuple<std::string, int, std::string>> expected;
-    for (int line : rc.lines) expected.emplace(rc.file, line, rc.rule);
+    for (const RuleCase& rc : ruleCases()) {
+      if (rule != rc.rule) continue;
+      for (int line : rc.lines) expected.emplace(rc.file, line, rc.rule);
+    }
     EXPECT_EQ(run.findings, expected) << run.output;
   }
 }

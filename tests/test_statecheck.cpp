@@ -42,7 +42,7 @@ platform::PlatformConfig fig3Small() {
 }
 
 // Enabling the oracle must not perturb results: digests match the unchecked
-// run bit-for-bit, at the serial kernel and on worker threads.  (When the
+// run bit-for-bit.  (When the
 // build has MPSOC_STATECHECK=OFF the flag is a no-op and this still holds.)
 TEST(StateCheck, OracleFlagDoesNotPerturbResults) {
   platform::PlatformConfig cfg = fig3Small();
@@ -51,8 +51,6 @@ TEST(StateCheck, OracleFlagDoesNotPerturbResults) {
   cfg.statecheck = true;
   cfg.statecheck_at_ps = 200'000;
   cfg.statecheck_edges = 500;
-  EXPECT_EQ(plain, core::digestValue(core::runScenario(cfg, "fig3-small")));
-  cfg.kernel_threads = 2;
   EXPECT_EQ(plain, core::digestValue(core::runScenario(cfg, "fig3-small")));
 }
 
@@ -210,7 +208,7 @@ TEST(StateCheck, DeepCheckReplaysEveryEdgeOnFullPlatform) {
   platform::PlatformConfig cfg = fig3Small();
   cfg.workload_scale = 0.1;
   // Monitors stay off: deep-check commits the *replay* pass's staged work,
-  // whose re-issued requests draw fresh ids from the process-wide counter,
+  // whose re-issued requests draw fresh ids from the simulator's counter,
   // while tap-based monitors only observe the forward pass — their id books
   // would go stale by construction.  Deep-check pairs with the id-free
   // digest oracle; the statecheck oracle is the one that composes with
@@ -231,20 +229,17 @@ TEST(StateCheck, DeepCheckReplaysEveryEdgeOnFullPlatform) {
 // ---------------------------------------------------------------------------
 // The platform-level oracle: checkpoint mid-run, execute a window, rewind,
 // re-execute, compare every labeled digest.  Green across the full reference
-// platform, fully monitored, at serial and sharded kernels.
+// platform, fully monitored.
 // ---------------------------------------------------------------------------
 
-TEST(StateCheck, FullPlatformOracleGreenAcrossKernelThreads) {
-  for (unsigned threads : {1u, 2u}) {
-    platform::PlatformConfig cfg = fig3Small();
-    cfg.verify = true;
-    cfg.statecheck = true;
-    cfg.statecheck_at_ps = 200'000;
-    cfg.statecheck_edges = 500;
-    cfg.kernel_threads = threads;
-    platform::Platform p(cfg);
-    EXPECT_NO_THROW(p.run()) << "kernel_threads=" << threads;
-  }
+TEST(StateCheck, FullPlatformOracleGreen) {
+  platform::PlatformConfig cfg = fig3Small();
+  cfg.verify = true;
+  cfg.statecheck = true;
+  cfg.statecheck_at_ps = 200'000;
+  cfg.statecheck_edges = 500;
+  platform::Platform p(cfg);
+  EXPECT_NO_THROW(p.run());
 }
 
 // The oracle window must also hold on the LMI/DDR platform, whose controller

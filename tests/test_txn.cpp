@@ -14,10 +14,15 @@ namespace {
 using namespace mpsoc;
 
 TEST(Transaction, IdsAreUnique) {
-  auto a = txn::nextTransactionId();
-  auto b = txn::nextTransactionId();
+  sim::Simulator s;
+  auto a = s.nextTransactionId();
+  auto b = s.nextTransactionId();
   EXPECT_NE(a, b);
   EXPECT_GT(b, a);
+  // Each simulation owns its counter: another simulator's draws neither
+  // perturb nor depend on this one's.
+  sim::Simulator other;
+  EXPECT_EQ(other.nextTransactionId(), a);
 }
 
 TEST(Transaction, RepackBeatsPreservesBytes) {
@@ -137,7 +142,7 @@ class ScriptedMaster : public txn::MasterBase {
     collectResponses();
     if (reads_ > 0 && canIssue()) {
       auto r = std::make_shared<txn::Request>();
-      r->id = txn::nextTransactionId();
+      r->id = clk_.simulator().nextTransactionId();
       r->op = txn::Opcode::Read;
       r->beats = 4;
       issue(r);
@@ -146,7 +151,7 @@ class ScriptedMaster : public txn::MasterBase {
     }
     if (posted_ > 0 && canIssuePosted()) {
       auto r = std::make_shared<txn::Request>();
-      r->id = txn::nextTransactionId();
+      r->id = clk_.simulator().nextTransactionId();
       r->op = txn::Opcode::Write;
       r->posted = true;
       r->beats = 4;

@@ -42,10 +42,10 @@ namespace {
 
 using namespace mpsoc;
 
-txn::RequestPtr makeReq(txn::Opcode op, std::uint64_t addr,
+txn::RequestPtr makeReq(sim::Simulator& s, txn::Opcode op, std::uint64_t addr,
                         std::uint32_t beats, bool posted = false) {
   auto r = std::make_shared<txn::Request>();
-  r->id = txn::nextTransactionId();
+  r->id = s.nextTransactionId();
   r->root_id = r->id;
   r->op = op;
   r->addr = addr;
@@ -87,7 +87,7 @@ TEST(InitiatorMonitor, DuplicateQueuedIdThrows) {
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::InitiatorPort port(clk, "m0");
   verify::InitiatorMonitor mon("m0.mon", &clk, port, verify::InitiatorRules{});
-  auto r = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 4);
   Script evil(clk, [&](sim::Cycle c) {
     if (c == 1) {
       port.req.push(r);
@@ -102,7 +102,7 @@ TEST(InitiatorMonitor, PostedReadThrows) {
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::InitiatorPort port(clk, "m0");
   verify::InitiatorMonitor mon("m0.mon", &clk, port, verify::InitiatorRules{});
-  auto r = makeReq(txn::Opcode::Read, 0x100, 4, /*posted=*/true);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 4, /*posted=*/true);
   Script evil(clk, [&](sim::Cycle c) {
     if (c == 1) port.req.push(r);
   });
@@ -121,7 +121,7 @@ TEST(InitiatorMonitor, ResponseWithoutRequestThrows) {
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::InitiatorPort port(clk, "m0");
   verify::InitiatorMonitor mon("m0.mon", &clk, port, verify::InitiatorRules{});
-  auto ghost = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto ghost = makeReq(s, txn::Opcode::Read, 0x100, 4);
   Script evil(clk, [&](sim::Cycle c) {
     if (c == 1) port.rsp.push(makeRsp(ghost, 4));  // never issued
   });
@@ -140,8 +140,8 @@ TEST(InitiatorMonitor, OutOfOrderResponseOnInOrderProtocolThrows) {
   txn::InitiatorPort port(clk, "m0");
   verify::InitiatorRules rules;  // in_order = true (STBus T1/T2, AHB)
   verify::InitiatorMonitor mon("m0.mon", &clk, port, rules);
-  auto r1 = makeReq(txn::Opcode::Read, 0x100, 4);
-  auto r2 = makeReq(txn::Opcode::Read, 0x200, 4);
+  auto r1 = makeReq(s, txn::Opcode::Read, 0x100, 4);
+  auto r2 = makeReq(s, txn::Opcode::Read, 0x200, 4);
   Script evil(clk, [&](sim::Cycle c) {
     if (c == 1) {
       port.req.push(r1);
@@ -167,7 +167,7 @@ TEST(InitiatorMonitor, WrongReadBeatCountThrows) {
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::InitiatorPort port(clk, "m0");
   verify::InitiatorMonitor mon("m0.mon", &clk, port, verify::InitiatorRules{});
-  auto r = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 4);
   Script evil(clk, [&](sim::Cycle c) {
     if (c == 1) {
       port.req.push(r);
@@ -187,8 +187,8 @@ TEST(InitiatorMonitor, PerInitiatorOutstandingCapThrows) {
   verify::InitiatorRules rules;
   rules.max_outstanding = 1;  // STBus T1 / AHB single-owner discipline
   verify::InitiatorMonitor mon("m0.mon", &clk, port, rules);
-  auto r1 = makeReq(txn::Opcode::Read, 0x100, 4);
-  auto r2 = makeReq(txn::Opcode::Read, 0x200, 4);
+  auto r1 = makeReq(s, txn::Opcode::Read, 0x100, 4);
+  auto r2 = makeReq(s, txn::Opcode::Read, 0x200, 4);
   Script evil(clk, [&](sim::Cycle c) {
     if (c == 1) {
       port.req.push(r1);
@@ -221,8 +221,8 @@ TEST(InitiatorMonitor, SharedLedgerCapAcrossInitiatorsThrows) {
   rules.ledger = ledger;
   verify::InitiatorMonitor mon0("m0.mon", &clk, p0, rules);
   verify::InitiatorMonitor mon1("m1.mon", &clk, p1, rules);
-  auto r1 = makeReq(txn::Opcode::Read, 0x100, 4);
-  auto r2 = makeReq(txn::Opcode::Read, 0x200, 4);
+  auto r1 = makeReq(s, txn::Opcode::Read, 0x100, 4);
+  auto r2 = makeReq(s, txn::Opcode::Read, 0x200, 4);
   Script evil(clk, [&](sim::Cycle c) {
     if (c == 1) {
       p0.req.push(r1);
@@ -245,7 +245,7 @@ TEST(InitiatorMonitor, UndrainedPortReportedAtFinish) {
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::InitiatorPort port(clk, "m0");
   verify::InitiatorMonitor mon("m0.mon", &clk, port, verify::InitiatorRules{});
-  auto r = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 4);
   Script lazy(clk, [&](sim::Cycle c) {
     if (c == 1) {
       port.req.push(r);
@@ -263,7 +263,7 @@ TEST(InitiatorMonitor, CleanHandshakePassesAndCounts) {
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::InitiatorPort port(clk, "m0");
   verify::InitiatorMonitor mon("m0.mon", &clk, port, verify::InitiatorRules{});
-  auto r = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 4);
   Script good(clk, [&](sim::Cycle c) {
     if (c == 1) {
       port.req.push(r);
@@ -286,7 +286,7 @@ TEST(TargetMonitor, ResponseBeforeConsumingRequestThrows) {
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::TargetPort port(clk, "t0", 4, 8);
   verify::TargetMonitor mon("t0.mon", &clk, port);
-  auto r = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 4);
   Script evil(clk, [&](sim::Cycle c) {
     if (c == 1) {
       port.req.push(r);
@@ -308,7 +308,7 @@ TEST(TargetMonitor, ResponseToPostedWriteThrows) {
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::TargetPort port(clk, "t0", 4, 8);
   verify::TargetMonitor mon("t0.mon", &clk, port);
-  auto r = makeReq(txn::Opcode::Write, 0x100, 4, /*posted=*/true);
+  auto r = makeReq(s, txn::Opcode::Write, 0x100, 4, /*posted=*/true);
   Script evil(clk, [&](sim::Cycle c) {
     if (c == 1) {
       port.req.push(r);
@@ -329,7 +329,7 @@ TEST(TargetMonitor, DuplicateDeliveryThrows) {
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::TargetPort port(clk, "t0", 4, 8);
   verify::TargetMonitor mon("t0.mon", &clk, port);
-  auto r = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 4);
   Script evil(clk, [&](sim::Cycle c) {
     if (c == 1) {
       port.req.push(r);
@@ -344,7 +344,7 @@ TEST(TargetMonitor, AcausalBeatScheduleThrows) {
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::TargetPort port(clk, "t0", 4, 8);
   verify::TargetMonitor mon("t0.mon", &clk, port);
-  auto r = makeReq(txn::Opcode::Read, 0x100, 1);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 1);
   Script evil(clk, [&](sim::Cycle c) {
     if (c == 1) {
       port.req.push(r);
@@ -368,7 +368,7 @@ TEST(TargetMonitor, UnfinishedRequestReportedAtFinish) {
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::TargetPort port(clk, "t0", 4, 8);
   verify::TargetMonitor mon("t0.mon", &clk, port);
-  auto r = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 4);
   Script lazy(clk, [&](sim::Cycle c) {
     if (c == 1) {
       port.req.push(r);
@@ -385,9 +385,10 @@ TEST(TargetMonitor, UnfinishedRequestReportedAtFinish) {
 // BridgeMonitor
 
 /// Build a width-converted side-B clone the way the bridge does.
-txn::RequestPtr cloneFor(const txn::RequestPtr& orig, std::uint32_t width_b) {
+txn::RequestPtr cloneFor(sim::Simulator& s, const txn::RequestPtr& orig,
+                         std::uint32_t width_b) {
   auto c = std::make_shared<txn::Request>(*orig);
-  c->id = txn::nextTransactionId();
+  c->id = s.nextTransactionId();
   c->bytes_per_beat = width_b;
   c->beats = txn::repackBeats(orig->beats, orig->bytes_per_beat, width_b);
   return c;
@@ -410,7 +411,7 @@ struct BridgeRig {
 
 TEST(BridgeMonitor, ForwardWithoutAbsorbThrows) {
   BridgeRig rig;
-  auto fabricated = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto fabricated = makeReq(rig.s, txn::Opcode::Read, 0x100, 4);
   Script evil(rig.clk, [&](sim::Cycle c) {
     if (c == 1) rig.b.req.push(fabricated);  // nothing was absorbed
   });
@@ -424,8 +425,8 @@ TEST(BridgeMonitor, ForwardWithoutAbsorbThrows) {
 
 TEST(BridgeMonitor, AddressCorruptionThrows) {
   BridgeRig rig;
-  auto orig = makeReq(txn::Opcode::Read, 0x100, 4);
-  auto clone = cloneFor(orig, BridgeRig::kWidthB);
+  auto orig = makeReq(rig.s, txn::Opcode::Read, 0x100, 4);
+  auto clone = cloneFor(rig.s, orig, BridgeRig::kWidthB);
   clone->addr += 4;  // corrupted crossing
   Script evil(rig.clk, [&](sim::Cycle c) {
     if (c == 1) {
@@ -447,8 +448,8 @@ TEST(BridgeMonitor, AddressCorruptionThrows) {
 
 TEST(BridgeMonitor, PayloadLossThrows) {
   BridgeRig rig;
-  auto orig = makeReq(txn::Opcode::Write, 0x100, 4);  // 32 bytes
-  auto clone = cloneFor(orig, BridgeRig::kWidthB);
+  auto orig = makeReq(rig.s, txn::Opcode::Write, 0x100, 4);  // 32 bytes
+  auto clone = cloneFor(rig.s, orig, BridgeRig::kWidthB);
   clone->beats -= 1;  // 28 bytes forwarded: one beat lost
   Script evil(rig.clk, [&](sim::Cycle c) {
     if (c == 1) {
@@ -470,8 +471,8 @@ TEST(BridgeMonitor, PayloadLossThrows) {
 
 TEST(BridgeMonitor, CloneReusingOriginalIdThrows) {
   BridgeRig rig;
-  auto orig = makeReq(txn::Opcode::Read, 0x100, 4);
-  auto clone = cloneFor(orig, BridgeRig::kWidthB);
+  auto orig = makeReq(rig.s, txn::Opcode::Read, 0x100, 4);
+  auto clone = cloneFor(rig.s, orig, BridgeRig::kWidthB);
   clone->id = orig->id;  // forgot to allocate a fresh id
   Script evil(rig.clk, [&](sim::Cycle c) {
     if (c == 1) {
@@ -493,7 +494,7 @@ TEST(BridgeMonitor, CloneReusingOriginalIdThrows) {
 
 TEST(BridgeMonitor, ReadDataBeforeForwardThrows) {
   BridgeRig rig;
-  auto orig = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto orig = makeReq(rig.s, txn::Opcode::Read, 0x100, 4);
   Script evil(rig.clk, [&](sim::Cycle c) {
     if (c == 1) {
       rig.a.req.push(orig);
@@ -517,7 +518,7 @@ TEST(BridgeMonitor, DoubleResponseThrows) {
   BridgeRig rig;
   // Non-posted write: the early ack (before the forward) is legal once —
   // that is the bridge's cut-through contract — but never twice.
-  auto orig = makeReq(txn::Opcode::Write, 0x100, 4);
+  auto orig = makeReq(rig.s, txn::Opcode::Write, 0x100, 4);
   Script evil(rig.clk, [&](sim::Cycle c) {
     if (c == 1) {
       rig.a.req.push(orig);
@@ -539,8 +540,8 @@ TEST(BridgeMonitor, DoubleResponseThrows) {
 
 TEST(BridgeMonitor, CleanCrossingPassesAndCounts) {
   BridgeRig rig;
-  auto orig = makeReq(txn::Opcode::Read, 0x100, 4);
-  auto clone = cloneFor(orig, BridgeRig::kWidthB);
+  auto orig = makeReq(rig.s, txn::Opcode::Read, 0x100, 4);
+  auto clone = cloneFor(rig.s, orig, BridgeRig::kWidthB);
   Script good(rig.clk, [&](sim::Cycle c) {
     if (c == 1) {
       rig.a.req.push(orig);
@@ -703,7 +704,7 @@ TEST(VerifyContext, AggregatesMonitorsAndEvents) {
   ctx.add<verify::InitiatorMonitor>("m0.mon", &clk, iport,
                                     verify::InitiatorRules{});
   ctx.add<verify::TargetMonitor>("t0.mon", &clk, tport);
-  auto r = makeReq(txn::Opcode::Read, 0x100, 2);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 2);
   Script good(clk, [&](sim::Cycle c) {
     if (c == 1) {
       iport.req.push(r);
@@ -733,7 +734,7 @@ TEST(TxnAuditor, DuplicateIssueThrows) {
   sim::Simulator s;
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::TxnAuditor aud;
-  auto r = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 4);
   aud.onIssue(clk, *r, false);
   EXPECT_THROW(aud.onIssue(clk, *r, false), sim::InvariantViolation);
 }
@@ -742,7 +743,7 @@ TEST(TxnAuditor, RetireTwiceThrows) {
   sim::Simulator s;
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::TxnAuditor aud;
-  auto r = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 4);
   aud.onIssue(clk, *r, false);
   auto rsp = makeRsp(r, 4);
   aud.onRetire(clk, *rsp);
@@ -753,7 +754,7 @@ TEST(TxnAuditor, RetireNeverIssuedThrows) {
   sim::Simulator s;
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::TxnAuditor aud;
-  auto ghost = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto ghost = makeReq(s, txn::Opcode::Read, 0x100, 4);
   auto rsp = makeRsp(ghost, 4);
   EXPECT_THROW(aud.onRetire(clk, *rsp), sim::InvariantViolation);
 }
@@ -762,7 +763,7 @@ TEST(TxnAuditor, PostedWriteRetiresAtIssueAndRejectsStrayResponse) {
   sim::Simulator s;
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::TxnAuditor aud;
-  auto r = makeReq(txn::Opcode::Write, 0x100, 4, /*posted=*/true);
+  auto r = makeReq(s, txn::Opcode::Write, 0x100, 4, /*posted=*/true);
   aud.onIssue(clk, *r, /*fire_and_forget=*/true);
   EXPECT_EQ(aud.issued(), 1u);
   EXPECT_EQ(aud.retired(), 1u);
@@ -775,7 +776,7 @@ TEST(TxnAuditor, LeakReportedAtFinish) {
   sim::Simulator s;
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::TxnAuditor aud;
-  auto r = makeReq(txn::Opcode::Read, 0x100, 4);
+  auto r = makeReq(s, txn::Opcode::Read, 0x100, 4);
   aud.onIssue(clk, *r, false);
   EXPECT_NO_THROW(aud.finish(/*expect_drained=*/false));
   try {

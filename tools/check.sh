@@ -10,36 +10,30 @@
 #   4. parallel-sweep smoke: the shipped scenarios at -j 2 vs -j 1 must emit
 #      byte-identical digest sets (determinism under parallelism); the -j 2
 #      run writes BENCH_sweep.json (per-point wall-clock, Medges/s, digest)
-#   5. kernel-perf smoke: fig3-small gated vs --no-gating digest compare,
-#      then a --kernel-threads 1/2/4 scaling curve — every digest must be
-#      bit-identical to the serial gated run; curve lands in BENCH_kernel.json
-#      (mpsoc-bench-kernel-v2)
-#   6. racecheck matrix: every shipped scenario under the deterministic
-#      lane-ownership checker (mpsoc_run --verify --racecheck) at
-#      --kernel-threads 1, 2 and 4 — any cross-lane evaluate-phase access
-#      fails the stage, and the digests must match the unchecked sweep
-#   7. statecheck matrix: every shipped scenario under the
-#      checkpoint-equivalence oracle (mpsoc_run --verify --statecheck) at
-#      --kernel-threads 1, 2 and 4 — the oracle checkpoints mid-run, re-runs
-#      a window of edges after a rewind and fails the stage if any state
-#      holder's digest diverges (an incomplete SIM_STATE manifest); final
-#      digests must still match the unchecked sweep
-#   8. fast-forward matrix: every shipped scenario with the warm-up region
+#   5. gating smoke: fig3-small gated vs --no-gating digest compare — a
+#      mismatch means some component slept with work pending
+#   6. statecheck sweep: every shipped scenario under the
+#      checkpoint-equivalence oracle (mpsoc_run --verify --statecheck) — the
+#      oracle checkpoints mid-run, re-runs a window of edges after a rewind
+#      and fails the stage if any state holder's digest diverges (an
+#      incomplete SIM_STATE manifest); final digests must still match the
+#      unchecked sweep
+#   7. fast-forward sweep: every shipped scenario with the warm-up region
 #      under the loosely-timed quantum engine (mpsoc_run
-#      --fast-forward-until 100000000 --ff-check) at --kernel-threads 1, 2
-#      and 4 — the in-run handoff-equivalence oracle gates the
-#      checkpoint/restore boundary, and the digests must be bit-identical
-#      across thread counts; the warm-up cost harness then writes
-#      BENCH_ff.json and gates the LT speedup at >= 5x
-#   9. fuzz smoke: a bounded seeded campaign (mpsoc_fuzz, 50 cases at
-#      --threads 1,2) — generator determinism is asserted by diffing two
-#      --emit passes, then the monitored campaign gates on violations,
-#      invariant trips and cross-thread digest divergence, auto-shrinking
-#      any failure to a minimal reproducer
-#  10. ThreadSanitizer matrix: separate TSan build (tsan is incompatible with
-#      asan) running every shipped scenario at --kernel-threads 2 and 4 —
-#      any data race in the sharded evaluate phase fails the stage
-#  11. clang-format --dry-run over src/ tests/ tools/ (skipped with a notice
+#      --fast-forward-until 100000000 --ff-check) — the in-run
+#      handoff-equivalence oracle gates the checkpoint/restore boundary; the
+#      warm-up cost harness then writes BENCH_ff.json and gates the LT
+#      speedup at >= 5x
+#   8. fuzz smoke: a bounded seeded campaign (mpsoc_fuzz, 50 cases) —
+#      generator determinism is asserted by diffing two --emit passes, then
+#      the monitored campaign gates on violations, invariant trips and
+#      gated/ungated digest divergence, auto-shrinking any failure to a
+#      minimal reproducer
+#   9. ThreadSanitizer sweep: separate TSan build (tsan is incompatible with
+#      asan) running every shipped scenario, monitored, as one
+#      mpsoc_run --sweep -j 4 — the sweep pool is the only multi-threaded
+#      path, so any state shared between concurrent simulations fails here
+#  10. clang-format --dry-run over src/ tests/ tools/ (skipped with a notice
 #      when clang-format is not installed; tests/lint/ fixtures excluded)
 #
 # Usage: tools/check.sh [build-dir]     (default: build-check)
@@ -117,19 +111,12 @@ else
   FAILED=1
 fi
 
-stage "kernel-perf smoke (gating neutrality + kernel-thread scaling curve)"
-# The Fig. 3 full-platform instance at reduced workload scale.  First the
-# gating-neutrality check (gated vs --no-gating digests must match: a
-# mismatch means some component slept with work pending), then the sharded
-# kernel: --kernel-threads 1, 2 and 4.  Commit is single-threaded in slot
-# order by construction, so every digest must be bit-identical to the serial
-# gated run whatever the thread count.  The scaling curve is recorded in
-# BENCH_kernel.json, schema mpsoc-bench-kernel-v2 (note: sanitizer build on
-# whatever cores this host has — the committed repo-root BENCH_kernel.json
-# is measured on a Release build; treat the smoke's throughput figures as a
-# correctness by-product, not a benchmark).
-mkdir -p "$BUILD/kernel-smoke"
-cat > "$BUILD/kernel-smoke/fig3-small.scn" <<EOF
+stage "gating smoke (activity gating on vs off)"
+# The Fig. 3 full-platform instance at reduced workload scale, gated vs
+# --no-gating: the digests must match, or some component slept with work
+# pending.
+mkdir -p "$BUILD/gating-smoke"
+cat > "$BUILD/gating-smoke/fig3-small.scn" <<EOF
 name = fig3-small
 protocol = stbus
 topology = full
@@ -137,115 +124,27 @@ memory = onchip
 wait_states = 1
 workload_scale = 0.25
 EOF
-KERNEL_OK=1
-if "$BUILD/tools/mpsoc_run" --sweep --json "$BUILD/kernel-smoke/gated.json" \
-      "$BUILD/kernel-smoke/fig3-small.scn" > /dev/null && \
+if "$BUILD/tools/mpsoc_run" --sweep --json "$BUILD/gating-smoke/gated.json" \
+      "$BUILD/gating-smoke/fig3-small.scn" > /dev/null && \
    "$BUILD/tools/mpsoc_run" --sweep --no-gating \
-      --json "$BUILD/kernel-smoke/ungated.json" \
-      "$BUILD/kernel-smoke/fig3-small.scn" > /dev/null; then
-  DG="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/kernel-smoke/gated.json")"
-  DU="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/kernel-smoke/ungated.json")"
+      --json "$BUILD/gating-smoke/ungated.json" \
+      "$BUILD/gating-smoke/fig3-small.scn" > /dev/null; then
+  DG="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/gating-smoke/gated.json")"
+  DU="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/gating-smoke/ungated.json")"
   if [ -z "$DG" ] || [ "$DG" != "$DU" ]; then
-    echo "kernel smoke: gated and ungated digests differ (activity gating"
+    echo "gating smoke: gated and ungated digests differ (activity gating"
     echo "must be behaviour-neutral; a component slept with work pending)"
     diff <(echo "$DG") <(echo "$DU")
-    KERNEL_OK=0
+    FAILED=1
   else
-    echo "kernel smoke: digests identical with activity gating on and off"
+    echo "gating smoke: digests identical with activity gating on and off"
   fi
 else
-  echo "kernel smoke: mpsoc_run failed"
-  KERNEL_OK=0
-fi
-THREAD_ROWS=""
-if [ "$KERNEL_OK" -eq 1 ]; then
-  for T in 1 2 4; do
-    if ! "$BUILD/tools/mpsoc_run" --sweep --kernel-threads "$T" \
-          --json "$BUILD/kernel-smoke/t$T.json" \
-          "$BUILD/kernel-smoke/fig3-small.scn" > /dev/null; then
-      echo "kernel smoke: mpsoc_run --kernel-threads $T failed"
-      KERNEL_OK=0
-      break
-    fi
-    DT="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/kernel-smoke/t$T.json")"
-    ET="$(grep -o '"sim_edges_per_s": [0-9.e+-]*' \
-          "$BUILD/kernel-smoke/t$T.json" | head -1 | sed 's/.*: //')"
-    if [ "$DT" != "$DG" ]; then
-      echo "kernel smoke: --kernel-threads $T digest differs from serial"
-      echo "(sharded evaluate must be bit-identical; a lane raced or the"
-      echo "commit order changed)"
-      diff <(echo "$DG") <(echo "$DT")
-      KERNEL_OK=0
-      break
-    fi
-    echo "kernel smoke: threads=$T digest ok, ${ET:-0} edges/s"
-    [ -n "$THREAD_ROWS" ] && THREAD_ROWS="$THREAD_ROWS,"
-    THREAD_ROWS="$THREAD_ROWS
-    { \"threads\": $T, \"edges_per_s\": ${ET:-0} }"
-  done
-fi
-if [ "$KERNEL_OK" -eq 1 ]; then
-  EG="$(grep -o '"sim_edges_per_s": [0-9.e+-]*' \
-        "$BUILD/kernel-smoke/gated.json" | head -1 | sed 's/.*: //')"
-  EU="$(grep -o '"sim_edges_per_s": [0-9.e+-]*' \
-        "$BUILD/kernel-smoke/ungated.json" | head -1 | sed 's/.*: //')"
-  cat > "$BUILD/BENCH_kernel.json" <<EOF
-{
-  "schema": "mpsoc-bench-kernel-v2",
-  "build": "sanitizer-smoke",
-  "hw_threads": $(nproc 2>/dev/null || echo 1),
-  "scenario": "fig3-small (full-stbus, onchip, workload_scale 0.25)",
-  "digest": ${DG#*: },
-  "gated_edges_per_s": ${EG:-0},
-  "ungated_edges_per_s": ${EU:-0},
-  "kernel_threads": [$THREAD_ROWS
-  ]
-}
-EOF
-  echo "wrote $BUILD/BENCH_kernel.json"
-else
+  echo "gating smoke: mpsoc_run failed"
   FAILED=1
 fi
 
-stage "racecheck matrix (lane-ownership checker at --kernel-threads 1/2/4)"
-# The deterministic lane-ownership checker (MPSOC_RACECHECK) over every
-# shipped scenario with the protocol monitors attached: any cross-lane
-# evaluate-phase access fails the run — at --kernel-threads 1 just as well
-# as on a real pool, because ownership is checked against the shard plan,
-# not the schedule.  Digests must be bit-identical to the unchecked sweep
-# (the checker only observes; it must never perturb).
-RC_OK=1
-mkdir -p "$BUILD/racecheck-smoke"
-if "$BUILD/tools/mpsoc_run" --sweep --json "$BUILD/racecheck-smoke/base.json" \
-      "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-  DB="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/racecheck-smoke/base.json")"
-else
-  echo "racecheck matrix: unchecked baseline run failed"
-  RC_OK=0
-fi
-if [ "$RC_OK" -eq 1 ]; then
-  for T in 1 2 4; do
-    if ! "$BUILD/tools/mpsoc_run" --verify --racecheck --kernel-threads "$T" \
-          --sweep --json "$BUILD/racecheck-smoke/t$T.json" \
-          "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-      echo "racecheck matrix: violation or failure at --kernel-threads $T"
-      RC_OK=0
-      break
-    fi
-    DR="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/racecheck-smoke/t$T.json")"
-    if [ -z "$DR" ] || [ "$DR" != "$DB" ]; then
-      echo "racecheck matrix: digests differ from the unchecked run at"
-      echo "threads=$T (the checker must be observation-only)"
-      diff <(echo "$DB") <(echo "$DR")
-      RC_OK=0
-      break
-    fi
-    echo "racecheck matrix: threads=$T clean, digests identical"
-  done
-fi
-[ "$RC_OK" -eq 1 ] || FAILED=1
-
-stage "statecheck matrix (checkpoint-equivalence oracle at --kernel-threads 1/2/4)"
+stage "statecheck sweep (checkpoint-equivalence oracle)"
 # The MPSOC_STATECHECK oracle over every shipped scenario, fully monitored:
 # each run checkpoints at 1 us, executes a window of edges, rewinds and
 # re-executes; any diverging state digest (an incomplete SIM_STATE manifest,
@@ -254,74 +153,55 @@ stage "statecheck matrix (checkpoint-equivalence oracle at --kernel-threads 1/2/
 # unchecked baseline digests bit-for-bit.
 SC_OK=1
 mkdir -p "$BUILD/statecheck-smoke"
-if [ -f "$BUILD/racecheck-smoke/base.json" ]; then
-  SB="$DB"  # reuse the unchecked baseline the racecheck stage computed
-elif "$BUILD/tools/mpsoc_run" --sweep \
+if "$BUILD/tools/mpsoc_run" --sweep \
       --json "$BUILD/statecheck-smoke/base.json" \
       "$ROOT"/tools/scenarios/*.scn > /dev/null; then
   SB="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/statecheck-smoke/base.json")"
 else
-  echo "statecheck matrix: unchecked baseline run failed"
+  echo "statecheck sweep: unchecked baseline run failed"
   SC_OK=0
 fi
 if [ "$SC_OK" -eq 1 ]; then
-  for T in 1 2 4; do
-    if ! "$BUILD/tools/mpsoc_run" --verify --statecheck --kernel-threads "$T" \
-          --sweep --json "$BUILD/statecheck-smoke/t$T.json" \
-          "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-      echo "statecheck matrix: divergence or failure at --kernel-threads $T"
-      SC_OK=0
-      break
-    fi
-    DS="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/statecheck-smoke/t$T.json")"
+  if "$BUILD/tools/mpsoc_run" --verify --statecheck \
+        --sweep --json "$BUILD/statecheck-smoke/checked.json" \
+        "$ROOT"/tools/scenarios/*.scn > /dev/null; then
+    DS="$(grep -o '"digest": "[0-9a-f]*"' \
+          "$BUILD/statecheck-smoke/checked.json")"
     if [ -z "$DS" ] || [ "$DS" != "$SB" ]; then
-      echo "statecheck matrix: digests differ from the unchecked run at"
-      echo "threads=$T (the oracle's rewind must be invisible to results)"
+      echo "statecheck sweep: digests differ from the unchecked run (the"
+      echo "oracle's rewind must be invisible to results)"
       diff <(echo "$SB") <(echo "$DS")
       SC_OK=0
-      break
+    else
+      echo "statecheck sweep: oracle green, digests identical"
     fi
-    echo "statecheck matrix: threads=$T oracle green, digests identical"
-  done
+  else
+    echo "statecheck sweep: divergence or failure"
+    SC_OK=0
+  fi
 fi
 [ "$SC_OK" -eq 1 ] || FAILED=1
 
-stage "fast-forward matrix (LT handoff digest gate + warm-up speedup)"
+stage "fast-forward sweep (LT handoff oracle + warm-up speedup)"
 # The loosely-timed quantum engine over every shipped scenario: [0, 100 us)
 # fast-forwarded, then the checkpoint/restore handoff, the in-run
 # handoff-equivalence oracle (--ff-check: step a window from the handoff,
-# digest, rewind, re-step, compare) and the accurate remainder.  LT
-# statistics never enter the canonical digest and commit stays serial in
-# slot order, so the digests must be bit-identical at --kernel-threads 1, 2
-# and 4.  The protocol monitors stay off here: the LT warm-up legitimately
-# bypasses the cycle-accurate buses they watch (ctest and the stages above
-# cover the monitored paths).  The warm-up cost harness then writes
-# BENCH_ff.json; the speedup on the warm-up region gates at >= 5x (the
-# sanitizer build inflates both sides of the ratio roughly equally).
+# digest, rewind, re-step, compare) and the accurate remainder.  The
+# protocol monitors stay off here: the LT warm-up legitimately bypasses the
+# cycle-accurate buses they watch (ctest and the stages above cover the
+# monitored paths).  The warm-up cost harness then writes BENCH_ff.json; the
+# speedup on the warm-up region gates at >= 5x (the sanitizer build inflates
+# both sides of the ratio roughly equally).
 FF_OK=1
 mkdir -p "$BUILD/ff-smoke"
-FF_REF=""
-for T in 1 2 4; do
-  if ! "$BUILD/tools/mpsoc_run" --ff-check \
-        --fast-forward-until 100000000 --kernel-threads "$T" \
-        --sweep --json "$BUILD/ff-smoke/t$T.json" \
-        "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-    echo "ff matrix: handoff-oracle or run failure at --kernel-threads $T"
-    FF_OK=0
-    break
-  fi
-  DF="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/ff-smoke/t$T.json")"
-  if [ -z "$FF_REF" ]; then
-    FF_REF="$DF"
-  elif [ "$DF" != "$FF_REF" ]; then
-    echo "ff matrix: digests differ from the serial FF run at threads=$T"
-    echo "(the LT handoff must be bit-exact whatever the thread count)"
-    diff <(echo "$FF_REF") <(echo "$DF")
-    FF_OK=0
-    break
-  fi
-  echo "ff matrix: threads=$T handoff oracle green, digests identical"
-done
+if "$BUILD/tools/mpsoc_run" --ff-check --fast-forward-until 100000000 \
+      --sweep --json "$BUILD/ff-smoke/ff.json" \
+      "$ROOT"/tools/scenarios/*.scn > /dev/null; then
+  echo "ff sweep: handoff oracle green"
+else
+  echo "ff sweep: handoff-oracle or run failure"
+  FF_OK=0
+fi
 if [ "$FF_OK" -eq 1 ]; then
   if "$BUILD/bench/bench_ff_warmup" --json "$BUILD/BENCH_ff.json" \
         > /dev/null; then
@@ -341,13 +221,14 @@ if [ "$FF_OK" -eq 1 ]; then
 fi
 [ "$FF_OK" -eq 1 ] || FAILED=1
 
-stage "fuzz smoke (seeded campaign, 50 cases at --threads 1,2)"
+stage "fuzz smoke (seeded campaign, 50 cases, gated vs ungated)"
 # Bounded deterministic fuzz campaign: a fixed seed, so a failure here is a
 # regression, never noise.  Two --emit passes must print byte-identical
 # scenario sets (generator determinism); the campaign itself runs every case
-# fully monitored at kernel-threads 1 and 2, gating on monitor violations,
-# invariant trips and cross-thread digest divergence, and delta-debugs any
-# failure down to a minimal reproducer under $BUILD/fuzz-smoke/corpus.
+# fully monitored with activity gating on and off, gating on monitor
+# violations, invariant trips and gated/ungated digest divergence, and
+# delta-debugs any failure down to a minimal reproducer under
+# $BUILD/fuzz-smoke/corpus.
 FZ_OK=1
 mkdir -p "$BUILD/fuzz-smoke"
 if ! "$BUILD/tools/mpsoc_fuzz" --seed 2026 --count 50 --emit \
@@ -363,7 +244,7 @@ elif ! diff "$BUILD/fuzz-smoke/emit1.txt" "$BUILD/fuzz-smoke/emit2.txt" \
   FZ_OK=0
 fi
 if [ "$FZ_OK" -eq 1 ]; then
-  if "$BUILD/tools/mpsoc_fuzz" --seed 2026 --count 50 --threads 1,2 \
+  if "$BUILD/tools/mpsoc_fuzz" --seed 2026 --count 50 \
         --corpus-dir "$BUILD/fuzz-smoke/corpus"; then
     echo "fuzz smoke: 50 cases clean"
   else
@@ -374,37 +255,31 @@ if [ "$FZ_OK" -eq 1 ]; then
 fi
 [ "$FZ_OK" -eq 1 ] || FAILED=1
 
-stage "tsan matrix (sharded kernel, all scenarios at --kernel-threads 2/4)"
-# ThreadSanitizer build in its own tree (tsan and asan cannot share one);
-# the monitored runs drive every concurrency structure of the sharded
-# evaluate phase — worker-pool handoff, per-lane commit buffers, atomic
-# sleep/wake, the tap mutex and the auditor ledger — across the full
-# scenario matrix, both lane-assignment regimes included.
+stage "tsan sweep (all scenarios, monitored, mpsoc_run --sweep -j 4)"
+# ThreadSanitizer build in its own tree (tsan and asan cannot share one).
+# The sweep pool is the only multi-threaded path: four simulations run side
+# by side, so any state they share — the Logger sink, a stray static — is
+# exercised under the race detector.
 TSAN_BUILD="$BUILD-tsan"
 if cmake -B "$TSAN_BUILD" -S "$ROOT" -DMPSOC_SANITIZE=thread \
         -DMPSOC_VERIFY=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null; then
   if cmake --build "$TSAN_BUILD" -j "$JOBS" --target mpsoc_run \
         > "$TSAN_BUILD/build.log" 2>&1; then
-    for T in 2 4; do
-      for SCN in "$ROOT"/tools/scenarios/*.scn; do
-        if TSAN_OPTIONS=halt_on_error=1 \
-           "$TSAN_BUILD/tools/mpsoc_run" --verify --kernel-threads "$T" \
-              "$SCN" > /dev/null; then
-          echo "tsan matrix: $(basename "$SCN") clean at --kernel-threads $T"
-        else
-          echo "tsan matrix: data race or failure in $(basename "$SCN")" \
-               "at --kernel-threads $T"
-          FAILED=1
-        fi
-      done
-    done
+    if TSAN_OPTIONS=halt_on_error=1 \
+       "$TSAN_BUILD/tools/mpsoc_run" --verify --sweep -j 4 \
+          "$ROOT"/tools/scenarios/*.scn > /dev/null; then
+      echo "tsan sweep: clean"
+    else
+      echo "tsan sweep: data race or failure"
+      FAILED=1
+    fi
   else
-    echo "tsan matrix: build failed (tail of log):"
+    echo "tsan sweep: build failed (tail of log):"
     tail -20 "$TSAN_BUILD/build.log"
     FAILED=1
   fi
 else
-  echo "tsan matrix: configure failed"
+  echo "tsan sweep: configure failed"
   FAILED=1
 fi
 

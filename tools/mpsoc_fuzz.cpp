@@ -1,5 +1,6 @@
-// mpsoc_fuzz — seeded scenario fuzzer: random platform instances, monitored
-// sweeps at several kernel-thread counts, auto-shrinking reproducers.
+// mpsoc_fuzz — seeded scenario fuzzer: random platform instances, each run
+// monitored with kernel activity gating on and off, auto-shrinking
+// reproducers.
 //
 //   mpsoc_fuzz --seed 7 --count 50                 # fuzz campaign
 //   mpsoc_fuzz --seed 7 --count 5 --emit           # print the generated
@@ -9,15 +10,12 @@
 //   --seed S        campaign seed (default 1).  The same seed regenerates
 //                   the same scenario set byte-for-byte, and — absent real
 //                   nondeterminism bugs — the same run digests
-//   --count N       number of generated cases (default 20)
-//   --threads A,B,C kernel-thread counts every case must agree across
-//                   (default 1,2,4); disagreement in the canonical result
-//                   digest is a failure
-//   --jobs N        worker pool width for the per-case fan-out (default 1)
+//   --count N       number of generated cases (default 20).  Every case runs
+//                   twice, gated and ungated; disagreement in the canonical
+//                   result digest is a failure
+//   --jobs N        worker pool width for the per-case pair (default 1)
 //   --no-verify     drop the protocol monitors + transaction auditor
-//   --no-racecheck  drop the lane-ownership race checker
-//   --verify, --racecheck
-//                   accepted no-ops (the default), so reproducer commands
+//   --verify        accepted no-op (the default), so reproducer commands
 //                   are explicit about what they enable
 //   --statecheck    also run the checkpoint-equivalence oracle (slower)
 //   --no-shrink     report the raw failing scenario without delta-debugging
@@ -33,7 +31,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "core/fuzz.hpp"
 #include "platform/feature_gates.hpp"
@@ -44,27 +41,9 @@ using namespace mpsoc;
 namespace {
 
 void usage() {
-  std::cerr << "usage: mpsoc_fuzz [--seed S] [--count N] [--threads A,B,C] "
-               "[--jobs N] [--no-verify] [--no-racecheck] [--statecheck] "
-               "[--no-shrink] [--corpus-dir D] [--emit] [--repro FILE]\n";
-}
-
-bool parseThreadList(const std::string& s, std::vector<unsigned>* out) {
-  out->clear();
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    try {
-      const unsigned long v = std::stoul(s.substr(pos, comma - pos));
-      if (v < 1 || v > 64) return false;
-      out->push_back(static_cast<unsigned>(v));
-    } catch (const std::exception&) {
-      return false;
-    }
-    pos = comma + 1;
-  }
-  return !out->empty();
+  std::cerr << "usage: mpsoc_fuzz [--seed S] [--count N] [--jobs N] "
+               "[--no-verify] [--statecheck] [--no-shrink] [--corpus-dir D] "
+               "[--emit] [--repro FILE]\n";
 }
 
 }  // namespace
@@ -80,23 +59,12 @@ int main(int argc, char** argv) {
       opts.seed = std::stoull(argv[++i]);
     } else if (std::strcmp(argv[i], "--count") == 0 && i + 1 < argc) {
       opts.count = std::stoull(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!parseThreadList(argv[++i], &opts.thread_counts)) {
-        std::cerr << "error: --threads wants a comma list of counts in "
-                     "1..64, got '"
-                  << argv[i] << "'\n";
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       opts.jobs = static_cast<unsigned>(std::stoul(argv[++i]));
     } else if (std::strcmp(argv[i], "--verify") == 0) {
       opts.verify = true;
     } else if (std::strcmp(argv[i], "--no-verify") == 0) {
       opts.verify = false;
-    } else if (std::strcmp(argv[i], "--racecheck") == 0) {
-      opts.racecheck = true;
-    } else if (std::strcmp(argv[i], "--no-racecheck") == 0) {
-      opts.racecheck = false;
     } else if (std::strcmp(argv[i], "--statecheck") == 0) {
       opts.statecheck = true;
     } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
@@ -126,7 +94,6 @@ int main(int argc, char** argv) {
   {
     platform::PlatformConfig probe;
     probe.verify = opts.verify;
-    probe.racecheck = opts.racecheck;
     probe.statecheck = opts.statecheck;
     const std::string warn = platform::compiledOutWarning(probe);
     if (!warn.empty()) std::cerr << warn << "\n";
@@ -148,9 +115,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::cout << sc.name << ": ok (" << fuzzer.simulations()
-              << " runs, threads";
-    for (unsigned t : opts.thread_counts) std::cout << " " << t;
-    std::cout << ")\n";
+              << " runs, gated and ungated)\n";
     return 0;
   }
 

@@ -36,43 +36,19 @@
 //                       and activity gating can never skip it.  Components
 //                       that wait on input must participate in the idle /
 //                       sleep protocol (sim/component.hpp).
-//   shared-static       mutable `static` storage in simulation code is state
-//                       shared across concurrently-running simulations — the
-//                       sweep engine (core/sweep.hpp) runs one simulation per
-//                       worker thread, so such state is both a data race and
-//                       a determinism leak.  Allowed: const/constexpr,
-//                       std::atomic (when behaviour-neutral, like the
-//                       transaction-id counter), and explicitly-audited
-//                       singletons (suppress with the usual annotation).
-//   evaluate-local-static
-//                       the same hazard one level deeper: a mutable
-//                       function-local static inside an evaluate() body is
-//                       shared between the *shard lanes* of one simulation —
-//                       the sharded kernel (Simulator::setKernelThreads) runs
-//                       evaluate() overrides of different components
-//                       concurrently, so even a single run races on it.
-//                       Reported under its own rule name because the fix
-//                       differs: hoist into a member (per-component state is
-//                       lane-local by construction).
-//   cross-lane-deref    an evaluate() body dereferencing a member pointer/
-//                       reference (trailing-underscore convention) to another
-//                       Component reaches into state that may be
-//                       evaluated by a different shard lane this very edge —
-//                       the one access pattern the FIFO endpoint discipline
-//                       cannot see.  Annotate the access with RC_TOUCH(ptr)
-//                       (sim/racecheck.hpp) so the lane-ownership checker
-//                       attributes it, or suppress with an allow() after
-//                       auditing.  Files declaring serialEvaluate() are
-//                       exempt: their evaluate() runs on the kernel thread
-//                       after the lane barrier and may inspect anything.
-//   unlaned-component   a file under src/platform that constructs a known
-//                       Component subclass but contains no lane-assignment
-//                       path (neither setEvalLane nor assignEvalLanes):
-//                       the component silently joins its clock domain's
-//                       default lane, which serializes it with — or, worse,
-//                       hides a popAt co-sharding requirement from — the
-//                       topology lane map that Platform::assignEvalLanes
-//                       maintains and MPSOC_RACECHECK machine-checks.
+//   shared-static       mutable `static` storage in simulation code —
+//                       namespace-scope, class-scope or function-local,
+//                       including inside evaluate() — is state shared across
+//                       concurrently-running simulations: the sweep engine
+//                       (core/sweep.hpp) runs one simulation per worker
+//                       thread, so such state is both a data race and a
+//                       determinism leak.  Per-simulation state belongs on
+//                       the component or the Simulator (e.g. transaction
+//                       ids: Simulator::nextTransactionId).  Allowed:
+//                       const/constexpr, std::atomic that nothing in the
+//                       model reads back (behaviour-neutral), and
+//                       explicitly-audited singletons (suppress with the
+//                       usual annotation).
 //   unmanifested-state  every trailing-underscore data member of a Component
 //                       subclass must appear in exactly one SIM_STATE
 //                       manifest entry (SIM_STATE_MEMBERS /
@@ -176,15 +152,6 @@ constexpr RuleInfo kRules[] = {
     {"shared-static",
      "mutable static storage is shared across concurrently-running "
      "simulations (core/sweep.hpp)"},
-    {"evaluate-local-static",
-     "mutable function-local static inside evaluate() races between the "
-     "shard lanes of one simulation"},
-    {"cross-lane-deref",
-     "evaluate() dereferencing another component crosses shard-lane "
-     "ownership; RC_TOUCH or co-shard"},
-    {"unlaned-component",
-     "platform assembly constructing a component outside the lane-assignment "
-     "path hides it from the lane map"},
     {"unmanifested-state",
      "Component member missing from its SIM_STATE manifest: deep-check "
      "replay and the MPSOC_STATECHECK oracle cannot restore it "
@@ -269,9 +236,6 @@ class FileLinter {
          {"src/stbus", "src/ahb", "src/axi", "src/bridge", "src/mem"}) {
       if (path_.find(dir) != std::string::npos) protocol_file_ = true;
     }
-    // The unlaned-component rule covers platform assembly, where every
-    // constructed component must flow through a lane-assignment path.
-    platform_file_ = path_.find("src/platform") != std::string::npos;
     const std::string ports = "txn/ports.hpp";
     is_ports_header_ = path_.size() >= ports.size() &&
                        path_.compare(path_.size() - ports.size(),
@@ -286,10 +250,10 @@ class FileLinter {
         is_ff_engine_ = true;
       }
     }
-    // Component-type registry for the cross-lane-deref / unlaned-component
-    // rules: the kernel bases plus this repo's concrete component classes
-    // (collectComponentDecls adds any subclass declared in the scanned file
-    // itself, so new components are covered without touching this list).
+    // Component-type registry for the unmanifested-state rule: the kernel
+    // bases plus this repo's concrete component classes (collectComponentTypes
+    // adds any subclass declared in the scanned file itself, so new
+    // components are covered without touching this list).
     component_types_ = {
         "Component",  "InterconnectBase", "MasterBase", "AhbLayer",
         "AxiBus",     "Bridge",           "DmaEngine",  "Iptg",
@@ -309,13 +273,9 @@ class FileLinter {
       std::string code = stripLine(raw, in_block, comment);
       lines.emplace_back(std::move(code), std::move(comment));
     }
-    // Pass 1: component-type and component-pointer declarations.  Members
-    // are conventionally declared *below* the methods that use them, so the
-    // cross-lane-deref rule needs the full declaration set before judging
-    // any evaluate() body.
-    for (const auto& [code, comment] : lines) {
-      collectComponentDecls(code, comment);
-    }
+    // Pass 1: component subclasses declared anywhere in the file, so a
+    // class deriving from one declared further down is still recognised.
+    for (const auto& [code, comment] : lines) collectComponentTypes(code);
     // Pass 2: everything line-ordered.
     std::size_t lineno = 0;
     for (const auto& [code, comment] : lines) {
@@ -326,13 +286,6 @@ class FileLinter {
       if (code.find("attachMonitors") != std::string::npos) {
         has_attach_monitors_ = true;
       }
-      if (code.find("serialEvaluate") != std::string::npos) {
-        has_serial_evaluate_ = true;
-      }
-      if (code.find("setEvalLane") != std::string::npos ||
-          code.find("assignEvalLanes") != std::string::npos) {
-        has_lane_assignment_ = true;
-      }
       // The LT-EQUIV evidence tag conventionally lives in a comment, so it
       // is searched in the stripped-out comment text (and in code, for the
       // rare tag hoisted into a macro or identifier).
@@ -341,33 +294,6 @@ class FileLinter {
         has_lt_equiv_tag_ = true;
       }
       checkLine(code, comment, lineno);
-    }
-    // cross-lane-deref verdict: deferred to end of file because both exits —
-    // a serialEvaluate() declaration (the component runs on the kernel
-    // thread after the lane barrier) and an RC_TOUCH of the dereferenced
-    // pointer — may appear anywhere in the file.
-    if (!has_serial_evaluate_) {
-      for (const auto& cand : deref_candidates_) {
-        if (rc_touched_names_.count(cand.name)) continue;
-        report(cand.line, "cross-lane-deref",
-               "evaluate() dereferences '" + cand.name + "' (" + cand.type +
-                   "*), a component that may be evaluated by a different "
-                   "shard lane this very edge; annotate the access with "
-                   "RC_TOUCH(" + cand.name + ") so the lane-ownership "
-                   "checker attributes it (sim/racecheck.hpp), co-shard the "
-                   "two components, or audit and allow()");
-      }
-    }
-    if (first_construct_line_ != 0 && !has_lane_assignment_ &&
-        !unlaned_rule_suppressed_) {
-      report(first_construct_line_, "unlaned-component",
-             "'" + first_construct_type_ +
-                 "' is constructed in platform-assembly code but this file "
-                 "has no lane-assignment path (neither setEvalLane nor "
-                 "assignEvalLanes): the component silently joins its clock "
-                 "domain's default lane, invisible to the topology lane map "
-                 "that Platform::assignEvalLanes maintains and "
-                 "MPSOC_RACECHECK machine-checks");
     }
     if (first_poll_line_ != 0 && !has_idle_or_sleep_ &&
         !poll_rule_suppressed_) {
@@ -421,38 +347,14 @@ class FileLinter {
   }
 
   /// Extend the component-type registry with subclasses declared in this
-  /// file, and remember every variable/member declared as a pointer or
-  /// reference to a component type (the cross-lane-deref candidates).
-  void collectComponentDecls(const std::string& code,
-                             const std::string& comment) {
+  /// file.
+  void collectComponentTypes(const std::string& code) {
     static const std::regex subclass(
         R"(class\s+(\w+)(?:\s+final)?\s*:\s*(?:public|protected|private)\s+(?:[\w:]+::)?(\w+)\b)");
     std::smatch m;
     if (std::regex_search(code, m, subclass) &&
         component_types_.count(m[2].str())) {
       component_types_.insert(m[1].str());
-    }
-    // Member declarations only (trailing-underscore convention): locals and
-    // parameters are lane-local by construction unless they alias a member,
-    // in which case the member's own dereference is what gets flagged.
-    static const std::regex ptr_decl(
-        R"(\b(?:\w+::)*(\w+)\s*[*&]\s*(?:const\s+)?(\w+_)\s*(?:[;=,){]|$))");
-    auto begin = std::sregex_iterator(code.begin(), code.end(), ptr_decl);
-    for (auto it = begin; it != std::sregex_iterator(); ++it) {
-      if (component_types_.count((*it)[1].str())) {
-        // An allow() on the *declaration* exempts the name file-wide: the
-        // annotation then documents one audited aliasing relationship
-        // instead of every dereference line.
-        if (suppressed(comment, "cross-lane-deref")) {
-          rc_touched_names_.insert((*it)[2].str());
-        }
-        component_ptr_types_[(*it)[2].str()] = (*it)[1].str();
-      }
-    }
-    static const std::regex rc_touch(R"(RC_TOUCH\s*\(\s*&?\s*(\w+))");
-    begin = std::sregex_iterator(code.begin(), code.end(), rc_touch);
-    for (auto it = begin; it != std::sregex_iterator(); ++it) {
-      rc_touched_names_.insert((*it)[1].str());
     }
   }
 
@@ -626,8 +528,7 @@ class FileLinter {
                             entries[i].find('.') != std::string::npos,
                             manifest_suppressed_});
       // An allow() on the invocation also vouches for the member it names —
-      // the annotation documents one audited entry, like the declaration-site
-      // allow() of cross-lane-deref.
+      // the annotation documents one audited entry.
       if (manifest_suppressed_) cs.member_allowed.insert(entries[i]);
     }
   }
@@ -837,16 +738,14 @@ class FileLinter {
       }
     }
 
-    // shared-static: mutable static storage in simulation code.  The sweep
-    // pool runs simulations concurrently; anything `static` and writable is
+    // shared-static: mutable static storage in simulation code, function-
+    // local statics (evaluate() bodies included) as well.  The sweep pool
+    // runs simulations concurrently; anything `static` and writable is
     // shared between them.  Skips const/constexpr/atomic/thread_local data
     // and function declarations (a '(' before the declarator terminator).
     if (kernel_code_) {
-      const bool in_evaluate_body = evaluate_depth_ > 0;
-      const std::string rule =
-          in_evaluate_body ? "evaluate-local-static" : "shared-static";
       static const std::regex static_decl(R"(^\s*(?:inline\s+)?static\s)");
-      if (!suppressed(comment, rule) &&
+      if (!suppressed(comment, "shared-static") &&
           std::regex_search(code, static_decl) &&
           code.find("const") == std::string::npos &&
           code.find("std::atomic") == std::string::npos &&
@@ -857,18 +756,10 @@ class FileLinter {
             paren != std::string::npos &&
             (term == std::string::npos || paren < term);
         if (!is_function) {
-          if (in_evaluate_body) {
-            report(lineno, "evaluate-local-static",
-                   "mutable function-local static inside evaluate(): shard "
-                   "lanes of one simulation run evaluate() concurrently "
-                   "(Simulator::setKernelThreads), so this races even in a "
-                   "single run; hoist it into a member of the component");
-          } else {
-            report(lineno, "shared-static",
-                   "mutable static storage is shared across concurrent "
-                   "simulations (see core/sweep.hpp); make it per-instance, "
-                   "const, or std::atomic-and-behaviour-neutral");
-          }
+          report(lineno, "shared-static",
+                 "mutable static storage is shared across concurrent "
+                 "simulations (see core/sweep.hpp); make it per-instance, "
+                 "const, or std::atomic-and-behaviour-neutral");
         }
       }
     }
@@ -905,49 +796,6 @@ class FileLinter {
       }
     }
 
-    // cross-lane-deref: collect dereferences of component pointers inside
-    // evaluate() bodies.  Candidates only — the verdict (see run()) waits for
-    // end of file, where serialEvaluate() / RC_TOUCH exemptions are known.
-    if (kernel_code_ && evaluate_depth_ > 0 &&
-        !component_ptr_types_.empty() &&
-        !suppressed(comment, "cross-lane-deref") &&
-        code.find("RC_TOUCH") == std::string::npos) {
-      for (const auto& [name, type] : component_ptr_types_) {
-        bool hit = false;
-        for (std::size_t pos = code.find(name); pos != std::string::npos;
-             pos = code.find(name, pos + 1)) {
-          if (!boundaryBefore(code, pos)) continue;
-          const std::size_t end = pos + name.size();
-          const bool deref =
-              (end + 1 < code.size() && code[end] == '-' &&
-               code[end + 1] == '>') ||
-              (end < code.size() && code[end] == '.');
-          if (deref) {
-            hit = true;
-            break;
-          }
-        }
-        if (hit) deref_candidates_.push_back({lineno, name, type});
-      }
-    }
-
-    // unlaned-component: remember the first component construction in
-    // platform-assembly code; the verdict is issued at end of file, once it
-    // is known whether any lane-assignment path exists.
-    if (platform_file_ && first_construct_line_ == 0) {
-      static const std::regex construct(
-          R"((?:make_unique\s*<\s*|\bnew\s+)(?:\w+::)*(\w+))");
-      std::smatch m;
-      if (std::regex_search(code, m, construct) &&
-          component_types_.count(m[1].str())) {
-        if (suppressed(comment, "unlaned-component")) {
-          unlaned_rule_suppressed_ = true;
-        }
-        first_construct_line_ = lineno;
-        first_construct_type_ = m[1].str();
-      }
-    }
-
     // commit-in-evaluate: explicit commit() calls inside evaluate() bodies.
     if (evaluate_depth_ > 0 && !suppressed(comment, "commit-in-evaluate")) {
       static const std::regex commit_call(R"((?:\.|->)commit\s*\(\s*\))");
@@ -959,27 +807,11 @@ class FileLinter {
     }
   }
 
-  struct DerefCandidate {
-    std::size_t line;
-    std::string name;
-    std::string type;
-  };
-
-
   std::string path_;
   bool kernel_code_;
   bool protocol_file_ = false;
-  bool platform_file_ = false;
   bool is_ports_header_ = false;
-  bool has_serial_evaluate_ = false;
-  bool has_lane_assignment_ = false;
-  bool unlaned_rule_suppressed_ = false;
-  std::size_t first_construct_line_ = 0;
-  std::string first_construct_type_;
   std::set<std::string> component_types_;
-  std::map<std::string, std::string> component_ptr_types_;
-  std::set<std::string> rc_touched_names_;
-  std::vector<DerefCandidate> deref_candidates_;
   bool has_attach_monitors_ = false;
   bool monitor_rule_suppressed_ = false;
   std::size_t first_component_line_ = 0;

@@ -10,12 +10,6 @@
 //   --verify        attach the protocol monitors and transaction auditor
 //                   (src/verify) to every platform; a violation aborts with
 //                   exit code 1
-//   --racecheck     enable the deterministic lane-ownership race checker on
-//                   every platform (requires a build with MPSOC_RACECHECK=ON;
-//                   warns and runs unchecked otherwise).  Any cross-lane
-//                   evaluate-phase access aborts with exit code 1.  Valid —
-//                   and equally effective — at any --kernel-threads value,
-//                   including the default serial kernel
 //   --statecheck    run the checkpoint-equivalence oracle on every platform:
 //                   checkpoint mid-run, execute a window of edges, rewind,
 //                   re-execute, and abort with exit code 1 naming the first
@@ -44,13 +38,6 @@
 //   --no-gating     disable kernel activity gating (evaluate every component
 //                   on every edge).  Digests must not change — the check.sh
 //                   kernel-perf smoke diffs gated vs. ungated runs with this
-//   --kernel-threads N
-//                   evaluate each platform's component shards on N kernel
-//                   worker threads (0 = hardware concurrency; default 1 =
-//                   serial kernel).  Commit stays single-threaded in slot
-//                   order, so digests are bit-identical at every N.  When
-//                   combined with -j, per-point threads are clamped so that
-//                   jobs x threads does not oversubscribe the machine
 //   --sweep         print the sweep view: per-point wall-clock, simulation
 //                   throughput (Medges/s) and canonical result digest
 //   -j N            run N scenarios concurrently (0 = one per hardware
@@ -82,10 +69,9 @@ namespace {
 
 void usage() {
   std::cerr << "usage: mpsoc_run [--csv] [--json <path|->] [--normalize N] "
-               "[--verify] [--racecheck] [--statecheck] [--checkpoint-at ps] "
+               "[--verify] [--statecheck] [--checkpoint-at ps] "
                "[--fast-forward-until ps] [--quantum ps] [--ff-check] "
-               "[--no-gating] [--kernel-threads N] "
-               "[--sweep] [-j N] scenario.scn [...]\n";
+               "[--no-gating] [--sweep] [-j N] scenario.scn [...]\n";
 }
 
 }  // namespace
@@ -94,14 +80,12 @@ int main(int argc, char** argv) {
   bool want_csv = false;
   bool want_sweep = false;
   bool want_verify = false;
-  bool want_racecheck = false;
   bool want_statecheck = false;
   long long checkpoint_at = -1;  // -1 = keep the scenario/config default
   long long ff_until = -1;       // -1 = keep the scenario/config default
   long long ff_quantum = -1;     // -1 = keep the scenario/config default
   bool want_ff_check = false;
   bool no_gating = false;
-  long kernel_threads = -1;  // -1 = keep each scenario's own setting
   std::string json_path;
   std::size_t normalize_to = 0;
   unsigned jobs = 1;
@@ -114,8 +98,6 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--verify") == 0) {
       want_verify = true;
-    } else if (std::strcmp(argv[i], "--racecheck") == 0) {
-      want_racecheck = true;
     } else if (std::strcmp(argv[i], "--statecheck") == 0) {
       want_statecheck = true;
     } else if (std::strcmp(argv[i], "--checkpoint-at") == 0 && i + 1 < argc) {
@@ -129,8 +111,6 @@ int main(int argc, char** argv) {
       want_ff_check = true;
     } else if (std::strcmp(argv[i], "--no-gating") == 0) {
       no_gating = true;
-    } else if (std::strcmp(argv[i], "--kernel-threads") == 0 && i + 1 < argc) {
-      kernel_threads = std::stol(argv[++i]);
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       want_sweep = true;
     } else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) {
@@ -176,15 +156,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (want_verify) sc.config.verify = true;
-    if (want_racecheck) sc.config.racecheck = true;
     if (want_statecheck) sc.config.statecheck = true;
     if (checkpoint_at >= 0) {
       sc.config.statecheck_at_ps = static_cast<sim::Picos>(checkpoint_at);
     }
     if (no_gating) sc.config.activity_gating = false;
-    if (kernel_threads >= 0) {
-      sc.config.kernel_threads = static_cast<unsigned>(kernel_threads);
-    }
     if (ff_until > 0) sc.config.ff_until_ps = static_cast<sim::Picos>(ff_until);
     if (ff_quantum >= 0) {
       sc.config.ff_quantum_ps = static_cast<sim::Picos>(ff_quantum);
