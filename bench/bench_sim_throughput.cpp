@@ -7,10 +7,9 @@
 //
 // The *Monitored variants run the same workloads with the protocol monitors
 // and the conservation auditor attached; comparing them against the plain
-// variants quantifies the cost of verification.  In a build with
-// -DMPSOC_VERIFY=OFF the monitors compile out entirely and the monitored
-// variants must sit within measurement noise of the plain ones — that is the
-// zero-cost-when-disabled claim, checked by numbers rather than asserted.
+// variants quantifies the cost of verification.  The plain variants carry
+// the same hooks unattached, so they price what monitoring costs a run that
+// does not ask for it.
 
 #include <benchmark/benchmark.h>
 

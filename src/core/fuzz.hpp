@@ -14,13 +14,12 @@
 // portable.
 //
 // Each case is run twice through core::SweepRunner, with kernel activity
-// gating on and off, under the compile-gated checkers requested by
-// FuzzOptions (protocol monitors + auditor, optionally the
-// checkpoint-equivalence oracle).  A case fails when either run throws
-// (InvariantViolation, ProtocolViolation, ...) or when the canonical result
-// digests of the two runs diverge — the signature of a component that went
-// to sleep with work pending.  Failures are greedily delta-debugged
-// over config dimensions (collapse topology, drop masters via master_limit,
+// gating on and off, under the checkers requested by FuzzOptions (protocol
+// monitors + auditor, optionally the checkpoint-equivalence oracle).  A case
+// fails when either run throws (InvariantViolation, ProtocolViolation, ...)
+// or when the canonical result digests of the two runs diverge — the
+// signature of a component that went to sleep with work pending.  Failures
+// are greedily delta-debugged over config dimensions (collapse topology, drop masters via master_limit,
 // reset timings, halve the workload, ...) to a local fixpoint, and the
 // minimal reproducer is written to the corpus directory with the exact
 // command that replays it.

@@ -122,18 +122,17 @@ struct PlatformConfig {
   /// Attach the protocol monitors and the transaction-conservation auditor
   /// (src/verify) to every bus, bridge and memory in the platform.  Any
   /// protocol violation aborts the run with a ProtocolViolation; leaks are
-  /// reported at the end of the run.  Requires MPSOC_VERIFY=ON to observe
-  /// anything (with it OFF this flag only creates an empty context).
+  /// reported at the end of the run.  Off, no monitor exists and the hooks
+  /// cost nothing beyond an empty-list test.
   bool verify = false;
 
-  /// Checkpoint-equivalence oracle (see DESIGN.md "State manifests &
-  /// checkpointing"): at `statecheck_at_ps` the run checkpoints the full
-  /// platform state, executes `statecheck_edges` further edges, digests,
-  /// rewinds to the checkpoint, re-executes the same edges and asserts the
-  /// two digests are bit-identical — any component with an incomplete
-  /// SIM_STATE manifest diverges deterministically.  Requires
-  /// MPSOC_STATECHECK=ON to observe anything (with it OFF this flag is
-  /// ignored).
+  /// Checkpoint-equivalence oracle (see DESIGN.md "State manifests,
+  /// checkpointing and Simulator::replayCheck"): run to `statecheck_at_ps`,
+  /// then one Simulator::replayCheck() over `statecheck_edges` edges —
+  /// checkpoint, execute, digest, rewind, re-execute, digest — so any
+  /// component with an incomplete SIM_STATE manifest diverges
+  /// deterministically and is named.  `statecheck_edges` is also the
+  /// ff_check window.
   bool statecheck = false;
   sim::Picos statecheck_at_ps = 1'000'000;  // 1 us into the run
   std::uint64_t statecheck_edges = 2000;
@@ -152,14 +151,12 @@ struct PlatformConfig {
   /// per quantum.  Smaller quanta track phase boundaries and quota exhaustion
   /// more closely; larger quanta fast-forward faster.
   sim::Picos ff_quantum_ps = 1'000'000;  // 1 us
-  /// Handoff-equivalence oracle: after the fast-forward handoff, execute
-  /// `ff_check_edges` accurate edges from the handoff checkpoint, digest,
-  /// rewind, re-execute and assert bit-identical digests — proving the
-  /// accurate region after a fast-forward is a pure function of the handoff
-  /// state.  Unlike `statecheck` this oracle is always compiled in (the
-  /// fast-forward path is exactly where restore bugs surface).
+  /// Handoff-equivalence oracle: right after the fast-forward handoff, run
+  /// Simulator::replayCheck() over `statecheck_edges` accurate edges —
+  /// proving the accurate region after a fast-forward is a pure function of
+  /// the handoff state (the fast-forward path is exactly where restore bugs
+  /// surface).
   bool ff_check = false;
-  std::uint64_t ff_check_edges = 2000;
 
   /// Kernel activity gating (see Simulator::setActivityGating): skip
   /// evaluate() for components that declared themselves quiescent.  On by

@@ -133,11 +133,10 @@ class Platform {
   /// conservation auditor to `verify_`.  Called once, after construction.
   void attachVerification();
   /// Checkpoint-equivalence oracle (cfg_.statecheck): advance to
-  /// cfg_.statecheck_at_ps, checkpoint, execute cfg_.statecheck_edges edges
-  /// and digest, rewind, re-execute the same window and digest again; raises
-  /// InvariantViolation naming the first diverging state holder when the two
-  /// digests differ.  The run then continues normally from the end of the
-  /// window.  No-op when MPSOC_STATECHECK is compiled out.
+  /// cfg_.statecheck_at_ps, then Simulator::replayCheck() over
+  /// cfg_.statecheck_edges edges; raises InvariantViolation naming the first
+  /// diverging state holder.  The run then continues normally from the end
+  /// of the window.
   void statecheckOracle();
   /// Assemble the loosely-timed engine: one route per master (cluster bus ->
   /// uplink bridge -> central node -> memory path, per topology) with the
@@ -148,9 +147,9 @@ class Platform {
   /// cycle-accurate model through a checkpoint/restore boundary.  Runs the
   /// ff_check handoff-equivalence oracle when configured.
   void fastForward(sim::Picos until);
-  /// Handoff-equivalence oracle (cfg_.ff_check): from the handoff state,
-  /// execute cfg_.ff_check_edges edges and digest, rewind, re-execute and
-  /// assert bit-identical digests.  Always compiled in (unlike statecheck).
+  /// Handoff-equivalence oracle (cfg_.ff_check): Simulator::replayCheck()
+  /// over cfg_.statecheck_edges edges from the handoff state; raises
+  /// InvariantViolation naming the first diverging state holder.
   void ffHandoffOracle();
 
   /// NoC topology helpers: the memory's node and the mesh node the i-th

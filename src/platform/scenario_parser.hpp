@@ -48,13 +48,11 @@
 //   verify = false              # attach protocol monitors + auditor
 //   statecheck = false          # checkpoint-equivalence oracle
 //   statecheck_at_ps = 1000000  # oracle checkpoint instant
-//   statecheck_edges = 2000     # oracle window length (edges)
+//   statecheck_edges = 2000     # statecheck / ff_check window (edges)
 //
 // Unknown keys are errors (with line numbers), so scenario files stay honest;
 // after the last key the whole config goes through
-// platform::validateConfig(), so a file that parses is also buildable.  Keys
-// that request a compile-gated checker the build removed warn at run time
-// (see platform/feature_gates.hpp).
+// platform::validateConfig(), so a file that parses is also buildable.
 //
 // emitScenario() is the inverse: a canonical full-form rendering (every key,
 // fixed order, round-trip double precision) with the property that

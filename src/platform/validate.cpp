@@ -65,7 +65,7 @@ std::string validateConfig(const PlatformConfig& cfg, sim::Picos duration_ps) {
     }
   }
 
-  if (cfg.statecheck && cfg.statecheck_edges < 1) {
+  if ((cfg.statecheck || cfg.ff_check) && cfg.statecheck_edges < 1) {
     return "statecheck_edges must be >= 1";
   }
   if (cfg.statecheck && cfg.statecheck_at_ps < 1) {
@@ -97,9 +97,6 @@ std::string validateConfig(const PlatformConfig& cfg, sim::Picos duration_ps) {
   }
   if (cfg.ff_check && cfg.ff_until_ps == 0) {
     return "ff_check requires fast-forward (set ff_until_ps > 0)";
-  }
-  if (cfg.ff_check && cfg.ff_check_edges < 1) {
-    return "ff_check_edges must be >= 1";
   }
   return {};
 }

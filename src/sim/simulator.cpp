@@ -314,6 +314,38 @@ void Simulator::stateDigestItems(
   }
 }
 
+std::optional<ReplayDivergence> Simulator::replayCheck(std::uint64_t edges) {
+  using DigestItems = std::vector<std::pair<std::string, std::uint64_t>>;
+  checkpoint();
+  for (std::uint64_t i = 0; i < edges && step(); ++i) {
+  }
+  DigestItems first;
+  stateDigestItems(first);
+  const Picos first_end = now_ps_;
+
+  restoreCheckpoint();
+  for (std::uint64_t i = 0; i < edges && step(); ++i) {
+  }
+  DigestItems replay;
+  stateDigestItems(replay);
+
+  SIM_CHECK(first_end == now_ps_,
+            "replay check: replayed window ended at t="
+                << now_ps_ << " ps, first pass ended at t=" << first_end
+                << " ps (kernel time state not restored)");
+  SIM_CHECK(first.size() == replay.size(),
+            "replay check: digest item count changed across the rewind ("
+                << first.size() << " vs " << replay.size()
+                << " — state holders registered mid-window?)");
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    if (first[i].second != replay[i].second) {
+      return ReplayDivergence{first[i].first, first[i].second,
+                              replay[i].second};
+    }
+  }
+  return std::nullopt;
+}
+
 Picos Simulator::run(Picos max_time_ps, const std::function<bool()>& stop) {
   while (now_ps_ < max_time_ps) {
     if (stop && stop()) break;

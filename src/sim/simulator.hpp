@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,8 +51,16 @@ class Checkpointable {
   /// Canonical digest of the held state; 0 when the holder is pure
   /// observation whose contents are not part of platform state.
   virtual std::uint64_t checkpointDigest() const { return 0; }
-  /// Label used in stateDigestItems() reports.
+  /// Label of this holder's digest item (see stateDigestItems).
   virtual std::string checkpointName() const { return "aux"; }
+};
+
+/// First state holder whose digest differed between the two passes of
+/// Simulator::replayCheck().
+struct ReplayDivergence {
+  std::string holder;        ///< digest-item label, e.g. "clk:leaky"
+  std::uint64_t first = 0;   ///< its digest after the first pass
+  std::uint64_t replay = 0;  ///< its digest after the replay
 };
 
 class Simulator {
@@ -132,7 +141,7 @@ class Simulator {
   };
   const DeepCheckStats& deepCheckStats() const { return deep_stats_; }
 
-  // --- checkpointing (MPSOC_STATECHECK oracle; see DESIGN.md) ---------------
+  // --- checkpointing (replayCheck and fast-forward handoff; see DESIGN.md) --
 
   /// Register an auxiliary state holder in the checkpoint set.  Must happen
   /// in deterministic (construction) order: the order labels digest items.
@@ -171,10 +180,21 @@ class Simulator {
 
   /// Per-holder labeled digests, appended to `out` in deterministic order —
   /// components by (domain, registration), updatables by domain slot,
-  /// kernel time state, then registered checkpointables.  The statecheck
-  /// oracle diffs two of these vectors to name the first diverging holder.
+  /// kernel time state, then registered checkpointables.  replayCheck()
+  /// diffs two of these vectors to name the first diverging holder.
   void stateDigestItems(
       std::vector<std::pair<std::string, std::uint64_t>>& out) const;
+
+  /// Rewind-and-replay oracle: checkpoint(), step up to `edges` edges and
+  /// digest every state holder, restoreCheckpoint(), step the same edges
+  /// again and digest again.  A component whose SIM_STATE manifest misses a
+  /// member its evaluate() reads replays differently and is returned as the
+  /// first diverging holder; std::nullopt means the two passes agree.  Raises
+  /// InvariantViolation itself when the replayed window ends at a different
+  /// time or yields a different number of digest items (kernel time state
+  /// not restored, holders registered mid-window).  Either way the run
+  /// continues from the end of the window.
+  std::optional<ReplayDivergence> replayCheck(std::uint64_t edges);
 
   /// Advance one edge instant (possibly several coincident domain edges).
   /// Returns false when there are no domains.

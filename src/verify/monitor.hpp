@@ -5,20 +5,15 @@
 // raises ProtocolViolation the moment a protocol rule is broken — the
 // simulation equivalent of a bound SystemVerilog assertion module.
 //
-// Cost model: with MPSOC_VERIFY=OFF the FIFO taps and every hook compile out
-// and a monitor can never be attached, so release binaries carry zero
-// overhead.  With MPSOC_VERIFY=ON attachment is still opt-in per platform /
-// rig (`verify` config flags), so the default-ON build only pays when a test
-// asks for checking.
+// Cost model: attachment is a run-time opt-in per platform / rig (`verify`
+// config flags).  Until a monitor attaches, every hook is an empty tap list
+// or a null observer, so an unmonitored run pays a branch per FIFO push/pop
+// and nothing else.
 
 #include <cstdint>
 #include <string>
 
 #include "sim/check.hpp"
-
-#ifndef MPSOC_VERIFY
-#define MPSOC_VERIFY 0
-#endif
 
 namespace mpsoc::verify {
 
@@ -52,7 +47,7 @@ class Monitor {
   /// it as a leak; bounded runs pass false.
   virtual void finish(bool expect_drained) const { (void)expect_drained; }
 
-  /// Checkpoint hooks (the MPSOC_STATECHECK oracle rewinds the simulation to
+  /// Checkpoint hooks (Simulator::replayCheck rewinds the simulation to
   /// an earlier instant and re-runs it): monitors live outside the component
   /// graph but track in-flight traffic, so a restore must wind their books
   /// back too or the replayed timeline false-positives against stale state.

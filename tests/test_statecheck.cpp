@@ -1,5 +1,7 @@
-// Tests for state manifests, kernel checkpointing and the MPSOC_STATECHECK
-// checkpoint-equivalence oracle (sim/state.hpp, platform/platform.cpp).
+// Tests for state manifests, kernel checkpointing and the
+// checkpoint-equivalence oracle Simulator::replayCheck (sim/state.hpp,
+// sim/simulator.cpp) with its two platform callers, statecheck and ff_check
+// (platform/platform.cpp).
 //
 // The contract: Simulator::checkpoint() snapshots every component (via its
 // generated SIM_STATE saveState()), every registered Updatable (the FIFO
@@ -12,14 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/digest.hpp"
 #include "core/experiment.hpp"
 #include "platform/config.hpp"
 #include "platform/platform.hpp"
+#include "sim/check.hpp"
 #include "sim/component.hpp"
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
@@ -28,8 +31,6 @@
 namespace {
 
 using namespace mpsoc;
-
-using DigestItems = std::vector<std::pair<std::string, std::uint64_t>>;
 
 platform::PlatformConfig fig3Small() {
   platform::PlatformConfig cfg;
@@ -41,9 +42,9 @@ platform::PlatformConfig fig3Small() {
   return cfg;
 }
 
-// Enabling the oracle must not perturb results: digests match the unchecked
-// run bit-for-bit.  (When the
-// build has MPSOC_STATECHECK=OFF the flag is a no-op and this still holds.)
+// Enabling the oracle must not perturb results: the replayed window ends in
+// the state the first pass reached, so digests match the unchecked run
+// bit-for-bit.
 TEST(StateCheck, OracleFlagDoesNotPerturbResults) {
   platform::PlatformConfig cfg = fig3Small();
   const std::uint64_t plain =
@@ -55,8 +56,7 @@ TEST(StateCheck, OracleFlagDoesNotPerturbResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel checkpoint primitives (always compiled; the MPSOC_STATECHECK option
-// only gates the platform-level oracle).
+// Kernel checkpoint primitives.
 // ---------------------------------------------------------------------------
 
 // A SyncFifo's ring, occupancy registration and in-flight staged ops are part
@@ -122,17 +122,10 @@ TEST(StateCheck, ManifestedComponentReplaysBitIdentically) {
   auto& clk = s.addClockDomain("clk", 100.0);
   Counter cnt(clk, "counter");
   s.run(100'000);
-  s.checkpoint();
-  for (int i = 0; i < 200 && s.step(); ++i) {
-  }
-  DigestItems first;
-  s.stateDigestItems(first);
-  s.restoreCheckpoint();
-  for (int i = 0; i < 200 && s.step(); ++i) {
-  }
-  DigestItems second;
-  s.stateDigestItems(second);
-  EXPECT_EQ(first, second);
+  const sim::Picos start = s.now();
+  const std::optional<sim::ReplayDivergence> div = s.replayCheck(200);
+  EXPECT_FALSE(div) << div->holder << " diverged";
+  EXPECT_GT(s.now(), start);  // the run continues from the window's end
 }
 
 // ---------------------------------------------------------------------------
@@ -143,59 +136,40 @@ TEST(StateCheck, ManifestedComponentReplaysBitIdentically) {
 // A component whose evaluate() depends on a member its manifest omits.
 // restoreCheckpoint() rewinds acc_ but not hidden_, so the replayed window
 // accumulates different values and the component's own digest item diverges.
-struct LeakyRun {
-  DigestItems first;
-  DigestItems second;
-  std::string divergent;  // label of the first diverging digest item
+struct Leaky : sim::Component {
+  std::uint64_t acc_ = 0;
+  std::uint64_t hidden_ = 0;  // deliberately missing from the manifest
+  using sim::Component::Component;
+  void evaluate() override { acc_ += ++hidden_; }
+  SIM_STATE_MEMBERS(acc_);
 };
 
-LeakyRun runLeakyRig() {
-  struct Leaky : sim::Component {
-    std::uint64_t acc_ = 0;
-    std::uint64_t hidden_ = 0;  // deliberately missing from the manifest
-    using sim::Component::Component;
-    void evaluate() override { acc_ += ++hidden_; }
-    SIM_STATE_MEMBERS(acc_);
-  };
-  LeakyRun out;
+std::optional<sim::ReplayDivergence> runLeakyRig() {
   sim::Simulator s;
   auto& clk = s.addClockDomain("clk", 100.0);
   Leaky bad(clk, "leaky");
   s.run(100'000);
-  s.checkpoint();
-  for (int i = 0; i < 100 && s.step(); ++i) {
-  }
-  s.stateDigestItems(out.first);
-  s.restoreCheckpoint();
-  for (int i = 0; i < 100 && s.step(); ++i) {
-  }
-  s.stateDigestItems(out.second);
-  for (std::size_t i = 0; i < out.first.size(); ++i) {
-    if (out.first[i].second != out.second[i].second) {
-      out.divergent = out.first[i].first;
-      break;
-    }
-  }
-  return out;
+  return s.replayCheck(100);
 }
 
 TEST(StateCheck, PlantedUnmanifestedMemberDivergesAndIsAttributed) {
-  const LeakyRun run = runLeakyRig();
-  ASSERT_EQ(run.first.size(), run.second.size());
-  ASSERT_FALSE(run.divergent.empty())
+  const std::optional<sim::ReplayDivergence> div = runLeakyRig();
+  ASSERT_TRUE(div)
       << "replayed window matched despite the unmanifested member";
   // The first diverging item names the guilty component, not some innocent
   // downstream holder: that attribution is what makes the oracle's report
   // actionable.
-  EXPECT_EQ(run.divergent, "clk:leaky");
+  EXPECT_EQ(div->holder, "clk:leaky");
+  EXPECT_NE(div->first, div->replay);
 }
 
 TEST(StateCheck, PlantedDivergenceReportIsDeterministic) {
-  const LeakyRun a = runLeakyRig();
-  const LeakyRun b = runLeakyRig();
-  EXPECT_EQ(a.divergent, b.divergent);
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
+  const std::optional<sim::ReplayDivergence> a = runLeakyRig();
+  const std::optional<sim::ReplayDivergence> b = runLeakyRig();
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(a->holder, b->holder);
+  EXPECT_EQ(a->first, b->first);
+  EXPECT_EQ(a->replay, b->replay);
 }
 
 // ---------------------------------------------------------------------------
@@ -223,8 +197,6 @@ TEST(StateCheck, DeepCheckReplaysEveryEdgeOnFullPlatform) {
       << " edges not replayable: some component or FIFO payload lost its "
          "snapshot support";
 }
-
-#if MPSOC_STATECHECK
 
 // ---------------------------------------------------------------------------
 // The platform-level oracle: checkpoint mid-run, execute a window, rewind,
@@ -255,6 +227,39 @@ TEST(StateCheck, LmiPlatformOracleGreen) {
   EXPECT_NO_THROW(p.run());
 }
 
-#endif  // MPSOC_STATECHECK
+// The red path of both platform callers of replayCheck: plant the leaky
+// component on the reference platform and each oracle must abort the run
+// naming it.
+class PlatformOracleRedPath : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PlatformOracleRedPath, LeakyComponentAbortsTheRun) {
+  const bool ff = GetParam();
+  platform::PlatformConfig cfg = fig3Small();
+  cfg.statecheck_edges = 200;
+  if (ff) {
+    cfg.ff_until_ps = 20'000'000;  // leaves an accurate region after it
+    cfg.ff_check = true;
+  } else {
+    cfg.statecheck = true;
+    cfg.statecheck_at_ps = 200'000;
+  }
+  platform::Platform p(cfg);
+  Leaky bad(*p.simulator().domains().front(), "leaky");
+  try {
+    p.run();
+    FAIL() << "the oracle let an unmanifested member through";
+  } catch (const sim::InvariantViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(ff ? "ff-check divergence" : "statecheck divergence"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(":leaky digests"), std::string::npos) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Oracles, PlatformOracleRedPath, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "FfCheck" : "Statecheck";
+                         });
 
 }  // namespace

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # One-command analysis stack for mpsocsim:
-#   1. build (ASan+UBSan, MPSOC_VERIFY=ON) + run mpsoc_lint over src/ tests/
-#      tools/
+#   1. build (ASan+UBSan) + run mpsoc_lint over src/ tests/ tools/
 #   2. full ctest pass under AddressSanitizer + UndefinedBehaviorSanitizer
 #      (includes the monitored platform smoke runs and the protocol-monitor
 #      negative tests)
@@ -48,9 +47,22 @@ FAILED=0
 
 stage() { printf '\n=== %s ===\n' "$*"; }
 
-stage "configure (ASan+UBSan, MPSOC_VERIFY=ON)"
+# same_digests A.json B.json WHY: succeed when two mpsoc_run --json outputs
+# carry the same non-empty list of per-point digests; otherwise print WHY and
+# the digest diff.
+same_digests() {
+  local a b
+  a="$(grep -o '"digest": "[0-9a-f]*"' "$1")"
+  b="$(grep -o '"digest": "[0-9a-f]*"' "$2")"
+  [ -n "$a" ] && [ "$a" = "$b" ] && return 0
+  echo "$3"
+  diff <(echo "$a") <(echo "$b")
+  return 1
+}
+
+stage "configure (ASan+UBSan)"
 cmake -B "$BUILD" -S "$ROOT" -DMPSOC_SANITIZE="address;undefined" \
-      -DMPSOC_VERIFY=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo || exit 1
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo || exit 1
 
 stage "build"
 cmake --build "$BUILD" -j "$JOBS" || exit 1
@@ -95,16 +107,14 @@ if "$BUILD/tools/mpsoc_run" --sweep -j 1 --json "$BUILD/sweep-smoke/j1.json" \
       "$BUILD/sweep-smoke"/*.scn > /dev/null && \
    "$BUILD/tools/mpsoc_run" --sweep -j 2 --json "$BUILD/sweep-smoke/j2.json" \
       "$BUILD/sweep-smoke"/*.scn > /dev/null; then
-  D1="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/sweep-smoke/j1.json")"
-  D2="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/sweep-smoke/j2.json")"
-  if [ -z "$D1" ] || [ "$D1" != "$D2" ]; then
-    echo "sweep smoke: -j 1 and -j 2 digests differ (determinism regression)"
-    diff <(echo "$D1") <(echo "$D2")
-    FAILED=1
-  else
+  if same_digests "$BUILD/sweep-smoke/j1.json" "$BUILD/sweep-smoke/j2.json" \
+       "sweep smoke: -j 1 and -j 2 digests differ (determinism regression)"
+  then
     echo "sweep smoke: digests identical at -j 1 and -j 2"
     cp "$BUILD/sweep-smoke/j2.json" "$BUILD/BENCH_sweep.json"
     echo "wrote $BUILD/BENCH_sweep.json"
+  else
+    FAILED=1
   fi
 else
   echo "sweep smoke: mpsoc_run failed"
@@ -129,15 +139,13 @@ if "$BUILD/tools/mpsoc_run" --sweep --json "$BUILD/gating-smoke/gated.json" \
    "$BUILD/tools/mpsoc_run" --sweep --no-gating \
       --json "$BUILD/gating-smoke/ungated.json" \
       "$BUILD/gating-smoke/fig3-small.scn" > /dev/null; then
-  DG="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/gating-smoke/gated.json")"
-  DU="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/gating-smoke/ungated.json")"
-  if [ -z "$DG" ] || [ "$DG" != "$DU" ]; then
-    echo "gating smoke: gated and ungated digests differ (activity gating"
-    echo "must be behaviour-neutral; a component slept with work pending)"
-    diff <(echo "$DG") <(echo "$DU")
-    FAILED=1
-  else
+  if same_digests "$BUILD/gating-smoke/gated.json" \
+       "$BUILD/gating-smoke/ungated.json" \
+       "gating smoke: gated and ungated digests differ (activity gating must
+be behaviour-neutral; a component slept with work pending)"; then
     echo "gating smoke: digests identical with activity gating on and off"
+  else
+    FAILED=1
   fi
 else
   echo "gating smoke: mpsoc_run failed"
@@ -145,42 +153,32 @@ else
 fi
 
 stage "statecheck sweep (checkpoint-equivalence oracle)"
-# The MPSOC_STATECHECK oracle over every shipped scenario, fully monitored:
-# each run checkpoints at 1 us, executes a window of edges, rewinds and
-# re-executes; any diverging state digest (an incomplete SIM_STATE manifest,
-# or an evaluate() depending on un-checkpointed state) aborts the run.  The
-# oracle replays a window mid-run, so the final results must still match the
-# unchecked baseline digests bit-for-bit.
-SC_OK=1
+# The --statecheck replay check (Simulator::replayCheck) over every shipped
+# scenario, fully monitored: each run checkpoints at 1 us, executes a window
+# of edges, rewinds and re-executes; any diverging state digest (an
+# incomplete SIM_STATE manifest, or an evaluate() depending on
+# un-checkpointed state) aborts the run.  The oracle replays a window
+# mid-run, so the final results must still match the unchecked baseline
+# digests bit-for-bit.
 mkdir -p "$BUILD/statecheck-smoke"
-if "$BUILD/tools/mpsoc_run" --sweep \
+if ! "$BUILD/tools/mpsoc_run" --sweep \
       --json "$BUILD/statecheck-smoke/base.json" \
       "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-  SB="$(grep -o '"digest": "[0-9a-f]*"' "$BUILD/statecheck-smoke/base.json")"
-else
   echo "statecheck sweep: unchecked baseline run failed"
-  SC_OK=0
-fi
-if [ "$SC_OK" -eq 1 ]; then
-  if "$BUILD/tools/mpsoc_run" --verify --statecheck \
+  FAILED=1
+elif ! "$BUILD/tools/mpsoc_run" --verify --statecheck \
         --sweep --json "$BUILD/statecheck-smoke/checked.json" \
         "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-    DS="$(grep -o '"digest": "[0-9a-f]*"' \
-          "$BUILD/statecheck-smoke/checked.json")"
-    if [ -z "$DS" ] || [ "$DS" != "$SB" ]; then
-      echo "statecheck sweep: digests differ from the unchecked run (the"
-      echo "oracle's rewind must be invisible to results)"
-      diff <(echo "$SB") <(echo "$DS")
-      SC_OK=0
-    else
-      echo "statecheck sweep: oracle green, digests identical"
-    fi
-  else
-    echo "statecheck sweep: divergence or failure"
-    SC_OK=0
-  fi
+  echo "statecheck sweep: divergence or failure"
+  FAILED=1
+elif same_digests "$BUILD/statecheck-smoke/base.json" \
+       "$BUILD/statecheck-smoke/checked.json" \
+       "statecheck sweep: digests differ from the unchecked run (the oracle's
+rewind must be invisible to results)"; then
+  echo "statecheck sweep: oracle green, digests identical"
+else
+  FAILED=1
 fi
-[ "$SC_OK" -eq 1 ] || FAILED=1
 
 stage "fast-forward sweep (LT handoff oracle + warm-up speedup)"
 # The loosely-timed quantum engine over every shipped scenario: [0, 100 us)
@@ -262,7 +260,7 @@ stage "tsan sweep (all scenarios, monitored, mpsoc_run --sweep -j 4)"
 # exercised under the race detector.
 TSAN_BUILD="$BUILD-tsan"
 if cmake -B "$TSAN_BUILD" -S "$ROOT" -DMPSOC_SANITIZE=thread \
-        -DMPSOC_VERIFY=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null; then
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null; then
   if cmake --build "$TSAN_BUILD" -j "$JOBS" --target mpsoc_run \
         > "$TSAN_BUILD/build.log" 2>&1; then
     if TSAN_OPTIONS=halt_on_error=1 \

@@ -33,7 +33,6 @@
 #include <string>
 
 #include "core/fuzz.hpp"
-#include "platform/feature_gates.hpp"
 #include "platform/scenario_parser.hpp"
 
 using namespace mpsoc;
@@ -87,16 +86,6 @@ int main(int argc, char** argv) {
       std::cout << "# case " << i << "\n" << platform::emitScenario(sc) << "\n";
     }
     return 0;
-  }
-
-  // One up-front warning per compile-gated checker the build removed: the
-  // campaign still runs, but "clean" then means much less.
-  {
-    platform::PlatformConfig probe;
-    probe.verify = opts.verify;
-    probe.statecheck = opts.statecheck;
-    const std::string warn = platform::compiledOutWarning(probe);
-    if (!warn.empty()) std::cerr << warn << "\n";
   }
 
   core::Fuzzer fuzzer(opts);

@@ -13,9 +13,7 @@
 //   --statecheck    run the checkpoint-equivalence oracle on every platform:
 //                   checkpoint mid-run, execute a window of edges, rewind,
 //                   re-execute, and abort with exit code 1 naming the first
-//                   diverging state holder if the digests differ (requires a
-//                   build with MPSOC_STATECHECK=ON; warns and runs unchecked
-//                   otherwise)
+//                   diverging state holder if the digests differ
 //   --checkpoint-at <ps>
 //                   instant the statecheck oracle checkpoints at (default
 //                   1000000 = 1 us).  0 or an instant at/past the scenario's
@@ -58,7 +56,6 @@
 #include "core/digest.hpp"
 #include "core/export.hpp"
 #include "core/sweep.hpp"
-#include "platform/feature_gates.hpp"
 #include "platform/scenario_parser.hpp"
 #include "platform/validate.hpp"
 #include "stats/report.hpp"
@@ -174,10 +171,6 @@ int main(int argc, char** argv) {
       std::cerr << "error: scenario '" << sc.name << "': " << why << "\n";
       return 1;
     }
-    // One warning path for every compile-gated checker, covering both the
-    // CLI flags above and checkers requested by the scenario file itself.
-    const std::string warn = platform::compiledOutWarning(sc.config);
-    if (!warn.empty()) std::cerr << warn << " (" << sc.name << ")\n";
     // Scenario files may pin a fixed simulated duration (two-phase
     // workloads are unbounded and require one).
     points.push_back(core::SweepPoint{sc.name, sc.config, sc.duration_ps});
