@@ -35,10 +35,6 @@ class AhbLayer final : public txn::InterconnectBase {
   /// The single shared channel (address + both data paths).
   const stats::ChannelUtilization& channel() const { return chan_; }
 
-  /// LT traversal latency: pipelined address phase + first data phase.
-  /// LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-  sim::Picos ltLatencyPs() const override { return 2 * clk_.period(); }
-
   /// One InitiatorMonitor per initiator port, all sharing a one-transaction
   /// ledger: AHB has no split transactions, so a single non-posted
   /// transaction owns the layer from grant to last response beat.

@@ -53,11 +53,6 @@ class AxiBus final : public txn::InterconnectBase {
 
   void finalize();
 
-  /// LT traversal latency: one address-channel cycle per burst (AR/AW issue;
-  /// data beats overlap under the bandwidth cap).
-  /// LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-  sim::Picos ltLatencyPs() const override { return clk_.period(); }
-
   /// One InitiatorMonitor per initiator port: out-of-order completion is
   /// legal (transaction IDs), outstanding cap from config.
   void attachMonitors(verify::VerifyContext& ctx) override;

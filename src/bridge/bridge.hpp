@@ -29,7 +29,6 @@
 #include <unordered_map>
 
 #include "sim/component.hpp"
-#include "sim/fastforward.hpp"
 #include "sim/fifo.hpp"
 #include "txn/master.hpp"
 #include "txn/ports.hpp"
@@ -72,7 +71,7 @@ BridgeConfig lightweightBridgeConfig(std::uint32_t width_a,
 BridgeConfig genConvConfig(std::uint32_t width_a, std::uint32_t width_b,
                            unsigned outstanding = 8);
 
-class Bridge : public sim::LtChannel {
+class Bridge {
  public:
   Bridge(sim::ClockDomain& clk_a, sim::ClockDomain& clk_b, std::string name,
          BridgeConfig cfg);
@@ -98,29 +97,7 @@ class Bridge : public sim::LtChannel {
   /// Conservation auditing for the side-B clones the master side issues.
   void setAuditor(txn::TxnAuditor* auditor);
 
-  bool idle() const;  // plain method; Bridge is not a Component  // mpsoc-lint: allow(missing-override)
-
-  // --- loosely-timed channel model (fast-forward mode) -----------------------
-  //
-  // Traversal latency: the A-side pipeline + synchroniser stages at clk_a
-  // plus the B-side pipeline + synchroniser stages at clk_b.  Bandwidth: the
-  // narrower side's width over its period; a blocking (non-split) bridge
-  // halves it, since reads serialise the crossing end to end.
-  // LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-  sim::Picos ltLatencyPs() const override {
-    return static_cast<sim::Picos>(cfg_.latency_a_cycles + cfg_.sync_stages) *
-               clk_a_.period() +
-           static_cast<sim::Picos>(cfg_.latency_b_cycles + cfg_.sync_stages) *
-               clk_b_.period();
-  }
-  double ltBytesPerPs() const override {
-    const double a = static_cast<double>(cfg_.width_a_bytes) /
-                     static_cast<double>(clk_a_.period());
-    const double b = static_cast<double>(cfg_.width_b_bytes) /
-                     static_cast<double>(clk_b_.period());
-    const double bw = a < b ? a : b;
-    return cfg_.split_reads ? bw : bw * 0.5;
-  }
+  bool idle() const;  // plain method; Bridge is not a Component
 
  private:
   /// A read accepted on side A, awaiting its side-B data.

@@ -59,12 +59,6 @@ ScenarioResult harvest(platform::Platform& p, std::string label,
   if (p.dsp()) r.masters.push_back(masterStats(*p.dsp()));
   if (p.dmaEngine()) r.masters.push_back(masterStats(*p.dmaEngine()));
   if (p.dsp()) r.cpu_cpi = p.dsp()->cpi();
-  if (const sim::FastForwardStats* ff = p.ffStats()) {
-    r.ff_until_ps = p.config().ff_until_ps;
-    r.ff_quanta = ff->quanta;
-    r.ff_lt_transactions = ff->lt_transactions;
-    r.ff_lt_bytes = ff->lt_bytes;
-  }
   return r;
 }
 

@@ -58,15 +58,6 @@ struct ScenarioResult {
   std::vector<MasterStats> masters;
 
   double cpu_cpi = 0.0;
-
-  // Loosely-timed fast-forward summary (zeros when the run had no
-  // fast-forward region).  Approximate by construction: these fields are
-  // deliberately NOT part of the canonical digest (core/digest.cpp) — only
-  // the cycle-accurate region's metrics are digest-compared.
-  sim::Picos ff_until_ps = 0;
-  std::uint64_t ff_quanta = 0;
-  std::uint64_t ff_lt_transactions = 0;
-  std::uint64_t ff_lt_bytes = 0;
 };
 
 /// Run a finite-workload scenario to completion.

@@ -1,6 +1,5 @@
 #include "cpu/st220.hpp"
 
-#include <algorithm>
 #include <memory>
 
 namespace mpsoc::cpu {
@@ -144,76 +143,5 @@ void St220::onResponse(const txn::ResponsePtr& rsp) {
 }
 
 bool St220::idle() const { return done() && outstanding() == 0; }
-
-// --- loosely-timed execution path (fast-forward mode) ------------------------
-//
-// LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-//
-// Bundles retire at the self-calibrated CPI and traffic is booked at the
-// self-calibrated bytes/bundle: when the core already executed accurately the
-// estimates come from its own counters, otherwise nominal constants stand in
-// (CPI 2.0, 2 bytes/bundle — a miss-dominated synthetic benchmark shape).
-// Caches and the rng stream are untouched, so the accurate region after
-// handoff replays bit-identically from the checkpoint.
-
-sim::LtDemand St220::ltPlan(sim::Picos, sim::Picos quantum, sim::Picos) {
-  sim::LtDemand d;
-  lt_plan_bundles_ = 0;
-  if (done()) return d;
-  const std::uint64_t cycles =
-      static_cast<std::uint64_t>(quantum / clk_.period());
-  if (cycles == 0) return d;
-
-  const double cpi_est = bundles_done_ ? std::max(cpi(), 1.0) : 2.0;
-  const double bytes_per_bundle =
-      bundles_done_ ? static_cast<double>(bytesRead() + bytesWritten()) /
-                          static_cast<double>(bundles_done_)
-                    : 2.0;
-  const std::uint64_t remaining =
-      cfg_.total_bundles - bundles_done_ - lt_bundles_;
-  std::uint64_t bundles = static_cast<std::uint64_t>(
-      static_cast<double>(cycles) / cpi_est);
-  bundles = std::min(bundles, remaining);
-  lt_plan_bundles_ = bundles;
-  d.bytes = static_cast<std::uint64_t>(static_cast<double>(bundles) *
-                                       bytes_per_bundle);
-  const std::uint32_t line = dcache_.lineBytes();
-  d.transactions = line ? (d.bytes + line - 1) / line : bundles;
-  return d;
-}
-
-sim::LtDemand St220::ltCommit(sim::Picos, sim::Picos,
-                              const sim::LtDemand& planned,
-                              std::uint64_t granted_bytes) {
-  sim::LtDemand done_now;
-  if (lt_plan_bundles_ == 0) return done_now;
-  std::uint64_t bundles = lt_plan_bundles_;
-  std::uint64_t bytes = planned.bytes;
-  std::uint64_t txns = planned.transactions;
-  if (planned.bytes > 0 && granted_bytes < planned.bytes) {
-    const auto scale = [&](std::uint64_t v) {
-      return static_cast<std::uint64_t>(static_cast<unsigned __int128>(v) *
-                                        granted_bytes / planned.bytes);
-    };
-    bundles = scale(bundles);
-    txns = scale(txns);
-    bytes = granted_bytes;
-  }
-  if (bundles == 0) return done_now;
-  const std::uint64_t remaining =
-      cfg_.total_bundles - bundles_done_ - lt_bundles_;
-  bundles = std::min(bundles, remaining);
-  lt_bundles_ += bundles;
-
-  const double traffic = static_cast<double>(bytesRead() + bytesWritten());
-  const double read_share =
-      traffic > 0 ? static_cast<double>(bytesRead()) / traffic : 0.8;
-  const auto read_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(bytes) * read_share);
-  ltRecord(txns, read_bytes, bytes - read_bytes);
-  done_now.transactions = txns;
-  done_now.bytes = bytes;
-  return done_now;
-}
 
 }  // namespace mpsoc::cpu

@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "cpu/cache.hpp"
-#include "sim/fastforward.hpp"
 #include "sim/rng.hpp"
 #include "txn/master.hpp"
 
@@ -42,42 +41,26 @@ struct St220Config {
   std::uint64_t seed = 1;
 };
 
-class St220 final : public txn::MasterBase, public sim::LtAgent {
+class St220 final : public txn::MasterBase {
  public:
   St220(sim::ClockDomain& clk, std::string name, txn::InitiatorPort& port,
         St220Config cfg);
 
   void evaluate() override;
   bool idle() const override;
-  /// Workload quota, counting both accurate and loosely-timed bundles.
-  bool done() const {
-    return bundles_done_ + lt_bundles_ >= cfg_.total_bundles;
-  }
+  /// Workload quota reached.
+  bool done() const { return bundles_done_ >= cfg_.total_bundles; }
 
   std::uint64_t bundlesExecuted() const { return bundles_done_; }
-  std::uint64_t ltBundles() const { return lt_bundles_; }
   std::uint64_t stallCycles() const { return stall_cycles_; }
   const Cache& icache() const { return icache_; }
   const Cache& dcache() const { return dcache_; }
-  /// Cycles per executed bundle (1.0 = never stalled).  Accurate-region
-  /// observation only: LT bundles never enter the numerator or denominator.
+  /// Cycles per executed bundle (1.0 = never stalled).
   double cpi() const {
     return bundles_done_ ? static_cast<double>(active_cycles_) /
                                static_cast<double>(bundles_done_)
                          : 0.0;
   }
-
-  // Loosely-timed execution path (fast-forward mode): bundles retire at the
-  // self-calibrated CPI (measured when the core already ran accurately,
-  // nominal otherwise) and memory traffic is booked analytically into the
-  // lt_* counters.  Cache contents and the rng stream are untouched.
-  // LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-  sim::LtDemand ltPlan(sim::Picos now, sim::Picos quantum,
-                       sim::Picos route_latency_ps) override;
-  sim::LtDemand ltCommit(sim::Picos now, sim::Picos quantum,
-                         const sim::LtDemand& planned,
-                         std::uint64_t granted_bytes) override;
-  bool ltDone() const override { return done(); }
 
  protected:
   void onResponse(const txn::ResponsePtr& rsp) override;
@@ -104,18 +87,12 @@ class St220 final : public txn::MasterBase, public sim::LtAgent {
   bool fill_pending_ = false;
   std::uint64_t pending_fill_addr_ = 0;
   std::uint32_t pending_fill_bytes_ = 0;
-  /// Bundles retired on the loosely-timed path (approximate; see ltPlan).
-  std::uint64_t lt_bundles_ = 0;
-  /// Bundles of the pending LT plan (quantum-scoped scratch).
-  std::uint64_t lt_plan_bundles_ = 0;
 
   SIM_STATE_MEMBERS_WITH_BASE(txn::MasterBase, icache_, dcache_, rng_, pc_,
                               data_seq_, bundles_done_, active_cycles_,
                               stall_cycles_, stalled_, fill_pending_,
-                              pending_fill_addr_, pending_fill_bytes_,
-                              lt_bundles_);
+                              pending_fill_addr_, pending_fill_bytes_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
-  SIM_STATE_EXEMPT(lt_plan_bundles_, "quantum-scoped fast-forward plan scratch");
 };
 
 }  // namespace mpsoc::cpu

@@ -164,63 +164,4 @@ bool DmaEngine::idle() const {
   return done() && outstanding() == 0 && write_queue_.empty();
 }
 
-// --- loosely-timed copy path (fast-forward mode) -----------------------------
-//
-// LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-//
-// Only whole descriptors are skipped, and only from a clean engine state (no
-// reads in flight, empty copy buffer, no partially read descriptor): the
-// slice/in-flight machinery is never touched mid-transfer, so a descriptor
-// that was already streaming at fast-forward entry simply finishes accurately
-// after handoff.  Cost model: each burst slice needs one read issue and one
-// write issue cycle, and every byte crosses the bus twice.
-
-sim::LtDemand DmaEngine::ltPlan(sim::Picos, sim::Picos quantum, sim::Picos) {
-  sim::LtDemand d;
-  lt_plan_descs_ = 0;
-  if (done()) return d;
-  const bool clean = reads_inflight_ == 0 && write_queue_.empty() &&
-                     pending_reads_.empty() && write_descs_.empty() &&
-                     read_offset_ == 0;
-  if (!clean) return d;
-  std::uint64_t budget = static_cast<std::uint64_t>(quantum / clk_.period());
-  for (std::size_t i = desc_idx_; i < chain_.size(); ++i) {
-    const std::uint64_t slices = desc_slices_left_[i];
-    const std::uint64_t cost = 2 * slices;
-    if (cost > budget) break;
-    budget -= cost;
-    ++lt_plan_descs_;
-    d.transactions += cost;
-    d.bytes += 2 * chain_[i].bytes;  // read from src + write to dst
-  }
-  return d;
-}
-
-sim::LtDemand DmaEngine::ltCommit(sim::Picos, sim::Picos,
-                                  const sim::LtDemand& planned,
-                                  std::uint64_t granted_bytes) {
-  sim::LtDemand done_now;
-  std::uint64_t descs = lt_plan_descs_;
-  if (descs == 0) return done_now;
-  if (planned.bytes > 0 && granted_bytes < planned.bytes) {
-    descs = static_cast<std::uint64_t>(static_cast<unsigned __int128>(descs) *
-                                       granted_bytes / planned.bytes);
-  }
-  for (std::uint64_t k = 0; k < descs && desc_idx_ < chain_.size(); ++k) {
-    const std::uint64_t slices = desc_slices_left_[desc_idx_];
-    const DmaDescriptor d = chain_[desc_idx_];
-    desc_slices_left_[desc_idx_] = 0;
-    bytes_copied_ += d.bytes;
-    ++descs_done_;
-    ++desc_idx_;
-    ltRecord(2 * slices, d.bytes, d.bytes);
-    done_now.transactions += 2 * slices;
-    done_now.bytes += 2 * d.bytes;
-    // The callback may program() follow-up descriptors; they join the chain
-    // behind desc_idx_ and are picked up by the next quantum's plan.
-    if (on_complete_) on_complete_(d);
-  }
-  return done_now;
-}
-
 }  // namespace mpsoc::dma

@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/fastforward.hpp"
 #include "txn/master.hpp"
 
 namespace mpsoc::dma {
@@ -40,7 +39,7 @@ struct DmaConfig {
   std::uint8_t priority = 1;
 };
 
-class DmaEngine final : public txn::MasterBase, public sim::LtAgent {
+class DmaEngine final : public txn::MasterBase {
  public:
   DmaEngine(sim::ClockDomain& clk, std::string name, txn::InitiatorPort& port,
             DmaConfig cfg);
@@ -62,18 +61,6 @@ class DmaEngine final : public txn::MasterBase, public sim::LtAgent {
   void setCompletionCallback(std::function<void(const DmaDescriptor&)> cb) {
     on_complete_ = std::move(cb);
   }
-
-  // Loosely-timed copy path (fast-forward mode): whole descriptors are
-  // skipped analytically, but only from a clean engine state (no reads in
-  // flight, empty copy buffer, no partially read descriptor) — the slice
-  // machinery is never touched mid-flight.  Completion callbacks still fire.
-  // LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-  sim::LtDemand ltPlan(sim::Picos now, sim::Picos quantum,
-                       sim::Picos route_latency_ps) override;
-  sim::LtDemand ltCommit(sim::Picos now, sim::Picos quantum,
-                         const sim::LtDemand& planned,
-                         std::uint64_t granted_bytes) override;
-  bool ltDone() const override { return done(); }
 
  protected:
   void onResponse(const txn::ResponsePtr& rsp) override;
@@ -113,8 +100,6 @@ class DmaEngine final : public txn::MasterBase, public sim::LtAgent {
   std::uint64_t bytes_copied_ = 0;
   std::uint64_t descs_done_ = 0;
   std::function<void(const DmaDescriptor&)> on_complete_;
-  /// Descriptors of the pending LT plan (quantum-scoped scratch).
-  std::uint64_t lt_plan_descs_ = 0;
 
   SIM_STATE_MEMBERS_WITH_BASE(txn::MasterBase, chain_, desc_idx_,
                               read_offset_, write_queue_, pending_reads_,
@@ -122,7 +107,6 @@ class DmaEngine final : public txn::MasterBase, public sim::LtAgent {
                               reads_inflight_, bytes_copied_, descs_done_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
   SIM_STATE_EXEMPT(on_complete_, "observer callback");
-  SIM_STATE_EXEMPT(lt_plan_descs_, "quantum-scoped fast-forward plan scratch");
 };
 
 }  // namespace mpsoc::dma

@@ -30,11 +30,7 @@ Iptg::Iptg(sim::ClockDomain& clk, std::string name, txn::InitiatorPort& port,
 }
 
 const PhaseOverride* Iptg::activePhase(const AgentState& a) const {
-  return activePhaseAt(a, clk_.simulator().now());
-}
-
-const PhaseOverride* Iptg::activePhaseAt(const AgentState& a,
-                                         sim::Picos at) const {
+  const sim::Picos at = clk_.simulator().now();
   for (const auto& p : a.profile.phases) {
     if (at >= p.begin && at < p.end) return &p;
   }
@@ -187,148 +183,5 @@ bool Iptg::done() const {
 }
 
 bool Iptg::idle() const { return done(); }
-
-// --- loosely-timed issue path (fast-forward mode) ----------------------------
-//
-// LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-//
-// Deterministic analytic consumption of one quantum.  Statistical agents run
-// at their *expected* pacing rate (throttle + mean message gap) capped by the
-// outstanding/round-trip-latency product; sequence agents walk their entries
-// at one issue plus gap_cycles per entry.  No RNG is drawn, so the engine's
-// rng streams stay bit-identical to the checkpoint for the accurate region.
-
-namespace {
-std::uint64_t ltScale(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  return c == 0 ? 0
-               : static_cast<std::uint64_t>(
-                     static_cast<unsigned __int128>(a) * b / c);
-}
-}  // namespace
-
-double Iptg::meanBytesPerTxn(const AgentState& a) const {
-  double wsum = 0, bsum = 0;
-  for (const auto& b : a.profile.burst_beats) {
-    wsum += b.weight;
-    bsum += b.weight * static_cast<double>(b.beats);
-  }
-  const double mean_beats = wsum > 0 ? bsum / wsum : 1.0;
-  return mean_beats * static_cast<double>(cfg_.bytes_per_beat);
-}
-
-sim::LtDemand Iptg::ltPlan(sim::Picos now, sim::Picos quantum,
-                           sim::Picos route_latency_ps) {
-  lt_plan_.assign(agents_.size(), 0);
-  sim::LtDemand d;
-  const sim::Picos period = clk_.period();
-  const std::uint64_t cycles = static_cast<std::uint64_t>(quantum / period);
-  if (cycles == 0) return d;
-
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    const AgentState& a = agents_[i];
-    if (a.quotaDone()) continue;
-    if (a.profile.after_agent >= 0) {
-      const auto& dep =
-          agents_[static_cast<std::size_t>(a.profile.after_agent)];
-      // LT commits retire at issue, so a dependency unlocks within the region
-      // as soon as the producer's committed quota crosses the threshold.
-      if (dep.retired < a.profile.after_count) continue;
-    }
-
-    std::uint64_t txns = 0;
-    std::uint64_t bytes = 0;
-    if (!a.profile.sequence.empty()) {
-      std::uint64_t budget = cycles;
-      for (std::size_t pos = a.seq_pos; pos < a.profile.sequence.size();
-           ++pos) {
-        const SeqEntry& e = a.profile.sequence[pos];
-        const std::uint64_t cost = 1 + e.gap_cycles;
-        if (cost > budget) break;
-        budget -= cost;
-        ++txns;
-        bytes += static_cast<std::uint64_t>(e.beats) * cfg_.bytes_per_beat;
-      }
-    } else {
-      const PhaseOverride* ph = activePhaseAt(a, now);
-      const double throttle = ph ? ph->throttle : a.profile.throttle;
-      if (throttle <= 0) continue;
-      const std::uint64_t gap_min = ph ? ph->gap_min : a.profile.gap_min;
-      const std::uint64_t gap_max = ph ? ph->gap_max : a.profile.gap_max;
-      const double mean_gap =
-          gap_max >= gap_min
-              ? static_cast<double>(gap_min + gap_max) / 2.0 /
-                    static_cast<double>(std::max<std::uint64_t>(
-                        1, a.profile.message_len))
-              : 0.0;
-      const double cycles_per_txn = 1.0 / throttle + mean_gap;
-      double rate = static_cast<double>(cycles) / cycles_per_txn;
-      // Outstanding-limited: each transaction occupies a slot for the route
-      // round trip.
-      const std::uint64_t rt_cycles = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(2 * route_latency_ps / period));
-      const double cap = static_cast<double>(a.profile.outstanding) *
-                         static_cast<double>(cycles) /
-                         static_cast<double>(rt_cycles);
-      if (cap < rate) rate = cap;
-      txns = static_cast<std::uint64_t>(rate);
-      if (a.profile.total_transactions != 0) {
-        txns = std::min(txns, a.profile.total_transactions - a.issued);
-      }
-      bytes = static_cast<std::uint64_t>(static_cast<double>(txns) *
-                                         meanBytesPerTxn(a));
-    }
-    lt_plan_[i] = txns;
-    d.transactions += txns;
-    d.bytes += bytes;
-  }
-  return d;
-}
-
-sim::LtDemand Iptg::ltCommit(sim::Picos, sim::Picos,
-                             const sim::LtDemand& planned,
-                             std::uint64_t granted_bytes) {
-  sim::LtDemand done_now;
-  if (planned.transactions == 0) return done_now;
-  for (std::size_t i = 0; i < agents_.size() && i < lt_plan_.size(); ++i) {
-    std::uint64_t txns = lt_plan_[i];
-    if (txns == 0) continue;
-    if (granted_bytes < planned.bytes) {
-      txns = ltScale(txns, granted_bytes, planned.bytes);
-      if (txns == 0) continue;
-    }
-    AgentState& a = agents_[i];
-    std::uint64_t bytes = 0;
-    std::uint64_t read_bytes = 0;
-    if (!a.profile.sequence.empty()) {
-      txns = std::min<std::uint64_t>(txns,
-                                     a.profile.sequence.size() - a.seq_pos);
-      for (std::uint64_t k = 0; k < txns; ++k) {
-        const SeqEntry& e = a.profile.sequence[a.seq_pos + k];
-        const std::uint64_t sz =
-            static_cast<std::uint64_t>(e.beats) * cfg_.bytes_per_beat;
-        bytes += sz;
-        if (e.op == Opcode::Read) read_bytes += sz;
-      }
-      a.seq_pos += txns;
-    } else {
-      if (a.profile.total_transactions != 0) {
-        txns = std::min(txns, a.profile.total_transactions - a.issued);
-      }
-      bytes = static_cast<std::uint64_t>(static_cast<double>(txns) *
-                                         meanBytesPerTxn(a));
-      read_bytes = static_cast<std::uint64_t>(
-          static_cast<double>(bytes) * a.profile.read_fraction);
-    }
-    if (txns == 0) continue;
-    // LT transactions retire at commit: issued/retired advance together so
-    // quotas and cross-agent dependencies keep working in the LT region.
-    a.issued += txns;
-    a.retired += txns;
-    ltRecord(txns, read_bytes, bytes - read_bytes);
-    done_now.transactions += txns;
-    done_now.bytes += bytes;
-  }
-  return done_now;
-}
 
 }  // namespace mpsoc::iptg

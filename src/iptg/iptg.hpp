@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/fastforward.hpp"
 #include "sim/rng.hpp"
 #include "txn/master.hpp"
 
@@ -96,7 +95,7 @@ struct IptgConfig {
   std::uint64_t seed = 1;
 };
 
-class Iptg final : public txn::MasterBase, public sim::LtAgent {
+class Iptg final : public txn::MasterBase {
  public:
   Iptg(sim::ClockDomain& clk, std::string name, txn::InitiatorPort& port,
        IptgConfig cfg);
@@ -110,18 +109,6 @@ class Iptg final : public txn::MasterBase, public sim::LtAgent {
   std::uint64_t agentIssued(std::size_t i) const { return agents_[i].issued; }
   std::uint64_t agentRetired(std::size_t i) const { return agents_[i].retired; }
   const IptgConfig& config() const { return cfg_; }
-
-  // Loosely-timed issue path (fast-forward mode): agents consume the quantum
-  // analytically — sequence agents walk their entries cycle-by-cycle,
-  // statistical agents run at their expected pacing rate capped by the
-  // outstanding/latency product.  Traffic lands in the lt_* counters only.
-  // LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-  sim::LtDemand ltPlan(sim::Picos now, sim::Picos quantum,
-                       sim::Picos route_latency_ps) override;
-  sim::LtDemand ltCommit(sim::Picos now, sim::Picos quantum,
-                         const sim::LtDemand& planned,
-                         std::uint64_t granted_bytes) override;
-  bool ltDone() const override { return done(); }
 
  protected:
   void onResponse(const txn::ResponsePtr& rsp) override;
@@ -155,23 +142,15 @@ class Iptg final : public txn::MasterBase, public sim::LtAgent {
   bool agentReady(const AgentState& a) const;
   txn::RequestPtr makeRequest(AgentState& a, std::size_t agent_idx);
   const PhaseOverride* activePhase(const AgentState& a) const;
-  const PhaseOverride* activePhaseAt(const AgentState& a,
-                                     sim::Picos at) const;
-  /// Weighted mean transaction size of a statistical agent, in bytes.
-  double meanBytesPerTxn(const AgentState& a) const;
 
   IptgConfig cfg_;
   std::vector<AgentState> agents_;
   std::size_t rr_next_ = 0;
   std::uint64_t next_msg_id_;
-  /// Per-agent transaction counts of the pending LT plan (quantum-scoped
-  /// scratch between ltPlan and ltCommit; never read across a checkpoint).
-  std::vector<std::uint64_t> lt_plan_;
 
   SIM_STATE_MEMBERS_WITH_BASE(txn::MasterBase, agents_, rr_next_,
                               next_msg_id_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
-  SIM_STATE_EXEMPT(lt_plan_, "quantum-scoped fast-forward plan scratch");
 };
 
 }  // namespace mpsoc::iptg

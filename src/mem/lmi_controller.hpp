@@ -31,7 +31,6 @@
 #include "mem/sdram.hpp"
 #include "mem/simple_memory.hpp"  // RequestObserver
 #include "sim/component.hpp"
-#include "sim/fastforward.hpp"
 #include "txn/ports.hpp"
 
 namespace mpsoc::verify {
@@ -59,43 +58,13 @@ struct LmiConfig {
   SdramGeometry geometry{};
 };
 
-class LmiController final : public sim::Component, public sim::LtChannel {
+class LmiController final : public sim::Component {
  public:
   LmiController(sim::ClockDomain& clk, std::string name, txn::TargetPort& port,
                 LmiConfig cfg);
 
   void evaluate() override;
   bool idle() const override;
-
-  // --- loosely-timed channel model (fast-forward mode) -----------------------
-  //
-  // Latency: the bus-interface pipeline plus a first-access command sequence
-  // (tRCD + CL) at the device clock.  Bandwidth: 8 bytes per device beat
-  // (64-bit DDR interface, two beats per clock when ddr), derated by a fixed
-  // 0.75 efficiency — a calibrated stand-in for row misses, refresh windows
-  // and command-bus gaps the accurate model prices per access.
-  // LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-  sim::Picos ltLatencyPs() const override {
-    const sim::Picos bus = clk_.period();
-    const sim::Picos dev = device_->clkPeriod();
-    return static_cast<sim::Picos>(cfg_.interface_latency_cycles) * bus +
-           static_cast<sim::Picos>(cfg_.timing.t_rcd +
-                                   cfg_.timing.cas_latency) *
-               dev;
-  }
-  double ltBytesPerPs() const override {
-    const sim::Picos dev = device_->clkPeriod();
-    const double beat_ps = cfg_.timing.ddr ? static_cast<double>(dev) / 2.0
-                                           : static_cast<double>(dev);
-    return 8.0 / beat_ps * 0.75;
-  }
-
-  /// Re-anchor the device's refresh deadline after a time jump (see
-  /// SdramDevice::reanchorRefresh).
-  void onFastForward(sim::Picos now_ps) override {
-    device_->reanchorRefresh(now_ps);
-    if (engine_busy_until_ < now_ps) engine_busy_until_ = now_ps;
-  }
 
   const SdramDevice& device() const { return *device_; }
   const LmiConfig& config() const { return cfg_; }

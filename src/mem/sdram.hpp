@@ -99,20 +99,6 @@ class SdramDevice {
     cmd_obs_ = std::move(obs);
   }
 
-  /// Fast-forward re-anchor: place the next auto-refresh at the first
-  /// multiple of tREFI after `now` — the same grid the device has refreshed
-  /// on since t=0 (construction seeds next_refresh_ = 1·tREFI and every
-  /// refresh advances it by one interval).  Without this, a time jump would
-  /// leave next_refresh_ far in the past and the controller would burn one
-  /// catch-up refresh per edge until the deficit drains — a refresh storm the
-  /// accurate region never exhibits.
-  void reanchorRefresh(sim::Picos now) {
-    const sim::Picos refi = cycles(timing_.t_refi);
-    if (refi > 0 && now >= next_refresh_) {
-      next_refresh_ = (now / refi + 1) * refi;
-    }
-  }
-
   std::uint64_t rowHits() const { return hits_; }
   std::uint64_t rowMisses() const { return misses_; }
   std::uint64_t rowConflicts() const { return conflicts_; }

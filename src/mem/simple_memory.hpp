@@ -19,7 +19,6 @@
 #include <functional>
 
 #include "sim/component.hpp"
-#include "sim/fastforward.hpp"
 #include "txn/ports.hpp"
 
 namespace mpsoc::verify {
@@ -37,7 +36,7 @@ struct SimpleMemoryConfig {
 using RequestObserver =
     std::function<void(sim::Picos now, const txn::RequestPtr&)>;
 
-class SimpleMemory final : public sim::Component, public sim::LtChannel {
+class SimpleMemory final : public sim::Component {
  public:
   SimpleMemory(sim::ClockDomain& clk, std::string name, txn::TargetPort& port,
                SimpleMemoryConfig cfg);
@@ -47,18 +46,6 @@ class SimpleMemory final : public sim::Component, public sim::LtChannel {
 
   std::uint64_t accessesServed() const { return accesses_; }
   std::uint64_t beatsServed() const { return beats_; }
-
-  /// LT channel model: first beat after (1+W) cycles, one 8-byte beat every
-  /// (1+W) cycles thereafter (the W=1 case is the paper's 50%-efficiency
-  /// response channel).
-  /// LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-  sim::Picos ltLatencyPs() const override {
-    return static_cast<sim::Picos>(1 + cfg_.wait_states) * clk_.period();
-  }
-  double ltBytesPerPs() const override {
-    return 8.0 / (static_cast<double>(1 + cfg_.wait_states) *
-                  static_cast<double>(clk_.period()));
-  }
 
   void setRequestObserver(RequestObserver obs) { observer_ = std::move(obs); }
 

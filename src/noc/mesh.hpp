@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "noc/router.hpp"
-#include "sim/fastforward.hpp"
 #include "txn/ports.hpp"
 
 namespace mpsoc::noc {
@@ -31,7 +30,7 @@ struct MeshConfig {
   std::size_t adapter_fifo_depth = 4;
 };
 
-class NocMesh : public sim::LtChannel {
+class NocMesh {
  public:
   NocMesh(sim::ClockDomain& clk, std::string name, MeshConfig cfg);
   ~NocMesh();
@@ -57,20 +56,6 @@ class NocMesh : public sim::LtChannel {
 
   /// Route length (hops, excluding the local ejection) between two nodes.
   unsigned hopDistance(NodeId a, NodeId b) const;
-
-  // --- loosely-timed channel model (fast-forward mode) -----------------------
-  //
-  // Latency: the mesh-average hop count (half the diameter, ~(W+H)/2 for XY
-  // routing) at two router cycles per hop plus the two adapter crossings.
-  // Bandwidth: one 8-byte flit per cycle on the bottleneck link.
-  // LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-  sim::Picos ltLatencyPs() const override {
-    const unsigned avg_hops = (cfg_.width + cfg_.height) / 2;
-    return static_cast<sim::Picos>(2 * avg_hops + 2) * clk_.period();
-  }
-  double ltBytesPerPs() const override {
-    return 8.0 / static_cast<double>(clk_.period());
-  }
 
  private:
   class MasterAdapter;

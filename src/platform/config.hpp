@@ -131,32 +131,10 @@ struct PlatformConfig {
   /// then one Simulator::replayCheck() over `statecheck_edges` edges —
   /// checkpoint, execute, digest, rewind, re-execute, digest — so any
   /// component with an incomplete SIM_STATE manifest diverges
-  /// deterministically and is named.  `statecheck_edges` is also the
-  /// ff_check window.
+  /// deterministically and is named.
   bool statecheck = false;
   sim::Picos statecheck_at_ps = 1'000'000;  // 1 us into the run
   std::uint64_t statecheck_edges = 2000;
-
-  /// Multi-abstraction fast-forward (see DESIGN.md "Multi-abstraction
-  /// execution" and src/sim/fastforward.hpp): run the warm-up region
-  /// [now, ff_until_ps) under the loosely-timed quantum engine — analytic
-  /// latency/bandwidth per route, no cycle-accurate edges — then hand off to
-  /// the accurate model through a checkpoint/restore boundary and continue
-  /// normally.  0 disables fast-forward.  LT statistics are reported
-  /// separately (ltIssued()/ltBytes*) and never enter the canonical result
-  /// digest.
-  sim::Picos ff_until_ps = 0;
-  /// Temporal-decoupling quantum of the LT engine: demand is planned,
-  /// arbitrated against the bottleneck-channel byte budget and committed once
-  /// per quantum.  Smaller quanta track phase boundaries and quota exhaustion
-  /// more closely; larger quanta fast-forward faster.
-  sim::Picos ff_quantum_ps = 1'000'000;  // 1 us
-  /// Handoff-equivalence oracle: right after the fast-forward handoff, run
-  /// Simulator::replayCheck() over `statecheck_edges` accurate edges —
-  /// proving the accurate region after a fast-forward is a pure function of
-  /// the handoff state (the fast-forward path is exactly where restore bugs
-  /// surface).
-  bool ff_check = false;
 
   /// Kernel activity gating (see Simulator::setActivityGating): skip
   /// evaluate() for components that declared themselves quiescent.  On by

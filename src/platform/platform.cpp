@@ -422,100 +422,7 @@ void Platform::statecheckOracle() {
                          "its evaluate() depends on un-checkpointed state");
 }
 
-void Platform::buildFastForward() {
-  ff_ = std::make_unique<sim::FastForward>(sim_, cfg_.ff_quantum_ps);
-
-  // Interface-width hints for the generic bus bandwidth model.
-  for (auto& c : clusters_) c.bus->setLtBeatBytes(c.width);
-  if (central_) central_->setLtBeatBytes(kCentralWidth);
-  if (cpu_node_) cpu_node_->setLtBeatBytes(4);
-  if (mem_node_) mem_node_->setLtBeatBytes(kCentralWidth);
-
-  // The shared memory path every route converges on: central node (or the
-  // packet fabric), the protocol-converter chain where present, then the
-  // memory controller — which is also the bottleneck whose byte budget the
-  // per-quantum arbitration divides among the masters.
-  const sim::LtChannel* mem_ch =
-      lmi_ ? static_cast<const sim::LtChannel*>(lmi_.get())
-           : static_cast<const sim::LtChannel*>(onchip_.get());
-  std::vector<const sim::LtChannel*> tail;
-  if (mesh_) {
-    tail.push_back(mesh_.get());
-  } else {
-    tail.push_back(central_.get());
-    for (auto& b : bridges_) {
-      if (b->name() == "membr") tail.push_back(b.get());
-    }
-    if (mem_node_) tail.push_back(mem_node_.get());
-  }
-  tail.push_back(mem_ch);
-  ff_->setBottleneck(mem_ch);
-
-  // The DSP's code/data window peels off to the scratchpad when present, so
-  // its LT route prices the scratchpad, not the contended main memory.
-  std::vector<const sim::LtChannel*> scratch_tail;
-  if (scratchpad_ && !mesh_) {
-    scratch_tail.push_back(central_.get());
-    scratch_tail.push_back(scratchpad_.get());
-  }
-
-  auto routeFor = [&](const sim::Component& m,
-                      const std::vector<const sim::LtChannel*>& end) {
-    std::vector<const sim::LtChannel*> chans;
-    if (!mesh_) {
-      for (auto& c : clusters_) {
-        if (&m.clk() == c.clk) {
-          chans.push_back(c.bus.get());
-          for (auto& b : bridges_) {
-            if (b->name() == c.name + "_up") chans.push_back(b.get());
-          }
-          break;
-        }
-      }
-      if (cpu_node_ && &m.clk() == clk_cpu_) {
-        chans.push_back(cpu_node_.get());
-        for (auto& b : bridges_) {
-          if (b->name() == "cpu_conv") chans.push_back(b.get());
-        }
-      }
-    }
-    chans.insert(chans.end(), end.begin(), end.end());
-    return chans;
-  };
-  for (auto& g : iptgs_) ff_->addRoute(g.get(), routeFor(*g, tail));
-  if (cpu_) {
-    ff_->addRoute(cpu_.get(),
-                  routeFor(*cpu_, scratch_tail.empty() ? tail : scratch_tail));
-  }
-  if (dma_) ff_->addRoute(dma_.get(), routeFor(*dma_, tail));
-}
-
-void Platform::fastForward(sim::Picos until) {
-  if (until <= sim_.now()) return;
-  if (!ff_) buildFastForward();
-  ff_->runTo(until);
-  // Abstraction handoff: the cycle-accurate region starts from a checkpoint
-  // restore of the fast-forwarded state, so the exact restore path the
-  // ff_check oracle validates is the one every fast-forwarded run takes.
-  sim_.checkpoint();
-  sim_.restoreCheckpoint();
-  if (cfg_.ff_check) ffHandoffOracle();
-}
-
-void Platform::ffHandoffOracle() {
-  const auto div = sim_.replayCheck(cfg_.statecheck_edges);
-  SIM_CHECK(!div, "ff-check divergence at t="
-                      << sim_.now() << " ps after " << cfg_.statecheck_edges
-                      << " edges: " << div->holder << " digests 0x" << std::hex
-                      << div->first << " (first pass) vs 0x" << div->replay
-                      << std::dec
-                      << " (replay) — the accurate region after a "
-                         "fast-forward handoff is not a pure function of the "
-                         "restored state");
-}
-
 sim::Picos Platform::run(sim::Picos max_ps) {
-  if (cfg_.ff_until_ps > 0) fastForward(std::min(cfg_.ff_until_ps, max_ps));
   if (cfg_.statecheck) statecheckOracle();
   const sim::Picos t = sim_.runUntilIdle(max_ps);
   sim_.finish();
@@ -527,9 +434,6 @@ sim::Picos Platform::run(sim::Picos max_ps) {
 
 sim::Picos Platform::runFor(sim::Picos duration_ps) {
   const sim::Picos start = sim_.now();
-  if (cfg_.ff_until_ps > start) {
-    fastForward(std::min(cfg_.ff_until_ps, start + duration_ps));
-  }
   if (cfg_.statecheck) statecheckOracle();
   const sim::Picos t = sim_.run(start + duration_ps);
   sim_.finish();

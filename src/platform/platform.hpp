@@ -33,7 +33,6 @@
 #include "noc/mesh.hpp"
 #include "platform/config.hpp"
 #include "platform/workloads.hpp"
-#include "sim/fastforward.hpp"
 #include "sim/simulator.hpp"
 #include "stats/probes.hpp"
 #include "stbus/node.hpp"
@@ -97,13 +96,6 @@ class Platform {
   /// platform was built without `cfg.verify`.
   verify::VerifyContext* verifyContext() { return verify_.get(); }
 
-  /// Loosely-timed fast-forward statistics, or nullptr when the run had no
-  /// fast-forward region (cfg.ff_until_ps == 0 or already past).  Approximate
-  /// by construction — excluded from the canonical result digest.
-  const sim::FastForwardStats* ffStats() const {
-    return ff_ ? &ff_->stats() : nullptr;
-  }
-
  private:
   struct Cluster {
     std::string name;
@@ -138,20 +130,6 @@ class Platform {
   /// diverging state holder.  The run then continues normally from the end
   /// of the window.
   void statecheckOracle();
-  /// Assemble the loosely-timed engine: one route per master (cluster bus ->
-  /// uplink bridge -> central node -> memory path, per topology) with the
-  /// memory controller as the shared bottleneck channel.  Called lazily on
-  /// the first fast-forward request.
-  void buildFastForward();
-  /// Fast-forward to `until` under the LT engine, then hand off to the
-  /// cycle-accurate model through a checkpoint/restore boundary.  Runs the
-  /// ff_check handoff-equivalence oracle when configured.
-  void fastForward(sim::Picos until);
-  /// Handoff-equivalence oracle (cfg_.ff_check): Simulator::replayCheck()
-  /// over cfg_.statecheck_edges edges from the handoff state; raises
-  /// InvariantViolation naming the first diverging state holder.
-  void ffHandoffOracle();
-
   /// NoC topology helpers: the memory's node and the mesh node the i-th
   /// master lands on (round-robin over the non-memory nodes).
   noc::NodeId nocMemNode() const;
@@ -185,7 +163,6 @@ class Platform {
 
   stats::PhaseSchedule phases_;
   stats::FifoStateProbe mem_fifo_probe_;
-  std::unique_ptr<sim::FastForward> ff_;
 };
 
 }  // namespace mpsoc::platform

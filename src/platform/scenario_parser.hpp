@@ -48,7 +48,7 @@
 //   verify = false              # attach protocol monitors + auditor
 //   statecheck = false          # checkpoint-equivalence oracle
 //   statecheck_at_ps = 1000000  # oracle checkpoint instant
-//   statecheck_edges = 2000     # statecheck / ff_check window (edges)
+//   statecheck_edges = 2000     # statecheck replay window (edges)
 //
 // Unknown keys are errors (with line numbers), so scenario files stay honest;
 // after the last key the whole config goes through

@@ -65,7 +65,7 @@ std::string validateConfig(const PlatformConfig& cfg, sim::Picos duration_ps) {
     }
   }
 
-  if ((cfg.statecheck || cfg.ff_check) && cfg.statecheck_edges < 1) {
+  if (cfg.statecheck && cfg.statecheck_edges < 1) {
     return "statecheck_edges must be >= 1";
   }
   if (cfg.statecheck && cfg.statecheck_at_ps < 1) {
@@ -80,24 +80,6 @@ std::string validateConfig(const PlatformConfig& cfg, sim::Picos duration_ps) {
     return os.str();
   }
 
-  // Fast-forward: a zero instant is "disabled" spelled as a request, and an
-  // instant at/past the horizon would silently skip the entire accurate
-  // region — both are configuration mistakes, not degenerate no-ops.
-  if (cfg.ff_until_ps > 0 && cfg.ff_quantum_ps < 1) {
-    return "ff_quantum_ps must be >= 1 when fast-forward is enabled";
-  }
-  if (cfg.ff_until_ps > 0 && duration_ps > 0 &&
-      cfg.ff_until_ps >= duration_ps) {
-    std::ostringstream os;
-    os << "ff_until_ps (" << cfg.ff_until_ps
-       << ") is at or past the run duration (" << duration_ps
-       << " ps) — nothing would be simulated accurately; lower it or drop "
-          "fast-forward";
-    return os.str();
-  }
-  if (cfg.ff_check && cfg.ff_until_ps == 0) {
-    return "ff_check requires fast-forward (set ff_until_ps > 0)";
-  }
   return {};
 }
 

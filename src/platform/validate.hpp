@@ -20,11 +20,10 @@ namespace mpsoc::platform {
 /// otherwise a one-line human-readable reason (no "error:" prefix).
 ///
 /// `duration_ps` is the scenario's bounded run length (runFor duration), or 0
-/// for a run-to-completion workload with no fixed horizon.  Instant-valued
-/// knobs (statecheck_at_ps, ff_until_ps) are checked against it: an instant
-/// of 0 or one at/past the horizon silently no-ops — the oracle or
-/// fast-forward the user asked for never executes — so both are rejected
-/// here instead.
+/// for a run-to-completion workload with no fixed horizon.  The
+/// statecheck_at_ps instant is checked against it: an instant of 0 or one
+/// at/past the horizon silently no-ops — the oracle the user asked for never
+/// executes — so both are rejected here instead.
 std::string validateConfig(const PlatformConfig& cfg,
                            sim::Picos duration_ps = 0);
 

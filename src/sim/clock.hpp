@@ -65,11 +65,11 @@ class Updatable {
   // --- checkpoint hooks (see Simulator::checkpoint) -------------------------
 
   /// Snapshot all committed state so the kernel can restore this updatable to
-  /// the current instant later (Simulator::replayCheck; the fast-forward
-  /// handoff).  Distinct from the per-edge staged-state hooks
-  /// above: a checkpoint is taken between edges (Phase::Outside) and captures
-  /// the registered contents, not the in-edge staging.  Return false (the
-  /// default) when unsupported — Simulator::checkpoint() then refuses.
+  /// the current instant later (Simulator::replayCheck).  Distinct from the
+  /// per-edge staged-state hooks above: a checkpoint is taken between edges
+  /// (Phase::Outside) and captures the registered contents, not the in-edge
+  /// staging.  Return false (the default) when unsupported —
+  /// Simulator::checkpoint() then refuses.
   virtual bool saveCheckpoint() { return false; }
   virtual void restoreCheckpoint() {}
   /// Canonical digest of the committed contents (volatile transaction ids

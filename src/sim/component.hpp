@@ -53,13 +53,6 @@ class Component {
   /// cannot leave them reading a stale or rewound sampler.
   virtual void onRestore() {}
 
-  /// Hook invoked by Simulator::fastForwardTo() after simulated time jumped
-  /// to `now_ps` without executing the intervening edges.  Components with
-  /// absolute-time anchors (SDRAM refresh deadlines, watchdog baselines)
-  /// re-anchor onto the original grid here; the default assumes no such
-  /// anchors.
-  virtual void onFastForward(Picos now_ps) { (void)now_ps; }
-
   // --- activity protocol ----------------------------------------------------
   //
   // A component that knows its evaluate() would be a no-op until some

@@ -243,33 +243,6 @@ void Simulator::restoreCheckpoint() {
   }
 }
 
-void Simulator::fastForwardTo(Picos t) {
-  SIM_CHECK(phase_ == Phase::Outside,
-            "fastForwardTo() is only legal between edges (Phase::Outside)");
-  SIM_CHECK(t >= now_ps_, "fastForwardTo(" << t << ") would rewind time (now "
-                                           << now_ps_ << ")");
-  if (t == now_ps_) return;
-  now_ps_ = t;
-  for (const auto& d : domains_) {
-    // Advance by the number of skipped edges relative to the domain's own
-    // next-edge instant — not an absolute t/period re-derivation, which would
-    // be wrong for domains added mid-run (alignFirstEdge starts them at
-    // cycle 0 with now() > 0).  The next edge lands at the first
-    // multiple-of-period after t: exactly the original coincident-edge grid,
-    // the same placement alignFirstEdge(t) would choose.
-    if (t >= d->next_edge_ps_) {
-      d->cycle_ += (t - d->next_edge_ps_) / d->period_ps_ + 1;
-      d->next_edge_ps_ = (t / d->period_ps_ + 1) * d->period_ps_;
-    }
-  }
-  schedule_valid_ = false;
-  // Let components re-anchor absolute-time state (SDRAM refresh deadlines,
-  // watchdog baselines) onto the new instant.
-  for (const auto& d : domains_) {
-    for (Component* c : d->components()) c->onFastForward(t);
-  }
-}
-
 std::uint64_t Simulator::stateDigest() const {
   std::vector<std::pair<std::string, std::uint64_t>> items;
   stateDigestItems(items);

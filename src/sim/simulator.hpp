@@ -141,7 +141,7 @@ class Simulator {
   };
   const DeepCheckStats& deepCheckStats() const { return deep_stats_; }
 
-  // --- checkpointing (replayCheck and fast-forward handoff; see DESIGN.md) --
+  // --- checkpointing (replayCheck; see DESIGN.md) ---------------------------
 
   /// Register an auxiliary state holder in the checkpoint set.  Must happen
   /// in deterministic (construction) order: the order labels digest items.
@@ -162,16 +162,6 @@ class Simulator {
   /// be unchanged since the checkpoint was taken.
   void restoreCheckpoint();
   bool hasCheckpoint() const { return ckpt_.valid; }
-
-  /// Jump simulated time to `t` (>= now) without executing the intervening
-  /// edges — the kernel half of the loosely-timed fast-forward mode (see
-  /// src/sim/fastforward.hpp).  Each domain's cycle counter advances by the
-  /// number of edges skipped and its next edge lands on the original
-  /// coincident-edge grid (the same multiples-of-period placement
-  /// alignFirstEdge uses for mid-run domains — never a grid re-anchored at
-  /// `t`).  Components then get onFastForward(t) to re-anchor any
-  /// absolute-time state.  Only legal between edges (Phase::Outside).
-  void fastForwardTo(Picos t);
 
   /// Canonical digest of the complete committed platform state (volatile
   /// transaction ids excluded; see src/sim/state.hpp).  Two runs that took

@@ -68,12 +68,10 @@ class Watchdog final : public Component {
   /// Restore-path re-baseline: `last_progress_` is a reading of the progress
   /// sampler, not state the watchdog owns.  Restoring the manifested value
   /// into a kernel whose activity counters rewound (a fresh simulator
-  /// instance, or a fast-forwarded region whose traffic never hit the
-  /// accurate counters) leaves the first check comparing against a baseline
-  /// the sampler can no longer reproduce — the stall window silently resets.
-  /// Re-sample at the restored/fast-forwarded instant instead.
+  /// instance) leaves the first check comparing against a baseline the
+  /// sampler can no longer reproduce — the stall window silently resets.
+  /// Re-sample at the restored instant instead.
   void onRestore() override { last_progress_ = progress_(); }
-  void onFastForward(Picos) override { last_progress_ = progress_(); }
 
   // Manual state hooks instead of SIM_STATE_MEMBERS: all three members are
   // saved and restored, but `last_progress_` stays out of the digest canon —

@@ -60,14 +60,6 @@ class StbusNode final : public txn::InterconnectBase {
 
   const StbusNodeConfig& config() const { return cfg_; }
 
-  /// LT traversal latency: request decode/arbitration + response launch (two
-  /// node cycles); Type 1 adds the lock cycle of its unsplit handshake.
-  /// LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-  sim::Picos ltLatencyPs() const override {
-    const sim::Cycle cycles = cfg_.type == StbusType::T1 ? 3 : 2;
-    return static_cast<sim::Picos>(cycles) * clk_.period();
-  }
-
   /// Request channel stats: one per target (crossbar) or a single shared one.
   const stats::ChannelUtilization& reqChannel(std::size_t i = 0) const {
     return req_engines_[i].chan;

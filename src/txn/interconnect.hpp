@@ -12,7 +12,6 @@
 
 #include "sim/check.hpp"
 #include "sim/component.hpp"
-#include "sim/fastforward.hpp"
 #include "stats/probes.hpp"
 #include "txn/ports.hpp"
 #include "txn/transaction.hpp"
@@ -23,25 +22,10 @@ class VerifyContext;
 
 namespace mpsoc::txn {
 
-class InterconnectBase : public sim::Component, public sim::LtChannel {
+class InterconnectBase : public sim::Component {
  public:
   InterconnectBase(sim::ClockDomain& clk, std::string name)
       : sim::Component(clk, std::move(name)) {}
-
-  // --- loosely-timed channel model (fast-forward mode) -----------------------
-  //
-  // As an LT route channel the engine is an analytic pipe: a per-protocol
-  // traversal latency (ltLatencyPs, each engine supplies its cycle count) and
-  // a bandwidth cap of one data beat per cycle.  The engine itself does not
-  // know its physical beat width (ports carry bytes_per_beat per request), so
-  // the platform sets the width hint at wiring time.
-  // LT-EQUIV: tests/test_fastforward.cpp (FfHandoffOracle digest gate)
-  void setLtBeatBytes(std::uint32_t bytes) { lt_beat_bytes_ = bytes; }
-  std::uint32_t ltBeatBytes() const { return lt_beat_bytes_; }
-  double ltBytesPerPs() const override {
-    return static_cast<double>(lt_beat_bytes_) /
-           static_cast<double>(clk_.period());
-  }
 
   /// Register a master-side port.  Returns its initiator index.
   std::size_t addInitiator(InitiatorPort& p) {
@@ -218,13 +202,11 @@ class InterconnectBase : public sim::Component, public sim::LtChannel {
  private:
   std::unordered_map<std::uint64_t, std::size_t> inflight_initiator_;
   std::unordered_map<std::size_t, std::deque<Inflight>> order_;
-  std::uint32_t lt_beat_bytes_ = 8;
 
   SIM_STATE_MEMBERS(grants_, inflight_initiator_, order_);
   SIM_STATE_EXEMPT(initiators_, "wiring (port registry)");
   SIM_STATE_EXEMPT(targets_, "wiring (port registry)");
   SIM_STATE_EXEMPT(amap_, "immutable configuration (address map)");
-  SIM_STATE_EXEMPT(lt_beat_bytes_, "immutable configuration (LT width hint)");
 };
 
 }  // namespace mpsoc::txn

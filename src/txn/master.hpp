@@ -46,17 +46,6 @@ class MasterBase : public sim::Component {
   std::uint64_t bytesWritten() const { return bytes_written_; }
   const stats::LatencyProbe& latency() const { return latency_; }
 
-  // --- loosely-timed (approximate) traffic accounting -----------------------
-  //
-  // Traffic committed by the fast-forward engine (src/sim/fastforward.hpp)
-  // never traverses the ports, so it is booked in these separate counters:
-  // the accurate issued_/retired_/bytes_* counters and the canonical result
-  // digest (core::digestText) only ever see cycle-accurate traffic.
-  std::uint64_t ltIssued() const { return lt_issued_; }
-  std::uint64_t ltRetired() const { return lt_retired_; }
-  std::uint64_t ltBytesRead() const { return lt_bytes_read_; }
-  std::uint64_t ltBytesWritten() const { return lt_bytes_written_; }
-
   /// Report every issue/retire to a transaction-conservation auditor
   /// (src/txn/audit.hpp).  Null (the default) reports nothing.
   void setAuditor(TxnAuditor* auditor) { auditor_ = auditor; }
@@ -64,16 +53,6 @@ class MasterBase : public sim::Component {
  protected:
   /// Hook for subclasses (e.g. unblocking a stalled CPU, advancing an agent).
   virtual void onResponse(const ResponsePtr& rsp) { (void)rsp; }
-
-  /// Book one quantum's worth of loosely-timed traffic (retired at commit —
-  /// LT transactions never occupy an outstanding slot).
-  void ltRecord(std::uint64_t transactions, std::uint64_t read_bytes,
-                std::uint64_t write_bytes) {
-    lt_issued_ += transactions;
-    lt_retired_ += transactions;
-    lt_bytes_read_ += read_bytes;
-    lt_bytes_written_ += write_bytes;
-  }
 
   InitiatorPort& port_;
 
@@ -85,15 +64,10 @@ class MasterBase : public sim::Component {
   std::uint64_t retired_ = 0;
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;
-  std::uint64_t lt_issued_ = 0;
-  std::uint64_t lt_retired_ = 0;
-  std::uint64_t lt_bytes_read_ = 0;
-  std::uint64_t lt_bytes_written_ = 0;
   stats::LatencyProbe latency_;
 
   SIM_STATE_MEMBERS(outstanding_, issued_, retired_, bytes_read_,
-                    bytes_written_, lt_issued_, lt_retired_, lt_bytes_read_,
-                    lt_bytes_written_, latency_);
+                    bytes_written_, latency_);
   SIM_STATE_EXEMPT(max_outstanding_, "immutable configuration");
   SIM_STATE_EXEMPT(auditor_, "cached auditor pointer (observer wiring)");
 };

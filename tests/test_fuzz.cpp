@@ -96,6 +96,10 @@ TEST(ScenarioParserDiagnostics, UnknownKeyNamesItWithLineNumber) {
   EXPECT_NE(msg.find("unknown scenario option"), std::string::npos) << msg;
   EXPECT_NE(msg.find("bogus_key"), std::string::npos) << msg;
   EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  // A key the grammar no longer has fails loudly instead of being ignored.
+  const std::string ff = parseError("name = x\nff_until_ps = 1000\n");
+  EXPECT_NE(ff.find("unknown scenario option"), std::string::npos) << ff;
+  EXPECT_NE(ff.find("ff_until_ps"), std::string::npos) << ff;
 }
 
 TEST(ScenarioParserDiagnostics, OutOfRangeValueIsRejected) {

@@ -6,8 +6,8 @@
 // `// mpsoc-lint: allow(<rule>)` annotation and must be silent.  A rule may
 // pin more than one bad fixture (shared-static covers a namespace-scope and
 // an evaluate()-local static).  tests/lint/clean/ collects
-// near-misses (static_assert, `static const`, ordered std::map iteration,
-// `override` present) that must not fire at all; the unmanifested-state
+// near-misses (static_assert, `static const`, ordered std::map iteration)
+// that must not fire at all; the unmanifested-state
 // corpus keeps its near-misses (auto-exempt references/const, dotted foreign
 // entries, WITH_BASE base argument) in its own clean.hpp next to the rigs.
 //
@@ -101,7 +101,6 @@ const std::vector<RuleCase>& ruleCases() {
       {"bare-assert", "bare-assert/src/bad.cpp", {5}},
       {"nondeterminism", "nondeterminism/src/bad.cpp", {5}},
       {"unordered-iter", "unordered-iter/src/bad.cpp", {8}},
-      {"missing-override", "missing-override/src/bad.hpp", {6, 7}},
       {"commit-in-evaluate", "commit-in-evaluate/src/bad.cpp", {5}},
       {"monitor-registration", "monitor-registration/src/stbus/bad.hpp", {6}},
       {"raw-txn-fifo", "raw-txn-fifo/src/bad.hpp", {5}},
@@ -114,10 +113,6 @@ const std::vector<RuleCase>& ruleCases() {
       // name (two findings, one pinned location).  Line 13: a Component
       // subclass with state but no manifest at all.
       {"unmanifested-state", "unmanifested-state/src/bad.hpp", {9, 10, 13}},
-      // Line 6: first loosely-timed hook in a file with no LT-EQUIV: tag.
-      // The allowed.hpp / clean.hpp twins (annotation, evidence tag) must
-      // both stay silent.
-      {"lt-equiv-tag", "lt-equiv-tag/src/bad.hpp", {6}},
   };
   return cases;
 }
@@ -143,8 +138,8 @@ TEST(Lint, RuleFixturesMatchExpectedFindings) {
 }
 
 // The near-miss corpus must be entirely clean: lookalikes of the rule
-// triggers (static_assert, `static const`, ordered-map range-for, virtuals
-// with `override`) are not findings.
+// triggers (static_assert, `static const`, ordered-map range-for) are not
+// findings.
 TEST(Lint, CleanCorpusHasNoFindings) {
   const LintRun run = runLint(fixtureDir("clean"));
   EXPECT_EQ(run.exit_code, 0) << run.output;

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <filesystem>
+#include <vector>
 
 #include "iptg/iptg.hpp"
 #include "mem/simple_memory.hpp"
@@ -11,6 +12,10 @@
 #include "stats/timeline.hpp"
 #include "stbus/node.hpp"
 #include "txn/ports.hpp"
+
+#ifndef MPSOC_SCENARIO_DIR
+#error "MPSOC_SCENARIO_DIR must point at tools/scenarios"
+#endif
 
 namespace {
 
@@ -99,23 +104,15 @@ TEST(ScenarioParser, ErrorsCarryLineNumbers) {
 }
 
 TEST(ScenarioParser, ShippedScenariosLoad) {
-  // The scenario files under tools/scenarios must stay parseable; the test
-  // binary may run from the repo root or from the build tree.
-  auto resolve = [](const std::string& rel) -> std::string {
-    for (const char* prefix : {"", "../", "../../", "../../../"}) {
-      const std::string candidate = prefix + rel;
-      std::ifstream probe(candidate);
-      if (probe) return candidate;
-    }
-    return {};
-  };
-  for (const char* p :
-       {"tools/scenarios/fig3_full_stbus.scn",
-        "tools/scenarios/fig3_full_ahb.scn",
-        "tools/scenarios/fig5_collapsed_axi.scn"}) {
-    const std::string path = resolve(p);
-    ASSERT_FALSE(path.empty()) << "cannot locate " << p;
-    EXPECT_NO_THROW(platform::loadScenario(path)) << path;
+  // Every scenario file under tools/scenarios must stay parseable.
+  std::vector<std::filesystem::path> files;
+  for (const auto& e :
+       std::filesystem::directory_iterator(MPSOC_SCENARIO_DIR)) {
+    if (e.path().extension() == ".scn") files.push_back(e.path());
+  }
+  EXPECT_GE(files.size(), 5u) << "scenarios missing from " MPSOC_SCENARIO_DIR;
+  for (const auto& path : files) {
+    EXPECT_NO_THROW(platform::loadScenario(path.string())) << path;
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for state manifests, kernel checkpointing and the
 // checkpoint-equivalence oracle Simulator::replayCheck (sim/state.hpp,
-// sim/simulator.cpp) with its two platform callers, statecheck and ff_check
-// (platform/platform.cpp).
+// sim/simulator.cpp) with its platform caller, the statecheck oracle
+// (platform/platform.cpp), plus the restore-path behaviour it rests on: the
+// watchdog's re-baseline across a restore and the statecheck config rules.
 //
 // The contract: Simulator::checkpoint() snapshots every component (via its
 // generated SIM_STATE saveState()), every registered Updatable (the FIFO
@@ -22,11 +23,14 @@
 #include "core/experiment.hpp"
 #include "platform/config.hpp"
 #include "platform/platform.hpp"
+#include "platform/scenario_parser.hpp"
+#include "platform/validate.hpp"
 #include "sim/check.hpp"
 #include "sim/component.hpp"
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 #include "sim/state.hpp"
+#include "sim/watchdog.hpp"
 
 namespace {
 
@@ -227,22 +231,14 @@ TEST(StateCheck, LmiPlatformOracleGreen) {
   EXPECT_NO_THROW(p.run());
 }
 
-// The red path of both platform callers of replayCheck: plant the leaky
-// component on the reference platform and each oracle must abort the run
+// The red path of the platform caller of replayCheck: plant the leaky
+// component on the reference platform and the oracle must abort the run
 // naming it.
-class PlatformOracleRedPath : public ::testing::TestWithParam<bool> {};
-
-TEST_P(PlatformOracleRedPath, LeakyComponentAbortsTheRun) {
-  const bool ff = GetParam();
+TEST(StateCheck, LeakyComponentAbortsThePlatformRun) {
   platform::PlatformConfig cfg = fig3Small();
+  cfg.statecheck = true;
+  cfg.statecheck_at_ps = 200'000;
   cfg.statecheck_edges = 200;
-  if (ff) {
-    cfg.ff_until_ps = 20'000'000;  // leaves an accurate region after it
-    cfg.ff_check = true;
-  } else {
-    cfg.statecheck = true;
-    cfg.statecheck_at_ps = 200'000;
-  }
   platform::Platform p(cfg);
   Leaky bad(*p.simulator().domains().front(), "leaky");
   try {
@@ -250,16 +246,97 @@ TEST_P(PlatformOracleRedPath, LeakyComponentAbortsTheRun) {
     FAIL() << "the oracle let an unmanifested member through";
   } catch (const sim::InvariantViolation& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find(ff ? "ff-check divergence" : "statecheck divergence"),
-              std::string::npos)
-        << what;
+    EXPECT_NE(what.find("statecheck divergence"), std::string::npos) << what;
     EXPECT_NE(what.find(":leaky digests"), std::string::npos) << what;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Oracles, PlatformOracleRedPath, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "FfCheck" : "Statecheck";
-                         });
+// ---------------------------------------------------------------------------
+// Watchdog across a restore: its progress baseline is a sampler reading, not
+// owned state, so it is re-derived on restore.
+// ---------------------------------------------------------------------------
+
+// A worker whose progress counter freezes on command while it stays busy —
+// the shape of a genuine livelock.
+struct Stallable final : sim::Component {
+  std::uint64_t work_ = 0;
+  bool stalled_ = false;
+  explicit Stallable(sim::ClockDomain& c) : sim::Component(c, "worker") {}
+  void evaluate() override {
+    if (!stalled_) ++work_;
+  }
+  bool idle() const override { return false; }
+  SIM_STATE_MEMBERS(work_, stalled_);
+};
+
+TEST(WatchdogRestore, StallSpanningRestoreBoundaryStillFires) {
+  sim::Simulator s;
+  auto& clk = s.addClockDomain("clk", 100.0);
+  Stallable w(clk);
+  sim::Watchdog wd(clk, "wd", [&] { return w.work_; }, /*interval=*/100);
+  s.run(5'000'000);  // healthy: progress advances, no alarm
+  ASSERT_FALSE(wd.fired());
+
+  w.stalled_ = true;
+  s.run(s.now() + 500'000);  // stall begins, but < one full check interval
+  s.checkpoint();
+  s.restoreCheckpoint();  // the boundary the stall must survive
+  ASSERT_FALSE(wd.fired());
+
+  // Two intervals after the restore the frozen counter must be attributed.
+  s.run(s.now() + 2'000'000 * 2);
+  EXPECT_TRUE(wd.fired())
+      << "a stall spanning the restore boundary was swallowed (the baseline "
+         "was not re-anchored on restore)";
+}
+
+// Healthy runs must replay bit-identically across a rewind even when no
+// check lands inside the window: last_progress_ is restored but excluded
+// from the digest canon (it is legally different between the two passes).
+TEST(WatchdogRestore, HealthyRewindReplaysIdenticalDigests) {
+  sim::Simulator s;
+  auto& clk = s.addClockDomain("clk", 100.0);
+  Stallable w(clk);
+  sim::Watchdog wd(clk, "wd", [&] { return w.work_; }, /*interval=*/100);
+  s.run(1'000'000);
+  const std::optional<sim::ReplayDivergence> div = s.replayCheck(150);
+  EXPECT_FALSE(div) << div->holder << " diverged across the rewind";
+  EXPECT_FALSE(wd.fired());
+}
+
+// ---------------------------------------------------------------------------
+// validateConfig / scenario grammar: a statecheck that would silently never
+// run is a configuration error.
+// ---------------------------------------------------------------------------
+
+void expectParseError(const std::string& text, const std::string& substr) {
+  try {
+    platform::parseScenario(text);
+    FAIL() << "expected parse failure containing '" << substr << "'";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find(substr), std::string::npos)
+        << "actual error: " << e.what();
+  }
+}
+
+TEST(StatecheckValidation, InstantZeroOrPastDurationIsRejected) {
+  expectParseError("name = x\nstatecheck = true\nstatecheck_at_ps = 0\n",
+                   "statecheck_at_ps must be >= 1");
+  expectParseError(
+      "name = x\nduration_ps = 500000\nstatecheck = true\n"
+      "statecheck_at_ps = 500000\n",
+      "at or past the run duration");
+}
+
+// The oracle replays a statecheck_edges window, so an empty one is rejected
+// — but only when the oracle is on.
+TEST(StatecheckValidation, EmptyReplayWindowIsRejected) {
+  platform::PlatformConfig cfg;
+  cfg.statecheck_edges = 0;
+  EXPECT_TRUE(platform::validateConfig(cfg).empty());
+  cfg.statecheck = true;
+  EXPECT_NE(platform::validateConfig(cfg).find("statecheck_edges must be >= 1"),
+            std::string::npos);
+}
 
 }  // namespace

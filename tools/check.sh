@@ -17,22 +17,16 @@
 #      and fails the stage if any state holder's digest diverges (an
 #      incomplete SIM_STATE manifest); final digests must still match the
 #      unchecked sweep
-#   7. fast-forward sweep: every shipped scenario with the warm-up region
-#      under the loosely-timed quantum engine (mpsoc_run
-#      --fast-forward-until 100000000 --ff-check) — the in-run
-#      handoff-equivalence oracle gates the checkpoint/restore boundary; the
-#      warm-up cost harness then writes BENCH_ff.json and gates the LT
-#      speedup at >= 5x
-#   8. fuzz smoke: a bounded seeded campaign (mpsoc_fuzz, 50 cases) —
+#   7. fuzz smoke: a bounded seeded campaign (mpsoc_fuzz, 50 cases) —
 #      generator determinism is asserted by diffing two --emit passes, then
 #      the monitored campaign gates on violations, invariant trips and
 #      gated/ungated digest divergence, auto-shrinking any failure to a
 #      minimal reproducer
-#   9. ThreadSanitizer sweep: separate TSan build (tsan is incompatible with
+#   8. ThreadSanitizer sweep: separate TSan build (tsan is incompatible with
 #      asan) running every shipped scenario, monitored, as one
 #      mpsoc_run --sweep -j 4 — the sweep pool is the only multi-threaded
 #      path, so any state shared between concurrent simulations fails here
-#  10. clang-format --dry-run over src/ tests/ tools/ (skipped with a notice
+#   9. clang-format --dry-run over src/ tests/ tools/ (skipped with a notice
 #      when clang-format is not installed; tests/lint/ fixtures excluded)
 #
 # Usage: tools/check.sh [build-dir]     (default: build-check)
@@ -179,45 +173,6 @@ rewind must be invisible to results)"; then
 else
   FAILED=1
 fi
-
-stage "fast-forward sweep (LT handoff oracle + warm-up speedup)"
-# The loosely-timed quantum engine over every shipped scenario: [0, 100 us)
-# fast-forwarded, then the checkpoint/restore handoff, the in-run
-# handoff-equivalence oracle (--ff-check: step a window from the handoff,
-# digest, rewind, re-step, compare) and the accurate remainder.  The
-# protocol monitors stay off here: the LT warm-up legitimately bypasses the
-# cycle-accurate buses they watch (ctest and the stages above cover the
-# monitored paths).  The warm-up cost harness then writes BENCH_ff.json; the
-# speedup on the warm-up region gates at >= 5x (the sanitizer build inflates
-# both sides of the ratio roughly equally).
-FF_OK=1
-mkdir -p "$BUILD/ff-smoke"
-if "$BUILD/tools/mpsoc_run" --ff-check --fast-forward-until 100000000 \
-      --sweep --json "$BUILD/ff-smoke/ff.json" \
-      "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-  echo "ff sweep: handoff oracle green"
-else
-  echo "ff sweep: handoff-oracle or run failure"
-  FF_OK=0
-fi
-if [ "$FF_OK" -eq 1 ]; then
-  if "$BUILD/bench/bench_ff_warmup" --json "$BUILD/BENCH_ff.json" \
-        > /dev/null; then
-    SPEEDUP="$(grep -o '"speedup": [0-9.e+-]*' "$BUILD/BENCH_ff.json" | \
-               sed 's/.*: //')"
-    if awk "BEGIN { exit !(${SPEEDUP:-0} >= 5.0) }"; then
-      echo "ff warm-up speedup: ${SPEEDUP}x (gate: >= 5x)"
-      echo "wrote $BUILD/BENCH_ff.json"
-    else
-      echo "ff warm-up speedup: ${SPEEDUP:-0}x is below the 5x gate"
-      FF_OK=0
-    fi
-  else
-    echo "ff warm-up: bench_ff_warmup failed"
-    FF_OK=0
-  fi
-fi
-[ "$FF_OK" -eq 1 ] || FAILED=1
 
 stage "fuzz smoke (seeded campaign, 50 cases, gated vs ungated)"
 # Bounded deterministic fuzz campaign: a fixed seed, so a failure here is a

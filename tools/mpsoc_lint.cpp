@@ -13,9 +13,6 @@
 //                       fed into stats or scheduling decisions differ between
 //                       libstdc++ versions and even between runs (pointer
 //                       hashing).  Iterate a deterministic container instead.
-//   missing-override    a redeclaration of a known kernel virtual (evaluate,
-//                       commit, idle, ...) without `override` silently forks
-//                       the hierarchy when the base signature changes.
 //   commit-in-evaluate  calling .commit()/->commit() from an evaluate() body
 //                       bypasses the kernel's commit phase and breaks the
 //                       registered-state timeline (also rejected at runtime
@@ -65,16 +62,6 @@
 //                       unknown manifest names are findings too — a typo'd
 //                       entry is state the generated save/restore never
 //                       touches.
-//   lt-equiv-tag        a file implementing the loosely-timed fast-forward
-//                       hooks (ltPlan/ltCommit/ltDone/ltLatencyPs/
-//                       ltBytesPerPs — sim/fastforward.hpp) must cite the
-//                       equivalence evidence that pins its analytic shortcut
-//                       to the cycle-accurate model: an "LT-EQUIV:" comment
-//                       naming the digest gate covering the handoff.  An LT
-//                       path nobody cross-checks silently drifts from the
-//                       timed model it abstracts.  The engine itself
-//                       (sim/fastforward.{hpp,cpp}) is exempt — it is what
-//                       the evidence measures against.
 //
 // Usage: mpsoc_lint [--json] [--skip <substring>]... <dir-or-file>...
 //        mpsoc_lint --list-rules
@@ -135,9 +122,6 @@ constexpr RuleInfo kRules[] = {
     {"unordered-iter",
      "range-for over std::unordered_{map,set} visits elements in "
      "implementation-defined order"},
-    {"missing-override",
-     "redeclaring a kernel virtual without `override` silently forks the "
-     "hierarchy"},
     {"commit-in-evaluate",
      "evaluate() must stage state; the kernel commits at the end of the edge"},
     {"monitor-registration",
@@ -156,9 +140,6 @@ constexpr RuleInfo kRules[] = {
      "Component member missing from its SIM_STATE manifest: deep-check "
      "replay and the --statecheck replay check cannot restore it "
      "(sim/state.hpp)"},
-    {"lt-equiv-tag",
-     "loosely-timed fast-forward hooks must cite their LT-EQUIV: equivalence "
-     "evidence (sim/fastforward.hpp)"},
 };
 
 bool isSourceFile(const fs::path& p) {
@@ -240,16 +221,6 @@ class FileLinter {
     is_ports_header_ = path_.size() >= ports.size() &&
                        path_.compare(path_.size() - ports.size(),
                                      ports.size(), ports) == 0;
-    // The lt-equiv-tag rule exempts the fast-forward engine itself: the
-    // LtChannel/LtAgent protocol and the quantum engine are what the
-    // equivalence evidence measures against, not an implementation of it.
-    for (const char* ff : {"sim/fastforward.hpp", "sim/fastforward.cpp"}) {
-      const std::string s = ff;
-      if (path_.size() >= s.size() &&
-          path_.compare(path_.size() - s.size(), s.size(), s) == 0) {
-        is_ff_engine_ = true;
-      }
-    }
     // Component-type registry for the unmanifested-state rule: the kernel
     // bases plus this repo's concrete component classes (collectComponentTypes
     // adds any subclass declared in the scanned file itself, so new
@@ -286,13 +257,6 @@ class FileLinter {
       if (code.find("attachMonitors") != std::string::npos) {
         has_attach_monitors_ = true;
       }
-      // The LT-EQUIV evidence tag conventionally lives in a comment, so it
-      // is searched in the stripped-out comment text (and in code, for the
-      // rare tag hoisted into a macro or identifier).
-      if (comment.find("LT-EQUIV:") != std::string::npos ||
-          code.find("LT-EQUIV:") != std::string::npos) {
-        has_lt_equiv_tag_ = true;
-      }
       checkLine(code, comment, lineno);
     }
     if (first_poll_line_ != 0 && !has_idle_or_sleep_ &&
@@ -303,16 +267,6 @@ class FileLinter {
              "input must report idle (so runUntilIdle() can stop) and should "
              "sleep on empty (so activity gating can skip it) — see "
              "sim/component.hpp");
-    }
-    if (first_lt_hook_line_ != 0 && !has_lt_equiv_tag_ &&
-        !lt_rule_suppressed_) {
-      report(first_lt_hook_line_, "lt-equiv-tag",
-             "this file implements loosely-timed fast-forward hooks but "
-             "cites no equivalence evidence; add an \"LT-EQUIV: <test> "
-             "(<gate>)\" comment naming the digest gate that pins the LT "
-             "shortcut to the cycle-accurate model (e.g. LT-EQUIV: "
-             "tests/test_fastforward.cpp (FfHandoffOracle digest gate)), or "
-             "audit and allow()");
     }
     if (first_component_line_ != 0 && !has_attach_monitors_ &&
         !monitor_rule_suppressed_) {
@@ -693,22 +647,6 @@ class FileLinter {
       }
     }
 
-    // missing-override: redeclarations of known kernel virtuals.
-    if (!suppressed(comment, "missing-override")) {
-      static const std::regex redecl(
-          R"((?:void|bool)\s+(evaluate|commit|endOfSimulation|idle|saveState|restoreState|rollbackStaged)\s*\(\s*\)\s*(?:const\s*)?(?:\{|;|$))");
-      std::smatch m;
-      if (std::regex_search(code, m, redecl) &&
-          code.find("virtual") == std::string::npos &&
-          code.find("override") == std::string::npos &&
-          code.find("= 0") == std::string::npos) {
-        report(lineno, "missing-override",
-               "'" + m[1].str() +
-                   "()' matches a kernel virtual but lacks `override` (or "
-                   "`virtual` for a new base declaration)");
-      }
-    }
-
     // monitor-registration: remember the first monitored-subsystem component
     // class declared in this file; the verdict is issued at end of file.
     if (protocol_file_) {
@@ -764,18 +702,6 @@ class FileLinter {
       }
     }
 
-    // lt-equiv-tag: remember the first loosely-timed hook implementation;
-    // the verdict is issued at end of file, once it is known whether the
-    // file carries an LT-EQUIV: evidence tag anywhere.
-    if (kernel_code_ && !is_ff_engine_ && first_lt_hook_line_ == 0) {
-      static const std::regex lt_hook(
-          R"(\blt(?:Plan|Commit|Done|LatencyPs|BytesPerPs)\s*\()");
-      if (std::regex_search(code, lt_hook)) {
-        if (suppressed(comment, "lt-equiv-tag")) lt_rule_suppressed_ = true;
-        first_lt_hook_line_ = lineno;
-      }
-    }
-
     // idle-busy-poll: FIFO data polls inside evaluate() bodies.  The verdict
     // is issued at end of file, once it is known whether the file overrides
     // idle() or calls sleep() anywhere (both count as participating in the
@@ -819,11 +745,6 @@ class FileLinter {
   std::size_t first_poll_line_ = 0;
   bool has_idle_or_sleep_ = false;
   bool poll_rule_suppressed_ = false;
-  // lt-equiv-tag trackers.
-  bool is_ff_engine_ = false;
-  std::size_t first_lt_hook_line_ = 0;
-  bool has_lt_equiv_tag_ = false;
-  bool lt_rule_suppressed_ = false;
   std::vector<Finding> findings_;
   std::set<std::string> unordered_names_;
   bool in_evaluate_ = false;

@@ -19,20 +19,6 @@
 //                   1000000 = 1 us).  0 or an instant at/past the scenario's
 //                   duration is rejected — the oracle would silently never
 //                   fire
-//   --fast-forward-until <ps>
-//                   run [0, ps) under the loosely-timed quantum engine
-//                   (analytic latency/bandwidth, no cycle-accurate edges),
-//                   then hand off to the accurate model through a
-//                   checkpoint/restore boundary and continue normally.  LT
-//                   statistics are reported separately and never enter the
-//                   canonical digest.  0 or an instant at/past the scenario's
-//                   duration is rejected
-//   --quantum <ps>  temporal-decoupling quantum of the fast-forward engine
-//                   (default 1000000 = 1 us)
-//   --ff-check      after the fast-forward handoff, run the
-//                   handoff-equivalence oracle: execute a window of edges
-//                   from the handoff checkpoint, digest, rewind, re-execute,
-//                   and abort with exit code 1 if the digests differ
 //   --no-gating     disable kernel activity gating (evaluate every component
 //                   on every edge).  Digests must not change — the check.sh
 //                   kernel-perf smoke diffs gated vs. ungated runs with this
@@ -67,7 +53,6 @@ namespace {
 void usage() {
   std::cerr << "usage: mpsoc_run [--csv] [--json <path|->] [--normalize N] "
                "[--verify] [--statecheck] [--checkpoint-at ps] "
-               "[--fast-forward-until ps] [--quantum ps] [--ff-check] "
                "[--no-gating] [--sweep] [-j N] scenario.scn [...]\n";
 }
 
@@ -79,9 +64,6 @@ int main(int argc, char** argv) {
   bool want_verify = false;
   bool want_statecheck = false;
   long long checkpoint_at = -1;  // -1 = keep the scenario/config default
-  long long ff_until = -1;       // -1 = keep the scenario/config default
-  long long ff_quantum = -1;     // -1 = keep the scenario/config default
-  bool want_ff_check = false;
   bool no_gating = false;
   std::string json_path;
   std::size_t normalize_to = 0;
@@ -99,13 +81,6 @@ int main(int argc, char** argv) {
       want_statecheck = true;
     } else if (std::strcmp(argv[i], "--checkpoint-at") == 0 && i + 1 < argc) {
       checkpoint_at = std::stoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--fast-forward-until") == 0 &&
-               i + 1 < argc) {
-      ff_until = std::stoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--quantum") == 0 && i + 1 < argc) {
-      ff_quantum = std::stoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--ff-check") == 0) {
-      want_ff_check = true;
     } else if (std::strcmp(argv[i], "--no-gating") == 0) {
       no_gating = true;
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
@@ -126,13 +101,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   // An explicit 0 is indistinguishable from "disabled" once it lands in the
-  // config, so the silent-no-op instants are rejected at the flag itself.
-  if (ff_until == 0) {
-    std::cerr << "error: --fast-forward-until 0 would fast-forward nothing "
-                 "(the flag expects a positive instant in ps)\n";
-    return 2;
-  }
-  if (ff_until < -1 || checkpoint_at < -1) {
+  // config, so the silent-no-op instant is rejected at the flag itself.
+  if (checkpoint_at < -1) {
     std::cerr << "error: instants must be positive picosecond values\n";
     return 2;
   }
@@ -158,13 +128,8 @@ int main(int argc, char** argv) {
       sc.config.statecheck_at_ps = static_cast<sim::Picos>(checkpoint_at);
     }
     if (no_gating) sc.config.activity_gating = false;
-    if (ff_until > 0) sc.config.ff_until_ps = static_cast<sim::Picos>(ff_until);
-    if (ff_quantum >= 0) {
-      sc.config.ff_quantum_ps = static_cast<sim::Picos>(ff_quantum);
-    }
-    if (want_ff_check) sc.config.ff_check = true;
     // CLI overrides can invalidate a scenario that parsed cleanly (e.g. a
-    // fast-forward instant at/past the scenario's duration): re-validate.
+    // checkpoint instant at/past the scenario's duration): re-validate.
     const std::string why =
         platform::validateConfig(sc.config, sc.duration_ps);
     if (!why.empty()) {
