@@ -18,7 +18,10 @@ class NocMesh::MasterAdapter final : public sim::Component {
                 txn::InitiatorPort& port, NodeId at,
                 Router::PacketFifo& egress)
       : sim::Component(clk, std::move(name)), mesh_(mesh), port_(port),
-        at_(at), egress_(egress) {}
+        at_(at), egress_(egress) {
+    egress_.wakeOnPush(this);
+    port_.req.wakeOnPush(this);
+  }
 
   void evaluate() override {
     // Deliver arrived responses to the master.  A node hosting several
@@ -53,6 +56,9 @@ class NocMesh::MasterAdapter final : public sim::Component {
       if (!(r->posted && r->op == Opcode::Write)) outstanding_.insert(r->id);
       local_in.push(pkt);
     }
+    // With both inputs drained only a push into one of them can give this
+    // adapter work again, and both push hooks wake it.
+    if (idle()) sleep();
   }
 
   bool idle() const override {

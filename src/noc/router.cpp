@@ -12,24 +12,47 @@ Router::Router(sim::ClockDomain& clk, std::string name, unsigned x, unsigned y,
   for (std::size_t d = 0; d < kDirs; ++d) {
     in_[d] = std::make_unique<PacketFifo>(
         clk_, this->name() + ".in" + dir_names[d], cfg_.input_fifo_depth);
+    in_[d]->wakeOnPush(this);
+  }
+  // XY (dimension-order) route to every node, indexed by node id y*W + x.
+  route_.reserve(static_cast<std::size_t>(mesh_w_) * mesh_h_);
+  for (unsigned dy = 0; dy < mesh_h_; ++dy) {
+    for (unsigned dx = 0; dx < mesh_w_; ++dx) {
+      route_.push_back(dx > x_   ? Dir::East
+                       : dx < x_ ? Dir::West
+                       : dy > y_ ? Dir::South
+                       : dy < y_ ? Dir::North
+                                 : Dir::Local);
+    }
   }
 }
 
 Dir Router::routeTo(NodeId dst) const {
-  const unsigned dx = dst % mesh_w_;
-  const unsigned dy = static_cast<unsigned>(dst) / mesh_w_;
-  SIM_CHECK_CTX(dy < mesh_h_, name_, &clk_,
+  SIM_CHECK_CTX(dst < route_.size(), name_, &clk_,
                 "destination node " << dst << " outside the "
                     << mesh_w_ << "x" << mesh_h_ << " mesh");
-  if (dx > x_) return Dir::East;
-  if (dx < x_) return Dir::West;
-  if (dy > y_) return Dir::South;
-  if (dy < y_) return Dir::North;
-  return Dir::Local;
+  return route_[dst];
+}
+
+std::size_t Router::headRoute(std::size_t i) const {
+  const PacketFifo& fifo = *in_[i];
+  return fifo.empty() ? kDirs
+                      : static_cast<std::size_t>(routeTo(fifo.front()->dst));
 }
 
 void Router::evaluate() {
-  for (std::size_t d = 0; d < kDirs; ++d) runOutput(d);
+  // Each input's head route is looked up once per edge.  Only this router
+  // pops its inputs and pushes from neighbours stay staged until commit, so
+  // an entry changes only when a grant pops that input (runOutput refreshes
+  // it there).
+  HeadRoutes head;
+  for (std::size_t i = 0; i < kDirs; ++i) head[i] = headRoute(i);
+  for (std::size_t d = 0; d < kDirs; ++d) runOutput(d, head);
+
+  // Quiet once every input is empty and no engine is streaming.  An engine
+  // holds its packet until the tail has crossed the link (tickEngine), so a
+  // cut-through tail keeps the router awake; an input push wakes it.
+  if (idle()) sleep();
 }
 
 void Router::tickEngine(OutputEngine& e) {
@@ -46,7 +69,7 @@ void Router::tickEngine(OutputEngine& e) {
   }
 }
 
-void Router::runOutput(std::size_t d) {
+void Router::runOutput(std::size_t d, HeadRoutes& head) {
   OutputEngine& e = out_[d];
   if (!e.sink) return;
 
@@ -54,15 +77,9 @@ void Router::runOutput(std::size_t d) {
     tickEngine(e);
     return;
   }
-  if (e.cycles_left > 0) {
-    // Tail still crossing after a cut-through handoff: link busy.
-    e.chan.markTransfer();
-    --e.cycles_left;
-    return;
-  }
 
-  auto grant = [&](std::size_t i, PacketFifo& fifo) {
-    e.streaming = fifo.pop();
+  auto grant = [&](std::size_t i) {
+    e.streaming = in_[i]->pop();
     const std::uint32_t total = cfg_.pipeline_latency + e.streaming->flits;
     e.cycles_left = total;
     e.push_in = cfg_.cut_through
@@ -71,18 +88,17 @@ void Router::runOutput(std::size_t d) {
     e.last_input = i;
     e.has_last = true;
     e.last_msg = e.streaming->req ? e.streaming->req->msg_id : 0;
+    head[i] = headRoute(i);
     tickEngine(e);
   };
 
   // Message locking: the previously granted input keeps the port while it
   // presents the next packet of the same message.
   if (cfg_.message_locking && e.has_last && e.last_msg != 0) {
-    PacketFifo& fifo = *in_[e.last_input];
-    if (!fifo.empty()) {
-      const NocPacketPtr& pkt = fifo.front();
-      if (static_cast<std::size_t>(routeTo(pkt->dst)) == d && pkt->req &&
-          pkt->req->msg_id == e.last_msg && e.sink->canPush()) {
-        grant(e.last_input, fifo);
+    if (head[e.last_input] == d) {
+      const NocPacketPtr& pkt = in_[e.last_input]->front();
+      if (pkt->req && pkt->req->msg_id == e.last_msg && e.sink->canPush()) {
+        grant(e.last_input);
         return;
       }
     }
@@ -91,13 +107,10 @@ void Router::runOutput(std::size_t d) {
   // Round-robin over input ports whose head packet routes to this output.
   for (std::size_t off = 1; off <= kDirs; ++off) {
     const std::size_t i = (e.last_input + off) % kDirs;
-    PacketFifo& fifo = *in_[i];
-    if (fifo.empty()) continue;
-    const NocPacketPtr& pkt = fifo.front();
-    if (static_cast<std::size_t>(routeTo(pkt->dst)) != d) continue;
+    if (head[i] != d) continue;
     // Reserve the downstream slot for the whole serialisation.
     if (!e.sink->canPush()) return;
-    grant(i, fifo);
+    grant(i);
     return;
   }
 }

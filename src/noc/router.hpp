@@ -3,11 +3,17 @@
 // (XY) routing, round-robin output arbitration, input-buffered with
 // per-packet link serialisation (one flit per cycle per link) and a
 // configurable pipeline latency per hop.
+//
+// Activity: a router sleeps once idle() holds (every input empty, no output
+// streaming; an engine streams until its packet's tail has crossed the link)
+// and any push into one of its inputs wakes it.  XY routes come from a
+// per-destination table built at construction.
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "noc/packet.hpp"
 #include "sim/component.hpp"
@@ -65,7 +71,8 @@ class Router final : public sim::Component {
     return out_[static_cast<std::size_t>(d)].chan;
   }
 
-  /// XY route: which output port a packet to `dst` takes from this router.
+  /// XY route: which output port a packet to `dst` takes from this router
+  /// (a route-table lookup; raises InvariantViolation outside the mesh).
   Dir routeTo(NodeId dst) const;
 
  private:
@@ -86,14 +93,20 @@ class Router final : public sim::Component {
     }
   };
 
+  /// Output port of each input's head packet, or kDirs for an empty input.
+  using HeadRoutes = std::array<std::size_t, kDirs>;
+
+  std::size_t headRoute(std::size_t i) const;
+
   void tickEngine(OutputEngine& e);
 
-  void runOutput(std::size_t d);
+  void runOutput(std::size_t d, HeadRoutes& head);
 
   unsigned x_, y_, mesh_w_, mesh_h_;
   RouterConfig cfg_;
   std::array<std::unique_ptr<PacketFifo>, kDirs> in_;
   std::array<OutputEngine, kDirs> out_;
+  std::vector<Dir> route_;  ///< output port per destination node
   std::uint64_t routed_ = 0;
 
   SIM_STATE_MEMBERS(out_, routed_);
@@ -102,6 +115,7 @@ class Router final : public sim::Component {
   SIM_STATE_EXEMPT(mesh_w_, "immutable configuration (mesh size)");
   SIM_STATE_EXEMPT(mesh_h_, "immutable configuration (mesh size)");
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
+  SIM_STATE_EXEMPT(route_, "immutable configuration (XY route table)");
   SIM_STATE_EXEMPT(in_, "registered Updatables (kernel checkpoints FIFOs)");
 };
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/digest.hpp"
@@ -266,24 +267,44 @@ TEST(KernelActivity, WakeOnPushResumesSleeper) {
 }
 
 TEST(KernelActivity, GatingOnOffProducesIdenticalDigests) {
-  // Gating is behaviour-neutral by contract: a full platform run with the
-  // kernel skipping quiescent components must produce the same canonical
-  // digest as one that evaluates every component on every edge.
-  platform::PlatformConfig cfg;
-  cfg.protocol = platform::Protocol::Stbus;
-  cfg.topology = platform::Topology::Full;
-  cfg.memory = platform::MemoryKind::OnChip;
-  cfg.onchip_wait_states = 1;
-  cfg.workload_scale = 0.25;
+  // Gating is behaviour-neutral by contract: a platform run with the kernel
+  // skipping quiescent components must produce the same canonical digest as
+  // one that evaluates every component on every edge.  Cases: the Fig. 3
+  // full STBus platform, and the 4x3 NoC mesh (sleeping routers and master
+  // adapters) with message-locking and with plain round-robin routers.  The
+  // store-and-forward router discipline, which the platform does not
+  // expose, is covered at the rig level in tests/test_noc.cpp.
+  platform::PlatformConfig fig3;
+  fig3.protocol = platform::Protocol::Stbus;
+  fig3.topology = platform::Topology::Full;
+  fig3.memory = platform::MemoryKind::OnChip;
+  fig3.onchip_wait_states = 1;
+  fig3.workload_scale = 0.25;
 
-  // Same label both times: the canonical digest covers it.
-  cfg.activity_gating = true;
-  const core::ScenarioResult gated = core::runScenario(cfg, "fig3-small");
-  cfg.activity_gating = false;
-  const core::ScenarioResult ungated = core::runScenario(cfg, "fig3-small");
+  platform::PlatformConfig noc;
+  noc.protocol = platform::Protocol::Stbus;
+  noc.topology = platform::Topology::NocMesh;
+  noc.memory = platform::MemoryKind::Lmi;
+  noc.noc_width = 4;
+  noc.noc_height = 3;
+  noc.workload_scale = 0.1;
+  platform::PlatformConfig noc_rr = noc;
+  noc_rr.message_arbitration = false;
 
-  EXPECT_EQ(core::digestValue(gated), core::digestValue(ungated));
-  EXPECT_EQ(gated.exec_ps, ungated.exec_ps);
+  const std::pair<const char*, platform::PlatformConfig> cases[] = {
+      {"fig3-small", fig3}, {"noc-small", noc}, {"noc-small-rr", noc_rr}};
+  for (auto [label, cfg] : cases) {
+    SCOPED_TRACE(label);
+    // Same label both times: the canonical digest covers it.
+    cfg.activity_gating = true;
+    const core::ScenarioResult gated = core::runScenario(cfg, label);
+    cfg.activity_gating = false;
+    const core::ScenarioResult ungated = core::runScenario(cfg, label);
+
+    EXPECT_TRUE(gated.completed);
+    EXPECT_EQ(core::digestValue(gated), core::digestValue(ungated));
+    EXPECT_EQ(gated.exec_ps, ungated.exec_ps);
+  }
 }
 
 TEST(KernelActivity, DeepCheckCatchesIllegalSleep) {

@@ -1,13 +1,16 @@
 // NoC substrate tests: XY routing, end-to-end transactions over the mesh,
-// placement effects, saturation behaviour and conservation.
+// placement effects, saturation behaviour, conservation, and the routers'
+// and adapters' part in the kernel's sleep/wake activity protocol.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "iptg/iptg.hpp"
 #include "mem/simple_memory.hpp"
 #include "noc/mesh.hpp"
+#include "sim/check.hpp"
 #include "sim/simulator.hpp"
 #include "txn/ports.hpp"
 
@@ -25,6 +28,37 @@ TEST(NocRouter, XyRoutingPicksDimensionOrder) {
   EXPECT_EQ(r.routeTo(/*node (1,0)=*/1), noc::Dir::North);
   EXPECT_EQ(r.routeTo(/*node (1,2)=*/7), noc::Dir::South);
   EXPECT_EQ(r.routeTo(/*node (1,1)=*/4), noc::Dir::Local);
+}
+
+TEST(NocRouter, OutOfMeshDestinationRaises) {
+  // A packet addressed past the last node must trip the route lookup's
+  // bounds check on the evaluate path, naming the router and the mesh size.
+  sim::Simulator s;
+  auto& clk = s.addClockDomain("noc", 500.0);
+  noc::Router r(clk, "r11", 1, 1, 3, 3, {});
+  struct Injector : sim::Component {
+    noc::Router::PacketFifo& in;
+    Injector(sim::ClockDomain& c, noc::Router::PacketFifo& f)
+        : sim::Component(c, "inj"), in(f) {}
+    void evaluate() override {
+      if (now() != 1) return;
+      auto pkt = std::make_shared<noc::NocPacket>();
+      pkt->dst = 9;  // one past node (2,2)
+      in.push(pkt);
+    }
+  };
+  Injector inj(clk, r.input(noc::Dir::West));
+  try {
+    s.run(100'000);
+    FAIL() << "out-of-mesh destination was routed";
+  } catch (const sim::InvariantViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("r11"), std::string::npos) << what;
+    EXPECT_NE(what.find("destination node 9 outside the 3x3 mesh"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_THROW(r.routeTo(9), sim::InvariantViolation);
 }
 
 struct NocRig {
@@ -246,6 +280,185 @@ TEST(NocMesh, MessageLockingPreservesTrains) {
     } else {
       EXPECT_GT(fragmented, 0) << "round-robin should interleave at least once";
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Activity protocol: routers and master adapters sleep once quiet.
+// ---------------------------------------------------------------------------
+
+/// Issues one read on demand and records its round-trip latency in cycles.
+struct Prober : sim::Component {
+  txn::InitiatorPort& port;
+  std::uint64_t addr = 0;
+  bool pending = false;
+  sim::Cycle issued_at = 0;
+  std::vector<sim::Cycle> latencies;
+
+  Prober(sim::ClockDomain& c, txn::InitiatorPort& p)
+      : sim::Component(c, "prober"), port(p) {}
+
+  void issue(std::uint64_t a) {
+    addr = a;
+    pending = true;
+  }
+  void evaluate() override {
+    if (pending && port.req.canPush()) {
+      auto r = std::make_shared<txn::Request>();
+      r->id = clk_.simulator().nextTransactionId();
+      r->addr = addr;
+      r->beats = 8;
+      r->bytes_per_beat = 8;
+      r->source = name_;
+      port.req.push(r);
+      pending = false;
+      issued_at = now();
+    }
+    while (!port.rsp.empty()) {
+      port.rsp.pop();
+      latencies.push_back(now() - issued_at);
+    }
+  }
+  bool idle() const override { return !pending && port.rsp.empty(); }
+};
+
+TEST(NocMesh, QuietFabricSleepsAndARequestWakesOnlyItsPath) {
+  sim::Simulator s;
+  auto& clk = s.addClockDomain("noc", 400.0);
+  noc::NocMesh mesh(clk, "noc", {3, 3, {}, 4});
+  txn::TargetPort mp(clk, "mem", 8, 16);
+  mem::SimpleMemory memory(clk, "mem", mp, {1});
+  mesh.attachSlave(mp, /*(2,2)=*/8, 0x0, 1ull << 30);
+  txn::InitiatorPort ip(clk, "m", 2, 8);
+  mesh.attachMaster(ip, /*(0,0)=*/0);
+  Prober prober(clk, ip);
+
+  const sim::Component* adapter = nullptr;
+  for (const sim::Component* c : clk.components()) {
+    if (c->name() == "noc.ma0") adapter = c;
+  }
+  ASSERT_NE(adapter, nullptr);
+
+  // Step until the round trip has drained and the link tails have crossed;
+  // record every router that is awake after some edge of the transaction.
+  auto roundTrip = [&](std::uint64_t addr) {
+    std::set<noc::NodeId> woken;
+    const std::size_t done = prober.latencies.size() + 1;
+    prober.issue(addr);
+    for (int edge = 0; edge < 10'000; ++edge) {
+      s.step();
+      bool any_awake = false;
+      for (noc::NodeId n = 0; n < mesh.routerCount(); ++n) {
+        if (mesh.router(n).asleep()) continue;
+        woken.insert(n);
+        any_awake = true;
+      }
+      if (prober.latencies.size() == done && !any_awake && adapter->asleep()) {
+        break;
+      }
+    }
+    return woken;
+  };
+
+  roundTrip(0x1000);
+  ASSERT_EQ(prober.latencies.size(), 1u);
+  for (noc::NodeId n = 0; n < mesh.routerCount(); ++n) {
+    EXPECT_TRUE(mesh.router(n).asleep()) << "router " << n;
+  }
+  EXPECT_TRUE(adapter->asleep());
+
+  // (0,0) -> (2,2) runs east then south; the response runs west then north.
+  // Only the centre router (1,1) lies on neither leg.
+  const std::set<noc::NodeId> woken = roundTrip(0x2000);
+  ASSERT_EQ(prober.latencies.size(), 2u);
+  EXPECT_EQ(woken, (std::set<noc::NodeId>{0, 1, 2, 3, 5, 6, 7, 8}));
+  EXPECT_EQ(prober.latencies[1], prober.latencies[0]);
+  for (noc::NodeId n = 0; n < mesh.routerCount(); ++n) {
+    EXPECT_TRUE(mesh.router(n).asleep()) << "router " << n;
+  }
+  EXPECT_TRUE(adapter->asleep());
+}
+
+struct MeshRun {
+  sim::Picos exec_ps = 0;
+  std::uint64_t state_digest = 0;
+  std::uint64_t hops = 0;
+  std::uint64_t retired = 0;
+  sim::Simulator::DeepCheckStats deep{};
+};
+
+/// Four masters with 4-packet message trains on a 3x3 mesh with the memory
+/// at the centre, under the given router discipline.
+MeshRun runMesh(const noc::RouterConfig& rc, bool gated, bool deep_check) {
+  sim::Simulator s;
+  s.setActivityGating(gated);
+  s.setDeepCheck(deep_check);
+  auto& clk = s.addClockDomain("noc", 400.0);
+  noc::NocMesh mesh(clk, "noc", {3, 3, rc, 4});
+  txn::TargetPort mp(clk, "mem", 8, 16);
+  mem::SimpleMemory memory(clk, "mem", mp, {1});
+  mesh.attachSlave(mp, 4, 0x0, 1ull << 30);
+  std::vector<std::unique_ptr<txn::InitiatorPort>> ports;
+  std::vector<std::unique_ptr<iptg::Iptg>> gens;
+  for (noc::NodeId at : {0, 2, 6, 8}) {
+    ports.push_back(std::make_unique<txn::InitiatorPort>(
+        clk, "m" + std::to_string(at), 2, 8));
+    mesh.attachMaster(*ports.back(), at);
+    iptg::IptgConfig cfg;
+    cfg.seed = 11 + at;
+    cfg.bytes_per_beat = 8;
+    iptg::AgentProfile p;
+    p.name = "a";
+    p.read_fraction = 0.7;
+    p.posted_writes = true;
+    p.burst_beats = {{4, 0.5}, {8, 0.5}};
+    p.message_len = 4;
+    p.outstanding = 4;
+    p.base_addr = (1ull << 22) * at;
+    p.region_size = 1 << 20;
+    p.total_transactions = 40;
+    cfg.agents.push_back(p);
+    gens.push_back(std::make_unique<iptg::Iptg>(
+        clk, "g" + std::to_string(at), *ports.back(), cfg));
+  }
+  MeshRun r;
+  r.exec_ps = s.runUntilIdle(1'000'000'000'000ull);
+  r.state_digest = s.stateDigest();
+  r.hops = mesh.totalHops();
+  for (const auto& g : gens) r.retired += g->retired();
+  r.deep = s.deepCheckStats();
+  return r;
+}
+
+TEST(NocMesh, GatingIsBehaviourNeutralForEveryRouterDiscipline) {
+  // Sleeping routers and adapters must not change behaviour: the complete
+  // kernel state digest (every router's engines and link counters, every
+  // FIFO, every generator) matches an ungated run at the end.  The
+  // deep-check replay pass evaluates sleeping components too, so a router or
+  // adapter asleep while it has work to stage (a missing wake) diverges from
+  // the gated forward pass and raises.
+  noc::RouterConfig store_and_forward;
+  store_and_forward.cut_through = false;
+  noc::RouterConfig locking;
+  locking.message_locking = true;
+  for (const noc::RouterConfig& rc :
+       {noc::RouterConfig{}, store_and_forward, locking}) {
+    SCOPED_TRACE(testing::Message() << "cut_through=" << rc.cut_through
+                                    << " message_locking="
+                                    << rc.message_locking);
+    const MeshRun gated = runMesh(rc, true, false);
+    const MeshRun ungated = runMesh(rc, false, false);
+    EXPECT_EQ(gated.retired, 160u);
+    EXPECT_EQ(gated.exec_ps, ungated.exec_ps);
+    EXPECT_EQ(gated.hops, ungated.hops);
+    EXPECT_EQ(gated.retired, ungated.retired);
+    EXPECT_EQ(gated.state_digest, ungated.state_digest);
+
+    MeshRun checked;
+    ASSERT_NO_THROW(checked = runMesh(rc, true, true));
+    EXPECT_GT(checked.deep.replayed_edges, 0u);
+    EXPECT_EQ(checked.deep.skipped_edges, 0u);
+    EXPECT_EQ(checked.exec_ps, gated.exec_ps);
   }
 }
 

@@ -9,8 +9,9 @@
 #   4. parallel-sweep smoke: the shipped scenarios at -j 2 vs -j 1 must emit
 #      byte-identical digest sets (determinism under parallelism); the -j 2
 #      run writes BENCH_sweep.json (per-point wall-clock, Medges/s, digest)
-#   5. gating smoke: fig3-small gated vs --no-gating digest compare — a
-#      mismatch means some component slept with work pending
+#   5. gating smoke: fig3-small and a small NoC mesh, gated vs --no-gating
+#      digest compare — a mismatch means some component slept with work
+#      pending
 #   6. statecheck sweep: every shipped scenario under the
 #      checkpoint-equivalence oracle (mpsoc_run --verify --statecheck) — the
 #      oracle checkpoints mid-run, re-runs a window of edges after a rewind
@@ -116,9 +117,9 @@ else
 fi
 
 stage "gating smoke (activity gating on vs off)"
-# The Fig. 3 full-platform instance at reduced workload scale, gated vs
-# --no-gating: the digests must match, or some component slept with work
-# pending.
+# The Fig. 3 full-platform instance and a 4x3 NoC mesh (sleeping routers
+# and master adapters) at reduced workload scale, gated vs --no-gating: the
+# digests must match, or some component slept with work pending.
 mkdir -p "$BUILD/gating-smoke"
 cat > "$BUILD/gating-smoke/fig3-small.scn" <<EOF
 name = fig3-small
@@ -128,11 +129,20 @@ memory = onchip
 wait_states = 1
 workload_scale = 0.25
 EOF
+cat > "$BUILD/gating-smoke/noc-small.scn" <<EOF
+name = noc-small
+protocol = stbus
+topology = noc-mesh
+memory = lmi
+noc_width = 4
+noc_height = 3
+workload_scale = 0.1
+EOF
 if "$BUILD/tools/mpsoc_run" --sweep --json "$BUILD/gating-smoke/gated.json" \
-      "$BUILD/gating-smoke/fig3-small.scn" > /dev/null && \
+      "$BUILD/gating-smoke"/*.scn > /dev/null && \
    "$BUILD/tools/mpsoc_run" --sweep --no-gating \
       --json "$BUILD/gating-smoke/ungated.json" \
-      "$BUILD/gating-smoke/fig3-small.scn" > /dev/null; then
+      "$BUILD/gating-smoke"/*.scn > /dev/null; then
   if same_digests "$BUILD/gating-smoke/gated.json" \
        "$BUILD/gating-smoke/ungated.json" \
        "gating smoke: gated and ungated digests differ (activity gating must
