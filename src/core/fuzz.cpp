@@ -158,6 +158,17 @@ FuzzVerdict Fuzzer::check(const NamedScenario& sc) {
        << digestHex(out.points[1].result);
     return {true, os.str()};
   }
+  // Completion oracle: a run-to-completion case must retire its whole
+  // workload.  Gated and ungated runs hang identically, so a deadlock passes
+  // the digest comparison above and only shows up here.
+  const ScenarioResult& gated = out.points[0].result;
+  if (sc.duration_ps == 0 && !gated.completed) {
+    std::ostringstream os;
+    os << "completion oracle: " << labels[0]
+       << " never completed (hang): stopped at t=" << gated.exec_ps
+       << " ps with " << gated.retired << " transactions retired";
+    return {true, os.str()};
+  }
   return {};
 }
 

@@ -16,11 +16,14 @@
 // Each case is run twice through core::SweepRunner, with kernel activity
 // gating on and off, under the checkers requested by FuzzOptions (protocol
 // monitors + auditor, optionally the checkpoint-equivalence oracle).  A case
-// fails when either run throws (InvariantViolation, ProtocolViolation, ...)
-// or when the canonical result digests of the two runs diverge — the
-// signature of a component that went to sleep with work pending.  Failures
-// are greedily delta-debugged over config dimensions (collapse topology, drop masters via master_limit,
-// reset timings, halve the workload, ...) to a local fixpoint, and the
+// fails when either run throws (InvariantViolation, ProtocolViolation, ...),
+// when the canonical result digests of the two runs diverge — the signature
+// of a component that went to sleep with work pending — or, for a
+// run-to-completion case (duration_ps == 0), when the gated run stops at the
+// time bound without completing: the completion oracle, which catches
+// deadlocks and livelocks.  Failures are greedily delta-debugged over config
+// dimensions (collapse topology, drop masters via master_limit, reset
+// timings, halve the workload, ...) to a local fixpoint, and the
 // minimal reproducer is written to the corpus directory with the exact
 // command that replays it.
 
@@ -123,7 +126,8 @@ class Fuzzer {
   FuzzReport run();
 
   /// Verdict for one scenario under the configured checkers: failed on any
-  /// throw or on a gated/ungated digest divergence.
+  /// throw, on a gated/ungated digest divergence, or when a run-to-completion
+  /// case does not complete.
   FuzzVerdict check(const platform::NamedScenario& sc);
 
   /// Greedy delta-debug to a local fixpoint: repeatedly apply dimension

@@ -6,11 +6,10 @@
 // each point is an isolated simulation: it owns its Simulator, clock domains,
 // components, RNG streams (seeded from the config, never from global state),
 // stats probes and verify context.  Nothing mutable is shared between points,
-// so points may run concurrently; the only process-wide state a run touches
-// is the thread-safe Logger sink (src/sim/log.hpp), which feeds no simulation
-// behaviour.  Transaction ids come from each point's own Simulator.  The result of a sweep is therefore
-// byte-identical at -j1 and -jN, which tools/check.sh and the determinism
-// tests enforce via the canonical digests of core/digest.hpp.
+// so points may run concurrently: src/ holds no process-wide mutable state,
+// and transaction ids come from each point's own Simulator.  The result of a
+// sweep is therefore byte-identical at -j1 and -jN, which tools/check.sh and
+// the determinism tests enforce via the canonical digests of core/digest.hpp.
 //
 // Semantics:
 //   * results land at the index of their point — ordering is deterministic
@@ -57,7 +56,7 @@ struct PointResult {
   std::string error;      ///< exception text when status == Failed
   double wall_ms = 0.0;   ///< host time spent simulating this point
   /// Kernel edge instants per wall-clock second — the simulation-speed
-  /// figure the perf trajectory (BENCH_sweep.json) tracks.
+  /// figure of the mpsoc-sweep-v1 JSON.
   double sim_edges_per_s = 0.0;
 };
 

@@ -46,13 +46,6 @@ class Component {
   /// excluded; see state.hpp).  0 for an unmanifested component.
   virtual std::uint64_t stateDigest() const { return 0; }
 
-  /// Hook invoked at the end of Simulator::restoreCheckpoint(), after the
-  /// kernel time/domain state has been restored.  Components whose state
-  /// references simulator-level observations (the watchdog's progress
-  /// baseline) re-derive them here so a restore into a fresh kernel instance
-  /// cannot leave them reading a stale or rewound sampler.
-  virtual void onRestore() {}
-
   // --- activity protocol ----------------------------------------------------
   //
   // A component that knows its evaluate() would be a no-op until some

@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "sim/check.hpp"
@@ -26,15 +25,9 @@ ClockDomain& Simulator::addClockDomain(const std::string& name, double mhz) {
   return *d;
 }
 
-void Simulator::noteComponentAdded(Component*) {
-  ++component_count_;
-  ++component_generation_;
-}
+void Simulator::noteComponentAdded(Component*) { ++component_generation_; }
 
-void Simulator::noteComponentRemoved(Component*) {
-  --component_count_;
-  ++component_generation_;
-}
+void Simulator::noteComponentRemoved(Component*) { ++component_generation_; }
 
 Picos Simulator::nextEdgeTime() {
   if (domains_.empty()) return kNever;
@@ -177,12 +170,6 @@ void Simulator::addCheckpointable(Checkpointable* c) {
   checkpointables_.push_back(c);
 }
 
-void Simulator::removeCheckpointable(Checkpointable* c) {
-  checkpointables_.erase(
-      std::remove(checkpointables_.begin(), checkpointables_.end(), c),
-      checkpointables_.end());
-}
-
 void Simulator::checkpoint() {
   SIM_CHECK(phase_ == Phase::Outside,
             "checkpoint() is only legal between edges (Phase::Outside)");
@@ -234,13 +221,6 @@ void Simulator::restoreCheckpoint() {
   }
   // The rewind moved every domain's next-edge instant; rebuild lazily.
   schedule_valid_ = false;
-  // Post-restore hook, after kernel time is back: components re-derive any
-  // state that references simulator-level observations (the watchdog
-  // re-baselines its progress sampler against the restored counters, so a
-  // restore into a fresh kernel cannot reset its stall window).
-  for (const auto& d : domains_) {
-    for (Component* c : d->components()) c->onRestore();
-  }
 }
 
 std::uint64_t Simulator::stateDigest() const {
@@ -369,17 +349,6 @@ bool Simulator::allIdle() const {
     if (!c->idle()) return false;
   }
   return true;
-}
-
-bool Simulator::anyComponentBusy(const Component* exclude) const {
-  if (asleep_count_ >= component_count_) return false;
-  for (const auto& d : domains_) {
-    for (const Component* c : d->components()) {
-      if (c == exclude || c->asleep()) continue;
-      if (!c->idle()) return true;
-    }
-  }
-  return false;
 }
 
 void Simulator::finish() {

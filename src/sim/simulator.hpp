@@ -102,14 +102,8 @@ class Simulator {
   /// src/sim/state.hpp).
   std::uint64_t nextTransactionId() { return next_txn_id_++; }
 
-  /// Number of components currently asleep / registered (activity counters).
+  /// Number of components currently asleep (activity counter).
   std::size_t asleepComponents() const { return asleep_count_; }
-  std::size_t totalComponents() const { return component_count_; }
-
-  /// True when some component other than `exclude` is awake and non-idle.
-  /// O(1) when everything sleeps; otherwise scans only awake components.
-  /// Watchdogs use this as their "system still busy" test.
-  bool anyComponentBusy(const Component* exclude = nullptr) const;
 
   /// Deep-check mode: after the evaluate phase of every edge the kernel
   /// digests all staged state, rolls it back, re-runs evaluate with component
@@ -146,7 +140,6 @@ class Simulator {
   /// Register an auxiliary state holder in the checkpoint set.  Must happen
   /// in deterministic (construction) order: the order labels digest items.
   void addCheckpointable(Checkpointable* c);
-  void removeCheckpointable(Checkpointable* c);
 
   /// Snapshot the complete platform state at the current instant: every
   /// component's manifest (saveState), every updatable's committed contents
@@ -275,7 +268,6 @@ class Simulator {
   DeepCheckStats deep_stats_;
 
   // Activity bookkeeping.
-  std::size_t component_count_ = 0;
   std::size_t asleep_count_ = 0;
   /// Bumped on every component registration/removal; consumers holding a
   /// component list (runUntilIdle's idle-scan cache) re-derive it on change.

@@ -25,7 +25,7 @@
 //   * observer callbacks/taps and cached auditor/monitor pointers;
 //   * members that are themselves registered Updatables (FIFOs): the kernel
 //     checkpoints those directly through the per-domain updatable walk;
-//   * append-only trace sinks (timeline samples, VCD streams) whose owners
+//   * append-only trace sinks (timeline samples) whose owners
 //     guard their evaluate() against the deep-check replay pass.
 // Stats counters (issued/retired counts, latency probes, channel-utilisation
 // accumulators) are NOT exempt: deep-check replay re-runs evaluate(), so any

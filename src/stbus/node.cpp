@@ -168,7 +168,11 @@ void StbusNode::finishStream(ReqEngine& e) {
                 "finishStream() with no request streaming");
   e.streaming->accepted_ps = clk_.simulator().now();
   targets_[e.stream_target]->req.push(e.streaming);
-  if (cfg_.type == StbusType::T1) e.locked = true;
+  // Type 1 locks the path until the response retires.  A posted write gets
+  // no response (trackAccept does not track it either), so it never locks.
+  const bool posted_write =
+      e.streaming->posted && e.streaming->op == Opcode::Write;
+  if (cfg_.type == StbusType::T1 && !posted_write) e.locked = true;
   e.streaming.reset();
 }
 

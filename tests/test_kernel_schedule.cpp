@@ -1,6 +1,6 @@
 // Regression and unit tests for the activity-driven edge loop: the run()
 // time-bound fix, the runUntilIdle() stale-snapshot / last-active fixes, the
-// Watchdog first-interval fix, the cached coincident-edge schedule, and the
+// cached coincident-edge schedule, and the
 // sleep()/wake() activity protocol (gating equivalence, wake hooks, contract
 // enforcement, deep-check divergence on illegal sleeps).
 
@@ -18,7 +18,6 @@
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
-#include "sim/watchdog.hpp"
 
 namespace {
 
@@ -120,34 +119,6 @@ TEST(KernelRunUntilIdle, MidRunRegisteredComponentIsPolled) {
   // evaluations, so it still reports non-idle after the cycle-23 edge and
   // first polls idle after cycle 24 — last_active is 230 ns.
   EXPECT_EQ(last_active, 230'000u);
-}
-
-// ---------------------------------------------------------------------------
-// Watchdog first interval
-// ---------------------------------------------------------------------------
-
-TEST(KernelWatchdog, FiresOnFirstStalledInterval) {
-  // Progress flat from t=0 while a component is busy: the watchdog must fire
-  // at its *first* check.  The pre-fix guard (checks_ > 1) used the first
-  // interval to prime the baseline, silently extending the detection latency
-  // to two intervals; the baseline is now taken at construction.
-  struct Busy : sim::Component {
-    using sim::Component::Component;
-    void evaluate() override {}
-    bool idle() const override { return false; }
-  };
-  sim::Simulator s;
-  auto& clk = s.addClockDomain("clk", 100.0);  // 10 ns
-  Busy b(clk, "busy");
-  sim::Watchdog w(clk, "wd", [] { return std::uint64_t{0}; }, 10);
-  std::string alarm;
-  w.setAlarm([&](const std::string& msg) { alarm = msg; });
-
-  s.run(100'000);  // exactly one check interval (cycle 10)
-
-  EXPECT_EQ(w.checksPerformed(), 1u);
-  EXPECT_TRUE(w.fired());
-  EXPECT_FALSE(alarm.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@
 
 #include "mem/sdram.hpp"
 #include "sim/rng.hpp"
-#include "sim/watchdog.hpp"
-#include "sim/simulator.hpp"
 
 namespace {
 
@@ -125,62 +123,5 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(info.param) ? "ddr" : "sdr") + "_b" +
              std::to_string(std::get<1>(info.param));
     });
-
-// ---------------------------------------------------------------------------
-
-TEST(Watchdog, FiresOnStallOnly) {
-  sim::Simulator s;
-  auto& clk = s.addClockDomain("clk", 100.0);
-
-  // A component that makes progress for 100 cycles, then spins forever
-  // while claiming to be busy.
-  struct Spinner : sim::Component {
-    std::uint64_t work = 0;
-    using sim::Component::Component;
-    void evaluate() override {
-      if (now() <= 100) ++work;
-    }
-    bool idle() const override { return false; }
-  };
-  Spinner sp(clk, "spinner");
-
-  std::string alarm;
-  sim::Watchdog dog(clk, "dog", [&] { return sp.work; }, 50);
-  dog.setAlarm([&](const std::string& msg) { alarm = msg; });
-
-  s.run(10'000'000);  // 1000 cycles
-  EXPECT_TRUE(dog.fired());
-  EXPECT_NE(alarm.find("no progress"), std::string::npos);
-}
-
-TEST(Watchdog, StaysQuietWhileProgressing) {
-  sim::Simulator s;
-  auto& clk = s.addClockDomain("clk", 100.0);
-  struct Worker : sim::Component {
-    std::uint64_t work = 0;
-    using sim::Component::Component;
-    void evaluate() override { ++work; }
-    bool idle() const override { return false; }
-  };
-  Worker w(clk, "worker");
-  sim::Watchdog dog(clk, "dog", [&] { return w.work; }, 50);
-  s.run(10'000'000);
-  EXPECT_FALSE(dog.fired());
-  EXPECT_GT(dog.checksPerformed(), 10u);
-}
-
-TEST(Watchdog, StaysQuietWhenEverythingIsIdle) {
-  sim::Simulator s;
-  auto& clk = s.addClockDomain("clk", 100.0);
-  struct Done : sim::Component {
-    using sim::Component::Component;
-    void evaluate() override {}
-    bool idle() const override { return true; }
-  };
-  Done d(clk, "done");
-  sim::Watchdog dog(clk, "dog", [] { return 0ull; }, 50);
-  s.run(10'000'000);
-  EXPECT_FALSE(dog.fired());
-}
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Tests for state manifests, kernel checkpointing and the
 // checkpoint-equivalence oracle Simulator::replayCheck (sim/state.hpp,
 // sim/simulator.cpp) with its platform caller, the statecheck oracle
-// (platform/platform.cpp), plus the restore-path behaviour it rests on: the
-// watchdog's re-baseline across a restore and the statecheck config rules.
+// (platform/platform.cpp), plus the statecheck config rules.
 //
 // The contract: Simulator::checkpoint() snapshots every component (via its
 // generated SIM_STATE saveState()), every registered Updatable (the FIFO
@@ -30,7 +29,6 @@
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 #include "sim/state.hpp"
-#include "sim/watchdog.hpp"
 
 namespace {
 
@@ -272,59 +270,6 @@ TEST(StateCheck, LeakyComponentAbortsThePlatformRun) {
     EXPECT_NE(what.find("statecheck divergence"), std::string::npos) << what;
     EXPECT_NE(what.find(":leaky digests"), std::string::npos) << what;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Watchdog across a restore: its progress baseline is a sampler reading, not
-// owned state, so it is re-derived on restore.
-// ---------------------------------------------------------------------------
-
-// A worker whose progress counter freezes on command while it stays busy —
-// the shape of a genuine livelock.
-struct Stallable final : sim::Component {
-  std::uint64_t work_ = 0;
-  bool stalled_ = false;
-  explicit Stallable(sim::ClockDomain& c) : sim::Component(c, "worker") {}
-  void evaluate() override {
-    if (!stalled_) ++work_;
-  }
-  bool idle() const override { return false; }
-  SIM_STATE_MEMBERS(work_, stalled_);
-};
-
-TEST(WatchdogRestore, StallSpanningRestoreBoundaryStillFires) {
-  sim::Simulator s;
-  auto& clk = s.addClockDomain("clk", 100.0);
-  Stallable w(clk);
-  sim::Watchdog wd(clk, "wd", [&] { return w.work_; }, /*interval=*/100);
-  s.run(5'000'000);  // healthy: progress advances, no alarm
-  ASSERT_FALSE(wd.fired());
-
-  w.stalled_ = true;
-  s.run(s.now() + 500'000);  // stall begins, but < one full check interval
-  s.checkpoint();
-  s.restoreCheckpoint();  // the boundary the stall must survive
-  ASSERT_FALSE(wd.fired());
-
-  // Two intervals after the restore the frozen counter must be attributed.
-  s.run(s.now() + 2'000'000 * 2);
-  EXPECT_TRUE(wd.fired())
-      << "a stall spanning the restore boundary was swallowed (the baseline "
-         "was not re-anchored on restore)";
-}
-
-// Healthy runs must replay bit-identically across a rewind even when no
-// check lands inside the window: last_progress_ is restored but excluded
-// from the digest canon (it is legally different between the two passes).
-TEST(WatchdogRestore, HealthyRewindReplaysIdenticalDigests) {
-  sim::Simulator s;
-  auto& clk = s.addClockDomain("clk", 100.0);
-  Stallable w(clk);
-  sim::Watchdog wd(clk, "wd", [&] { return w.work_; }, /*interval=*/100);
-  s.run(1'000'000);
-  const std::optional<sim::ReplayDivergence> div = s.replayCheck(150);
-  EXPECT_FALSE(div) << div->holder << " diverged across the rewind";
-  EXPECT_FALSE(wd.fired());
 }
 
 // ---------------------------------------------------------------------------

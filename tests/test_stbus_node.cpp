@@ -237,6 +237,48 @@ TEST(StbusNode, PostedWritesRetireAtIssue) {
   EXPECT_EQ(memory.accessesServed(), 40u);
 }
 
+TEST(StbusNode, Type1PostedWriteDoesNotLockThePath) {
+  // Type 1 locks a target path until its response retires.  A posted write
+  // gets no response, so it must not lock: the node has to grant the next
+  // request behind it (here, a second initiator's reads to the same target).
+  stbus::StbusNodeConfig cfg;
+  cfg.type = stbus::StbusType::T1;
+  sim::Simulator sim;
+  auto& clk = sim.addClockDomain("bus", 200.0);
+  stbus::StbusNode node(clk, "n0", cfg);
+  txn::TargetPort mport(clk, "mem", 4, 8);
+  node.addTarget(mport, 0x0, 1ull << 30);
+  mem::SimpleMemory memory(clk, "mem", mport, {1});
+
+  std::vector<std::unique_ptr<txn::InitiatorPort>> ports;
+  std::vector<std::unique_ptr<iptg::Iptg>> gens;
+  for (int i = 0; i < 2; ++i) {
+    ports.push_back(std::make_unique<txn::InitiatorPort>(
+        clk, "m" + std::to_string(i), 2, 8));
+    node.addInitiator(*ports.back());
+    iptg::IptgConfig icfg;
+    icfg.seed = 3 + i;
+    iptg::AgentProfile prof;
+    prof.name = i == 0 ? "w" : "r";
+    prof.read_fraction = i == 0 ? 0.0 : 1.0;
+    prof.posted_writes = i == 0;
+    prof.burst_beats = {{4, 1.0}};
+    prof.base_addr = 0x10000 * (i + 1);
+    prof.region_size = 1 << 12;
+    prof.total_transactions = 10;
+    icfg.agents.push_back(prof);
+    gens.push_back(std::make_unique<iptg::Iptg>(clk, "g" + std::to_string(i),
+                                                *ports.back(), icfg));
+  }
+
+  sim.runUntilIdle(1'000'000'000ull);
+  for (const auto& g : gens) {
+    EXPECT_TRUE(g->done()) << g->name();
+    EXPECT_EQ(g->retired(), 10u) << g->name();
+  }
+  EXPECT_EQ(memory.accessesServed(), 20u);
+}
+
 TEST(StbusNode, DeeperTargetFifoNeverSlower) {
   stbus::StbusNodeConfig cfg;
   ManyToOneRig shallow(4, cfg, 3, 100, 1);

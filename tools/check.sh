@@ -7,8 +7,7 @@
 #   3. monitored scenario sweep: every shipped scenario under
 #      mpsoc_run --verify (protocol monitors + conservation audit)
 #   4. parallel-sweep smoke: the shipped scenarios at -j 2 vs -j 1 must emit
-#      byte-identical digest sets (determinism under parallelism); the -j 2
-#      run writes BENCH_sweep.json (per-point wall-clock, Medges/s, digest)
+#      byte-identical digest sets (determinism under parallelism)
 #   5. gating smoke: fig3-small and a small NoC mesh, gated vs --no-gating
 #      digest compare — a mismatch means some component slept with work
 #      pending
@@ -20,9 +19,9 @@
 #      unchecked sweep
 #   7. fuzz smoke: a bounded seeded campaign (mpsoc_fuzz, 50 cases) —
 #      generator determinism is asserted by diffing two --emit passes, then
-#      the monitored campaign gates on violations, invariant trips and
-#      gated/ungated digest divergence, auto-shrinking any failure to a
-#      minimal reproducer
+#      the monitored campaign gates on violations, invariant trips,
+#      gated/ungated digest divergence and run-to-completion cases that never
+#      complete (hangs), auto-shrinking any failure to a minimal reproducer
 #   8. ThreadSanitizer sweep: separate TSan build (tsan is incompatible with
 #      asan) running every shipped scenario, monitored, as one
 #      mpsoc_run --sweep -j 4 — the sweep pool is the only multi-threaded
@@ -106,8 +105,6 @@ if "$BUILD/tools/mpsoc_run" --sweep -j 1 --json "$BUILD/sweep-smoke/j1.json" \
        "sweep smoke: -j 1 and -j 2 digests differ (determinism regression)"
   then
     echo "sweep smoke: digests identical at -j 1 and -j 2"
-    cp "$BUILD/sweep-smoke/j2.json" "$BUILD/BENCH_sweep.json"
-    echo "wrote $BUILD/BENCH_sweep.json"
   else
     FAILED=1
   fi
@@ -189,8 +186,9 @@ stage "fuzz smoke (seeded campaign, 50 cases, gated vs ungated)"
 # regression, never noise.  Two --emit passes must print byte-identical
 # scenario sets (generator determinism); the campaign itself runs every case
 # fully monitored with activity gating on and off, gating on monitor
-# violations, invariant trips and gated/ungated digest divergence, and
-# delta-debugs any failure down to a minimal reproducer under
+# violations, invariant trips, gated/ungated digest divergence and
+# run-to-completion cases that never complete (hangs), and delta-debugs any
+# failure down to a minimal reproducer under
 # $BUILD/fuzz-smoke/corpus.
 FZ_OK=1
 mkdir -p "$BUILD/fuzz-smoke"
@@ -221,8 +219,8 @@ fi
 stage "tsan sweep (all scenarios, monitored, mpsoc_run --sweep -j 4)"
 # ThreadSanitizer build in its own tree (tsan and asan cannot share one).
 # The sweep pool is the only multi-threaded path: four simulations run side
-# by side, so any state they share — the Logger sink, a stray static — is
-# exercised under the race detector.
+# by side, so any state they share (src/ should hold none; a stray static
+# would) is exercised under the race detector.
 TSAN_BUILD="$BUILD-tsan"
 if cmake -B "$TSAN_BUILD" -S "$ROOT" -DMPSOC_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null; then

@@ -12,7 +12,8 @@
 //                   nondeterminism bugs — the same run digests
 //   --count N       number of generated cases (default 20).  Every case runs
 //                   twice, gated and ungated; disagreement in the canonical
-//                   result digest is a failure
+//                   result digest is a failure, and so is a run-to-completion
+//                   case that never completes (a hang)
 //   --jobs N        worker pool width for the per-case pair (default 1)
 //   --no-verify     drop the protocol monitors + transaction auditor
 //   --verify        accepted no-op (the default), so reproducer commands

@@ -229,8 +229,7 @@ class FileLinter {
         "Component",  "InterconnectBase", "MasterBase", "AhbLayer",
         "AxiBus",     "Bridge",           "DmaEngine",  "Iptg",
         "LmiController", "Router",        "SimpleMemory", "St220",
-        "StbusNode",  "TimelineRecorder", "VcdSampler", "Watchdog",
-        "SlaveSide",  "MasterSide",
+        "StbusNode",  "TimelineRecorder", "SlaveSide",  "MasterSide",
     };
   }
 

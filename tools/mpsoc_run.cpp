@@ -5,7 +5,7 @@
 //   --csv           print a machine-readable CSV block after the table
 //   --json <path>   write the sweep outcome (per-point digest, wall-clock,
 //                   simulation throughput, full metrics) as JSON; `-` writes
-//                   to stdout.  This is the BENCH_sweep.json schema.
+//                   to stdout.  This is the mpsoc-sweep-v1 schema.
 //   --normalize N   normalise execution times to scenario index N (default 0)
 //   --verify        attach the protocol monitors and transaction auditor
 //                   (src/verify) to every platform; a violation aborts with
