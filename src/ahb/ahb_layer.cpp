@@ -56,7 +56,7 @@ void AhbLayer::arbitrate() {
   active_ini_ = *winner;
   active_ = initiators_[active_ini_]->req.pop();
   active_tgt_ = route(active_->addr);
-  trackAccept(active_, active_ini_, active_tgt_);
+  trackAccept(active_, active_ini_);
   // The address phase overlaps the previous transaction's final data beat
   // (pipelined handover), so it is not accounted as a separate busy cycle.
 

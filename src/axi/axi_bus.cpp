@@ -91,7 +91,7 @@ void AxiBus::readRequestPath() {
         static_cast<std::size_t>(window_idx[*winner]));
     eng.chan.markTransfer();  // a burst issues only its first address
     ar_issued_[*winner] = true;
-    trackAccept(req, *winner, t);
+    trackAccept(req, *winner);
     req->accepted_ps = clk_.simulator().now();
     targets_[t]->req.push(req);
   }
@@ -132,7 +132,7 @@ void AxiBus::writeRequestPath() {
     RequestPtr req = initiators_[*winner]->req.popAt(
         static_cast<std::size_t>(window_idx[*winner]));
     w_granted_[*winner] = true;
-    trackAccept(req, *winner, t);
+    trackAccept(req, *winner);
     ++reserved_[t];  // the slot is claimed until the payload finishes
     eng.streaming = req;
     eng.beats_left = req->beats;

@@ -157,8 +157,8 @@ class Bridge::MasterSide final : public txn::MasterBase {
   std::deque<RequestPtr> done_;
   std::unordered_map<std::uint64_t, RequestPtr> origin_;
 
-  // origin_ is keyed by volatile clone ids: the kernel digests its values
-  // commutatively, so the digest stays stable across id renumbering.
+  // origin_ is keyed by clone id; a hash map digests its entries
+  // commutatively, so its iteration order never reaches the digest.
   SIM_STATE_MEMBERS_WITH_BASE(txn::MasterBase, staged_, done_, origin_,
                               b_.reads_fwd_, b_.writes_fwd_);
 };

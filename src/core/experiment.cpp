@@ -78,16 +78,4 @@ ScenarioResult runScenarioFor(const platform::PlatformConfig& cfg,
   return harvest(p, std::move(label), t);
 }
 
-std::vector<double> normalizedExecTimes(
-    const std::vector<ScenarioResult>& rs) {
-  std::vector<double> out;
-  if (rs.empty()) return out;
-  const double ref = static_cast<double>(rs.front().exec_ps);
-  out.reserve(rs.size());
-  for (const auto& r : rs) {
-    out.push_back(ref > 0 ? static_cast<double>(r.exec_ps) / ref : 0.0);
-  }
-  return out;
-}
-
 }  // namespace mpsoc::core

@@ -68,8 +68,4 @@ ScenarioResult runScenario(const platform::PlatformConfig& cfg,
 ScenarioResult runScenarioFor(const platform::PlatformConfig& cfg,
                               std::string label, sim::Picos duration_ps);
 
-/// Normalise a series of execution times to its first element (the way the
-/// paper plots Fig. 3 / Fig. 5 bars).
-std::vector<double> normalizedExecTimes(const std::vector<ScenarioResult>& rs);
-
 }  // namespace mpsoc::core

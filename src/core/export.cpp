@@ -108,18 +108,6 @@ std::string toJson(const ScenarioResult& r, int indent) {
   return os.str();
 }
 
-std::string toJson(const std::vector<ScenarioResult>& results) {
-  std::ostringstream os;
-  os << "[\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    os << toJson(results[i], 2);
-    if (i + 1 < results.size()) os << ",";
-    os << "\n";
-  }
-  os << "]\n";
-  return os.str();
-}
-
 std::string toSweepJson(const SweepOutcome& sweep, unsigned jobs) {
   std::ostringstream os;
   os << "{\n";

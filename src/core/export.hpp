@@ -16,9 +16,6 @@ std::string toCsv(const std::vector<ScenarioResult>& results);
 /// A single scenario as a JSON object (phases included).
 std::string toJson(const ScenarioResult& r, int indent = 0);
 
-/// A scenario list as a JSON array.
-std::string toJson(const std::vector<ScenarioResult>& results);
-
 /// A sweep outcome as a JSON object (the mpsoc-sweep-v1 schema): per-point
 /// status, canonical digest, wall-clock and simulation throughput, plus the
 /// full scenario metrics of every successful point.

@@ -39,64 +39,47 @@ SweepOutcome SweepRunner::runJobs(
   if (n == 0) return out;
 
   const auto sweep_t0 = HostClock::now();
-  std::atomic<std::size_t> next{0};
   std::atomic<bool> cancel{false};
   std::mutex progress_mutex;
   std::size_t completed = 0;
 
-  // Each worker claims point indices from the shared counter; a point's
-  // result lands in its own pre-sized slot, so workers never contend on the
-  // result vector.  Only the progress report is serialized.
-  auto work = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      PointResult& pr = out.points[i];
-      if (cancel.load(std::memory_order_relaxed)) {
-        pr.status = PointStatus::Skipped;
-        continue;
-      }
-      const auto t0 = HostClock::now();
-      try {
-        pr.result = job(i);
-        pr.status = PointStatus::Ok;
-      } catch (const std::exception& e) {
-        pr.status = PointStatus::Failed;
-        pr.error = e.what();
-        if (opts_.stop_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
-      pr.wall_ms = msSince(t0);
-      if (pr.status == PointStatus::Ok && pr.wall_ms > 0.0) {
-        pr.sim_edges_per_s =
-            static_cast<double>(pr.result.edges_executed) /
-            (pr.wall_ms / 1000.0);
-      }
-      if (opts_.on_progress) {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        SweepProgress p;
-        p.completed = ++completed;
-        p.total = n;
-        p.label = pr.label;
-        p.status = pr.status;
-        p.wall_ms = pr.wall_ms;
-        opts_.on_progress(p);
+  // A point's result lands in its own pre-sized slot, so workers never
+  // contend on the result vector; the body catches its own exceptions (a
+  // failed point is a status, not an error), and only the progress report
+  // is serialized.
+  parallelFor(n, opts_.jobs, [&](std::size_t i) {
+    PointResult& pr = out.points[i];
+    if (cancel.load(std::memory_order_relaxed)) {
+      pr.status = PointStatus::Skipped;
+      return;
+    }
+    const auto t0 = HostClock::now();
+    try {
+      pr.result = job(i);
+      pr.status = PointStatus::Ok;
+    } catch (const std::exception& e) {
+      pr.status = PointStatus::Failed;
+      pr.error = e.what();
+      if (opts_.stop_on_failure) {
+        cancel.store(true, std::memory_order_relaxed);
       }
     }
-  };
-
-  const unsigned jobs = resolveJobs(opts_.jobs);
-  if (jobs <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::size_t>(jobs, n));
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(work);
-    for (auto& t : pool) t.join();
-  }
+    pr.wall_ms = msSince(t0);
+    if (pr.status == PointStatus::Ok && pr.wall_ms > 0.0) {
+      pr.sim_edges_per_s = static_cast<double>(pr.result.edges_executed) /
+                           (pr.wall_ms / 1000.0);
+    }
+    if (opts_.on_progress) {
+      std::lock_guard<std::mutex> lock(progress_mutex);
+      SweepProgress p;
+      p.completed = ++completed;
+      p.total = n;
+      p.label = pr.label;
+      p.status = pr.status;
+      p.wall_ms = pr.wall_ms;
+      opts_.on_progress(p);
+    }
+  });
 
   out.wall_ms = msSince(sweep_t0);
   for (const auto& p : out.points) {

@@ -1,27 +1,19 @@
 #include "iptg/config_parser.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "sim/line_parser.hpp"
+
 namespace mpsoc::iptg {
 
 namespace {
 
-[[noreturn]] void fail(std::size_t line, const std::string& msg) {
-  throw std::runtime_error("iptg config, line " + std::to_string(line) +
-                           ": " + msg);
-}
-
-std::string trim(std::string s) {
-  auto issp = [](unsigned char c) { return std::isspace(c) != 0; };
-  while (!s.empty() && issp(static_cast<unsigned char>(s.front()))) s.erase(s.begin());
-  while (!s.empty() && issp(static_cast<unsigned char>(s.back()))) s.pop_back();
-  return s;
-}
+constexpr sim::LineParser kParse{"iptg config"};
+using sim::trim;
 
 std::vector<std::string> splitList(const std::string& s, char sep) {
   std::vector<std::string> out;
@@ -34,47 +26,17 @@ std::vector<std::string> splitList(const std::string& s, char sep) {
   return out;
 }
 
-std::uint64_t parseU64(const std::string& s, std::size_t line) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(s, &pos, 0);  // handles 0x prefixes
-    if (pos != s.size()) fail(line, "trailing characters in number '" + s + "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(line, "expected a number, got '" + s + "'");
-  } catch (const std::out_of_range&) {
-    fail(line, "number out of range: '" + s + "'");
-  }
-}
-
-double parseDouble(const std::string& s, std::size_t line) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) fail(line, "trailing characters in number '" + s + "'");
-    return v;
-  } catch (const std::exception&) {
-    fail(line, "expected a real number, got '" + s + "'");
-  }
-}
-
-bool parseBool(const std::string& s, std::size_t line) {
-  if (s == "true" || s == "1" || s == "yes") return true;
-  if (s == "false" || s == "0" || s == "no") return false;
-  fail(line, "expected a boolean, got '" + s + "'");
-}
-
 /// "a..b" -> {a, b};  "a" -> {a, a}.
 std::pair<std::uint64_t, std::uint64_t> parseRange(const std::string& s,
                                                    std::size_t line) {
   const auto dots = s.find("..");
   if (dots == std::string::npos) {
-    const std::uint64_t v = parseU64(s, line);
+    const std::uint64_t v = kParse.u64(s, line);
     return {v, v};
   }
-  const std::uint64_t lo = parseU64(trim(s.substr(0, dots)), line);
-  const std::uint64_t hi = parseU64(trim(s.substr(dots + 2)), line);
-  if (hi < lo) fail(line, "range upper bound below lower bound");
+  const std::uint64_t lo = kParse.u64(trim(s.substr(0, dots)), line);
+  const std::uint64_t hi = kParse.u64(trim(s.substr(dots + 2)), line);
+  if (hi < lo) kParse.fail(line, "range upper bound below lower bound");
   return {lo, hi};
 }
 
@@ -98,13 +60,16 @@ IptgConfig parseIptgConfig(const std::string& text) {
 
     // Section header: [agent NAME]
     if (line.front() == '[') {
-      if (line.back() != ']') fail(line_no, "unterminated section header");
+      if (line.back() != ']') {
+        kParse.fail(line_no, "unterminated section header");
+      }
       const std::string inner = trim(line.substr(1, line.size() - 2));
       if (inner.rfind("agent", 0) != 0) {
-        fail(line_no, "unknown section '" + inner + "' (expected 'agent <name>')");
+        kParse.fail(line_no, "unknown section '" + inner +
+                                 "' (expected 'agent <name>')");
       }
       const std::string name = trim(inner.substr(5));
-      if (name.empty()) fail(line_no, "agent section needs a name");
+      if (name.empty()) kParse.fail(line_no, "agent section needs a name");
       cfg.agents.emplace_back();
       agent = &cfg.agents.back();
       agent->name = name;
@@ -112,66 +77,67 @@ IptgConfig parseIptgConfig(const std::string& text) {
     }
 
     const auto eq = line.find('=');
-    if (eq == std::string::npos) fail(line_no, "expected 'key = value'");
+    if (eq == std::string::npos) kParse.fail(line_no, "expected 'key = value'");
     const std::string key = trim(line.substr(0, eq));
     const std::string val = trim(line.substr(eq + 1));
-    if (val.empty()) fail(line_no, "empty value for '" + key + "'");
+    if (val.empty()) kParse.fail(line_no, "empty value for '" + key + "'");
 
     if (!agent) {
       // IP-level options.
       if (key == "bytes_per_beat") {
-        cfg.bytes_per_beat = static_cast<std::uint32_t>(parseU64(val, line_no));
+        cfg.bytes_per_beat =
+            static_cast<std::uint32_t>(kParse.u64(val, line_no));
       } else if (key == "seed") {
-        cfg.seed = parseU64(val, line_no);
+        cfg.seed = kParse.u64(val, line_no);
       } else {
-        fail(line_no, "unknown ip-level option '" + key + "'");
+        kParse.fail(line_no, "unknown ip-level option '" + key + "'");
       }
       continue;
     }
 
     // Agent-level options.
     if (key == "read_fraction") {
-      agent->read_fraction = parseDouble(val, line_no);
+      agent->read_fraction = kParse.real(val, line_no);
     } else if (key == "bursts") {
       agent->burst_beats.clear();
       for (const auto& item : splitList(val, ',')) {
         const auto colon = item.find(':');
         BurstChoice b;
         if (colon == std::string::npos) {
-          b.beats = static_cast<std::uint32_t>(parseU64(item, line_no));
+          b.beats = static_cast<std::uint32_t>(kParse.u64(item, line_no));
           b.weight = 1.0;
         } else {
           b.beats = static_cast<std::uint32_t>(
-              parseU64(trim(item.substr(0, colon)), line_no));
-          b.weight = parseDouble(trim(item.substr(colon + 1)), line_no);
+              kParse.u64(trim(item.substr(0, colon)), line_no));
+          b.weight = kParse.real(trim(item.substr(colon + 1)), line_no);
         }
-        if (b.beats == 0) fail(line_no, "burst length must be positive");
+        if (b.beats == 0) kParse.fail(line_no, "burst length must be positive");
         agent->burst_beats.push_back(b);
       }
-      if (agent->burst_beats.empty()) fail(line_no, "empty burst list");
+      if (agent->burst_beats.empty()) kParse.fail(line_no, "empty burst list");
     } else if (key == "pattern") {
       if (val == "sequential") agent->pattern = AddressPattern::Sequential;
       else if (val == "random") agent->pattern = AddressPattern::Random;
       else if (val == "strided") agent->pattern = AddressPattern::Strided;
-      else fail(line_no, "unknown pattern '" + val + "'");
+      else kParse.fail(line_no, "unknown pattern '" + val + "'");
     } else if (key == "stride") {
-      agent->stride = parseU64(val, line_no);
+      agent->stride = kParse.u64(val, line_no);
     } else if (key == "base_addr") {
-      agent->base_addr = parseU64(val, line_no);
+      agent->base_addr = kParse.u64(val, line_no);
     } else if (key == "region_size") {
-      agent->region_size = parseU64(val, line_no);
+      agent->region_size = kParse.u64(val, line_no);
     } else if (key == "outstanding") {
-      agent->outstanding = static_cast<unsigned>(parseU64(val, line_no));
+      agent->outstanding = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "posted_writes") {
-      agent->posted_writes = parseBool(val, line_no);
+      agent->posted_writes = kParse.boolean(val, line_no);
     } else if (key == "priority") {
-      agent->priority = static_cast<std::uint8_t>(parseU64(val, line_no));
+      agent->priority = static_cast<std::uint8_t>(kParse.u64(val, line_no));
     } else if (key == "message_len") {
-      agent->message_len = parseU64(val, line_no);
+      agent->message_len = kParse.u64(val, line_no);
     } else if (key == "total_transactions") {
-      agent->total_transactions = parseU64(val, line_no);
+      agent->total_transactions = kParse.u64(val, line_no);
     } else if (key == "throttle") {
-      agent->throttle = parseDouble(val, line_no);
+      agent->throttle = kParse.real(val, line_no);
     } else if (key == "gap") {
       const auto [lo, hi] = parseRange(val, line_no);
       agent->gap_min = lo;
@@ -179,29 +145,29 @@ IptgConfig parseIptgConfig(const std::string& text) {
     } else if (key == "after") {
       const auto colon = val.find(':');
       if (colon == std::string::npos) {
-        fail(line_no, "'after' expects '<agent name>:<count>'");
+        kParse.fail(line_no, "'after' expects '<agent name>:<count>'");
       }
       deferred_after.emplace_back(trim(val.substr(0, colon)),
                                   cfg.agents.size() - 1);
-      agent->after_count = parseU64(trim(val.substr(colon + 1)), line_no);
+      agent->after_count = kParse.u64(trim(val.substr(colon + 1)), line_no);
     } else if (key == "sequence") {
       agent->sequence.clear();
       for (const auto& item : splitList(val, ',')) {
         const auto parts = splitList(item, ':');
         if (parts.size() < 3 || parts.size() > 4) {
-          fail(line_no, "sequence entry must be OP:addr:beats[:gap]");
+          kParse.fail(line_no, "sequence entry must be OP:addr:beats[:gap]");
         }
         SeqEntry e;
         if (parts[0] == "R" || parts[0] == "r") e.op = txn::Opcode::Read;
         else if (parts[0] == "W" || parts[0] == "w") e.op = txn::Opcode::Write;
-        else fail(line_no, "sequence op must be R or W");
-        e.addr = parseU64(parts[1], line_no);
-        e.beats = static_cast<std::uint32_t>(parseU64(parts[2], line_no));
-        if (parts.size() == 4) e.gap_cycles = parseU64(parts[3], line_no);
+        else kParse.fail(line_no, "sequence op must be R or W");
+        e.addr = kParse.u64(parts[1], line_no);
+        e.beats = static_cast<std::uint32_t>(kParse.u64(parts[2], line_no));
+        if (parts.size() == 4) e.gap_cycles = kParse.u64(parts[3], line_no);
         agent->sequence.push_back(e);
       }
     } else {
-      fail(line_no, "unknown agent option '" + key + "'");
+      kParse.fail(line_no, "unknown agent option '" + key + "'");
     }
   }
 

@@ -51,7 +51,6 @@ class Router final : public sim::Component {
 
   unsigned x() const { return x_; }
   unsigned y() const { return y_; }
-  NodeId nodeId() const { return static_cast<NodeId>(y_ * mesh_w_ + x_); }
 
   /// Input FIFO for a given direction (upstream neighbours / the local
   /// adapter push into it).
@@ -67,9 +66,6 @@ class Router final : public sim::Component {
   bool idle() const override;
 
   std::uint64_t packetsRouted() const { return routed_; }
-  const stats::ChannelUtilization& linkStats(Dir d) const {
-    return out_[static_cast<std::size_t>(d)].chan;
-  }
 
   /// XY route: which output port a packet to `dst` takes from this router
   /// (a route-table lookup; raises InvariantViolation outside the mesh).

@@ -39,14 +39,14 @@ Platform::Platform(PlatformConfig cfg) : cfg_(cfg) {
   buildTraffic();
   if (cfg_.include_cpu) buildCpu();
   if (cfg_.include_dma) buildDma();
+  // Out-of-graph state holders join the checkpoint set in construction order
+  // (the order labels digest items, so it must be deterministic): the probe,
+  // then the verify context's auditor and monitors.
+  sim_.addCheckpointable(&mem_fifo_probe_);
   if (cfg_.verify) {
-    verify_ = std::make_unique<verify::VerifyContext>();
+    verify_ = std::make_unique<verify::VerifyContext>(sim_);
     attachVerification();
   }
-  // Out-of-graph state holders join the checkpoint set in construction order
-  // (the order labels digest items, so it must be deterministic).
-  sim_.addCheckpointable(&mem_fifo_probe_);
-  if (verify_) sim_.addCheckpointable(verify_.get());
 }
 
 void Platform::attachVerification() {

@@ -88,7 +88,6 @@ class Platform {
   const std::vector<std::unique_ptr<bridge::Bridge>>& bridges() const {
     return bridges_;
   }
-  txn::InterconnectBase* centralBus() { return central_.get(); }
   /// The packet fabric, or nullptr unless Topology::NocMesh.
   const noc::NocMesh* nocMesh() const { return mesh_.get(); }
 

@@ -1,59 +1,19 @@
 #include "platform/scenario_parser.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "platform/validate.hpp"
+#include "sim/line_parser.hpp"
 
 namespace mpsoc::platform {
 
 namespace {
 
-[[noreturn]] void fail(std::size_t line, const std::string& msg) {
-  throw std::runtime_error("scenario, line " + std::to_string(line) + ": " +
-                           msg);
-}
-
-std::string trim(std::string s) {
-  auto issp = [](unsigned char c) { return std::isspace(c) != 0; };
-  while (!s.empty() && issp(static_cast<unsigned char>(s.front()))) s.erase(s.begin());
-  while (!s.empty() && issp(static_cast<unsigned char>(s.back()))) s.pop_back();
-  return s;
-}
-
-std::uint64_t parseU64(const std::string& s, std::size_t line) {
-  std::size_t pos = 0;
-  std::uint64_t v = 0;
-  try {
-    v = std::stoull(s, &pos, 0);
-  } catch (const std::exception&) {
-    fail(line, "expected a number, got '" + s + "'");
-  }
-  // Outside the try: fail() throws, and the catch above must not swallow it.
-  if (pos != s.size()) fail(line, "trailing characters in '" + s + "'");
-  return v;
-}
-
-double parseDouble(const std::string& s, std::size_t line) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(s, &pos);
-  } catch (const std::exception&) {
-    fail(line, "expected a real number, got '" + s + "'");
-  }
-  if (pos != s.size()) fail(line, "trailing characters in '" + s + "'");
-  return v;
-}
-
-bool parseBool(const std::string& s, std::size_t line) {
-  if (s == "true" || s == "1" || s == "yes") return true;
-  if (s == "false" || s == "0" || s == "no") return false;
-  fail(line, "expected a boolean, got '" + s + "'");
-}
+constexpr sim::LineParser kParse{"scenario"};
+using sim::trim;
 
 }  // namespace
 
@@ -72,10 +32,10 @@ NamedScenario parseScenario(const std::string& text) {
     const std::string line = trim(raw);
     if (line.empty()) continue;
     const auto eq = line.find('=');
-    if (eq == std::string::npos) fail(line_no, "expected 'key = value'");
+    if (eq == std::string::npos) kParse.fail(line_no, "expected 'key = value'");
     const std::string key = trim(line.substr(0, eq));
     const std::string val = trim(line.substr(eq + 1));
-    if (val.empty()) fail(line_no, "empty value for '" + key + "'");
+    if (val.empty()) kParse.fail(line_no, "empty value for '" + key + "'");
 
     if (key == "name") {
       out.name = val;
@@ -83,22 +43,22 @@ NamedScenario parseScenario(const std::string& text) {
       if (val == "stbus") cfg.protocol = Protocol::Stbus;
       else if (val == "ahb") cfg.protocol = Protocol::Ahb;
       else if (val == "axi") cfg.protocol = Protocol::Axi;
-      else fail(line_no, "unknown protocol '" + val + "'");
+      else kParse.fail(line_no, "unknown protocol '" + val + "'");
     } else if (key == "topology") {
       if (val == "full") cfg.topology = Topology::Full;
       else if (val == "collapsed") cfg.topology = Topology::Collapsed;
       else if (val == "single-layer") cfg.topology = Topology::SingleLayer;
       else if (val == "noc-mesh") cfg.topology = Topology::NocMesh;
-      else fail(line_no, "unknown topology '" + val + "'");
+      else kParse.fail(line_no, "unknown topology '" + val + "'");
     } else if (key == "memory") {
       if (val == "onchip") cfg.memory = MemoryKind::OnChip;
       else if (val == "lmi") cfg.memory = MemoryKind::Lmi;
-      else fail(line_no, "unknown memory kind '" + val + "'");
+      else kParse.fail(line_no, "unknown memory kind '" + val + "'");
     } else if (key == "wait_states") {
-      cfg.onchip_wait_states = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.onchip_wait_states = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "stbus_type") {
-      const auto t = parseU64(val, line_no);
-      if (t < 1 || t > 3) fail(line_no, "stbus_type must be 1..3");
+      const auto t = kParse.u64(val, line_no);
+      if (t < 1 || t > 3) kParse.fail(line_no, "stbus_type must be 1..3");
       cfg.stbus_type = static_cast<stbus::StbusType>(t);
     } else if (key == "arbitration") {
       if (val == "fixed-priority") cfg.arbitration = txn::ArbPolicy::FixedPriority;
@@ -106,91 +66,93 @@ NamedScenario parseScenario(const std::string& text) {
       else if (val == "lru") cfg.arbitration = txn::ArbPolicy::LeastRecentlyUsed;
       else if (val == "tdma") cfg.arbitration = txn::ArbPolicy::Tdma;
       else if (val == "lottery") cfg.arbitration = txn::ArbPolicy::Lottery;
-      else fail(line_no, "unknown arbitration policy '" + val + "'");
+      else kParse.fail(line_no, "unknown arbitration policy '" + val + "'");
     } else if (key == "message_arbitration") {
-      cfg.message_arbitration = parseBool(val, line_no);
+      cfg.message_arbitration = kParse.boolean(val, line_no);
     } else if (key == "lightweight_bridges") {
-      cfg.force_lightweight_bridges = parseBool(val, line_no);
+      cfg.force_lightweight_bridges = kParse.boolean(val, line_no);
     } else if (key == "split_bridges") {
-      cfg.force_split_bridges = parseBool(val, line_no);
+      cfg.force_split_bridges = kParse.boolean(val, line_no);
     } else if (key == "mem_bridge_split") {
-      cfg.mem_bridge_split = parseBool(val, line_no);
+      cfg.mem_bridge_split = kParse.boolean(val, line_no);
     } else if (key == "lmi_lookahead") {
-      cfg.lmi.lookahead = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.lmi.lookahead = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "lmi_merging") {
-      cfg.lmi.opcode_merging = parseBool(val, line_no);
+      cfg.lmi.opcode_merging = kParse.boolean(val, line_no);
     } else if (key == "lmi_merge_limit") {
-      cfg.lmi.merge_limit = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.lmi.merge_limit = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "lmi_divider") {
-      cfg.lmi.clock_divider = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.lmi.clock_divider = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "sdram_cas") {
-      cfg.lmi.timing.cas_latency = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.lmi.timing.cas_latency =
+          static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "sdram_trcd") {
-      cfg.lmi.timing.t_rcd = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.lmi.timing.t_rcd = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "sdram_trp") {
-      cfg.lmi.timing.t_rp = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.lmi.timing.t_rp = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "sdram_tras") {
-      cfg.lmi.timing.t_ras = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.lmi.timing.t_ras = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "sdram_trc") {
-      cfg.lmi.timing.t_rc = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.lmi.timing.t_rc = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "sdram_twr") {
-      cfg.lmi.timing.t_wr = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.lmi.timing.t_wr = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "sdram_trfc") {
-      cfg.lmi.timing.t_rfc = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.lmi.timing.t_rfc = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "sdram_trefi") {
-      cfg.lmi.timing.t_refi = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.lmi.timing.t_refi = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "sdram_ddr") {
-      cfg.lmi.timing.ddr = parseBool(val, line_no);
+      cfg.lmi.timing.ddr = kParse.boolean(val, line_no);
     } else if (key == "mem_fifo_depth") {
-      cfg.mem_fifo_depth = parseU64(val, line_no);
+      cfg.mem_fifo_depth = kParse.u64(val, line_no);
     } else if (key == "noc_width") {
-      cfg.noc_width = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.noc_width = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "noc_height") {
-      cfg.noc_height = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.noc_height = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "master_limit") {
-      cfg.master_limit = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.master_limit = static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "cpu_mhz") {
-      cfg.cpu_mhz = parseDouble(val, line_no);
+      cfg.cpu_mhz = kParse.real(val, line_no);
     } else if (key == "workload_scale") {
-      cfg.workload_scale = parseDouble(val, line_no);
+      cfg.workload_scale = kParse.real(val, line_no);
     } else if (key == "outstanding_override") {
       cfg.agent_outstanding_override =
-          static_cast<unsigned>(parseU64(val, line_no));
+          static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "burst_override") {
       cfg.agent_burst_override_beats =
-          static_cast<std::uint32_t>(parseU64(val, line_no));
+          static_cast<std::uint32_t>(kParse.u64(val, line_no));
     } else if (key == "use_case") {
       if (val == "playback") cfg.use_case = UseCase::Playback;
       else if (val == "record") cfg.use_case = UseCase::Record;
-      else fail(line_no, "unknown use_case '" + val + "'");
+      else kParse.fail(line_no, "unknown use_case '" + val + "'");
     } else if (key == "include_cpu") {
-      cfg.include_cpu = parseBool(val, line_no);
+      cfg.include_cpu = kParse.boolean(val, line_no);
     } else if (key == "include_dma") {
-      cfg.include_dma = parseBool(val, line_no);
+      cfg.include_dma = kParse.boolean(val, line_no);
     } else if (key == "include_scratchpad") {
-      cfg.include_scratchpad = parseBool(val, line_no);
+      cfg.include_scratchpad = kParse.boolean(val, line_no);
     } else if (key == "scratchpad_wait_states") {
-      cfg.scratchpad_wait_states = static_cast<unsigned>(parseU64(val, line_no));
+      cfg.scratchpad_wait_states =
+          static_cast<unsigned>(kParse.u64(val, line_no));
     } else if (key == "two_phase") {
-      cfg.two_phase_workload = parseBool(val, line_no);
+      cfg.two_phase_workload = kParse.boolean(val, line_no);
     } else if (key == "phase1_end_ps") {
-      cfg.phase1_end_ps = static_cast<sim::Picos>(parseU64(val, line_no));
+      cfg.phase1_end_ps = static_cast<sim::Picos>(kParse.u64(val, line_no));
     } else if (key == "phase2_end_ps") {
-      cfg.phase2_end_ps = static_cast<sim::Picos>(parseU64(val, line_no));
+      cfg.phase2_end_ps = static_cast<sim::Picos>(kParse.u64(val, line_no));
     } else if (key == "duration_ps") {
-      out.duration_ps = static_cast<sim::Picos>(parseU64(val, line_no));
+      out.duration_ps = static_cast<sim::Picos>(kParse.u64(val, line_no));
     } else if (key == "seed") {
-      cfg.seed = parseU64(val, line_no);
+      cfg.seed = kParse.u64(val, line_no);
     } else if (key == "verify") {
-      cfg.verify = parseBool(val, line_no);
+      cfg.verify = kParse.boolean(val, line_no);
     } else if (key == "statecheck") {
-      cfg.statecheck = parseBool(val, line_no);
+      cfg.statecheck = kParse.boolean(val, line_no);
     } else if (key == "statecheck_at_ps") {
-      cfg.statecheck_at_ps = static_cast<sim::Picos>(parseU64(val, line_no));
+      cfg.statecheck_at_ps = static_cast<sim::Picos>(kParse.u64(val, line_no));
     } else if (key == "statecheck_edges") {
-      cfg.statecheck_edges = parseU64(val, line_no);
+      cfg.statecheck_edges = kParse.u64(val, line_no);
     } else {
-      fail(line_no, "unknown scenario option '" + key + "'");
+      kParse.fail(line_no, "unknown scenario option '" + key + "'");
     }
   }
   const std::string why = validateConfig(cfg, out.duration_ps);

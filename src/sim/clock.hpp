@@ -47,9 +47,6 @@ class Updatable {
   /// carried-over staging here so rollbackStaged() can restore it instead
   /// of zeroing it.
   virtual void snapshotStaged() {}
-  /// True when staged state can be discarded and the edge re-evaluated
-  /// (requires value-preserving pops; see SyncFifo).
-  virtual bool replaySupported() const { return false; }
   /// Discard everything staged this edge, restoring the pre-evaluate view.
   virtual void rollbackStaged() {}
   /// Validate internal structural invariants; raise InvariantViolation on
@@ -68,13 +65,11 @@ class Updatable {
   /// the current instant later (Simulator::replayCheck).  Distinct from the
   /// per-edge staged-state hooks above: a checkpoint is taken between edges
   /// (Phase::Outside) and captures the registered contents, not the in-edge
-  /// staging.  Return false (the default) when unsupported —
-  /// Simulator::checkpoint() then refuses.
-  virtual bool saveCheckpoint() { return false; }
-  virtual void restoreCheckpoint() {}
-  /// Canonical digest of the committed contents (volatile transaction ids
-  /// excluded; see src/sim/state.hpp).
-  virtual std::uint64_t checkpointDigest() const { return 0; }
+  /// staging.
+  virtual void saveCheckpoint() = 0;
+  virtual void restoreCheckpoint() = 0;
+  /// Canonical digest of the committed contents (src/sim/state.hpp).
+  virtual std::uint64_t checkpointDigest() const = 0;
 
  private:
   friend class ClockDomain;
@@ -96,7 +91,6 @@ class ClockDomain {
 
   const std::string& name() const { return name_; }
   Picos period() const { return period_ps_; }
-  double frequencyMhz() const { return mhzFromPeriod(period_ps_); }
 
   /// Local cycle count: number of edges seen so far.  During evaluate() of
   /// edge N this reads N (first edge is cycle 1, at t = period).

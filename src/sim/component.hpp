@@ -36,14 +36,13 @@ class Component {
   /// internal state mutated by evaluate(); deep-check replay uses them to run
   /// an edge's evaluate twice, and Simulator::checkpoint() uses them for the
   /// replayCheck() checkpoint-equivalence oracle.  Returning false (the
-  /// default for an unmanifested component) makes deep-check skip the replay
-  /// pass on edges containing this component and makes checkpoint() fail —
-  /// the `unmanifested-state` lint rule keeps that default unreachable in
-  /// kernel code.
+  /// default for an unmanifested component) makes both deep-check and
+  /// checkpoint() raise — the `unmanifested-state` lint rule keeps that
+  /// default unreachable in kernel code.
   virtual bool saveState() { return false; }
   virtual void restoreState() {}
-  /// Canonical digest of all manifested state (volatile transaction ids
-  /// excluded; see state.hpp).  0 for an unmanifested component.
+  /// Canonical digest of all manifested state.  0 for an unmanifested
+  /// component.
   virtual std::uint64_t stateDigest() const { return 0; }
 
   // --- activity protocol ----------------------------------------------------

@@ -34,6 +34,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -65,8 +66,18 @@ struct FifoEdgeInfo {
   std::size_t capacity = 0;
 };
 
+/// Deep-check replay copies popped values and checkpoints snapshot the ring,
+/// so every FIFO payload must be copyable and snapshot-capable.
+template <typename T>
+inline constexpr bool kFifoPayload =
+    std::is_copy_constructible_v<T> && state::StateSupported<T>::value;
+
 template <typename T>
 class SyncFifo final : public Updatable {
+  static_assert(kFifoPayload<T>,
+                "SyncFifo payloads must be copyable and have StateOps "
+                "support (src/sim/state.hpp)");
+
  public:
   /// Per-edge observer: a plain function pointer + context, not a
   /// std::function — this is the hottest callback in the simulator (observed
@@ -145,10 +156,8 @@ class SyncFifo final : public Updatable {
     clk_.queueCommit(this);
     const std::size_t idx = pop_count_ + i;
     T v = takeAt(idx);
-    if constexpr (std::is_copy_constructible_v<T>) {
-      if (clk_.simulator().deepCheck()) {
-        ooo_journal_.push_back({idx, ring_[rix(idx)]});
-      }
+    if (clk_.simulator().deepCheck()) {
+      ooo_journal_.push_back({idx, ring_[rix(idx)]});
     }
     // Close the gap: shift every later element (committed and staged, which
     // sit contiguously after the committed run) one logical slot down.
@@ -220,10 +229,6 @@ class SyncFifo final : public Updatable {
 
   // --- deep-check hooks -----------------------------------------------------
 
-  bool replaySupported() const override {
-    return std::is_copy_constructible_v<T>;
-  }
-
   const std::string& updatableName() const override { return name_; }
 
   std::uint64_t stagedDigest() const override {
@@ -238,17 +243,15 @@ class SyncFifo final : public Updatable {
   void rollbackStaged() override {
     staged_n_ = 0;
     pop_count_ = 0;
-    if constexpr (std::is_copy_constructible_v<T>) {
-      // Undo out-of-order erasures back-to-front to restore exact positions
-      // (in-order pops need no undo: deep-check pops copy, so the values are
-      // still in place).
-      for (auto it = ooo_journal_.rbegin(); it != ooo_journal_.rend(); ++it) {
-        for (std::size_t j = committed_n_; j > it->index; --j) {
-          ring_[rix(j)] = std::move(ring_[rix(j - 1)]);
-        }
-        ring_[rix(it->index)] = it->value;
-        ++committed_n_;
+    // Undo out-of-order erasures back-to-front to restore exact positions
+    // (in-order pops need no undo: deep-check pops copy, so the values are
+    // still in place).
+    for (auto it = ooo_journal_.rbegin(); it != ooo_journal_.rend(); ++it) {
+      for (std::size_t j = committed_n_; j > it->index; --j) {
+        ring_[rix(j)] = std::move(ring_[rix(j - 1)]);
       }
+      ring_[rix(it->index)] = it->value;
+      ++committed_n_;
     }
     ooo_journal_.clear();
     ooo_pops_ = 0;
@@ -266,53 +269,35 @@ class SyncFifo final : public Updatable {
                   "ring head " << head_ << " outside capacity " << capacity_);
   }
 
-  // --- checkpoint hooks (native ring-buffer snapshot) -----------------------
+  // --- checkpoint hooks ---------------------------------------------------
+  //
+  // Between edges nothing is staged, so the ring and its registered
+  // occupancy are the whole state; they snapshot through the same
+  // state::SnapshotSlot a SIM_STATE manifest uses.
 
-  bool saveCheckpoint() override {
-    if constexpr (state::StateSupported<T>::value) {
-      SIM_CHECK_CTX(staged_n_ == 0 && pop_count_ == 0 && ooo_pops_ == 0,
-                    name_, &clk_,
-                    "saveCheckpoint() with staged state: checkpoints are only "
-                    "legal between edges (Phase::Outside)");
-      ckpt_head_ = head_;
-      ckpt_items_.resize(committed_n_);
-      for (std::size_t i = 0; i < committed_n_; ++i) {
-        state::StateOps<T>::save(ckpt_items_[i], ring_[rix(i)]);
-      }
-      ckpt_valid_ = true;
-      return true;
-    } else {
-      return false;  // payload type has no snapshot support
-    }
+  void saveCheckpoint() override {
+    SIM_CHECK_CTX(staged_n_ == 0 && pop_count_ == 0 && ooo_pops_ == 0,
+                  name_, &clk_,
+                  "saveCheckpoint() with staged state: checkpoints are only "
+                  "legal between edges (Phase::Outside)");
+    ckpt_.save(ring_, head_, committed_n_);
   }
 
   void restoreCheckpoint() override {
-    if constexpr (state::StateSupported<T>::value) {
-      SIM_CHECK_CTX(ckpt_valid_, name_, &clk_,
-                    "restoreCheckpoint() without a saved checkpoint");
-      head_ = ckpt_head_;
-      committed_n_ = ckpt_items_.size();
-      staged_n_ = 0;
-      pop_count_ = 0;
-      ooo_pops_ = 0;
-      ooo_journal_.clear();
-      for (std::size_t i = 0; i < committed_n_; ++i) {
-        state::StateOps<T>::restore(ring_[rix(i)], ckpt_items_[i]);
-      }
-    }
+    ckpt_.restore(ring_, head_, committed_n_);
+    staged_n_ = 0;
+    pop_count_ = 0;
+    ooo_pops_ = 0;
+    ooo_journal_.clear();
   }
 
   std::uint64_t checkpointDigest() const override {
-    if constexpr (state::StateSupported<T>::value) {
-      state::Digest d;
-      d.add(committed_n_ - pop_count_);
-      for (std::size_t i = pop_count_; i < committed_n_; ++i) {
-        state::StateOps<T>::digest(d, ring_[rix(i)]);
-      }
-      return d.value();
-    } else {
-      return 0;
+    state::Digest d;
+    d.add(committed_n_ - pop_count_);
+    for (std::size_t i = pop_count_; i < committed_n_; ++i) {
+      state::StateOps<T>::digest(d, ring_[rix(i)]);
     }
+    return d.value();
   }
 
  private:
@@ -334,9 +319,7 @@ class SyncFifo final : public Updatable {
   /// Take the value at logical position `logical`: copied when deep-check
   /// replay may need to re-run the edge, moved on the fast path.
   T takeAt(std::size_t logical) {
-    if constexpr (std::is_copy_constructible_v<T>) {
-      if (clk_.simulator().deepCheck()) return ring_[rix(logical)];
-    }
+    if (clk_.simulator().deepCheck()) return ring_[rix(logical)];
     return std::move(ring_[rix(logical)]);
   }
 
@@ -364,10 +347,7 @@ class SyncFifo final : public Updatable {
   std::size_t pop_count_ = 0;  ///< in-order pops staged this edge
   std::size_t ooo_pops_ = 0;   ///< out-of-order removals staged this edge
   std::vector<OooEntry> ooo_journal_;  ///< deep-check undo log for popAt
-  // Checkpoint snapshot of the committed ring (see saveCheckpoint()).
-  std::vector<state::SnapshotOf<T>> ckpt_items_;
-  std::size_t ckpt_head_ = 0;
-  bool ckpt_valid_ = false;
+  state::SnapshotSlot ckpt_;  ///< checkpoint of the committed ring
   ObserverFn observer_ = nullptr;
   void* observer_ctx_ = nullptr;
   std::vector<Component*> push_wakers_;
@@ -390,6 +370,10 @@ class SyncFifo final : public Updatable {
 /// otherwise it could re-sleep after the wake and never see the item.
 template <typename T>
 class AsyncFifo final : public Updatable {
+  static_assert(kFifoPayload<T>,
+                "AsyncFifo payloads must be copyable and have StateOps "
+                "support (src/sim/state.hpp)");
+
  public:
   AsyncFifo(ClockDomain& producer, ClockDomain& consumer, std::string name,
             std::size_t capacity, unsigned sync_stages = 2)
@@ -489,10 +473,6 @@ class AsyncFifo final : public Updatable {
 
   // --- deep-check hooks -----------------------------------------------------
 
-  bool replaySupported() const override {
-    return std::is_copy_constructible_v<T>;
-  }
-
   const std::string& updatableName() const override { return name_; }
 
   std::uint64_t stagedDigest() const override {
@@ -537,51 +517,26 @@ class AsyncFifo final : public Updatable {
   // therefore covers the committed entries, their visibility deadlines and
   // the pending pop count.
 
-  bool saveCheckpoint() override {
-    if constexpr (state::StateSupported<T>::value) {
-      SIM_CHECK_CTX(staged_.empty(), name_, &prod_,
-                    "saveCheckpoint() with staged pushes: checkpoints are "
-                    "only legal between edges (Phase::Outside)");
-      ckpt_items_.resize(committed_.size());
-      ckpt_visible_.resize(committed_.size());
-      for (std::size_t i = 0; i < committed_.size(); ++i) {
-        state::StateOps<T>::save(ckpt_items_[i], committed_[i].value);
-        ckpt_visible_[i] = committed_[i].visible_at;
-      }
-      ckpt_pop_count_ = pop_count_;
-      ckpt_valid_ = true;
-      return true;
-    } else {
-      return false;
-    }
+  void saveCheckpoint() override {
+    SIM_CHECK_CTX(staged_.empty(), name_, &prod_,
+                  "saveCheckpoint() with staged pushes: checkpoints are "
+                  "only legal between edges (Phase::Outside)");
+    ckpt_.save(committed_, pop_count_);
   }
 
   void restoreCheckpoint() override {
-    if constexpr (state::StateSupported<T>::value) {
-      SIM_CHECK_CTX(ckpt_valid_, name_, &prod_,
-                    "restoreCheckpoint() without a saved checkpoint");
-      committed_.resize(ckpt_items_.size());
-      for (std::size_t i = 0; i < ckpt_items_.size(); ++i) {
-        state::StateOps<T>::restore(committed_[i].value, ckpt_items_[i]);
-        committed_[i].visible_at = ckpt_visible_[i];
-      }
-      staged_.clear();
-      pop_count_ = ckpt_pop_count_;
-    }
+    ckpt_.restore(committed_, pop_count_);
+    staged_.clear();
   }
 
   std::uint64_t checkpointDigest() const override {
-    if constexpr (state::StateSupported<T>::value) {
-      state::Digest d;
-      d.add(committed_.size() - pop_count_);
-      for (std::size_t i = pop_count_; i < committed_.size(); ++i) {
-        state::StateOps<T>::digest(d, committed_[i].value);
-        d.add(committed_[i].visible_at);
-      }
-      return d.value();
-    } else {
-      return 0;
+    state::Digest d;
+    d.add(committed_.size() - pop_count_);
+    for (std::size_t i = pop_count_; i < committed_.size(); ++i) {
+      state::StateOps<T>::digest(d, committed_[i].value);
+      d.add(committed_[i].visible_at);
     }
+    return d.value();
   }
 
  private:
@@ -592,15 +547,15 @@ class AsyncFifo final : public Updatable {
   }
 
   T takeAt(std::size_t idx) {
-    if constexpr (std::is_copy_constructible_v<T>) {
-      if (prod_.simulator().deepCheck()) return committed_[idx].value;
-    }
+    if (prod_.simulator().deepCheck()) return committed_[idx].value;
     return std::move(committed_[idx].value);
   }
 
   struct Entry {
     T value;
     Picos visible_at;
+
+    auto simStateMembers() { return std::tie(value, visible_at); }
   };
 
   ClockDomain& prod_;
@@ -612,11 +567,7 @@ class AsyncFifo final : public Updatable {
   std::vector<T> staged_;
   std::size_t pop_count_ = 0;
   std::size_t dc_pop_count_ = 0;  ///< pre-edge pop count (deep-check)
-  // Checkpoint snapshot of the committed entries (see saveCheckpoint()).
-  std::vector<state::SnapshotOf<T>> ckpt_items_;
-  std::vector<Picos> ckpt_visible_;
-  std::size_t ckpt_pop_count_ = 0;
-  bool ckpt_valid_ = false;
+  state::SnapshotSlot ckpt_;  ///< checkpoint of the committed entries
   std::vector<Component*> push_wakers_;
 };
 

@@ -25,10 +25,6 @@ class Rng {
     return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
   }
 
-  double uniformReal(double lo = 0.0, double hi = 1.0) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
-  }
-
   bool bernoulli(double p) {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;

@@ -10,6 +10,16 @@ namespace mpsoc::sim {
 
 namespace {
 constexpr Picos kNever = std::numeric_limits<Picos>::max();
+
+/// Snapshot one component's manifest; `user` names the kernel feature that
+/// needs it in the report for an unmanifested component.
+void saveManifest(Component* c, const ClockDomain* d, const char* user) {
+  SIM_CHECK_CTX(c->saveState(), c->name(), d,
+                "component has no state manifest (SIM_STATE) — "
+                    << user
+                    << " needs every component to snapshot; the "
+                       "unmanifested-state lint rule flags the class");
+}
 }  // namespace
 
 Simulator::Simulator() = default;
@@ -92,27 +102,16 @@ bool Simulator::step() {
   // Phase 1: evaluate every domain whose edge coincides with t.
   phase_ = Phase::Evaluate;
   // Deep-check replay needs the pre-evaluate snapshot taken first.
-  bool replayable = false;
   if (deep_check_) {
-    replayable = true;
+    dc_next_txn_id_ = next_txn_id_;
     for (ClockDomain* d : edge_scratch_) {
-      for (Updatable* u : d->updatables()) {
-        if (!u->replaySupported()) replayable = false;
-        u->snapshotStaged();
-      }
-      for (Component* c : d->components()) {
-        if (!c->saveState()) replayable = false;
-      }
-    }
-    if (replayable) {
-      ++deep_stats_.replayed_edges;
-    } else {
-      ++deep_stats_.skipped_edges;
+      for (Updatable* u : d->updatables()) u->snapshotStaged();
+      for (Component* c : d->components()) saveManifest(c, d, "deep-check");
     }
   }
   for (ClockDomain* d : edge_scratch_) d->evaluateEdge();
 
-  if (deep_check_) deepCheckEdge(edge_scratch_, replayable);
+  if (deep_check_) deepCheckEdge(edge_scratch_);
 
   // Phase 2: commit their staged state.
   phase_ = Phase::Commit;
@@ -126,38 +125,38 @@ bool Simulator::step() {
   return true;
 }
 
-void Simulator::deepCheckEdge(const std::vector<ClockDomain*>& edge_domains,
-                              bool replayable) {
-  if (replayable) {
-    std::vector<std::uint64_t> digests;
-    for (ClockDomain* d : edge_domains) {
-      for (Updatable* u : d->updatables()) digests.push_back(u->stagedDigest());
-    }
+void Simulator::deepCheckEdge(const std::vector<ClockDomain*>& edge_domains) {
+  std::vector<std::uint64_t> digests;
+  for (ClockDomain* d : edge_domains) {
+    for (Updatable* u : d->updatables()) digests.push_back(u->stagedDigest());
+  }
 
-    for (ClockDomain* d : edge_domains) {
-      for (Updatable* u : d->updatables()) u->rollbackStaged();
-      for (Component* c : d->components()) c->restoreState();
-    }
-    // Second pass in reverse order: a well-behaved edge stages the same
-    // work regardless of component registration order.  The replay pass
-    // evaluates sleeping components too (see evaluateComponents), so an
-    // illegal sleep() shows up as a digest divergence.
-    in_replay_ = true;
-    for (auto it = edge_domains.rbegin(); it != edge_domains.rend(); ++it) {
-      (*it)->evaluateComponents(true);
-    }
-    in_replay_ = false;
+  for (ClockDomain* d : edge_domains) {
+    for (Updatable* u : d->updatables()) u->rollbackStaged();
+    for (Component* c : d->components()) c->restoreState();
+  }
+  // The replay pass re-issues the forward pass's requests under the same
+  // transaction ids.
+  next_txn_id_ = dc_next_txn_id_;
+  // Second pass in reverse order: a well-behaved edge stages the same work
+  // regardless of component registration order.  The replay pass evaluates
+  // sleeping components too (see evaluateComponents), so an illegal sleep()
+  // shows up as a digest divergence.
+  in_replay_ = true;
+  for (auto it = edge_domains.rbegin(); it != edge_domains.rend(); ++it) {
+    (*it)->evaluateComponents(true);
+  }
+  in_replay_ = false;
 
-    std::size_t i = 0;
-    for (ClockDomain* d : edge_domains) {
-      for (Updatable* u : d->updatables()) {
-        SIM_CHECK_CTX(u->stagedDigest() == digests[i], "deep-check", d,
-                      "order-dependent evaluate: staged state of '"
-                          << u->updatableName()
-                          << "' diverged between forward and reverse "
-                             "evaluation passes");
-        ++i;
-      }
+  std::size_t i = 0;
+  for (ClockDomain* d : edge_domains) {
+    for (Updatable* u : d->updatables()) {
+      SIM_CHECK_CTX(u->stagedDigest() == digests[i], "deep-check", d,
+                    "order-dependent evaluate: staged state of '"
+                        << u->updatableName()
+                        << "' diverged between forward and reverse "
+                           "evaluation passes");
+      ++i;
     }
   }
 
@@ -178,23 +177,14 @@ void Simulator::checkpoint() {
             "slot is shared with the replay machinery");
   for (const auto& d : domains_) {
     for (Component* c : d->components()) {
-      SIM_CHECK_CTX(c->saveState(), c->name(), d.get(),
-                    "component has no state manifest (SIM_STATE) — "
-                    "checkpoint() needs every component to snapshot; the "
-                    "unmanifested-state lint rule flags the class");
+      saveManifest(c, d.get(), "checkpoint()");
     }
-    std::size_t i = 0;
-    for (Updatable* u : d->updatables()) {
-      SIM_CHECK_CTX(u->saveCheckpoint(),
-                    d->name() + ":updatable#" + std::to_string(i), d.get(),
-                    "updatable does not support checkpointing (payload type "
-                    "without StateOps support?)");
-      ++i;
-    }
+    for (Updatable* u : d->updatables()) u->saveCheckpoint();
   }
-  for (Checkpointable* c : checkpointables_) c->saveCheckpoint();
+  for (Checkpointable* c : checkpointables_) c->saveState();
   ckpt_.now_ps = now_ps_;
   ckpt_.edges = edges_executed_;
+  ckpt_.next_txn_id = next_txn_id_;
   ckpt_.domain_state.clear();
   for (const auto& d : domains_) {
     ckpt_.domain_state.emplace_back(d->cycle_, d->next_edge_ps_);
@@ -212,9 +202,10 @@ void Simulator::restoreCheckpoint() {
     for (Component* c : d->components()) c->restoreState();
     for (Updatable* u : d->updatables()) u->restoreCheckpoint();
   }
-  for (Checkpointable* c : checkpointables_) c->restoreCheckpoint();
+  for (Checkpointable* c : checkpointables_) c->restoreState();
   now_ps_ = ckpt_.now_ps;
   edges_executed_ = ckpt_.edges;
+  next_txn_id_ = ckpt_.next_txn_id;
   for (std::size_t i = 0; i < domains_.size(); ++i) {
     domains_[i]->cycle_ = ckpt_.domain_state[i].first;
     domains_[i]->next_edge_ps_ = ckpt_.domain_state[i].second;
@@ -253,6 +244,7 @@ void Simulator::stateDigestItems(
     state::Digest kd;
     kd.add(static_cast<std::uint64_t>(now_ps_));
     kd.add(edges_executed_);
+    kd.add(next_txn_id_);
     for (const auto& d : domains_) {
       kd.add(d->cycle_);
       kd.add(static_cast<std::uint64_t>(d->next_edge_ps_));
@@ -262,7 +254,7 @@ void Simulator::stateDigestItems(
   std::size_t i = 0;
   for (const Checkpointable* c : checkpointables_) {
     out.emplace_back("aux#" + std::to_string(i) + ":" + c->checkpointName(),
-                     c->checkpointDigest());
+                     c->stateDigest());
     ++i;
   }
 }

@@ -36,23 +36,33 @@ namespace mpsoc::sim {
 /// Evaluate, commit() only during Commit (i.e. only kernel-invoked).
 enum class Phase { Outside, Evaluate, Commit };
 
+namespace state {
+class Digest;
+}  // namespace state
+
 /// State holder outside the component/updatable graph (verify monitors, the
 /// transaction auditor, stats probes) that must participate in
-///// Simulator::checkpoint() so a restored run does not see stale observer
+/// Simulator::checkpoint() so a restored run does not see stale observer
 /// state (a monitor remembering in-flight requests from the abandoned
-/// timeline would false-positive).  Registered via addCheckpointable();
-/// registration order defines the digest-item order, so register
-/// deterministically (construction order).
+/// timeline would false-positive).  It declares its state with the same
+/// SIM_STATE manifest macros as a Component (src/sim/state.hpp), which
+/// generate the three hooks below; the base hooks the macros chain are
+/// no-ops.  Registered via addCheckpointable(); registration order defines
+/// the digest-item order, so register deterministically (construction
+/// order).
 class Checkpointable {
  public:
   virtual ~Checkpointable() = default;
-  virtual void saveCheckpoint() = 0;
-  virtual void restoreCheckpoint() = 0;
-  /// Canonical digest of the held state; 0 when the holder is pure
-  /// observation whose contents are not part of platform state.
-  virtual std::uint64_t checkpointDigest() const { return 0; }
+  virtual bool saveState() = 0;
+  virtual void restoreState() = 0;
+  virtual std::uint64_t stateDigest() const = 0;
   /// Label of this holder's digest item (see stateDigestItems).
-  virtual std::string checkpointName() const { return "aux"; }
+  virtual std::string checkpointName() const = 0;
+
+ protected:
+  void saveStateBase() {}
+  void restoreStateBase() {}
+  void digestStateBase(state::Digest&) const {}
 };
 
 /// First state holder whose digest differed between the two passes of
@@ -97,9 +107,9 @@ class Simulator {
   bool activityGating() const { return activity_gating_; }
 
   /// Draw a fresh transaction id (txn::Request::id), unique within this
-  /// simulation.  Deliberately not checkpointed: a rewound window keeps
-  /// drawing fresh ids, which is why ids never enter a state digest (see
-  /// src/sim/state.hpp).
+  /// simulation.  The counter is kernel state: checkpoint() saves it and the
+  /// deep-check replay pass rewinds it, so a replayed window re-issues the
+  /// same ids.
   std::uint64_t nextTransactionId() { return next_txn_id_++; }
 
   /// Number of components currently asleep (activity counter).
@@ -109,10 +119,9 @@ class Simulator {
   /// digests all staged state, rolls it back, re-runs evaluate with component
   /// order *reversed*, and raises InvariantViolation if the second pass stages
   /// a structurally different result — catching order-dependent evaluate logic
-  /// that would break the determinism guarantee.  Replay engages only when
-  /// every component on the edge implements saveState()/restoreState() and
-  /// every Updatable supports rollback; otherwise the kernel still digests and
-  /// runs per-edge structural invariant checks.  The replay pass evaluates
+  /// that would break the determinism guarantee.  Every component on the
+  /// edge must carry a SIM_STATE manifest; an unmanifested one raises
+  /// InvariantViolation, as in checkpoint().  The replay pass evaluates
   /// sleeping components too, so a component that slept while it still had
   /// work to stage is caught as a forward/replay divergence.  Expensive; off
   /// by default.
@@ -124,17 +133,6 @@ class Simulator {
   /// which repeats every FIFO push/pop of the forward pass.
   bool inReplay() const { return in_replay_; }
 
-  /// Deep-check replay coverage: edges where the replay pass actually ran
-  /// (every component on the edge manifested via SIM_STATE, every updatable
-  /// rollback-capable) versus edges where only the structural checks ran.
-  /// The full-platform test asserts skipped_edges == 0 — the manifest floor
-  /// the `unmanifested-state` lint rule enforces statically.
-  struct DeepCheckStats {
-    std::uint64_t replayed_edges = 0;
-    std::uint64_t skipped_edges = 0;
-  };
-  const DeepCheckStats& deepCheckStats() const { return deep_stats_; }
-
   // --- checkpointing (replayCheck; see DESIGN.md) ---------------------------
 
   /// Register an auxiliary state holder in the checkpoint set.  Must happen
@@ -143,22 +141,21 @@ class Simulator {
 
   /// Snapshot the complete platform state at the current instant: every
   /// component's manifest (saveState), every updatable's committed contents
-  /// (saveCheckpoint), every registered Checkpointable, and the kernel's own
-  /// time state (now, edge count, per-domain cycle counters and next-edge
-  /// instants).  Only legal between edges (Phase::Outside) and with
-  /// deep-check off — the per-component snapshot slot is shared with the
-  /// deep-check replay machinery.  Raises InvariantViolation naming the
-  /// first component or updatable that does not support checkpointing.
+  /// (saveCheckpoint), every registered Checkpointable's manifest, and the
+  /// kernel's own state (now, edge count, transaction-id counter, per-domain
+  /// cycle counters and next-edge instants).  Only legal between edges
+  /// (Phase::Outside) and with deep-check off — the per-component snapshot
+  /// slot is shared with the deep-check replay machinery.  Raises
+  /// InvariantViolation naming the first component without a manifest.
   void checkpoint();
 
   /// Rewind to the last checkpoint().  The component/domain population must
   /// be unchanged since the checkpoint was taken.
   void restoreCheckpoint();
-  bool hasCheckpoint() const { return ckpt_.valid; }
 
-  /// Canonical digest of the complete committed platform state (volatile
-  /// transaction ids excluded; see src/sim/state.hpp).  Two runs that took
-  /// identical decisions hold identical digests at the same instant.
+  /// Canonical digest of the complete committed platform state.  Two runs
+  /// that took identical decisions hold identical digests at the same
+  /// instant.
   std::uint64_t stateDigest() const;
 
   /// Per-holder labeled digests, appended to `out` in deterministic order —
@@ -225,8 +222,7 @@ class Simulator {
     std::vector<ClockDomain*> domains;
   };
 
-  void deepCheckEdge(const std::vector<ClockDomain*>& edge_domains,
-                     bool replayable);
+  void deepCheckEdge(const std::vector<ClockDomain*>& edge_domains);
   /// Time of the next edge instant, without executing it.
   Picos nextEdgeTime();
   void rebuildSchedule();
@@ -234,12 +230,13 @@ class Simulator {
   void refreshIdleScan();
   bool allIdle() const;
 
-  /// Kernel half of a checkpoint: global time, edge count and each domain's
-  /// cycle counter / next-edge instant (component and updatable contents are
-  /// snapshotted in place by their own hooks).
+  /// Kernel half of a checkpoint: global time, edge count, transaction-id
+  /// counter and each domain's cycle counter / next-edge instant (component
+  /// and updatable contents are snapshotted in place by their own hooks).
   struct KernelCheckpoint {
     Picos now_ps = 0;
     std::uint64_t edges = 0;
+    std::uint64_t next_txn_id = 0;
     std::vector<std::pair<Cycle, Picos>> domain_state;  // (cycle_, next_edge)
     bool valid = false;
   };
@@ -253,6 +250,7 @@ class Simulator {
   bool finished_ = false;
   bool activity_gating_ = true;
   std::uint64_t next_txn_id_ = 1;
+  std::uint64_t dc_next_txn_id_ = 0;  ///< counter at edge start (deep-check)
 
   // Cached coincident-edge schedule (multi-domain path; a single domain short
   // circuits it).  slot_pool_ recycles slot vectors so the steady-state edge
@@ -265,7 +263,6 @@ class Simulator {
   // Checkpoint / deep-check bookkeeping.
   KernelCheckpoint ckpt_;
   std::vector<Checkpointable*> checkpointables_;
-  DeepCheckStats deep_stats_;
 
   // Activity bookkeeping.
   std::size_t asleep_count_ = 0;

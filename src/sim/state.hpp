@@ -2,7 +2,7 @@
 // Declarative state manifests (see DESIGN.md "State manifests,
 // checkpointing and Simulator::replayCheck").
 //
-// A component declares its mutable simulation state exactly once:
+// A state holder declares its mutable simulation state exactly once:
 //
 //   class Iptg final : public txn::MasterBase {
 //     ...
@@ -11,12 +11,15 @@
 //     SIM_STATE_EXEMPT(cfg_, "immutable configuration");
 //   };
 //
-// and the macro generates the saveState()/restoreState() deep-check hooks and
-// a canonical stateDigest() from the one list.  The mpsoc_lint rule
+// and the macro generates the saveState()/restoreState() hooks and a
+// canonical stateDigest() from the one list.  Components (sim::Component)
+// and out-of-graph holders (sim::Checkpointable: protocol monitors, the
+// transaction auditor, FIFO state probes) use the same macros, so the kernel
+// snapshots, rewinds and digests both the same way.  The mpsoc_lint rule
 // `unmanifested-state` closes the loop statically: every trailing-underscore
-// member of a Component subclass must appear in exactly one manifest or
-// exemption, so state-completeness is proved at lint time instead of being
-// discovered as digest drift in Simulator::replayCheck.
+// member of a Component or Checkpointable subclass must appear in exactly
+// one manifest or exemption, so state-completeness is proved at lint time
+// instead of being discovered as digest drift in Simulator::replayCheck.
 //
 // Exemption policy (enforced by convention + lint, verified by the oracle):
 //   * wiring (references, port/bus pointers, address maps) — established at
@@ -32,11 +35,10 @@
 // counter bumped there must be rolled back by restoreState() or the second
 // pass double-counts.
 //
-// Digest canon: transaction ids (Request::id/root_id) are volatile — a
-// restored window re-issues new requests from the simulator's id counter,
-// which is not checkpointed, so ids differ between the two statecheck passes.
-// Ids therefore never enter a digest, and id-keyed containers digest their
-// *values* commutatively so iteration order cannot matter.
+// Transaction ids are ordinary state: the simulator checkpoints its id
+// counter, so a rewound window re-issues the same ids and every id field
+// digests like any other.  Hash containers digest each (key, value) entry
+// and combine the entries commutatively, so iteration order cannot matter.
 //
 // This header is deliberately free of kernel dependencies (no component.hpp /
 // clock.hpp) so low-level payload types (txn::Request, noc::NocPacket) can
@@ -90,10 +92,8 @@ class Digest {
 template <typename T, typename Enable = void>
 struct StateOps {
   // No snapshot/digest support for T.  Give the type a
-  //   auto simStateMembers() { return std::tie(...); }   (plus a const
-  //   overload) or, for copyable types with volatile fields, a
-  //   void simStateDigest(state::Digest&) const
-  // member, or specialize StateOps<T>.  The primary template is left empty
+  //   auto simStateMembers() { return std::tie(...); }
+  // member or specialize StateOps<T>.  The primary template is left empty
   // (rather than static_assert) so StateSupported<T> below can detect
   // support.
 };
@@ -112,14 +112,6 @@ struct HasSimStateMembers : std::false_type {};
 template <typename T>
 struct HasSimStateMembers<
     T, std::void_t<decltype(std::declval<T&>().simStateMembers())>>
-    : std::true_type {};
-
-template <typename T, typename = void>
-struct HasSimStateDigest : std::false_type {};
-template <typename T>
-struct HasSimStateDigest<T, std::void_t<decltype(std::declval<const T&>()
-                                                     .simStateDigest(
-                                                         std::declval<Digest&>()))>>
     : std::true_type {};
 
 /// Snapshot tuple for the std::tie(...) returned by simStateMembers().
@@ -176,8 +168,7 @@ struct StateOps<std::mt19937_64> {
 };
 
 // Structs that expose their state via simStateMembers(): snapshot and digest
-// member-wise (a simStateDigest() member, when present, overrides the digest
-// so volatile fields can be excluded).
+// member-wise.
 template <typename T>
 struct StateOps<T, std::enable_if_t<detail::HasSimStateMembers<T>::value>> {
   using Tie = decltype(std::declval<T&>().simStateMembers());
@@ -192,12 +183,8 @@ struct StateOps<T, std::enable_if_t<detail::HasSimStateMembers<T>::value>> {
                  std::make_index_sequence<std::tuple_size_v<Snap>>{});
   }
   static void digest(Digest& d, const T& v) {
-    if constexpr (detail::HasSimStateDigest<T>::value) {
-      v.simStateDigest(d);
-    } else {
-      digestTuple(d, const_cast<T&>(v).simStateMembers(),
-                  std::make_index_sequence<std::tuple_size_v<Snap>>{});
-    }
+    digestTuple(d, const_cast<T&>(v).simStateMembers(),
+                std::make_index_sequence<std::tuple_size_v<Snap>>{});
   }
 
  private:
@@ -219,19 +206,6 @@ struct StateOps<T, std::enable_if_t<detail::HasSimStateMembers<T>::value>> {
          digest(d, std::get<I>(t)),
      ...);
   }
-};
-
-// Copyable types with only a custom digest (txn::Request: the whole object —
-// including its volatile id — is snapshotted by copy, while simStateDigest()
-// excludes the id fields from the canon).
-template <typename T>
-struct StateOps<T, std::enable_if_t<!detail::HasSimStateMembers<T>::value &&
-                                    detail::HasSimStateDigest<T>::value &&
-                                    std::is_copy_assignable_v<T>>> {
-  using Snap = T;
-  static void save(Snap& s, const T& v) { s = v; }
-  static void restore(T& v, const Snap& s) { v = s; }
-  static void digest(Digest& d, const T& v) { v.simStateDigest(d); }
 };
 
 // shared_ptr: in-flight payloads (Request/Response) mutate through shared
@@ -375,13 +349,13 @@ struct StateOps<std::array<T, N>, std::enable_if_t<StateSupported<T>::value>> {
   }
 };
 
-// Hash maps are assumed keyed by volatile transaction ids (the repo's only
-// unordered_map use in component state): keys are snapshotted for restore but
-// excluded from the digest, and values digest commutatively so neither the
-// unstable ids nor the iteration order can perturb the canon.
+// Hash containers: snapshotted entry by entry; each entry digests on its
+// own and the entry digests are summed, so the canon covers keys and values
+// but not the implementation-defined iteration order.
 template <typename K, typename V, typename H, typename E, typename A>
 struct StateOps<std::unordered_map<K, V, H, E, A>,
-                std::enable_if_t<StateSupported<V>::value>> {
+                std::enable_if_t<StateSupported<K>::value &&
+                                 StateSupported<V>::value>> {
   using VS = StateOps<V>;
   using Snap = std::vector<std::pair<K, typename VS::Snap>>;
   static void save(Snap& s, const std::unordered_map<K, V, H, E, A>& v) {
@@ -405,6 +379,7 @@ struct StateOps<std::unordered_map<K, V, H, E, A>,
     std::uint64_t sum = 0;
     for (const auto& [k, val] : v) {
       Digest ed;
+      StateOps<K>::digest(ed, k);
       VS::digest(ed, val);
       sum += ed.value();
     }
@@ -412,10 +387,9 @@ struct StateOps<std::unordered_map<K, V, H, E, A>,
   }
 };
 
-// Hash sets of ids: restore by copy, digest by cardinality only (the elements
-// are volatile ids).
 template <typename K, typename H, typename E, typename A>
-struct StateOps<std::unordered_set<K, H, E, A>> {
+struct StateOps<std::unordered_set<K, H, E, A>,
+                std::enable_if_t<StateSupported<K>::value>> {
   using Snap = std::vector<K>;
   static void save(Snap& s, const std::unordered_set<K, H, E, A>& v) {
     s.assign(v.begin(), v.end());
@@ -426,55 +400,43 @@ struct StateOps<std::unordered_set<K, H, E, A>> {
   }
   static void digest(Digest& d, const std::unordered_set<K, H, E, A>& v) {
     d.add(v.size());
+    std::uint64_t sum = 0;
+    for (const K& k : v) {
+      Digest ed;
+      StateOps<K>::digest(ed, k);
+      sum += ed.value();
+    }
+    d.add(sum);
   }
 };
 
-namespace detail {
-template <typename T, bool = StateSupported<T>::value>
-struct SnapOrChar {
-  using type = typename StateOps<T>::Snap;
-};
-template <typename T>
-struct SnapOrChar<T, false> {
-  using type = char;  // placeholder for unsupported payload types
-};
-}  // namespace detail
-
-/// StateOps<T>::Snap when T is snapshot-supported, a placeholder otherwise —
-/// lets class templates (SyncFifo) declare snapshot storage for payload types
-/// that may lack support (their checkpoint hooks then return false).
-template <typename T>
-using SnapshotOf = typename detail::SnapOrChar<T>::type;
-
-/// Type-erased snapshot storage for one SIM_STATE manifest.  The concrete
-/// snapshot tuple type depends on members declared *after* the macro site, so
-/// it cannot be a data member type; instead the slot lazily materialises the
-/// tuple inside the generated saveState() body (complete-class context) and
-/// reuses it on every subsequent save — the steady state allocates nothing.
+/// Type-erased snapshot storage for one SIM_STATE manifest (the FIFOs keep
+/// their checkpoint in one too).  The concrete snapshot tuple type depends
+/// on members declared *after* the macro site, so it cannot be a data member
+/// type; instead the slot lazily materialises the tuple inside the generated
+/// saveState() body (complete-class context) and reuses it on every
+/// subsequent save — the steady state allocates nothing.
 class SnapshotSlot {
  public:
   template <typename... Ts>
   void save(const Ts&... vs) {
     static_assert((StateSupported<std::decay_t<Ts>>::value && ...),
                   "a manifested member has no snapshot support: give its type "
-                  "simStateMembers()/simStateDigest() or a StateOps "
-                  "specialization (see src/sim/state.hpp)");
+                  "simStateMembers() or a StateOps specialization (see "
+                  "src/sim/state.hpp)");
     using Tup = std::tuple<typename StateOps<std::decay_t<Ts>>::Snap...>;
     Tup* t = std::any_cast<Tup>(&snap_);
     if (!t) t = &snap_.emplace<Tup>();
     saveInto(*t, std::index_sequence_for<Ts...>{}, vs...);
-    valid_ = true;
   }
 
   template <typename... Ts>
   void restore(Ts&... vs) const {
     using Tup = std::tuple<typename StateOps<std::decay_t<Ts>>::Snap...>;
     const Tup* t = std::any_cast<Tup>(&snap_);
-    if (!t || !valid_) return;  // restore without a prior save is a no-op
+    if (!t) return;  // restore without a prior save is a no-op
     restoreFrom(*t, std::index_sequence_for<Ts...>{}, vs...);
   }
-
-  bool valid() const { return valid_; }
 
  private:
   template <typename Tup, std::size_t... I, typename... Ts>
@@ -487,25 +449,14 @@ class SnapshotSlot {
   }
 
   std::any snap_;
-  bool valid_ = false;
 };
-
-template <typename... Ts>
-void saveMembers(SnapshotSlot& slot, const Ts&... vs) {
-  slot.save(vs...);
-}
-
-template <typename... Ts>
-void restoreMembers(const SnapshotSlot& slot, Ts&... vs) {
-  slot.restore(vs...);
-}
 
 template <typename... Ts>
 void digestMembers(Digest& d, const Ts&... vs) {
   static_assert((StateSupported<std::decay_t<Ts>>::value && ...),
                 "a manifested member has no digest support: give its type "
-                "simStateMembers()/simStateDigest() or a StateOps "
-                "specialization (see src/sim/state.hpp)");
+                "simStateMembers() or a StateOps specialization (see "
+                "src/sim/state.hpp)");
   (StateOps<std::decay_t<Ts>>::digest(d, vs), ...);
 }
 
@@ -513,24 +464,27 @@ void digestMembers(Digest& d, const Ts&... vs) {
 
 // --- SIM_STATE manifest macros ----------------------------------------------
 //
-// Every registered Component subclass must carry exactly one of
-// SIM_STATE_MEMBERS / SIM_STATE_MEMBERS_WITH_BASE / SIM_STATE_NONE, plus one
+// Every registered Component subclass and every Checkpointable must carry
+// exactly one of SIM_STATE_MEMBERS / SIM_STATE_MEMBERS_WITH_BASE /
+// SIM_STATE_NONE, plus one
 // SIM_STATE_EXEMPT per member deliberately left out of the manifest — the
 // `unmanifested-state` lint rule checks the correspondence against the class's
 // member declarations.  Unknown or duplicate exemption names fail to compile
 // (the generated function takes the member's address; duplicates collide).
 
-/// Manifest for a class deriving sim::Component directly.
+/// Manifest for a class deriving sim::Component or sim::Checkpointable
+/// directly (both provide the saveStateBase/restoreStateBase/digestStateBase
+/// hooks the body chains).
 #define SIM_STATE_MEMBERS(...)                                                \
  public:                                                                      \
   bool saveState() override {                                                 \
     saveStateBase();                                                          \
-    ::mpsoc::sim::state::saveMembers(sim_state_snap_, __VA_ARGS__);           \
+    sim_state_snap_.save(__VA_ARGS__);                                        \
     return true;                                                              \
   }                                                                           \
   void restoreState() override {                                              \
     restoreStateBase();                                                       \
-    ::mpsoc::sim::state::restoreMembers(sim_state_snap_, __VA_ARGS__);        \
+    sim_state_snap_.restore(__VA_ARGS__);                                     \
   }                                                                           \
   std::uint64_t stateDigest() const override {                                \
     ::mpsoc::sim::state::Digest sim_state_digest_;                            \
@@ -544,18 +498,19 @@ void digestMembers(Digest& d, const Ts&... vs) {
   static_assert(true, "SIM_STATE_MEMBERS requires a trailing semicolon")
 
 /// Manifest for a class deriving an intermediate base (txn::MasterBase,
-/// txn::InterconnectBase) that carries its own SIM_STATE manifest: the base's
+/// txn::InterconnectBase, verify::Monitor) that carries its own SIM_STATE
+/// manifest: the base's
 /// hooks are chained so base state is saved/restored/digested exactly once.
 #define SIM_STATE_MEMBERS_WITH_BASE(Base, ...)                                \
  public:                                                                      \
   bool saveState() override {                                                 \
     Base::saveState();                                                        \
-    ::mpsoc::sim::state::saveMembers(sim_state_snap_, __VA_ARGS__);           \
+    sim_state_snap_.save(__VA_ARGS__);                                        \
     return true;                                                              \
   }                                                                           \
   void restoreState() override {                                              \
     Base::restoreState();                                                     \
-    ::mpsoc::sim::state::restoreMembers(sim_state_snap_, __VA_ARGS__);        \
+    sim_state_snap_.restore(__VA_ARGS__);                                     \
   }                                                                           \
   std::uint64_t stateDigest() const override {                                \
     ::mpsoc::sim::state::Digest sim_state_digest_;                            \

@@ -18,6 +18,7 @@
 #include "sim/clock.hpp"
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
+#include "sim/state.hpp"
 #include "sim/time.hpp"
 #include "stats/stats.hpp"
 
@@ -65,7 +66,8 @@ class PhaseSchedule {
 ///
 /// Checkpointable: the probe accumulates from FIFO commit hooks, so a
 /// statecheck restore must rewind its buckets or the re-run window
-/// double-counts (the platform registers it via Simulator::addCheckpointable).
+/// double-counts (the platform registers it via Simulator::addCheckpointable;
+/// its SIM_STATE manifest generates the hooks).
 class FifoStateProbe : public sim::Checkpointable {
  public:
   struct Buckets {
@@ -110,25 +112,6 @@ class FifoStateProbe : public sim::Checkpointable {
   const Buckets& phase(std::size_t i) const { return per_phase_[i]; }
   std::size_t phaseCount() const { return per_phase_.size(); }
 
-  // --- Checkpointable -------------------------------------------------------
-
-  void saveCheckpoint() override {
-    ckpt_total_ = total_;
-    ckpt_per_phase_ = per_phase_;
-  }
-  void restoreCheckpoint() override {
-    total_ = ckpt_total_;
-    per_phase_ = ckpt_per_phase_;
-  }
-  std::uint64_t checkpointDigest() const override {
-    sim::state::Digest d;
-    sim::state::StateOps<Buckets>::digest(d, total_);
-    d.add(per_phase_.size());
-    for (const Buckets& b : per_phase_) {
-      sim::state::StateOps<Buckets>::digest(d, b);
-    }
-    return d.value();
-  }
   std::string checkpointName() const override { return "fifo-state-probe"; }
 
  private:
@@ -157,8 +140,9 @@ class FifoStateProbe : public sim::Checkpointable {
   sim::ClockDomain* clk_dom_ = nullptr;
   Buckets total_;
   std::vector<Buckets> per_phase_;
-  Buckets ckpt_total_;
-  std::vector<Buckets> ckpt_per_phase_;
+
+  SIM_STATE_MEMBERS(total_, per_phase_);
+  SIM_STATE_EXEMPT(clk_dom_, "wiring (the observed FIFO's domain)");
 };
 
 /// Channel occupancy accounting.  The owning engine calls exactly one of
@@ -172,9 +156,6 @@ class ChannelUtilization {
 
   void markTransfer() { ++transfers_; }
   void markHeld() { ++held_; }
-
-  void beginWindow(sim::Cycle now) { window_begin_ = now; }
-  void endWindow(sim::Cycle now) { window_end_ = now; }
 
   std::uint64_t transfers() const { return transfers_; }
   std::uint64_t held() const { return held_; }
@@ -194,15 +175,13 @@ class ChannelUtilization {
 
   /// State-manifest hook (src/sim/state.hpp); name_ is configuration.
   auto simStateMembers() {
-    return std::tie(transfers_, held_, window_begin_, window_end_);
+    return std::tie(transfers_, held_);
   }
 
  private:
   std::string name_;
   std::uint64_t transfers_ = 0;
   std::uint64_t held_ = 0;
-  sim::Cycle window_begin_ = 0;
-  sim::Cycle window_end_ = 0;
 };
 
 /// Transaction latency statistics in nanoseconds: streaming moments plus a

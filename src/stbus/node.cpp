@@ -160,7 +160,7 @@ void StbusNode::startStream(ReqEngine& e, std::size_t initiator,
   e.has_last = true;
   e.last_initiator = initiator;
   e.last_msg = req->msg_id;
-  trackAccept(req, initiator, target);
+  trackAccept(req, initiator);
 }
 
 void StbusNode::finishStream(ReqEngine& e) {

@@ -51,7 +51,6 @@ class Arbiter {
       : policy_(policy), rng_(seed) {}
 
   ArbPolicy policy() const { return policy_; }
-  std::size_t lastGrant() const { return last_grant_; }
 
   /// TDMA slot width, in cycles of the arbitrating clock.
   void setTdmaSlot(sim::Cycle cycles) { tdma_slot_ = cycles ? cycles : 1; }

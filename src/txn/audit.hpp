@@ -15,6 +15,11 @@
 // re-issued clones are audited as first-class transactions.  The auditor is
 // deliberately dumb — a map of live ids — precisely so it cannot share a bug
 // with the interconnect inflight tables it cross-checks.
+//
+// The auditor is a sim::Checkpointable: the verify context registers it with
+// the simulator, so Simulator::replayCheck rewinds its ledger with the rest
+// of the platform (the rewound timeline re-issues the same transactions,
+// which the no-duplication books would otherwise flag).
 
 #include <cstdint>
 #include <string>
@@ -22,11 +27,12 @@
 #include <unordered_set>
 
 #include "sim/check.hpp"
+#include "sim/simulator.hpp"
 #include "txn/transaction.hpp"
 
 namespace mpsoc::txn {
 
-class TxnAuditor {
+class TxnAuditor final : public sim::Checkpointable {
  public:
   /// Record an issue.  `fire_and_forget` marks posted writes, which retire
   /// at issue and must never see a response.
@@ -46,37 +52,23 @@ class TxnAuditor {
   /// reconciled.
   void finish(bool expect_drained) const;
 
-  /// Checkpoint hooks (Simulator::replayCheck): the rewound timeline
-  /// re-issues the same transactions, which the no-duplication books would
-  /// flag unless the ledger is wound back with the simulation.
-  void saveCheckpoint() {
-    ckpt_live_ = live_;
-    ckpt_completed_ = completed_;
-    ckpt_issued_ = issued_;
-    ckpt_retired_ = retired_;
-  }
-  void restoreCheckpoint() {
-    live_ = ckpt_live_;
-    completed_ = ckpt_completed_;
-    issued_ = ckpt_issued_;
-    retired_ = ckpt_retired_;
-  }
+  std::string checkpointName() const override { return "txn-audit"; }
 
  private:
   struct Live {
     std::string source;
     std::uint64_t addr = 0;
     sim::Picos issued_ps = 0;
+
+    auto simStateMembers() { return std::tie(source, addr, issued_ps); }
   };
 
   std::unordered_map<std::uint64_t, Live> live_;
   std::unordered_set<std::uint64_t> completed_;
   std::uint64_t issued_ = 0;
   std::uint64_t retired_ = 0;
-  std::unordered_map<std::uint64_t, Live> ckpt_live_;
-  std::unordered_set<std::uint64_t> ckpt_completed_;
-  std::uint64_t ckpt_issued_ = 0;
-  std::uint64_t ckpt_retired_ = 0;
+
+  SIM_STATE_MEMBERS(live_, completed_, issued_, retired_);
 };
 
 }  // namespace mpsoc::txn

@@ -4,6 +4,7 @@
 // transaction tracking, and the response-beat streaming helper that turns a
 // memory's BeatSchedule into cycle-by-cycle channel occupancy.
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -30,6 +31,7 @@ class InterconnectBase : public sim::Component {
   /// Register a master-side port.  Returns its initiator index.
   std::size_t addInitiator(InitiatorPort& p) {
     initiators_.push_back(&p);
+    order_.emplace_back();
     // Activity protocol: a request arriving on any initiator port is a wake
     // event for the engine (it may have slept with all queues drained).
     p.req.wakeOnPush(this);
@@ -48,7 +50,6 @@ class InterconnectBase : public sim::Component {
 
   std::size_t numInitiators() const { return initiators_.size(); }
   std::size_t numTargets() const { return targets_.size(); }
-  const AddressMap& addressMap() const { return amap_; }
 
   /// Decode; unmapped addresses are a configuration error.
   std::size_t route(std::uint64_t addr) const {
@@ -59,37 +60,18 @@ class InterconnectBase : public sim::Component {
     return *t;
   }
 
-  /// Total number of requests accepted from initiators.
-  std::uint64_t grantsIssued() const { return grants_; }
-
   /// Attach protocol monitors for this engine's initiator-side ports (each
   /// engine knows its own ordering/outstanding rules).  Call after every
   /// addInitiator()/addTarget().  Overridden by each protocol engine.
   virtual void attachMonitors(verify::VerifyContext& ctx) { (void)ctx; }
 
  protected:
-  /// One in-flight (accepted, response pending) transaction.
-  struct Inflight {
-    std::uint64_t req_id;
-    std::size_t initiator;
-    std::size_t target;
-
-    auto simStateMembers() { return std::tie(req_id, initiator, target); }
-    /// req_id is a volatile transaction id (see state.hpp "Digest canon").
-    void simStateDigest(sim::state::Digest& d) const {
-      d.add(initiator);
-      d.add(target);
-    }
-  };
-
   /// Record acceptance of a non-posted request; posted writes are not
   /// tracked (no response will ever arrive).
-  void trackAccept(const RequestPtr& req, std::size_t initiator,
-                   std::size_t target) {
-    ++grants_;
+  void trackAccept(const RequestPtr& req, std::size_t initiator) {
     if (req->posted && req->op == Opcode::Write) return;
     inflight_initiator_[req->id] = initiator;
-    order_[initiator].push_back(Inflight{req->id, initiator, target});
+    order_[initiator].push_back(req->id);
   }
 
   /// Initiator a response must return to.
@@ -103,14 +85,12 @@ class InterconnectBase : public sim::Component {
   /// Oldest outstanding request id for an initiator (in-order delivery rule
   /// of STBus Type 2), or 0 when none.
   std::uint64_t oldestInflight(std::size_t initiator) const {
-    auto it = order_.find(initiator);
-    if (it == order_.end() || it->second.empty()) return 0;
-    return it->second.front().req_id;
+    const auto& dq = order_[initiator];
+    return dq.empty() ? 0 : dq.front();
   }
 
   std::size_t inflightCount(std::size_t initiator) const {
-    auto it = order_.find(initiator);
-    return it == order_.end() ? 0 : it->second.size();
+    return order_[initiator].size();
   }
 
   bool anyInflight() const { return !inflight_initiator_.empty(); }
@@ -124,12 +104,7 @@ class InterconnectBase : public sim::Component {
     std::size_t ini = it->second;
     inflight_initiator_.erase(it);
     auto& dq = order_[ini];
-    for (auto i = dq.begin(); i != dq.end(); ++i) {
-      if (i->req_id == rsp->req->id) {
-        dq.erase(i);
-        break;
-      }
-    }
+    dq.erase(std::find(dq.begin(), dq.end(), rsp->req->id));
   }
 
   /// An in-progress response transfer on a response channel.
@@ -197,13 +172,13 @@ class InterconnectBase : public sim::Component {
   std::vector<InitiatorPort*> initiators_;
   std::vector<TargetPort*> targets_;
   AddressMap amap_;
-  std::uint64_t grants_ = 0;
 
  private:
   std::unordered_map<std::uint64_t, std::size_t> inflight_initiator_;
-  std::unordered_map<std::size_t, std::deque<Inflight>> order_;
+  /// Outstanding request ids per initiator index, in acceptance order.
+  std::vector<std::deque<std::uint64_t>> order_;
 
-  SIM_STATE_MEMBERS(grants_, inflight_initiator_, order_);
+  SIM_STATE_MEMBERS(inflight_initiator_, order_);
   SIM_STATE_EXEMPT(initiators_, "wiring (port registry)");
   SIM_STATE_EXEMPT(targets_, "wiring (port registry)");
   SIM_STATE_EXEMPT(amap_, "immutable configuration (address map)");

@@ -39,7 +39,6 @@ class MasterBase : public sim::Component {
   void collectResponses();
 
   unsigned outstanding() const { return outstanding_; }
-  unsigned maxOutstanding() const { return max_outstanding_; }
   std::uint64_t issued() const { return issued_; }
   std::uint64_t retired() const { return retired_; }
   std::uint64_t bytesRead() const { return bytes_read_; }

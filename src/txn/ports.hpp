@@ -57,8 +57,6 @@ class AddressMap {
     return std::nullopt;
   }
 
-  const std::vector<Region>& regions() const { return regions_; }
-
  private:
   std::vector<Region> regions_;
 };

@@ -48,24 +48,10 @@ struct Request {
   }
   std::uint64_t endAddr() const { return addr + bytes(); }
 
-  /// Digest canon for the statecheck oracle: every field except the volatile
-  /// id/root_id (re-issued requests draw fresh ids from the simulator's
-  /// counter, so ids differ between the two oracle passes — see
-  /// src/sim/state.hpp "Digest canon").  Snapshot/restore still copies the
-  /// whole object, ids included.
-  void simStateDigest(sim::state::Digest& d) const {
-    d.add(static_cast<std::uint64_t>(op));
-    d.add(addr);
-    d.add(beats);
-    d.add(bytes_per_beat);
-    d.add(priority);
-    d.add(posted ? 1u : 0u);
-    d.add(msg_id);
-    d.add(source);
-    d.add(tag);
-    d.add(static_cast<std::uint64_t>(created_ps));
-    d.add(static_cast<std::uint64_t>(accepted_ps));
-    d.add(static_cast<std::uint64_t>(completed_ps));
+  auto simStateMembers() {
+    return std::tie(id, root_id, op, addr, beats, bytes_per_beat, priority,
+                    posted, msg_id, source, tag, created_ps, accepted_ps,
+                    completed_ps);
   }
 };
 
@@ -93,8 +79,6 @@ struct Response {
   std::uint32_t beats = 1;  ///< read: data beats; write ack: 1
   BeatSchedule sched;
   bool error = false;
-
-  bool isRead() const { return req && req->op == Opcode::Read; }
 
   auto simStateMembers() { return std::tie(req, beats, sched, error); }
 };

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <tuple>
 
 #include "txn/ports.hpp"
 #include "verify/monitor.hpp"
@@ -39,15 +40,6 @@ class BridgeMonitor final : public Monitor {
 
   void finish(bool expect_drained) const override;
 
-  void saveCheckpoint() override {
-    Monitor::saveCheckpoint();
-    ckpt_live_ = live_;
-  }
-  void restoreCheckpoint() override {
-    Monitor::restoreCheckpoint();
-    live_ = ckpt_live_;
-  }
-
  private:
   void onAbsorb(const txn::RequestPtr& r);
   void onForward(const txn::RequestPtr& clone);
@@ -58,13 +50,19 @@ class BridgeMonitor final : public Monitor {
     bool needs_rsp;  ///< side-A response expected (false for posted writes)
     bool forwarded = false;
     bool responded = false;
+
+    auto simStateMembers() {
+      return std::tie(orig, needs_rsp, forwarded, responded);
+    }
   };
 
   void maybeRetire(std::deque<Xfer>::iterator it);
 
   std::uint32_t width_b_;
   std::deque<Xfer> live_;  ///< keyed by orig->root_id, absorb order
-  std::deque<Xfer> ckpt_live_;
+
+  SIM_STATE_MEMBERS_WITH_BASE(Monitor, live_);
+  SIM_STATE_EXEMPT(width_b_, "immutable configuration");
 };
 
 }  // namespace mpsoc::verify

@@ -2,7 +2,10 @@
 
 namespace mpsoc::verify {
 
-VerifyContext::VerifyContext() = default;
+VerifyContext::VerifyContext(sim::Simulator& sim) : sim_(sim) {
+  sim_.addCheckpointable(&auditor_);
+}
+
 VerifyContext::~VerifyContext() = default;
 
 std::uint64_t VerifyContext::eventsObserved() const {
@@ -14,16 +17,6 @@ std::uint64_t VerifyContext::eventsObserved() const {
 void VerifyContext::finish(bool expect_drained) const {
   for (const auto& m : monitors_) m->finish(expect_drained);
   auditor_.finish(expect_drained);
-}
-
-void VerifyContext::saveCheckpoint() {
-  for (const auto& m : monitors_) m->saveCheckpoint();
-  auditor_.saveCheckpoint();
-}
-
-void VerifyContext::restoreCheckpoint() {
-  for (const auto& m : monitors_) m->restoreCheckpoint();
-  auditor_.restoreCheckpoint();
 }
 
 }  // namespace mpsoc::verify

@@ -2,11 +2,11 @@
 // VerifyContext: the per-platform registry that owns every attached protocol
 // monitor plus the transaction-conservation auditor.
 //
-// A platform (or rig) that opts into verification creates one VerifyContext,
-// walks its components calling attachMonitors(ctx) / setAuditor(), and calls
-// finish() at the end of the run.  Monitors raise ProtocolViolation the
-// instant a rule is broken; finish() performs the teardown audits (stuck
-// transactions in monitors, leaks in the auditor).
+// A platform (or rig) that opts into verification creates one VerifyContext
+// on its simulator, walks its components calling attachMonitors(ctx) /
+// setAuditor(), and calls finish() at the end of the run.  Monitors raise
+// ProtocolViolation the instant a rule is broken; finish() performs the
+// teardown audits (stuck transactions in monitors, leaks in the auditor).
 //
 // A run that leaves `verify` off never creates a context: every hook that
 // would feed one (FIFO taps, the SDRAM command observer, the master audit
@@ -25,13 +25,14 @@
 
 namespace mpsoc::verify {
 
-/// The context is itself a sim::Checkpointable: registering it with the
-/// simulator (Simulator::addCheckpointable) rewinds every owned monitor and
-/// the conservation auditor together with a state restore, so the statecheck
-/// oracle's replayed timeline is not flagged against stale observer books.
-class VerifyContext : public sim::Checkpointable {
+/// The context registers the conservation auditor and every monitor it
+/// constructs with the simulator (Simulator::addCheckpointable), in that
+/// order, so a state restore rewinds each one's books through its SIM_STATE
+/// manifest and each is its own digest item, labelled by name.  The
+/// simulator must outlive the context's last checkpoint.
+class VerifyContext {
  public:
-  VerifyContext();
+  explicit VerifyContext(sim::Simulator& sim);
   ~VerifyContext();
 
   VerifyContext(const VerifyContext&) = delete;
@@ -43,6 +44,7 @@ class VerifyContext : public sim::Checkpointable {
   M& add(Args&&... args) {
     auto m = std::make_unique<M>(std::forward<Args>(args)...);
     M& ref = *m;
+    sim_.addCheckpointable(&ref);
     monitors_.push_back(std::move(m));
     return ref;
   }
@@ -62,11 +64,8 @@ class VerifyContext : public sim::Checkpointable {
   /// flight is a leak; pass false after bounded (runFor-style) runs.
   void finish(bool expect_drained) const;
 
-  void saveCheckpoint() override;
-  void restoreCheckpoint() override;
-  std::string checkpointName() const override { return "verify"; }
-
  private:
+  sim::Simulator& sim_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
   txn::TxnAuditor auditor_;
 };

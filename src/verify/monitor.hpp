@@ -14,6 +14,8 @@
 #include <string>
 
 #include "sim/check.hpp"
+#include "sim/simulator.hpp"
+#include "sim/state.hpp"
 
 namespace mpsoc::verify {
 
@@ -26,7 +28,12 @@ class ProtocolViolation : public sim::InvariantViolation {
       : sim::InvariantViolation(std::move(ctx), std::move(detail)) {}
 };
 
-class Monitor {
+/// Every monitor is a sim::Checkpointable: it lives outside the component
+/// graph but tracks in-flight traffic, so Simulator::replayCheck must wind
+/// its books back with the platform or the replayed timeline false-positives
+/// against stale state.  Subclasses manifest their books with
+/// SIM_STATE_MEMBERS_WITH_BASE(Monitor, ...).
+class Monitor : public sim::Checkpointable {
  public:
   Monitor(std::string name, const sim::ClockDomain* clk)
       : name_(std::move(name)), clk_(clk) {}
@@ -47,13 +54,7 @@ class Monitor {
   /// it as a leak; bounded runs pass false.
   virtual void finish(bool expect_drained) const { (void)expect_drained; }
 
-  /// Checkpoint hooks (Simulator::replayCheck rewinds the simulation to
-  /// an earlier instant and re-runs it): monitors live outside the component
-  /// graph but track in-flight traffic, so a restore must wind their books
-  /// back too or the replayed timeline false-positives against stale state.
-  /// Overrides must chain the base hooks (events_ lives here).
-  virtual void saveCheckpoint() { ckpt_events_ = events_; }
-  virtual void restoreCheckpoint() { events_ = ckpt_events_; }
+  std::string checkpointName() const override { return name_; }
 
  protected:
   void countEvent() { ++events_; }
@@ -69,7 +70,9 @@ class Monitor {
 
  private:
   std::uint64_t events_ = 0;
-  std::uint64_t ckpt_events_ = 0;
+
+  SIM_STATE_MEMBERS(events_);
+  SIM_STATE_EXEMPT(name_, "immutable configuration (monitor name)");
 };
 
 // Check macro for monitor member functions: `expr` is an ostream chain,

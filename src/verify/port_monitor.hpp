@@ -26,6 +26,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "txn/ports.hpp"
@@ -39,6 +40,8 @@ namespace mpsoc::verify {
 struct SharedLedger {
   unsigned cap = 1;
   unsigned count = 0;
+
+  auto simStateMembers() { return std::tie(count); }
 };
 
 struct InitiatorRules {
@@ -55,21 +58,6 @@ class InitiatorMonitor final : public Monitor {
 
   void finish(bool expect_drained) const override;
 
-  void saveCheckpoint() override {
-    Monitor::saveCheckpoint();
-    ckpt_queued_ = queued_;
-    ckpt_accepted_ = accepted_;
-    if (rules_.ledger) ckpt_ledger_count_ = rules_.ledger->count;
-  }
-  void restoreCheckpoint() override {
-    Monitor::restoreCheckpoint();
-    queued_ = ckpt_queued_;
-    accepted_ = ckpt_accepted_;
-    // The ledger is shared by every monitor of the layer; each one rewinds
-    // it to the same saved value, so the repeated write is idempotent.
-    if (rules_.ledger) rules_.ledger->count = ckpt_ledger_count_;
-  }
-
  private:
   void onReqPush(const txn::RequestPtr& r);
   void onReqPop(const txn::RequestPtr& r);
@@ -78,14 +66,18 @@ class InitiatorMonitor final : public Monitor {
   struct Entry {
     std::uint64_t id;
     txn::RequestPtr req;
+
+    auto simStateMembers() { return std::tie(id, req); }
   };
 
   InitiatorRules rules_;
   std::vector<Entry> queued_;   ///< pushed by the master, not yet granted
   std::deque<Entry> accepted_;  ///< granted, response pending (grant order)
-  std::vector<Entry> ckpt_queued_;
-  std::deque<Entry> ckpt_accepted_;
-  unsigned ckpt_ledger_count_ = 0;
+
+  // The ledger is shared by every monitor of the layer; each one rewinds it
+  // to the same saved count, so the repeated restore is idempotent.
+  SIM_STATE_MEMBERS_WITH_BASE(Monitor, queued_, accepted_, rules_.ledger);
+  SIM_STATE_EXEMPT(rules_, "immutable configuration (ledger manifested)");
 };
 
 class TargetMonitor final : public Monitor {
@@ -94,15 +86,6 @@ class TargetMonitor final : public Monitor {
                 txn::TargetPort& port);
 
   void finish(bool expect_drained) const override;
-
-  void saveCheckpoint() override {
-    Monitor::saveCheckpoint();
-    ckpt_pending_ = pending_;
-  }
-  void restoreCheckpoint() override {
-    Monitor::restoreCheckpoint();
-    pending_ = ckpt_pending_;
-  }
 
  private:
   void onReqPush(const txn::RequestPtr& r);
@@ -114,10 +97,15 @@ class TargetMonitor final : public Monitor {
     txn::RequestPtr req;
     bool expects_rsp;
     bool in_service = false;  ///< popped from the request FIFO by the slave
+
+    auto simStateMembers() {
+      return std::tie(id, req, expects_rsp, in_service);
+    }
   };
 
   std::deque<Entry> pending_;
-  std::deque<Entry> ckpt_pending_;
+
+  SIM_STATE_MEMBERS_WITH_BASE(Monitor, pending_);
 };
 
 }  // namespace mpsoc::verify

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "mem/sdram.hpp"
@@ -33,21 +34,6 @@ class SdramLegalityMonitor final : public Monitor {
 
   /// Feed one device command (wired to SdramDevice::setCommandObserver).
   void onCommand(const mem::SdramCommand& c);
-
-  void saveCheckpoint() override {
-    Monitor::saveCheckpoint();
-    ckpt_banks_ = banks_;
-    ckpt_bus_free_ = bus_free_;
-    ckpt_refresh_done_ = refresh_done_;
-    ckpt_has_refresh_ = has_refresh_;
-  }
-  void restoreCheckpoint() override {
-    Monitor::restoreCheckpoint();
-    banks_ = ckpt_banks_;
-    bus_free_ = ckpt_bus_free_;
-    refresh_done_ = ckpt_refresh_done_;
-    has_refresh_ = ckpt_has_refresh_;
-  }
 
  private:
   sim::Picos cyc(unsigned n) const {
@@ -65,6 +51,11 @@ class SdramLegalityMonitor final : public Monitor {
     bool has_pre = false;
     bool has_wr = false;
     bool has_rd = false;
+
+    auto simStateMembers() {
+      return std::tie(open, row, last_act, last_pre, wr_end, rd_end, has_act,
+                      has_pre, has_wr, has_rd);
+    }
   };
 
   mem::SdramTiming t_;
@@ -73,10 +64,11 @@ class SdramLegalityMonitor final : public Monitor {
   sim::Picos bus_free_ = 0;      ///< data-bus serialisation point
   sim::Picos refresh_done_ = 0;  ///< end of the last AUTO-REFRESH
   bool has_refresh_ = false;
-  std::vector<BankShadow> ckpt_banks_;
-  sim::Picos ckpt_bus_free_ = 0;
-  sim::Picos ckpt_refresh_done_ = 0;
-  bool ckpt_has_refresh_ = false;
+
+  SIM_STATE_MEMBERS_WITH_BASE(Monitor, banks_, bus_free_, refresh_done_,
+                              has_refresh_);
+  SIM_STATE_EXEMPT(t_, "immutable configuration (device timing)");
+  SIM_STATE_EXEMPT(clk_period_, "immutable configuration");
 };
 
 }  // namespace mpsoc::verify

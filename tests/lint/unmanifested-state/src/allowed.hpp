@@ -18,3 +18,13 @@ class NoManifest final : public sim::Component {  // mpsoc-lint: allow(unmanifes
  private:
   long level_ = 0;
 };
+
+class Books final : public sim::Checkpointable {
+ public:
+  std::string checkpointName() const override;
+
+ private:
+  long live_ = 0;
+  long done_ = 0;  // mpsoc-lint: allow(unmanifested-state)
+  SIM_STATE_MEMBERS(live_);
+};

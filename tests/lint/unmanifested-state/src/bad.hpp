@@ -17,3 +17,14 @@ class NoManifest final : public sim::Component {
  private:
   long level_ = 0;
 };
+
+// An out-of-graph state holder: its books rewind through the manifest too.
+class Books final : public sim::Checkpointable {
+ public:
+  std::string checkpointName() const override;
+
+ private:
+  long live_ = 0;
+  long done_ = 0;
+  SIM_STATE_MEMBERS(live_);
+};

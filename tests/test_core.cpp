@@ -68,18 +68,6 @@ TEST(Experiment, ScenarioResultIsPopulated) {
               1.0, 1e-9);
 }
 
-TEST(Experiment, NormalizedExecTimes) {
-  std::vector<core::ScenarioResult> rs(3);
-  rs[0].exec_ps = 1000;
-  rs[1].exec_ps = 1500;
-  rs[2].exec_ps = 500;
-  auto n = core::normalizedExecTimes(rs);
-  ASSERT_EQ(n.size(), 3u);
-  EXPECT_DOUBLE_EQ(n[0], 1.0);
-  EXPECT_DOUBLE_EQ(n[1], 1.5);
-  EXPECT_DOUBLE_EQ(n[2], 0.5);
-}
-
 TEST(SingleLayerRig, RunsAllProtocols) {
   for (auto proto : {core::RigProtocol::Stbus, core::RigProtocol::Ahb,
                      core::RigProtocol::Axi}) {

@@ -51,11 +51,4 @@ TEST(Export, JsonIsWellFormedEnough) {
             std::count(js.begin(), js.end(), ']'));
 }
 
-TEST(Export, JsonArray) {
-  const std::string js = core::toJson({fakeResult("a"), fakeResult("b")});
-  EXPECT_EQ(js.front(), '[');
-  EXPECT_NE(js.find("\"label\": \"a\""), std::string::npos);
-  EXPECT_NE(js.find("\"label\": \"b\""), std::string::npos);
-}
-
 }  // namespace

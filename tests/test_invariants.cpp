@@ -73,6 +73,9 @@ struct CommitPusher : sim::Updatable {
   }
   ~CommitPusher() override { clk.removeUpdatable(this); }
   void commit() override { f.push(99); }
+  void saveCheckpoint() override {}  // holds no committed state
+  void restoreCheckpoint() override {}
+  std::uint64_t checkpointDigest() const override { return 0; }
 };
 
 TEST(PhaseGuards, PushDuringCommitThrows) {
@@ -150,33 +153,23 @@ TEST(PhaseGuards, ViolationIsOnInReleaseBuilds) {
 struct ReplayProducer : sim::Component {
   sim::SyncFifo<int>& f;
   int next = 0;
-  int saved = 0;
   ReplayProducer(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
       : sim::Component(c, "prod"), f(fifo) {}
   void evaluate() override {
     if (f.canPush()) f.push(next++);
   }
-  bool saveState() override {
-    saved = next;
-    return true;
-  }
-  void restoreState() override { next = saved; }
+  SIM_STATE_MEMBERS(next);
 };
 
 struct ReplayConsumer : sim::Component {
   sim::SyncFifo<int>& f;
   std::vector<int> got;
-  std::size_t saved = 0;
   ReplayConsumer(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
       : sim::Component(c, "cons"), f(fifo) {}
   void evaluate() override {
     if (!f.empty()) got.push_back(f.pop());
   }
-  bool saveState() override {
-    saved = got.size();
-    return true;
-  }
-  void restoreState() override { got.resize(saved); }
+  SIM_STATE_MEMBERS(got);
 };
 
 TEST(DeepCheck, CleanPipelineStreamsIdentically) {
@@ -225,8 +218,7 @@ struct SharedFlagReader : sim::Component {
   void evaluate() override {
     if (*shared == 1 && f.canPush()) f.push(*shared);
   }
-  bool saveState() override { return true; }
-  void restoreState() override {}
+  SIM_STATE_NONE();
 };
 
 TEST(DeepCheck, OrderDependentEvaluateCaught) {
@@ -265,9 +257,7 @@ TEST(DeepCheck, OrderIndependentPairPasses) {
 struct OooServer : sim::Component {
   sim::SyncFifo<int>& f;
   int phase = 0;
-  int saved = 0;
   std::vector<int> taken;
-  std::size_t taken_saved = 0;
   OooServer(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
       : sim::Component(c, "ooo"), f(fifo) {}
   void evaluate() override {
@@ -288,15 +278,7 @@ struct OooServer : sim::Component {
         break;
     }
   }
-  bool saveState() override {
-    saved = phase;
-    taken_saved = taken.size();
-    return true;
-  }
-  void restoreState() override {
-    phase = saved;
-    taken.resize(taken_saved);
-  }
+  SIM_STATE_MEMBERS(phase, taken);
 };
 
 TEST(DeepCheck, PopAtJournalRollsBackExactly) {

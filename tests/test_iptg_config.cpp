@@ -113,6 +113,22 @@ TEST(IptgConfigParser, ErrorsCarryLineNumbers) {
   EXPECT_THROW(iptg::parseIptgConfig("[bus x]\n"), std::runtime_error);
 }
 
+// A number with a junk suffix is reported as such, not as "not a number",
+// and the message keeps the IPTG grammar's own prefix.
+TEST(IptgConfigParser, TrailingCharactersAreNamed) {
+  for (const char* text : {"[agent a]\nread_fraction = 0.5x\n",
+                           "[agent a]\noutstanding = 4k\n"}) {
+    try {
+      iptg::parseIptgConfig(text);
+      FAIL() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("iptg config, line 2: ", 0), 0u) << what;
+      EXPECT_NE(what.find("trailing characters"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(IptgConfigParser, ParsedConfigDrivesAGenerator) {
   const auto cfg = iptg::parseIptgConfig(R"(
 bytes_per_beat = 8

@@ -286,7 +286,6 @@ TEST(KernelActivity, DeepCheckCatchesIllegalSleep) {
   struct Liar : sim::Component {
     sim::SyncFifo<int>& f;
     int next = 0;
-    int saved = 0;
     Liar(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
         : sim::Component(c, "liar"), f(fifo) {}
     void evaluate() override {
@@ -294,11 +293,7 @@ TEST(KernelActivity, DeepCheckCatchesIllegalSleep) {
       sleep();  // illegal in spirit: there is still work to stage
     }
     bool idle() const override { return true; }  // the lie
-    bool saveState() override {
-      saved = next;
-      return true;
-    }
-    void restoreState() override { next = saved; }
+    SIM_STATE_MEMBERS(next);
   };
 
   sim::Simulator s;

@@ -111,8 +111,11 @@ const std::vector<RuleCase>& ruleCases() {
       {"shared-static", "shared-static/src/bad_evaluate.cpp", {4}},
       // Line 9: member in no manifest.  Line 10: duplicate entry and a typo'd
       // name (two findings, one pinned location).  Line 13: a Component
-      // subclass with state but no manifest at all.
-      {"unmanifested-state", "unmanifested-state/src/bad.hpp", {9, 10, 13}},
+      // subclass with state but no manifest at all.  Line 28: a
+      // Checkpointable member in no manifest.
+      {"unmanifested-state",
+       "unmanifested-state/src/bad.hpp",
+       {9, 10, 13, 28}},
   };
   return cases;
 }
@@ -193,7 +196,7 @@ TEST(Lint, JsonReportCarriesPinnedFindings) {
   const LintRun run = runLint("--json " + fixtureDir("unmanifested-state"));
   EXPECT_EQ(run.exit_code, 1) << run.output;
   EXPECT_NE(run.output.find("\"files\": 3"), std::string::npos) << run.output;
-  for (int line : {9, 10, 13}) {
+  for (int line : {9, 10, 13, 28}) {
     const std::string needle = "\"line\": " + std::to_string(line) +
                                ", \"rule\": \"unmanifested-state\"";
     EXPECT_NE(run.output.find(needle), std::string::npos)

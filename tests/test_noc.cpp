@@ -384,7 +384,6 @@ struct MeshRun {
   std::uint64_t state_digest = 0;
   std::uint64_t hops = 0;
   std::uint64_t retired = 0;
-  sim::Simulator::DeepCheckStats deep{};
 };
 
 /// Four masters with 4-packet message trains on a 3x3 mesh with the memory
@@ -426,7 +425,6 @@ MeshRun runMesh(const noc::RouterConfig& rc, bool gated, bool deep_check) {
   r.state_digest = s.stateDigest();
   r.hops = mesh.totalHops();
   for (const auto& g : gens) r.retired += g->retired();
-  r.deep = s.deepCheckStats();
   return r;
 }
 
@@ -456,8 +454,6 @@ TEST(NocMesh, GatingIsBehaviourNeutralForEveryRouterDiscipline) {
 
     MeshRun checked;
     ASSERT_NO_THROW(checked = runMesh(rc, true, true));
-    EXPECT_GT(checked.deep.replayed_edges, 0u);
-    EXPECT_EQ(checked.deep.skipped_edges, 0u);
     EXPECT_EQ(checked.exec_ps, gated.exec_ps);
   }
 }

@@ -5,11 +5,13 @@
 //
 // The contract: Simulator::checkpoint() snapshots every component (via its
 // generated SIM_STATE saveState()), every registered Updatable (the FIFO
-// rings) and every out-of-graph Checkpointable; restoreCheckpoint() rewinds
-// the simulation so that re-running the same window of edges reproduces
-// bit-identical state digests.  A member missing from its manifest breaks
-// exactly that equivalence — the planted rig below proves the divergence is
-// caught and attributed to the guilty component, deterministically.
+// rings), every out-of-graph Checkpointable (through the same manifests) and
+// the kernel's own state, transaction-id counter included;
+// restoreCheckpoint() rewinds the simulation so that re-running the same
+// window of edges reproduces bit-identical state digests.  A member missing
+// from its manifest breaks exactly that equivalence — the planted rigs below
+// prove the divergence is caught and attributed to the guilty holder,
+// deterministically.
 
 #include <gtest/gtest.h>
 
@@ -130,6 +132,42 @@ TEST(StateCheck, ManifestedComponentReplaysBitIdentically) {
   EXPECT_GT(s.now(), start);  // the run continues from the window's end
 }
 
+// Transaction ids are kernel state: a component that draws one id per edge
+// re-draws the very same ids after a rewind, and the replayed window digests
+// identically with the ids in the canon.
+struct IdIssuer : sim::Component {
+  std::vector<std::uint64_t> ids_;
+  using sim::Component::Component;
+  void evaluate() override {
+    ids_.push_back(clk().simulator().nextTransactionId());
+  }
+  SIM_STATE_MEMBERS(ids_);
+};
+
+TEST(StateCheck, RewoundWindowReissuesTheSameTransactionIds) {
+  sim::Simulator s;
+  auto& clk = s.addClockDomain("clk", 100.0);
+  IdIssuer issuer(clk, "issuer");
+  s.run(100'000);
+  s.checkpoint();
+  const std::vector<std::uint64_t> before = issuer.ids_;
+  for (int i = 0; i < 20 && s.step(); ++i) {
+  }
+  const std::vector<std::uint64_t> first = issuer.ids_;
+  ASSERT_EQ(first.size(), before.size() + 20);
+
+  s.restoreCheckpoint();
+  EXPECT_EQ(issuer.ids_, before);
+  // The counter is back at its pre-window value: the next draw repeats the
+  // window's first id, and the whole window replays the same sequence.
+  for (int i = 0; i < 20 && s.step(); ++i) {
+  }
+  EXPECT_EQ(issuer.ids_, first);
+
+  const std::optional<sim::ReplayDivergence> div = s.replayCheck(50);
+  EXPECT_FALSE(div) << div->holder << " diverged";
+}
+
 // ---------------------------------------------------------------------------
 // Planted incompleteness: the exact defect class the unmanifested-state lint
 // rule and the statecheck oracle exist to catch.
@@ -174,30 +212,109 @@ TEST(StateCheck, PlantedDivergenceReportIsDeterministic) {
   EXPECT_EQ(a->replay, b->replay);
 }
 
+// The same defect in an out-of-graph observer: a Checkpointable rewinds
+// through its own SIM_STATE manifest, so a member left out of it diverges and
+// is attributed to the observer's aux#<index>:<name> digest item.
+struct LeakyObserver final : sim::Checkpointable {
+  std::uint64_t seen_ = 0;
+  std::uint64_t hidden_ = 0;  // deliberately missing from the manifest
+  void observe() { seen_ += ++hidden_; }
+  std::string checkpointName() const override { return "leaky-observer"; }
+  SIM_STATE_MEMBERS(seen_);
+};
+
+struct Observed : sim::Component {
+  LeakyObserver& obs;
+  Observed(sim::ClockDomain& c, LeakyObserver& o)
+      : sim::Component(c, "observed"), obs(o) {}
+  void evaluate() override { obs.observe(); }
+  SIM_STATE_NONE();
+};
+
+TEST(StateCheck, PlantedCheckpointableLeakIsAttributedToItsAuxItem) {
+  sim::Simulator s;
+  auto& clk = s.addClockDomain("clk", 100.0);
+  LeakyObserver obs;
+  s.addCheckpointable(&obs);
+  Observed driver(clk, obs);
+  s.run(100'000);
+  const std::optional<sim::ReplayDivergence> div = s.replayCheck(100);
+  ASSERT_TRUE(div) << "replayed window matched despite the unmanifested "
+                      "observer member";
+  EXPECT_EQ(div->holder, "aux#0:leaky-observer");
+}
+
+// With verify on, the conservation auditor and every protocol monitor are
+// digest items of their own, after the FIFO probe (aux#0).
+TEST(StateCheck, VerifyObserversAreNamedDigestItems) {
+  platform::PlatformConfig cfg = fig3Small();
+  cfg.verify = true;
+  platform::Platform p(cfg);
+  std::vector<std::pair<std::string, std::uint64_t>> items;
+  p.simulator().stateDigestItems(items);
+  std::vector<std::string> aux;
+  for (const auto& item : items) {
+    if (item.first.rfind("aux#", 0) == 0) aux.push_back(item.first);
+  }
+  ASSERT_EQ(aux.size(), 2 + p.verifyContext()->monitorCount());
+  EXPECT_EQ(aux[1], "aux#1:txn-audit");
+}
+
 // ---------------------------------------------------------------------------
-// Deep-check replay coverage (the other consumer of the SIM_STATE
-// manifests): with every component manifested and every FIFO payload
-// snapshot-capable, no edge of the full reference platform may be skipped.
+// Deep-check replay (the other consumer of the SIM_STATE manifests) replays
+// every edge and raises on a component without a manifest, so a clean run of
+// the reference platforms proves every component snapshots.
 // ---------------------------------------------------------------------------
 
 TEST(StateCheck, DeepCheckReplaysEveryEdgeOnFullPlatform) {
   platform::PlatformConfig cfg = fig3Small();
   cfg.workload_scale = 0.1;
   // Monitors stay off: deep-check commits the *replay* pass's staged work,
-  // whose re-issued requests draw fresh ids from the simulator's counter,
-  // while tap-based monitors only observe the forward pass — their id books
-  // would go stale by construction.  Deep-check pairs with the id-free
-  // digest oracle; the statecheck oracle is the one that composes with
-  // monitors (it rewinds their books via saveCheckpoint/restoreCheckpoint).
+  // whose re-issued requests are new objects (same ids, issued in reverse
+  // component order), while tap-based monitors only observe the forward pass
+  // and match requests by identity — their books would go stale by
+  // construction.  Deep-check pairs with the staged-state digests; the
+  // statecheck oracle is the one that composes with monitors (it rewinds
+  // them through their SIM_STATE manifests).
   platform::Platform p(cfg);
   p.simulator().setDeepCheck(true);
-  p.run();
-  const sim::Simulator::DeepCheckStats& st = p.simulator().deepCheckStats();
-  EXPECT_GT(st.replayed_edges, 0u);
-  EXPECT_EQ(st.skipped_edges, 0u)
-      << st.skipped_edges << " of " << st.replayed_edges + st.skipped_edges
-      << " edges not replayable: some component or FIFO payload lost its "
-         "snapshot support";
+  EXPECT_NO_THROW(p.run());
+}
+
+// Deep-check rewinds the id counter before its reverse pass, so the replay
+// pass (whose staged work the edge commits) re-draws the forward pass's ids:
+// a deep-checked run carries the same id stream as a plain one.
+TEST(StateCheck, DeepCheckReplayReissuesTheForwardPassIds) {
+  auto run = [](bool deep) {
+    sim::Simulator s;
+    s.setDeepCheck(deep);
+    IdIssuer issuer(s.addClockDomain("clk", 100.0), "issuer");
+    s.run(100'000);
+    return issuer.ids_;
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+// Deep-check, like checkpoint(), needs every component to snapshot: an
+// unmanifested one raises instead of silently skipping the replay.
+TEST(StateCheck, DeepCheckRaisesOnUnmanifestedComponent) {
+  struct Bare : sim::Component {
+    using sim::Component::Component;
+    void evaluate() override {}
+  };
+  sim::Simulator s;
+  s.setDeepCheck(true);
+  auto& clk = s.addClockDomain("clk", 100.0);
+  Bare bare(clk, "bare");
+  try {
+    s.run(100'000);
+    FAIL() << "deep-check replayed past an unmanifested component";
+  } catch (const sim::InvariantViolation& e) {
+    EXPECT_EQ(e.context().who, "bare");
+    EXPECT_NE(std::string(e.what()).find("no state manifest"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(StateCheck, DeepCheckReplaysEveryEdgeOnNocMesh) {
@@ -218,9 +335,6 @@ TEST(StateCheck, DeepCheckReplaysEveryEdgeOnNocMesh) {
   ASSERT_TRUE(p.simulator().activityGating());
   p.simulator().setDeepCheck(true);
   EXPECT_NO_THROW(p.run());
-  const sim::Simulator::DeepCheckStats& st = p.simulator().deepCheckStats();
-  EXPECT_GT(st.replayed_edges, 0u);
-  EXPECT_EQ(st.skipped_edges, 0u);
 }
 
 // ---------------------------------------------------------------------------

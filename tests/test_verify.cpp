@@ -696,7 +696,7 @@ TEST(VerifyContext, AggregatesMonitorsAndEvents) {
   auto& clk = s.addClockDomain("bus", 100.0);
   txn::InitiatorPort iport(clk, "m0");
   txn::TargetPort tport(clk, "t0", 4, 8);
-  verify::VerifyContext ctx;
+  verify::VerifyContext ctx(s);
   ctx.add<verify::InitiatorMonitor>("m0.mon", &clk, iport,
                                     verify::InitiatorRules{});
   ctx.add<verify::TargetMonitor>("t0.mon", &clk, tport);

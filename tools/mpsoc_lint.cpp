@@ -47,8 +47,9 @@
 //                       explicitly-audited singletons (suppress with the
 //                       usual annotation).
 //   unmanifested-state  every trailing-underscore data member of a Component
-//                       subclass must appear in exactly one SIM_STATE
-//                       manifest entry (SIM_STATE_MEMBERS /
+//                       or Checkpointable subclass (protocol monitors, the
+//                       transaction auditor, probes) must appear in exactly
+//                       one SIM_STATE manifest entry (SIM_STATE_MEMBERS /
 //                       SIM_STATE_MEMBERS_WITH_BASE) or carry a
 //                       SIM_STATE_EXEMPT(member, "why") — otherwise
 //                       deep-check replay rolls the edge back without it and
@@ -137,7 +138,8 @@ constexpr RuleInfo kRules[] = {
      "mutable static storage is shared across concurrently-running "
      "simulations (core/sweep.hpp)"},
     {"unmanifested-state",
-     "Component member missing from its SIM_STATE manifest: deep-check "
+     "Component/Checkpointable member missing from its SIM_STATE "
+     "manifest: deep-check "
      "replay and the --statecheck replay check cannot restore it "
      "(sim/state.hpp)"},
 };
@@ -221,15 +223,17 @@ class FileLinter {
     is_ports_header_ = path_.size() >= ports.size() &&
                        path_.compare(path_.size() - ports.size(),
                                      ports.size(), ports) == 0;
-    // Component-type registry for the unmanifested-state rule: the kernel
-    // bases plus this repo's concrete component classes (collectComponentTypes
-    // adds any subclass declared in the scanned file itself, so new
-    // components are covered without touching this list).
+    // State-holder registry for the unmanifested-state rule: the kernel
+    // bases (Component, Checkpointable) plus this repo's concrete component
+    // classes and the monitor base (collectComponentTypes adds any subclass
+    // declared in the scanned file itself, so new holders are covered
+    // without touching this list).
     component_types_ = {
         "Component",  "InterconnectBase", "MasterBase", "AhbLayer",
         "AxiBus",     "Bridge",           "DmaEngine",  "Iptg",
         "LmiController", "Router",        "SimpleMemory", "St220",
         "StbusNode",  "TimelineRecorder", "SlaveSide",  "MasterSide",
+        "Checkpointable", "Monitor",
     };
   }
 
@@ -549,7 +553,8 @@ class FileLinter {
       }
       if (cs.members.size() > 3) preview += ", ...";
       report(cs.decl_line, "unmanifested-state",
-             "'" + cs.name + "' is a Component subclass with " +
+             "'" + cs.name + "' is a state holder (Component or " +
+                 "Checkpointable subclass) with " +
                  std::to_string(cs.members.size()) + " stateful member(s) (" +
                  preview +
                  ") but no SIM_STATE manifest; declare SIM_STATE_MEMBERS / "
