@@ -42,15 +42,15 @@ void AhbLayer::evaluate() {
 }
 
 void AhbLayer::arbitrate() {
-  std::vector<txn::Arbiter::Candidate> cands;
+  cands_.clear();
   for (std::size_t i = 0; i < initiators_.size(); ++i) {
     auto* p = initiators_[i];
     if (p->req.empty()) continue;
     const RequestPtr& f = p->req.front();
     if (!targets_[route(f->addr)]->req.canPush()) continue;
-    cands.push_back({i, f->priority});
+    cands_.push_back({i, f->priority});
   }
-  auto winner = arb_.pick(cands, initiators_.size(), now());
+  auto winner = arb_.pick(cands_, initiators_.size(), now());
   if (!winner) return;
 
   active_ini_ = *winner;

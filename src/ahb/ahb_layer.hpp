@@ -14,6 +14,7 @@
 // source layer locked across bridge round trips (Section 4.2).
 
 #include <cstdint>
+#include <vector>
 
 #include "stats/probes.hpp"
 #include "txn/arbiter.hpp"
@@ -60,11 +61,13 @@ class AhbLayer final : public txn::InterconnectBase {
   std::uint32_t wdata_left_ = 0;
   RspStream stream_;
   stats::ChannelUtilization chan_;
+  std::vector<txn::Arbiter::Candidate> cands_;  ///< arbitrate() scratch
 
   SIM_STATE_MEMBERS_WITH_BASE(txn::InterconnectBase, arb_, state_, active_,
                               active_ini_, active_tgt_, wdata_left_, stream_,
                               chan_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
+  SIM_STATE_EXEMPT(cands_, "per-call scratch");
 };
 
 }  // namespace mpsoc::ahb

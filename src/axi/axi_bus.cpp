@@ -73,22 +73,22 @@ void AxiBus::readRequestPath() {
     auto& eng = ar_[t];
     if (!targets_[t]->req.canPush(reserved_[t] + 1)) continue;
 
-    std::vector<txn::Arbiter::Candidate> cands;
-    std::vector<int> window_idx(initiators_.size(), -1);
+    cands_.clear();
+    window_idx_.assign(initiators_.size(), -1);
     for (std::size_t i = 0; i < initiators_.size(); ++i) {
       if (ar_issued_[i]) continue;  // one AR per master port per cycle
       int k = findInWindow(i, Opcode::Read, t);
       if (k < 0) continue;
       const RequestPtr& r = initiators_[i]->req.at(static_cast<std::size_t>(k));
       if (!outstandingOk(i, r)) continue;
-      cands.push_back({i, r->priority});
-      window_idx[i] = k;
+      cands_.push_back({i, r->priority});
+      window_idx_[i] = k;
     }
-    auto winner = eng.arb.pick(cands, initiators_.size(), now());
+    auto winner = eng.arb.pick(cands_, initiators_.size(), now());
     if (!winner) continue;
 
     RequestPtr req = initiators_[*winner]->req.popAt(
-        static_cast<std::size_t>(window_idx[*winner]));
+        static_cast<std::size_t>(window_idx_[*winner]));
     eng.chan.markTransfer();  // a burst issues only its first address
     ar_issued_[*winner] = true;
     trackAccept(req, *winner);
@@ -115,22 +115,22 @@ void AxiBus::writeRequestPath() {
     }
     if (!targets_[t]->req.canPush(reserved_[t] + 1)) continue;
 
-    std::vector<txn::Arbiter::Candidate> cands;
-    std::vector<int> window_idx(initiators_.size(), -1);
+    cands_.clear();
+    window_idx_.assign(initiators_.size(), -1);
     for (std::size_t i = 0; i < initiators_.size(); ++i) {
       if (w_granted_[i]) continue;
       int k = findInWindow(i, Opcode::Write, t);
       if (k < 0) continue;
       const RequestPtr& r = initiators_[i]->req.at(static_cast<std::size_t>(k));
       if (!outstandingOk(i, r)) continue;
-      cands.push_back({i, r->priority});
-      window_idx[i] = k;
+      cands_.push_back({i, r->priority});
+      window_idx_[i] = k;
     }
-    auto winner = eng.arb.pick(cands, initiators_.size(), now());
+    auto winner = eng.arb.pick(cands_, initiators_.size(), now());
     if (!winner) continue;
 
     RequestPtr req = initiators_[*winner]->req.popAt(
-        static_cast<std::size_t>(window_idx[*winner]));
+        static_cast<std::size_t>(window_idx_[*winner]));
     w_granted_[*winner] = true;
     trackAccept(req, *winner);
     ++reserved_[t];  // the slot is claimed until the payload finishes
@@ -148,14 +148,15 @@ void AxiBus::writeRequestPath() {
   }
 }
 
-void AxiBus::harvestResponses(std::size_t initiator, REngine& eng) {
+void AxiBus::harvestResponses() {
   for (std::size_t t = 0; t < targets_.size(); ++t) {
     auto& fifo = targets_[t]->rsp;
     for (std::size_t k = 0; k < fifo.size(); ++k) {
       const ResponsePtr& rsp = fifo.at(k);
-      if (initiatorOf(rsp) != initiator) continue;
+      const std::size_t initiator = initiatorOf(rsp);
+      auto& active = r_[initiator].active;
       bool known = false;
-      for (const auto& s : eng.active) {
+      for (const auto& s : active) {
         if (s.rsp == rsp) {
           known = true;
           break;
@@ -167,7 +168,7 @@ void AxiBus::harvestResponses(std::size_t initiator, REngine& eng) {
         s.target = t;
         s.initiator = initiator;
         s.next_beat = 0;
-        eng.active.push_back(s);
+        active.push_back(s);
       }
     }
   }
@@ -175,9 +176,12 @@ void AxiBus::harvestResponses(std::size_t initiator, REngine& eng) {
 
 void AxiBus::responsePath() {
   const sim::Picos now = clk_.simulator().now();
-  for (std::size_t i = 0; i < r_.size(); ++i) {
-    auto& eng = r_[i];
-    harvestResponses(i, eng);
+  // One pass over the target FIFOs serves every initiator: a link below
+  // only pops its own initiator's responses, so harvesting all of them up
+  // front sees the same responses in the same (target, FIFO index) order
+  // as harvesting each initiator's just before its link runs.
+  harvestResponses();
+  for (auto& eng : r_) {
     if (eng.active.empty()) continue;
 
     // Fine-granularity link arbitration: pick a stream with a due beat, with

@@ -99,7 +99,8 @@ class AxiBus final : public txn::InterconnectBase {
   void readRequestPath();
   void writeRequestPath();
   void responsePath();
-  void harvestResponses(std::size_t initiator, REngine& eng);
+  /// Append every response not yet streaming to its initiator's R link.
+  void harvestResponses();
 
   /// Index (within the visible window of initiator i's queue) of the first
   /// request with the given opcode routed anywhere, or -1.
@@ -118,10 +119,15 @@ class AxiBus final : public txn::InterconnectBase {
   std::vector<bool> ar_issued_;
   std::vector<bool> w_granted_;
   bool finalized_ = false;
+  /// Request-path arbitration scratch, rebuilt per target.
+  std::vector<txn::Arbiter::Candidate> cands_;
+  std::vector<int> window_idx_;
 
   SIM_STATE_MEMBERS_WITH_BASE(txn::InterconnectBase, ar_, aw_, r_, reserved_,
                               ar_issued_, w_granted_, finalized_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
+  SIM_STATE_EXEMPT(cands_, "per-call scratch");
+  SIM_STATE_EXEMPT(window_idx_, "per-call scratch");
 };
 
 }  // namespace mpsoc::axi

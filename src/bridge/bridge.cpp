@@ -105,16 +105,20 @@ class Bridge::MasterSide final : public txn::MasterBase {
     if (clk_.simulator().now() < staged_.front().ready_at) return;
     const RequestPtr& orig = staged_.front().req;
 
+    // Decide from the original whether the clone can go out this cycle, and
+    // build it only then: at the outstanding limit the bridge waits here for
+    // many cycles, and a clone (record, source string, id) per wait cycle
+    // would be thrown away.
+    const bool posted = orig->op == Opcode::Write && b_.cfg_.posted_writes_b;
+    if (posted ? !canIssuePosted() : !canIssue()) return;
+
     auto clone = std::make_shared<txn::Request>(*orig);
     clone->id = clk_.simulator().nextTransactionId();
     clone->root_id = orig->root_id;
     clone->beats = txn::repackBeats(orig->beats, orig->bytes_per_beat,
                                     b_.cfg_.width_b_bytes);
     clone->bytes_per_beat = b_.cfg_.width_b_bytes;
-    if (clone->op == Opcode::Write) clone->posted = b_.cfg_.posted_writes_b;
-
-    const bool posted = clone->posted && clone->op == Opcode::Write;
-    if (posted ? !canIssuePosted() : !canIssue()) return;
+    if (clone->op == Opcode::Write) clone->posted = posted;
     origin_[clone->id] = orig;
     issue(clone);
     if (clone->op == Opcode::Read) ++b_.reads_fwd_;

@@ -18,8 +18,12 @@
 //  * data-width conversion (e.g. the ST220's 32 -> 64 bit upsize) and
 //    frequency conversion (e.g. 400 -> 250 MHz) with tunable latency.
 //
-// Responses are always delivered on side A in request-acceptance order, so a
-// bridge is a safe target even for in-order protocols (STBus Type 2).
+// Read data is delivered on side A in request-acceptance order, but write
+// acknowledgements are not ordered against reads: a late write ack (and an
+// early ack queued while an older read is still pending) can overtake the
+// read.  A bridge is therefore not a safe target for an in-order protocol
+// that only examines the front of a target's response FIFO (STBus Type 2);
+// see ROADMAP Open item 7.
 
 #include <cstdint>
 #include <deque>

@@ -1,8 +1,10 @@
 #include "iptg/iptg.hpp"
 
 #include <algorithm>
-#include "sim/check.hpp"
 #include <memory>
+#include <ranges>
+
+#include "sim/check.hpp"
 
 namespace mpsoc::iptg {
 
@@ -20,14 +22,28 @@ Iptg::Iptg(sim::ClockDomain& clk, std::string name, txn::InitiatorPort& port,
       cfg_(std::move(cfg)),
       next_msg_id_(sim::Rng::fnv1a(this->name()) | 1) {
   agents_.reserve(cfg_.agents.size());
-  for (std::size_t i = 0; i < cfg_.agents.size(); ++i) {
-    AgentState st{cfg_.agents[i],
-                  sim::Rng(cfg_.seed, this->name() + "." +
-                                          cfg_.agents[i].name),
-                  0, 0, 0, cfg_.agents[i].base_addr, 0, 0, 0, 0};
-    agents_.push_back(std::move(st));
+  for (const AgentProfile& p : cfg_.agents) {
+    agents_.emplace_back(p, this->name() + "." + p.name, cfg_.seed);
   }
 }
+
+namespace {
+
+std::discrete_distribution<std::size_t> burstDistribution(
+    const AgentProfile& p) {
+  const auto w = p.burst_beats | std::views::transform(&BurstChoice::weight);
+  return std::discrete_distribution<std::size_t>(w.begin(), w.end());
+}
+
+}  // namespace
+
+Iptg::AgentState::AgentState(const AgentProfile& p, std::string src,
+                             std::uint64_t seed)
+    : profile(p),
+      source(std::move(src)),
+      burst_dist(burstDistribution(p)),
+      rng(seed, source),
+      next_addr(p.base_addr) {}
 
 const PhaseOverride* Iptg::activePhase(const AgentState& a) const {
   const sim::Picos at = clk_.simulator().now();
@@ -75,6 +91,10 @@ void Iptg::evaluate() {
       }
     }
 
+    // Unlike the bridge, which checks before it clones, the request is
+    // built before the issue check and dropped when the check fails: making
+    // it has already drawn from the agent's RNG and taken a transaction id,
+    // so checking first would shift every later draw and move the goldens.
     RequestPtr req = makeRequest(a, idx);
     const bool posted = req->posted && req->op == Opcode::Write;
     if (posted ? !canIssuePosted() : !canIssue()) return;
@@ -94,7 +114,7 @@ txn::RequestPtr Iptg::makeRequest(AgentState& a, std::size_t agent_idx) {
   req->bytes_per_beat = cfg_.bytes_per_beat;
   req->priority = a.profile.priority;
   req->tag = static_cast<std::uint32_t>(agent_idx);
-  req->source = name() + "." + a.profile.name;
+  req->source = a.source;
 
   const PhaseOverride* ph = activePhase(a);
   const std::uint64_t gap_min = ph ? ph->gap_min : a.profile.gap_min;
@@ -110,10 +130,7 @@ txn::RequestPtr Iptg::makeRequest(AgentState& a, std::size_t agent_idx) {
     req->op = a.rng.bernoulli(a.profile.read_fraction) ? Opcode::Read
                                                        : Opcode::Write;
     // Burst length from the weighted table.
-    std::vector<double> w;
-    w.reserve(a.profile.burst_beats.size());
-    for (const auto& b : a.profile.burst_beats) w.push_back(b.weight);
-    req->beats = a.profile.burst_beats[a.rng.weighted(w)].beats;
+    req->beats = a.profile.burst_beats[a.burst_dist(a.rng.engine())].beats;
 
     const std::uint64_t span = static_cast<std::uint64_t>(req->beats) *
                                cfg_.bytes_per_beat;

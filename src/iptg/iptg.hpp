@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -115,7 +116,14 @@ class Iptg final : public txn::MasterBase {
 
  private:
   struct AgentState {
+    /// Built in place: moving a discrete_distribution copies its tables.
+    AgentState(const AgentProfile& p, std::string src, std::uint64_t seed);
+
     AgentProfile profile;
+    std::string source;  ///< "<iptg>.<agent>", stamped on every request
+    /// Draws an index into profile.burst_beats by weight.  Built once: a
+    /// draw reads only the cumulative table, never earlier draws.
+    std::discrete_distribution<std::size_t> burst_dist;
     sim::Rng rng;
     std::uint64_t issued = 0;
     std::uint64_t retired = 0;
@@ -132,7 +140,8 @@ class Iptg final : public txn::MasterBase {
              issued >= profile.total_transactions;
     }
 
-    /// profile is per-agent immutable configuration; everything else mutates.
+    /// profile, source and burst_dist are per-agent immutable
+    /// configuration; everything else mutates.
     auto simStateMembers() {
       return std::tie(rng, issued, retired, outstanding, next_addr,
                       blocked_until, seq_pos, msg_remaining, msg_id);

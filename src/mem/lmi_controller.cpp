@@ -101,22 +101,21 @@ void LmiController::evaluate() {
     if (!port_.rsp.canPush(responsesNeeded(1))) return;
   }
 
-  std::vector<RequestPtr> batch;
-  batch.reserve(run);
+  batch_.clear();
   std::uint32_t total_beats = 0;
   for (std::size_t k = 0; k < run; ++k) {
     // popAt(pick) shifts the next merged neighbour into slot `pick`, so the
     // whole adjacent run is collected from the same index.
-    batch.push_back(port_.req.popAt(pick));
-    SIM_CHECK_CTX(batch.back()->op == batch.front()->op, name_, &clk_,
+    batch_.push_back(port_.req.popAt(pick));
+    SIM_CHECK_CTX(batch_.back()->op == batch_.front()->op, name_, &clk_,
                   "merge run mixed opcodes at slice " << k
                       << " (lookahead/merge window bug)");
-    total_beats += batch.back()->beats;
+    total_beats += batch_.back()->beats;
   }
 
-  const bool is_write = batch.front()->op == Opcode::Write;
+  const bool is_write = batch_.front()->op == Opcode::Write;
   const SdramAccess acc =
-      device_->schedule(batch.front()->addr, total_beats, is_write, now);
+      device_->schedule(batch_.front()->addr, total_beats, is_write, now);
   ++accesses_;
   served_ += run;
   merged_ += run - 1;
@@ -124,7 +123,7 @@ void LmiController::evaluate() {
   const sim::Picos iface =
       static_cast<sim::Picos>(cfg_.interface_latency_cycles) * clk_.period();
   std::uint32_t beat_offset = 0;
-  for (const RequestPtr& r : batch) {
+  for (const RequestPtr& r : batch_) {
     r->accepted_ps = now;
     // Trace observers only see the forward pass of deep-check replay.
     if (observer_ && !clk_.simulator().inReplay()) observer_(now, r);
@@ -146,6 +145,7 @@ void LmiController::evaluate() {
     }
     beat_offset += r->beats;
   }
+  batch_.clear();  // hold no request past the call
 
   // The command engine can set up the next access while data still moves on
   // the device bus (the SdramDevice serialises the data phases); issuing the

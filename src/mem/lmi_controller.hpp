@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "mem/sdram.hpp"
 #include "mem/simple_memory.hpp"  // RequestObserver
@@ -101,10 +102,13 @@ class LmiController final : public sim::Component {
   std::uint64_t served_ = 0;
   std::uint64_t accesses_ = 0;
   std::uint64_t merged_ = 0;
+  /// Requests fused into the access being issued; empty between calls.
+  std::vector<txn::RequestPtr> batch_;
 
   SIM_STATE_MEMBERS(device_, engine_busy_until_, served_, accesses_, merged_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
   SIM_STATE_EXEMPT(observer_, "observer callback");
+  SIM_STATE_EXEMPT(batch_, "per-call scratch");
 };
 
 }  // namespace mpsoc::mem

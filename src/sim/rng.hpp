@@ -9,7 +9,6 @@
 #include <string>
 #include <string_view>
 #include <tuple>
-#include <vector>
 
 namespace mpsoc::sim {
 
@@ -36,12 +35,6 @@ class Rng {
     if (p >= 1.0) return 0;
     if (p <= 0.0) return UINT64_MAX;
     return std::geometric_distribution<std::uint64_t>(p)(engine_);
-  }
-
-  /// Index drawn from a discrete weight vector.
-  std::size_t weighted(const std::vector<double>& weights) {
-    std::discrete_distribution<std::size_t> d(weights.begin(), weights.end());
-    return d(engine_);
   }
 
   std::mt19937_64& engine() { return engine_; }

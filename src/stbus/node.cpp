@@ -128,7 +128,7 @@ void StbusNode::runReqEngine(ReqEngine& e,
     }
   }
 
-  std::vector<txn::Arbiter::Candidate> cands;
+  cands_.clear();
   for (std::size_t i = 0; i < initiators_.size(); ++i) {
     auto* p = initiators_[i];
     if (p->req.empty()) continue;
@@ -136,9 +136,9 @@ void StbusNode::runReqEngine(ReqEngine& e,
     const std::size_t t = route(f->addr);
     if (fixed_target && t != *fixed_target) continue;
     if (!eligible(i, f, t)) continue;
-    cands.push_back({i, f->priority});
+    cands_.push_back({i, f->priority});
   }
-  auto winner = e.arb.pick(cands, initiators_.size(), now());
+  auto winner = e.arb.pick(cands_, initiators_.size(), now());
   if (!winner) return;
   const std::size_t t = route(initiators_[*winner]->req.front()->addr);
   startStream(e, *winner, t);

@@ -117,10 +117,12 @@ class StbusNode final : public txn::InterconnectBase {
   std::vector<ReqEngine> req_engines_;
   std::vector<RspEngine> rsp_engines_;
   bool finalized_ = false;
+  std::vector<txn::Arbiter::Candidate> cands_;  ///< runReqEngine scratch
 
   SIM_STATE_MEMBERS_WITH_BASE(txn::InterconnectBase, req_engines_,
                               rsp_engines_, finalized_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
+  SIM_STATE_EXEMPT(cands_, "per-call scratch");
 };
 
 }  // namespace mpsoc::stbus

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "sim/component.hpp"
@@ -334,10 +335,30 @@ TEST(Rng, DeterministicByNameAndSeed) {
   EXPECT_TRUE(diverged);
 }
 
-TEST(Rng, WeightedRespectsWeights) {
-  sim::Rng r(11, "w");
-  std::vector<double> w{0.0, 1.0, 0.0};
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(r.weighted(w), 1u);
+TEST(Rng, CachedDiscreteDistributionMatchesPerCallConstruction) {
+  // IPTG agents build their burst-length distribution once.  A draw must
+  // depend only on the weights and the engine, so the cached distribution
+  // yields the same index sequence as one rebuilt for every draw.  A single
+  // weight is its own case: such a draw consumes no engine output at all.
+  const std::vector<double> weight_sets[] = {{0.5, 2.0, 0.0, 1.25, 3.0}, {1.0}};
+  for (const std::vector<double>& w : weight_sets) {
+    sim::Rng cached_rng(11, "w");
+    sim::Rng fresh_rng(11, "w");
+    std::discrete_distribution<std::size_t> cached(w.begin(), w.end());
+    std::vector<unsigned> seen(w.size(), 0);
+    for (int i = 0; i < 1000; ++i) {
+      std::discrete_distribution<std::size_t> fresh(w.begin(), w.end());
+      const std::size_t k = cached(cached_rng.engine());
+      ASSERT_EQ(k, fresh(fresh_rng.engine())) << "draw " << i;
+      ++seen[k];
+      // Interleaved draws of another kind keep both engines in lockstep.
+      ASSERT_EQ(cached_rng.uniformInt(0, 99), fresh_rng.uniformInt(0, 99));
+    }
+    for (std::size_t k = 0; k < w.size(); ++k) {
+      // A zero weight is never drawn; every other weight is.
+      EXPECT_EQ(seen[k] == 0, w[k] == 0.0) << "index " << k;
+    }
+  }
 }
 
 TEST(Scheduler, RunUntilIdleStopsWhenComponentsIdle) {
