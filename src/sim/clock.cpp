@@ -22,10 +22,7 @@ void ClockDomain::removeComponent(Component* c) {
   sim_.noteComponentRemoved(c);
 }
 
-void ClockDomain::addUpdatable(Updatable* u, CommitPolicy p) {
-  updatables_.push_back(u);
-  if (p == CommitPolicy::EveryEdge) markAlwaysCommit(u);
-}
+void ClockDomain::addUpdatable(Updatable* u) { updatables_.push_back(u); }
 
 void ClockDomain::markAlwaysCommit(Updatable* u) {
   if (u->always_commit_) return;

@@ -28,6 +28,11 @@ class Updatable;
 /// nothing was staged (e.g. an observed FIFO feeding a cycle-classifying
 /// stats probe) are registered via ClockDomain::markAlwaysCommit() and run on
 /// every edge of their domain.
+///
+/// Rewinding: the checkpoint hooks below are the only way an updatable is
+/// snapshotted and restored.  Simulator::checkpoint() uses them between
+/// edges, and deep-check uses them at the start of every edge to rewind the
+/// replay pass (see Simulator::setDeepCheck).
 class Updatable {
  public:
   virtual ~Updatable() = default;
@@ -37,18 +42,11 @@ class Updatable {
 
   // --- deep-check hooks (see Simulator::setDeepCheck) -----------------------
 
-  /// Structural digest of the state staged this edge (push/pop counts,
-  /// out-of-order removal positions).  Two evaluate passes that stage
-  /// different amounts or shapes of work produce different digests.
+  /// Structural digest of the state staged this edge (push/pop counts and a
+  /// running hash of out-of-order removal positions).  Two evaluate passes
+  /// that stage different amounts or shapes of work produce different
+  /// digests.
   virtual std::uint64_t stagedDigest() const { return 0; }
-  /// Called before the forward evaluate pass of a deep-checked edge.  An
-  /// updatable whose staging can span edges (AsyncFifo: a pop staged at a
-  /// consumer-only edge commits at the producer's next edge) records the
-  /// carried-over staging here so rollbackStaged() can restore it instead
-  /// of zeroing it.
-  virtual void snapshotStaged() {}
-  /// Discard everything staged this edge, restoring the pre-evaluate view.
-  virtual void rollbackStaged() {}
   /// Validate internal structural invariants; raise InvariantViolation on
   /// corruption.  Called per edge in deep-check mode.
   virtual void checkInvariants() const {}
@@ -61,11 +59,10 @@ class Updatable {
 
   // --- checkpoint hooks (see Simulator::checkpoint) -------------------------
 
-  /// Snapshot all committed state so the kernel can restore this updatable to
-  /// the current instant later (Simulator::replayCheck).  Distinct from the
-  /// per-edge staged-state hooks above: a checkpoint is taken between edges
-  /// (Phase::Outside) and captures the registered contents, not the in-edge
-  /// staging.
+  /// Snapshot all registered state so the kernel can restore this updatable
+  /// to the current instant later.  Called when nothing is staged: between
+  /// edges (checkpoint()) or at the start of an edge, before any evaluate
+  /// (deep-check).  restoreCheckpoint() also discards anything staged since.
   virtual void saveCheckpoint() = 0;
   virtual void restoreCheckpoint() = 0;
   /// Canonical digest of the committed contents (src/sim/state.hpp).
@@ -101,18 +98,13 @@ class ClockDomain {
 
   const std::vector<Component*>& components() const { return components_; }
 
-  /// How an Updatable participates in the commit phase.  EveryEdge (the
-  /// default, and the contract user updatables were written against) commits
-  /// on each edge of the domain; WhenQueued commits only on edges where the
-  /// updatable called queueCommit() — the FIFOs use this, making untouched
-  /// FIFOs free at commit time.
-  enum class CommitPolicy { EveryEdge, WhenQueued };
-
   // Registration (components and updatables).  Definitions live in
-  // clock.cpp (they need the Simulator type).
+  // clock.cpp (they need the Simulator type).  An updatable commits only on
+  // edges where it called queueCommit(), unless markAlwaysCommit() says
+  // otherwise.
   void addComponent(Component* c);
   void removeComponent(Component* c);
-  void addUpdatable(Updatable* u, CommitPolicy p = CommitPolicy::EveryEdge);
+  void addUpdatable(Updatable* u);
   void removeUpdatable(Updatable* u);
 
   /// Enqueue `u` for commit at the end of the current edge.  Idempotent per
@@ -141,9 +133,9 @@ class ClockDomain {
   void evaluateEdge();
   /// Run the components of the current edge without bumping the cycle
   /// counter.  The forward pass (`reverse` false) skips sleeping components
-  /// when activity gating is on; the deep-check replay pass (`reverse` true)
-  /// runs every component in reverse registration order to expose
-  /// order-dependent evaluate logic.
+  /// when activity gating is on; the deep-check replay pass (`reverse` true,
+  /// run before the forward pass and then rewound) runs every component in
+  /// reverse registration order to expose order-dependent evaluate logic.
   void evaluateComponents(bool reverse);
   /// Phase 2 of an edge: commit all staged state and schedule the next edge.
   void commitEdge();

@@ -33,9 +33,10 @@ class Component {
 
   /// State-manifest hooks, generated by the SIM_STATE macro family
   /// (src/sim/state.hpp).  saveState()/restoreState() snapshot / restore all
-  /// internal state mutated by evaluate(); deep-check replay uses them to run
-  /// an edge's evaluate twice, and Simulator::checkpoint() uses them for the
-  /// replayCheck() checkpoint-equivalence oracle.  Returning false (the
+  /// internal state mutated by evaluate().  Simulator::checkpoint() uses them
+  /// for the replayCheck() checkpoint-equivalence oracle, and deep-check
+  /// uses the same calls, through the same helper, to rewind its reversed
+  /// replay pass before the forward pass of every edge.  Returning false (the
   /// default for an unmanifested component) makes both deep-check and
   /// checkpoint() raise — the `unmanifested-state` lint rule keeps that
   /// default unreachable in kernel code.

@@ -66,8 +66,8 @@ struct FifoEdgeInfo {
   std::size_t capacity = 0;
 };
 
-/// Deep-check replay copies popped values and checkpoints snapshot the ring,
-/// so every FIFO payload must be copyable and snapshot-capable.
+/// Checkpoints (and deep-check's per-edge rewind) snapshot the ring, so every
+/// FIFO payload must be copyable and snapshot-capable.
 template <typename T>
 inline constexpr bool kFifoPayload =
     std::is_copy_constructible_v<T> && state::StateSupported<T>::value;
@@ -88,7 +88,7 @@ class SyncFifo final : public Updatable {
       : clk_(clk), name_(std::move(name)), capacity_(capacity) {
     SIM_CHECK_CTX(capacity_ > 0, name_, &clk_, "FIFO capacity must be > 0");
     ring_.resize(capacity_);
-    clk_.addUpdatable(this, ClockDomain::CommitPolicy::WhenQueued);
+    clk_.addUpdatable(this);
   }
   ~SyncFifo() override { clk_.removeUpdatable(this); }
 
@@ -139,7 +139,7 @@ class SyncFifo final : public Updatable {
     checkPhase("pop");
     SIM_CHECK_CTX(!empty(), name_, &clk_, "pop() on empty FIFO");
     clk_.queueCommit(this);
-    T v = takeAt(pop_count_);
+    T v = std::move(ring_[rix(pop_count_)]);
     ++pop_count_;
     notifyTaps(pop_taps_, v);
     return v;
@@ -155,10 +155,8 @@ class SyncFifo final : public Updatable {
     if (i == 0) return pop();
     clk_.queueCommit(this);
     const std::size_t idx = pop_count_ + i;
-    T v = takeAt(idx);
-    if (clk_.simulator().deepCheck()) {
-      ooo_journal_.push_back({idx, ring_[rix(idx)]});
-    }
+    T v = std::move(ring_[rix(idx)]);
+    ooo_hash_ = detail::fnvCombine(ooo_hash_, idx);
     // Close the gap: shift every later element (committed and staged, which
     // sit contiguously after the committed run) one logical slot down.
     const std::size_t live = committed_n_ + staged_n_;
@@ -208,7 +206,7 @@ class SyncFifo final : public Updatable {
     staged_n_ = 0;
     pop_count_ = 0;
     ooo_pops_ = 0;
-    ooo_journal_.clear();
+    ooo_hash_ = detail::kFnvBasis;
 
     info.occupancy_after = committed_n_;
     SIM_CHECK_CTX(
@@ -236,25 +234,7 @@ class SyncFifo final : public Updatable {
     h = detail::fnvCombine(h, staged_n_);
     h = detail::fnvCombine(h, pop_count_);
     h = detail::fnvCombine(h, ooo_pops_);
-    for (const auto& e : ooo_journal_) h = detail::fnvCombine(h, e.index);
-    return h;
-  }
-
-  void rollbackStaged() override {
-    staged_n_ = 0;
-    pop_count_ = 0;
-    // Undo out-of-order erasures back-to-front to restore exact positions
-    // (in-order pops need no undo: deep-check pops copy, so the values are
-    // still in place).
-    for (auto it = ooo_journal_.rbegin(); it != ooo_journal_.rend(); ++it) {
-      for (std::size_t j = committed_n_; j > it->index; --j) {
-        ring_[rix(j)] = std::move(ring_[rix(j - 1)]);
-      }
-      ring_[rix(it->index)] = it->value;
-      ++committed_n_;
-    }
-    ooo_journal_.clear();
-    ooo_pops_ = 0;
+    return detail::fnvCombine(h, ooo_hash_);
   }
 
   void checkInvariants() const override {
@@ -271,15 +251,16 @@ class SyncFifo final : public Updatable {
 
   // --- checkpoint hooks ---------------------------------------------------
   //
-  // Between edges nothing is staged, so the ring and its registered
-  // occupancy are the whole state; they snapshot through the same
-  // state::SnapshotSlot a SIM_STATE manifest uses.
+  // Between edges (and at the start of an edge) nothing is staged, so the
+  // ring and its registered occupancy are the whole state; they snapshot
+  // through the same state::SnapshotSlot a SIM_STATE manifest uses.  The
+  // restore also brings back values that pops moved out of the ring.
 
   void saveCheckpoint() override {
     SIM_CHECK_CTX(staged_n_ == 0 && pop_count_ == 0 && ooo_pops_ == 0,
                   name_, &clk_,
-                  "saveCheckpoint() with staged state: checkpoints are only "
-                  "legal between edges (Phase::Outside)");
+                  "saveCheckpoint() with staged state: snapshots are only "
+                  "legal before an edge stages anything");
     ckpt_.save(ring_, head_, committed_n_);
   }
 
@@ -288,7 +269,7 @@ class SyncFifo final : public Updatable {
     staged_n_ = 0;
     pop_count_ = 0;
     ooo_pops_ = 0;
-    ooo_journal_.clear();
+    ooo_hash_ = detail::kFnvBasis;
   }
 
   std::uint64_t checkpointDigest() const override {
@@ -316,18 +297,6 @@ class SyncFifo final : public Updatable {
     return i;
   }
 
-  /// Take the value at logical position `logical`: copied when deep-check
-  /// replay may need to re-run the edge, moved on the fast path.
-  T takeAt(std::size_t logical) {
-    if (clk_.simulator().deepCheck()) return ring_[rix(logical)];
-    return std::move(ring_[rix(logical)]);
-  }
-
-  struct OooEntry {
-    std::size_t index;  ///< logical position among committed at erase time
-    T value;
-  };
-
   void notifyTaps(const std::vector<Tap>& taps, const T& v) const {
     if (taps.empty() || clk_.simulator().inReplay()) return;
     for (const auto& t : taps) t(v);
@@ -346,7 +315,8 @@ class SyncFifo final : public Updatable {
   std::size_t staged_n_ = 0;
   std::size_t pop_count_ = 0;  ///< in-order pops staged this edge
   std::size_t ooo_pops_ = 0;   ///< out-of-order removals staged this edge
-  std::vector<OooEntry> ooo_journal_;  ///< deep-check undo log for popAt
+  /// Running hash of this edge's popAt positions (stagedDigest input).
+  std::uint64_t ooo_hash_ = detail::kFnvBasis;
   state::SnapshotSlot ckpt_;  ///< checkpoint of the committed ring
   ObserverFn observer_ = nullptr;
   void* observer_ctx_ = nullptr;
@@ -386,14 +356,12 @@ class AsyncFifo final : public Updatable {
                   "producer domain '" << prod_.name() << "' and consumer "
                   "domain '" << cons_.name()
                   << "' belong to different simulators");
-    prod_.addUpdatable(this, ClockDomain::CommitPolicy::WhenQueued);
+    prod_.addUpdatable(this);
     // Also listed (never commit-queued) on the consumer side: pops staged at
     // a consumer-only edge commit at the producer's next edge, so deep-check
-    // must see this FIFO when it replays a consumer edge or the re-popped
-    // items would be dropped twice at that commit.
-    if (&cons_ != &prod_) {
-      cons_.addUpdatable(this, ClockDomain::CommitPolicy::WhenQueued);
-    }
+    // must save and rewind this FIFO when it replays a consumer edge or the
+    // re-popped items would be dropped twice at that commit.
+    if (&cons_ != &prod_) cons_.addUpdatable(this);
   }
   ~AsyncFifo() override {
     prod_.removeUpdatable(this);
@@ -440,7 +408,7 @@ class AsyncFifo final : public Updatable {
     checkPhase("pop");
     SIM_CHECK_CTX(canPop(), name_, &cons_, "pop() with no readable item");
     prod_.queueCommit(this);
-    T v = takeAt(pop_count_);
+    T v = std::move(committed_[pop_count_].value);
     ++pop_count_;
     return v;
   }
@@ -482,23 +450,6 @@ class AsyncFifo final : public Updatable {
     return h;
   }
 
-  void snapshotStaged() override {
-    // staged_ never spans edges (pushes commit at the producer edge that
-    // staged them), but pop_count_ can: a pop staged at a consumer-only
-    // edge commits at the producer's next edge, so an edge can begin with
-    // a carried-over pop count that rollback must preserve.
-    SIM_CHECK_CTX(staged_.empty(), name_, &prod_,
-                  "deep-check snapshot with " << staged_.size()
-                                              << " staged pushes at edge "
-                                                 "start");
-    dc_pop_count_ = pop_count_;
-  }
-
-  void rollbackStaged() override {
-    staged_.clear();
-    pop_count_ = dc_pop_count_;
-  }
-
   void checkInvariants() const override {
     SIM_CHECK_CTX(pop_count_ <= committed_.size(), name_, &prod_,
                   "pop count " << pop_count_ << " exceeds committed occupancy "
@@ -515,12 +466,13 @@ class AsyncFifo final : public Updatable {
   // edge that staged it), but pop_count_ may be non-zero: consumer pops only
   // clear at the *producer* domain's next commit of this FIFO.  The snapshot
   // therefore covers the committed entries, their visibility deadlines and
-  // the pending pop count.
+  // the pending pop count; deep-check's rewind of a consumer-only edge keeps
+  // the count carried into that edge this way.
 
   void saveCheckpoint() override {
     SIM_CHECK_CTX(staged_.empty(), name_, &prod_,
-                  "saveCheckpoint() with staged pushes: checkpoints are "
-                  "only legal between edges (Phase::Outside)");
+                  "saveCheckpoint() with staged pushes: snapshots are "
+                  "only legal before an edge stages anything");
     ckpt_.save(committed_, pop_count_);
   }
 
@@ -546,11 +498,6 @@ class AsyncFifo final : public Updatable {
                         "mutated from Component::evaluate()");
   }
 
-  T takeAt(std::size_t idx) {
-    if (prod_.simulator().deepCheck()) return committed_[idx].value;
-    return std::move(committed_[idx].value);
-  }
-
   struct Entry {
     T value;
     Picos visible_at;
@@ -566,7 +513,6 @@ class AsyncFifo final : public Updatable {
   std::deque<Entry> committed_;
   std::vector<T> staged_;
   std::size_t pop_count_ = 0;
-  std::size_t dc_pop_count_ = 0;  ///< pre-edge pop count (deep-check)
   state::SnapshotSlot ckpt_;  ///< checkpoint of the committed entries
   std::vector<Component*> push_wakers_;
 };

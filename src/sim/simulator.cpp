@@ -20,6 +20,25 @@ void saveManifest(Component* c, const ClockDomain* d, const char* user) {
                     << " needs every component to snapshot; the "
                        "unmanifested-state lint rule flags the class");
 }
+
+// The one save/restore path over a list of domains (owned or borrowed
+// pointers): checkpoint() applies it to every domain between edges,
+// deep-check to the domains of the current edge before any evaluate.
+template <typename Domains>
+void saveDomains(const Domains& domains, const char* user) {
+  for (const auto& d : domains) {
+    for (Component* c : d->components()) saveManifest(c, &*d, user);
+    for (Updatable* u : d->updatables()) u->saveCheckpoint();
+  }
+}
+
+template <typename Domains>
+void restoreDomains(const Domains& domains) {
+  for (const auto& d : domains) {
+    for (Component* c : d->components()) c->restoreState();
+    for (Updatable* u : d->updatables()) u->restoreCheckpoint();
+  }
+}
 }  // namespace
 
 Simulator::Simulator() = default;
@@ -101,17 +120,11 @@ bool Simulator::step() {
 
   // Phase 1: evaluate every domain whose edge coincides with t.
   phase_ = Phase::Evaluate;
-  // Deep-check replay needs the pre-evaluate snapshot taken first.
   if (deep_check_) {
-    dc_next_txn_id_ = next_txn_id_;
-    for (ClockDomain* d : edge_scratch_) {
-      for (Updatable* u : d->updatables()) u->snapshotStaged();
-      for (Component* c : d->components()) saveManifest(c, d, "deep-check");
-    }
+    evaluateDeepChecked(edge_scratch_);
+  } else {
+    for (ClockDomain* d : edge_scratch_) d->evaluateEdge();
   }
-  for (ClockDomain* d : edge_scratch_) d->evaluateEdge();
-
-  if (deep_check_) deepCheckEdge(edge_scratch_);
 
   // Phase 2: commit their staged state.
   phase_ = Phase::Commit;
@@ -125,28 +138,33 @@ bool Simulator::step() {
   return true;
 }
 
-void Simulator::deepCheckEdge(const std::vector<ClockDomain*>& edge_domains) {
-  std::vector<std::uint64_t> digests;
-  for (ClockDomain* d : edge_domains) {
-    for (Updatable* u : d->updatables()) digests.push_back(u->stagedDigest());
-  }
-
-  for (ClockDomain* d : edge_domains) {
-    for (Updatable* u : d->updatables()) u->rollbackStaged();
-    for (Component* c : d->components()) c->restoreState();
-  }
-  // The replay pass re-issues the forward pass's requests under the same
-  // transaction ids.
-  next_txn_id_ = dc_next_txn_id_;
-  // Second pass in reverse order: a well-behaved edge stages the same work
+void Simulator::evaluateDeepChecked(
+    const std::vector<ClockDomain*>& edge_domains) {
+  // Replay first, in reverse order: a well-behaved edge stages the same work
   // regardless of component registration order.  The replay pass evaluates
   // sleeping components too (see evaluateComponents), so an illegal sleep()
   // shows up as a digest divergence.
+  saveDomains(edge_domains, "deep-check");
+  const std::uint64_t txn_id = next_txn_id_;
+  // The replay sees every edge domain at its new cycle; the forward pass
+  // bumps each counter itself (evaluateEdge), as a plain run does.
+  for (ClockDomain* d : edge_domains) ++d->cycle_;
   in_replay_ = true;
   for (auto it = edge_domains.rbegin(); it != edge_domains.rend(); ++it) {
     (*it)->evaluateComponents(true);
   }
   in_replay_ = false;
+  std::vector<std::uint64_t> digests;
+  for (ClockDomain* d : edge_domains) {
+    --d->cycle_;
+    for (Updatable* u : d->updatables()) digests.push_back(u->stagedDigest());
+  }
+
+  // Rewind, then run the forward pass exactly as a plain run would: its
+  // staged work is what the edge commits, under the same transaction ids.
+  restoreDomains(edge_domains);
+  next_txn_id_ = txn_id;
+  for (ClockDomain* d : edge_domains) d->evaluateEdge();
 
   std::size_t i = 0;
   for (ClockDomain* d : edge_domains) {
@@ -173,14 +191,9 @@ void Simulator::checkpoint() {
   SIM_CHECK(phase_ == Phase::Outside,
             "checkpoint() is only legal between edges (Phase::Outside)");
   SIM_CHECK(!deep_check_,
-            "checkpoint() with deep-check on: the per-component snapshot "
-            "slot is shared with the replay machinery");
-  for (const auto& d : domains_) {
-    for (Component* c : d->components()) {
-      saveManifest(c, d.get(), "checkpoint()");
-    }
-    for (Updatable* u : d->updatables()) u->saveCheckpoint();
-  }
+            "checkpoint() with deep-check on: deep-check reuses the "
+            "snapshot slots on every edge");
+  saveDomains(domains_, "checkpoint()");
   for (Checkpointable* c : checkpointables_) c->saveState();
   ckpt_.now_ps = now_ps_;
   ckpt_.edges = edges_executed_;
@@ -198,10 +211,7 @@ void Simulator::restoreCheckpoint() {
             "restoreCheckpoint() is only legal between edges");
   SIM_CHECK(domains_.size() == ckpt_.domain_state.size(),
             "clock-domain population changed since the checkpoint was taken");
-  for (const auto& d : domains_) {
-    for (Component* c : d->components()) c->restoreState();
-    for (Updatable* u : d->updatables()) u->restoreCheckpoint();
-  }
+  restoreDomains(domains_);
   for (Checkpointable* c : checkpointables_) c->restoreState();
   now_ps_ = ckpt_.now_ps;
   edges_executed_ = ckpt_.edges;

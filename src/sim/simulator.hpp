@@ -102,35 +102,41 @@ class Simulator {
   /// during evaluate.  The sleep contract (only legal while idle()) makes
   /// gating behaviour-neutral; switching it off re-evaluates every component
   /// on every edge and must produce bit-identical results — the equivalence
-  /// tests and the check.sh kernel-perf smoke assert exactly that.
+  /// tests, the check.sh gating smoke and the fuzzer's gated/ungated oracle
+  /// assert exactly that.
   void setActivityGating(bool on) { activity_gating_ = on; }
   bool activityGating() const { return activity_gating_; }
 
   /// Draw a fresh transaction id (txn::Request::id), unique within this
-  /// simulation.  The counter is kernel state: checkpoint() saves it and the
-  /// deep-check replay pass rewinds it, so a replayed window re-issues the
-  /// same ids.
+  /// simulation.  The counter is kernel state: checkpoint() saves it, and
+  /// deep-check rewinds it after its replay pass, so a replayed window and
+  /// the forward pass after a deep-check replay draw the same ids.
   std::uint64_t nextTransactionId() { return next_txn_id_++; }
 
   /// Number of components currently asleep (activity counter).
   std::size_t asleepComponents() const { return asleep_count_; }
 
-  /// Deep-check mode: after the evaluate phase of every edge the kernel
-  /// digests all staged state, rolls it back, re-runs evaluate with component
-  /// order *reversed*, and raises InvariantViolation if the second pass stages
-  /// a structurally different result — catching order-dependent evaluate logic
-  /// that would break the determinism guarantee.  Every component on the
-  /// edge must carry a SIM_STATE manifest; an unmanifested one raises
-  /// InvariantViolation, as in checkpoint().  The replay pass evaluates
-  /// sleeping components too, so a component that slept while it still had
-  /// work to stage is caught as a forward/replay divergence.  Expensive; off
-  /// by default.
+  /// Deep-check mode: at the start of every edge the kernel saves the edge
+  /// domains through the checkpoint hooks (component manifests, updatables,
+  /// transaction-id counter), runs a replay pass with component order
+  /// *reversed* and digests the staged state, rewinds through the same
+  /// hooks, then runs the normal forward pass.  It raises InvariantViolation
+  /// if the forward pass stages a structurally different result — catching
+  /// order-dependent evaluate logic that would break the determinism
+  /// guarantee.  The edge commits the forward pass's work, so a deep-checked
+  /// run is bit-identical to a plain one and composes with the protocol
+  /// monitors.  Every component on the edge must carry a SIM_STATE manifest;
+  /// an unmanifested one raises InvariantViolation, as in checkpoint().  The
+  /// replay pass evaluates sleeping components too, so a component that
+  /// slept while it still had work to stage is caught as a replay/forward
+  /// divergence.  Expensive; off by default.
   void setDeepCheck(bool on) { deep_check_ = on; }
   bool deepCheck() const { return deep_check_; }
 
-  /// True while deep-check re-runs the evaluate phase of the current edge.
-  /// Observation taps (protocol monitors) use this to ignore the replay pass,
-  /// which repeats every FIFO push/pop of the forward pass.
+  /// True while deep-check runs the reversed replay pass of the current
+  /// edge.  Observation taps (protocol monitors) and other side-effecting
+  /// observers use this to ignore the replay pass, whose work is rewound
+  /// before the forward pass stages the same work again.
   bool inReplay() const { return in_replay_; }
 
   // --- checkpointing (replayCheck; see DESIGN.md) ---------------------------
@@ -144,8 +150,8 @@ class Simulator {
   /// (saveCheckpoint), every registered Checkpointable's manifest, and the
   /// kernel's own state (now, edge count, transaction-id counter, per-domain
   /// cycle counters and next-edge instants).  Only legal between edges
-  /// (Phase::Outside) and with deep-check off — the per-component snapshot
-  /// slot is shared with the deep-check replay machinery.  Raises
+  /// (Phase::Outside) and with deep-check off — deep-check reuses the same
+  /// component and updatable snapshot slots on every edge.  Raises
   /// InvariantViolation naming the first component without a manifest.
   void checkpoint();
 
@@ -222,7 +228,9 @@ class Simulator {
     std::vector<ClockDomain*> domains;
   };
 
-  void deepCheckEdge(const std::vector<ClockDomain*>& edge_domains);
+  /// Evaluate phase of a deep-checked edge: reversed replay, rewind, forward
+  /// pass, staged-digest comparison (see setDeepCheck).
+  void evaluateDeepChecked(const std::vector<ClockDomain*>& edge_domains);
   /// Time of the next edge instant, without executing it.
   Picos nextEdgeTime();
   void rebuildSchedule();
@@ -250,7 +258,6 @@ class Simulator {
   bool finished_ = false;
   bool activity_gating_ = true;
   std::uint64_t next_txn_id_ = 1;
-  std::uint64_t dc_next_txn_id_ = 0;  ///< counter at edge start (deep-check)
 
   // Cached coincident-edge schedule (multi-domain path; a single domain short
   // circuits it).  slot_pool_ recycles slot vectors so the steady-state edge

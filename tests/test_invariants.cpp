@@ -70,6 +70,7 @@ struct CommitPusher : sim::Updatable {
   CommitPusher(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
       : clk(c), f(fifo) {
     clk.addUpdatable(this);
+    clk.markAlwaysCommit(this);
   }
   ~CommitPusher() override { clk.removeUpdatable(this); }
   void commit() override { f.push(99); }
@@ -252,8 +253,9 @@ TEST(DeepCheck, OrderIndependentPairPasses) {
   EXPECT_FALSE(c.got.empty());
 }
 
-/// Out-of-order service under deep-check: popAt() journaling must restore
-/// the exact queue on rollback, so replay sees identical state.
+/// Out-of-order service under deep-check: the rewind after the replay pass
+/// must restore the exact queue, popAt() gaps included, so the forward pass
+/// sees identical state.
 struct OooServer : sim::Component {
   sim::SyncFifo<int>& f;
   int phase = 0;
@@ -281,7 +283,7 @@ struct OooServer : sim::Component {
   SIM_STATE_MEMBERS(phase, taken);
 };
 
-TEST(DeepCheck, PopAtJournalRollsBackExactly) {
+TEST(DeepCheck, PopAtRewindsExactly) {
   sim::Simulator s;
   s.setDeepCheck(true);
   auto& clk = s.addClockDomain("clk", 100.0);
@@ -293,6 +295,56 @@ TEST(DeepCheck, PopAtJournalRollsBackExactly) {
   EXPECT_EQ(d.taken[1], 10);
   EXPECT_EQ(d.taken[2], 30);
   EXPECT_TRUE(f.empty());
+}
+
+/// The writer raises a manifested flag in evaluate(); the reader, reading it
+/// through a pointer, removes position 2 when it sees the flag and position 1
+/// otherwise.  Both passes pop once, so only the removed position tells
+/// them apart.
+struct PositionFlagWriter : sim::Component {
+  bool flag = false;
+  explicit PositionFlagWriter(sim::ClockDomain& c)
+      : sim::Component(c, "writer") {}
+  void evaluate() override {
+    if (now() == 5) flag = true;
+  }
+  SIM_STATE_MEMBERS(flag);
+};
+
+struct PositionPopper : sim::Component {
+  sim::SyncFifo<int>& f;
+  const bool* flag;
+  int next = 0;
+  PositionPopper(sim::ClockDomain& c, sim::SyncFifo<int>& fifo,
+                 const bool* writer_flag)
+      : sim::Component(c, "popper"), f(fifo), flag(writer_flag) {}
+  void evaluate() override {
+    if (now() < 5) {
+      f.push(next++);  // fills four slots before the out-of-order pop
+    } else if (now() == 5) {
+      f.popAt(*flag ? 2 : 1);
+    }
+  }
+  SIM_STATE_MEMBERS(next);
+};
+
+TEST(DeepCheck, OrderDependentPopAtPositionCaught) {
+  sim::Simulator s;
+  s.setDeepCheck(true);
+  auto& clk = s.addClockDomain("clk", 100.0);
+  sim::SyncFifo<int> f(clk, "lookahead", 4);
+  PositionFlagWriter w(clk);            // registered first: the forward pass
+  PositionPopper r(clk, f, &w.flag);    // pops position 2, the replay 1
+  try {
+    s.run(100'000);
+    FAIL() << "an order-dependent popAt position must be caught";
+  } catch (const sim::InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("order-dependent"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("lookahead"), std::string::npos);
+    EXPECT_EQ(e.context().cycle, 5u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -376,41 +428,69 @@ struct CdcProducer : sim::Component {
       push_time.push_back(clk_.simulator().now());
     }
   }
+  SIM_STATE_MEMBERS(next, push_time);
 };
 
 struct CdcConsumer : sim::Component {
   sim::AsyncFifo<int>& f;
-  std::vector<std::pair<int, sim::Picos>> got;
+  std::vector<int> got;
+  std::vector<sim::Picos> got_time;
   CdcConsumer(sim::ClockDomain& c, sim::AsyncFifo<int>& fifo)
       : sim::Component(c, "c"), f(fifo) {}
   void evaluate() override {
-    while (f.canPop()) got.emplace_back(f.pop(), clk_.simulator().now());
+    while (f.canPop()) {
+      got.push_back(f.pop());
+      got_time.push_back(clk_.simulator().now());
+    }
   }
+  SIM_STATE_MEMBERS(got, got_time);
 };
 
 TEST(AsyncFifoCdc, NonIntegerRatioPreservesOrderAndSyncDelay) {
   // 333 MHz producer against a 140 MHz consumer: the period ratio is not an
   // integer multiple, so producer and consumer edges drift against each
   // other and every alignment of the synchroniser window gets exercised.
-  sim::Simulator s;
-  auto& prod = s.addClockDomain("prod", 333.0);
-  auto& cons = s.addClockDomain("cons", 140.0);
-  sim::AsyncFifo<int> f(prod, cons, "cdc", 4, 2);
-  CdcProducer p(prod, f);
-  CdcConsumer c(cons, f);
-  s.run(3'000'000);  // 3 us
+  // Deep-check must deliver the same stream: a pop staged at a consumer-only
+  // edge commits at the producer's next edge, so the rewind after each
+  // replay pass has to restore the pop count carried into the edge.
+  struct Delivery {
+    std::vector<int> got;
+    std::vector<sim::Picos> got_time;
+    std::vector<sim::Picos> push_time;
+    std::size_t in_flight = 0;
+    sim::Picos cons_period = 0;
+  };
+  auto run = [](bool deep) {
+    sim::Simulator s;
+    s.setDeepCheck(deep);
+    auto& prod = s.addClockDomain("prod", 333.0);
+    auto& cons = s.addClockDomain("cons", 140.0);
+    sim::AsyncFifo<int> f(prod, cons, "cdc", 4, 2);
+    CdcProducer p(prod, f);
+    CdcConsumer c(cons, f);
+    s.run(3'000'000);  // 3 us
+    return Delivery{c.got, c.got_time, p.push_time, f.sizeIgnoringSync(),
+                    cons.period()};
+  };
 
-  ASSERT_GT(c.got.size(), 50u);
-  for (std::size_t i = 0; i < c.got.size(); ++i) {
-    // In-order, loss-free delivery...
-    EXPECT_EQ(c.got[i].first, static_cast<int>(i));
-    // ...and never before the two-flop synchroniser delay has elapsed.
-    const sim::Picos pushed = p.push_time[i];
-    EXPECT_GE(c.got[i].second, pushed + 2 * cons.period())
-        << "item " << i << " crossed the CDC faster than sync_stages allows";
+  const Delivery plain = run(false);
+  const Delivery deep = run(true);
+  for (const Delivery* d : {&plain, &deep}) {
+    SCOPED_TRACE(d == &deep ? "deep-check on" : "deep-check off");
+    ASSERT_GT(d->got.size(), 50u);
+    for (std::size_t i = 0; i < d->got.size(); ++i) {
+      // In-order, loss-free delivery...
+      EXPECT_EQ(d->got[i], static_cast<int>(i));
+      // ...and never before the two-flop synchroniser delay has elapsed.
+      EXPECT_GE(d->got_time[i], d->push_time[i] + 2 * d->cons_period)
+          << "item " << i << " crossed the CDC faster than sync_stages allows";
+    }
+    // Conservation: everything pushed is delivered or still in flight.
+    EXPECT_EQ(d->push_time.size(), d->got.size() + d->in_flight);
   }
-  // Conservation: everything pushed is delivered or still in flight.
-  EXPECT_EQ(p.push_time.size(), c.got.size() + f.sizeIgnoringSync());
+  EXPECT_EQ(plain.got, deep.got);
+  EXPECT_EQ(plain.got_time, deep.got_time);
+  EXPECT_EQ(plain.push_time, deep.push_time);
 }
 
 }  // namespace

@@ -263,27 +263,31 @@ TEST(StateCheck, VerifyObserversAreNamedDigestItems) {
 // ---------------------------------------------------------------------------
 // Deep-check replay (the other consumer of the SIM_STATE manifests) replays
 // every edge and raises on a component without a manifest, so a clean run of
-// the reference platforms proves every component snapshots.
+// the reference platforms proves every component snapshots.  The edge then
+// commits the forward pass, so a deep-checked run ends in the plain run's
+// state.
 // ---------------------------------------------------------------------------
+
+/// Final state digest of `cfg` run to completion, with or without deep-check.
+std::uint64_t finalDigest(const platform::PlatformConfig& cfg, bool deep) {
+  platform::Platform p(cfg);
+  p.simulator().setDeepCheck(deep);
+  p.run();
+  return p.simulator().stateDigest();
+}
 
 TEST(StateCheck, DeepCheckReplaysEveryEdgeOnFullPlatform) {
   platform::PlatformConfig cfg = fig3Small();
   cfg.workload_scale = 0.1;
-  // Monitors stay off: deep-check commits the *replay* pass's staged work,
-  // whose re-issued requests are new objects (same ids, issued in reverse
-  // component order), while tap-based monitors only observe the forward pass
-  // and match requests by identity — their books would go stale by
-  // construction.  Deep-check pairs with the staged-state digests; the
-  // statecheck oracle is the one that composes with monitors (it rewinds
-  // them through their SIM_STATE manifests).
-  platform::Platform p(cfg);
-  p.simulator().setDeepCheck(true);
-  EXPECT_NO_THROW(p.run());
+  cfg.verify = true;
+  std::uint64_t deep = 0;
+  ASSERT_NO_THROW(deep = finalDigest(cfg, true));
+  EXPECT_EQ(deep, finalDigest(cfg, false));
 }
 
-// Deep-check rewinds the id counter before its reverse pass, so the replay
-// pass (whose staged work the edge commits) re-draws the forward pass's ids:
-// a deep-checked run carries the same id stream as a plain one.
+// Deep-check rewinds the id counter after its reversed replay pass, so the
+// forward pass (whose staged work the edge commits) re-draws the replay
+// pass's ids: a deep-checked run carries the same id stream as a plain one.
 TEST(StateCheck, DeepCheckReplayReissuesTheForwardPassIds) {
   auto run = [](bool deep) {
     sim::Simulator s;
@@ -331,10 +335,10 @@ TEST(StateCheck, DeepCheckReplaysEveryEdgeOnNocMesh) {
   cfg.noc_width = 4;
   cfg.noc_height = 3;
   cfg.workload_scale = 0.05;
-  platform::Platform p(cfg);
-  ASSERT_TRUE(p.simulator().activityGating());
-  p.simulator().setDeepCheck(true);
-  EXPECT_NO_THROW(p.run());
+  ASSERT_TRUE(cfg.activity_gating);
+  std::uint64_t deep = 0;
+  ASSERT_NO_THROW(deep = finalDigest(cfg, true));
+  EXPECT_EQ(deep, finalDigest(cfg, false));
 }
 
 // ---------------------------------------------------------------------------
