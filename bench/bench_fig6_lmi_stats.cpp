@@ -19,7 +19,7 @@
 
 #include "bench_common.hpp"
 #include "core/analysis.hpp"
-#include "stats/timeline.hpp"
+#include "stats/probes.hpp"
 
 using namespace mpsoc;
 
@@ -89,24 +89,34 @@ int main(int argc, char** argv) {
                  "Fig. 6: LMI bus-interface statistics, full STBus platform",
                  r_stbus);
 
-  // The windowed view the regimes are *identified* from (Section 5): a full
-  // timeline of the memory interface, 100 us per window.
+  // The windowed view the regimes are *identified* from (Section 5): the
+  // same cycle classes per 100 us window, from a FifoStateProbe on the LMI
+  // input FIFO (attaching it replaces the platform's built-in probe).
   {
+    constexpr sim::Picos kWindowPs = 100'000'000;  // 100 us
+    stats::PhaseSchedule windows;
+    for (sim::Picos t = 0; t < base.phase2_end_ps; t += kWindowPs) {
+      windows.addPhase(stats::fmt(static_cast<double>(t + kWindowPs) / 1e6, 1),
+                       t, t + kWindowPs);
+    }
     platform::Platform p(stbus);
-    stats::TimelineRecorder tl(*p.simulator().domains()[0], "lmi-interface",
-                               /*window=*/25'000);  // 100 us at 250 MHz
-    auto& fifo = p.memPort().req;
-    tl.addSeries("occupancy", [&] {
-      return static_cast<double>(fifo.registeredSize());
-    });
-    tl.addSeries("full", [&] {
-      return fifo.registeredSize() == fifo.capacity() ? 1.0 : 0.0;
-    });
-    tl.addSeries("served/window", [&] {
-      return static_cast<double>(p.lmi()->requestsServed());
-    }, /*delta=*/true);
+    stats::FifoStateProbe probe;
+    probe.attach(p.memPort().req, &windows);
     p.runFor(base.phase2_end_ps);
-    tl.table().print(os);
+
+    stats::TextTable t(
+        "LMI interface timeline, full STBus platform (100 us windows)");
+    t.setHeader({"t_end (us)", "full", "storing", "no request", "empty",
+                 "mean occupancy"});
+    for (std::size_t w = 0; w < probe.phaseCount(); ++w) {
+      const auto& b = probe.phase(w);
+      t.addRow({windows.phase(w).name, stats::fmtPct(b.fracFull()),
+                stats::fmtPct(b.fracStoring()),
+                stats::fmtPct(b.fracNoRequest()),
+                stats::fmtPct(b.fracEmpty()),
+                stats::fmt(b.occupancy.mean(), 2)});
+    }
+    t.print(os);
     os << "\n";
   }
 

@@ -40,12 +40,7 @@ RunOutcome run(const iptg::IptgConfig& cfg, iptg::TraceRecorder* recorder) {
   txn::TargetPort mport(clk, "mem", 4, 8);
   node.addTarget(mport, 0x0, 1ull << 32);
   mem::SimpleMemory memory(clk, "sram", mport, {1});
-  if (recorder) {
-    memory.setRequestObserver(
-        [recorder](sim::Picos now, const txn::RequestPtr& r) {
-          recorder->record(now, r);
-        });
-  }
+  if (recorder) recorder->attach(mport);
   txn::InitiatorPort iport(clk, "ip", 2, 8);
   node.addInitiator(iport);
   iptg::Iptg gen(clk, "video", iport, cfg);

@@ -194,10 +194,6 @@ void Bridge::attachMonitors(verify::VerifyContext& ctx) {
                                  cfg_.width_b_bytes);
 }
 
-void Bridge::setAuditor(txn::TxnAuditor* auditor) {
-  master_side_->setAuditor(auditor);
-}
-
 void Bridge::slaveEvaluate() {
   const sim::Picos now = clk_a_.simulator().now();
   const sim::Picos pa = clk_a_.period();

@@ -98,8 +98,6 @@ class Bridge {
   /// Attach the end-to-end fidelity monitor (no loss / duplication /
   /// corruption across the crossing).
   void attachMonitors(verify::VerifyContext& ctx);
-  /// Conservation auditing for the side-B clones the master side issues.
-  void setAuditor(txn::TxnAuditor* auditor);
 
   bool idle() const;  // plain method; Bridge is not a Component
 

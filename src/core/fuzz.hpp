@@ -15,7 +15,7 @@
 //
 // Each case is run twice through core::SweepRunner, with kernel activity
 // gating on and off, under the checkers requested by FuzzOptions (protocol
-// monitors + auditor, optionally the checkpoint-equivalence oracle).  A case
+// monitors, optionally the checkpoint-equivalence oracle).  A case
 // fails when either run throws (InvariantViolation, ProtocolViolation, ...),
 // when the canonical result digests of the two runs diverge — the signature
 // of a component that went to sleep with work pending — or, for a
@@ -84,7 +84,7 @@ using FuzzRunner = std::function<FuzzVerdict(const platform::NamedScenario&)>;
 struct FuzzOptions {
   std::uint64_t seed = 1;
   std::uint64_t count = 20;
-  bool verify = true;      ///< protocol monitors + transaction auditor
+  bool verify = true;      ///< protocol monitors
   bool statecheck = false; ///< checkpoint-equivalence oracle (slower)
   bool shrink = true;      ///< delta-debug failures to a minimal reproducer
   /// SweepRunner pool width for the per-case gated/ungated pair.

@@ -61,7 +61,6 @@ SingleLayerRig::SingleLayerRig(SingleLayerConfig cfg) : cfg_(cfg) {
     verify_ = std::make_unique<verify::VerifyContext>(sim_);
     bus_->attachMonitors(*verify_);
     for (auto& m : mems_) m->attachMonitors(*verify_);
-    for (auto& g : gens_) g->setAuditor(&verify_->auditor());
   }
 }
 

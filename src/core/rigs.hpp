@@ -41,7 +41,7 @@ struct SingleLayerConfig {
   bool spray_over_all_memories = true;  ///< many-to-many vs partitioned
   double bus_mhz = 200.0;
   std::uint64_t seed = 1;
-  /// Attach protocol monitors + conservation auditor (src/verify).
+  /// Attach the protocol monitors (src/verify).
   bool verify = false;
 };
 

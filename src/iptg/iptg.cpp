@@ -59,7 +59,8 @@ bool Iptg::agentReady(const AgentState& a) const {
   if (now() < a.blocked_until) return false;
   if (a.profile.after_agent >= 0) {
     const auto& dep = agents_[static_cast<std::size_t>(a.profile.after_agent)];
-    if (dep.retired < a.profile.after_count) return false;
+    const bool dep_finished = dep.quotaDone() && dep.outstanding == 0;
+    if (dep.retired < a.profile.after_count && !dep_finished) return false;
   }
   return true;
 }

@@ -87,7 +87,10 @@ struct AgentProfile {
 
   // -- dependencies ---------------------------------------------------------
   int after_agent = -1;           ///< index of the producer agent, or -1
-  std::uint64_t after_count = 0;  ///< producer completions needed to start
+  /// Producer completions needed to start.  A producer that retires its
+  /// whole quota meets the dependency even when the quota (e.g. scaled down
+  /// by workload_scale) is below after_count.
+  std::uint64_t after_count = 0;
 };
 
 struct IptgConfig {

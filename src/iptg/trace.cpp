@@ -5,7 +5,16 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/simulator.hpp"
+
 namespace mpsoc::iptg {
+
+void TraceRecorder::attach(txn::TargetPort& port) {
+  const sim::Simulator& sim = port.req.clk().simulator();
+  port.req.addPopTap([this, &sim](const txn::RequestPtr& r) {
+    record(sim.now(), r);
+  });
+}
 
 void TraceRecorder::record(sim::Picos now, const txn::RequestPtr& req) {
   TraceRecord r;

@@ -3,10 +3,11 @@
 //
 // IPTG's sequence mode can "issue transactions according to a specified
 // sequence"; the natural source of such sequences is a trace captured at a
-// memory interface in a previous run.  TraceRecorder hooks a memory model's
-// request observer and records every accepted request; the resulting trace
-// can be serialised to text, reloaded, and turned into an IPTG sequence-mode
-// agent whose inter-transaction gaps reproduce the recorded arrival times.
+// memory interface in a previous run.  TraceRecorder taps the request FIFO of
+// a memory's target port and records every request the memory accepts (pops
+// from it); the resulting trace can be serialised to text, reloaded, and
+// turned into an IPTG sequence-mode agent whose inter-transaction gaps
+// reproduce the recorded arrival times.
 
 #include <cstdint>
 #include <iosfwd>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "iptg/iptg.hpp"
+#include "txn/ports.hpp"
 #include "txn/transaction.hpp"
 
 namespace mpsoc::iptg {
@@ -29,7 +31,11 @@ struct TraceRecord {
 
 class TraceRecorder {
  public:
-  /// Observer to install on a memory model (SimpleMemory / LmiController).
+  /// Record every request popped from `port`'s request FIFO, stamped with
+  /// the simulated time of the pop.  The tap skips deep-check replay like
+  /// every FIFO tap.  The recorder must outlive the port's last pop.
+  void attach(txn::TargetPort& port);
+
   void record(sim::Picos now, const txn::RequestPtr& req);
 
   const std::vector<TraceRecord>& records() const { return records_; }

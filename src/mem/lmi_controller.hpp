@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "mem/sdram.hpp"
-#include "mem/simple_memory.hpp"  // RequestObserver
 #include "sim/component.hpp"
 #include "txn/ports.hpp"
 
@@ -80,8 +79,6 @@ class LmiController final : public sim::Component {
                      : 0.0;
   }
 
-  void setRequestObserver(RequestObserver obs) { observer_ = std::move(obs); }
-
   /// Attach a TargetMonitor to the bus interface plus the SDRAM command
   /// legality monitor (shadow tRAS/tRCD/tRP/tRC/tWR/tRFC windows) to the
   /// device's command stream.
@@ -96,7 +93,6 @@ class LmiController final : public sim::Component {
 
   txn::TargetPort& port_;
   LmiConfig cfg_;
-  RequestObserver observer_;
   std::unique_ptr<SdramDevice> device_;
   sim::Picos engine_busy_until_ = 0;
   std::uint64_t served_ = 0;
@@ -107,7 +103,6 @@ class LmiController final : public sim::Component {
 
   SIM_STATE_MEMBERS(device_, engine_busy_until_, served_, accesses_, merged_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
-  SIM_STATE_EXEMPT(observer_, "observer callback");
   SIM_STATE_EXEMPT(batch_, "per-call scratch");
 };
 

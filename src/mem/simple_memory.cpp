@@ -41,8 +41,6 @@ void SimpleMemory::evaluate() {
   txn::RequestPtr r = port_.req.pop();
   ++accesses_;
   beats_ += r->beats;
-  // Trace observers only see the forward pass of deep-check replay.
-  if (observer_ && !clk_.simulator().inReplay()) observer_(now, r);
 
   if (r->op == Opcode::Read) {
     auto rsp = std::make_shared<txn::Response>();

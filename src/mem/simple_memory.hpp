@@ -16,7 +16,6 @@
 // to (depth 1 reproduces the paper's "single-slot buffering" target).
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/component.hpp"
 #include "txn/ports.hpp"
@@ -31,11 +30,6 @@ struct SimpleMemoryConfig {
   unsigned wait_states = 1;
 };
 
-/// Callback invoked for every request a memory model accepts (used by trace
-/// recorders and custom monitors).
-using RequestObserver =
-    std::function<void(sim::Picos now, const txn::RequestPtr&)>;
-
 class SimpleMemory final : public sim::Component {
  public:
   SimpleMemory(sim::ClockDomain& clk, std::string name, txn::TargetPort& port,
@@ -47,8 +41,6 @@ class SimpleMemory final : public sim::Component {
   std::uint64_t accessesServed() const { return accesses_; }
   std::uint64_t beatsServed() const { return beats_; }
 
-  void setRequestObserver(RequestObserver obs) { observer_ = std::move(obs); }
-
   /// Attach a TargetMonitor to the memory's port (single service, no
   /// responses for posted writes, causal beat schedules).
   void attachMonitors(verify::VerifyContext& ctx);
@@ -56,14 +48,12 @@ class SimpleMemory final : public sim::Component {
  private:
   txn::TargetPort& port_;
   SimpleMemoryConfig cfg_;
-  RequestObserver observer_;
   sim::Picos busy_until_ = 0;
   std::uint64_t accesses_ = 0;
   std::uint64_t beats_ = 0;
 
   SIM_STATE_MEMBERS(busy_until_, accesses_, beats_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
-  SIM_STATE_EXEMPT(observer_, "observer callback");
 };
 
 }  // namespace mpsoc::mem

@@ -1,6 +1,8 @@
 #include "noc/mesh.hpp"
 
 #include "sim/check.hpp"
+#include "verify/context.hpp"
+#include "verify/port_monitor.hpp"
 #include <cmath>
 #include <unordered_set>
 
@@ -64,6 +66,8 @@ class NocMesh::MasterAdapter final : public sim::Component {
   bool idle() const override {
     return egress_.empty() && port_.req.empty();
   }
+
+  txn::InitiatorPort& port() { return port_; }
 
  private:
   NocMesh& mesh_;
@@ -203,6 +207,15 @@ void NocMesh::attachSlave(txn::TargetPort& port, NodeId at, std::uint64_t base,
   slaves_.push_back(std::make_unique<SlaveAdapter>(
       clk_, name_ + ".sa" + std::to_string(at), *this, port, at,
       *egress_[at]));
+}
+
+void NocMesh::attachMonitors(verify::VerifyContext& ctx) {
+  verify::InitiatorRules rules;
+  rules.in_order = false;
+  for (std::size_t i = 0; i < masters_.size(); ++i) {
+    ctx.add<verify::InitiatorMonitor>(name_ + ".mon.m" + std::to_string(i),
+                                      &clk_, masters_[i]->port(), rules);
+  }
 }
 
 std::uint64_t NocMesh::totalHops() const {

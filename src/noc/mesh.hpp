@@ -21,6 +21,10 @@
 #include "noc/router.hpp"
 #include "txn/ports.hpp"
 
+namespace mpsoc::verify {
+class VerifyContext;
+}  // namespace mpsoc::verify
+
 namespace mpsoc::noc {
 
 struct MeshConfig {
@@ -50,6 +54,11 @@ class NocMesh {
   /// Attach a slave's port at a node, owning [base, base+size).
   void attachSlave(txn::TargetPort& port, NodeId at, std::uint64_t base,
                    std::uint64_t size);
+
+  /// Attach an InitiatorMonitor to every master port, named
+  /// "<mesh>.mon.m<i>" in attach order.  Responses may return out of order;
+  /// the outstanding cap is the master's own (MasterBase enforces it).
+  void attachMonitors(verify::VerifyContext& ctx);
 
   /// Total packets moved across all routers (each hop counts once).
   std::uint64_t totalHops() const;

@@ -119,11 +119,11 @@ struct PlatformConfig {
   std::uint32_t agent_burst_override_beats = 0;
   bool include_cpu = true;
 
-  /// Attach the protocol monitors and the transaction-conservation auditor
-  /// (src/verify) to every bus, bridge and memory in the platform.  Any
-  /// protocol violation aborts the run with a ProtocolViolation; leaks are
-  /// reported at the end of the run.  Off, no monitor exists and the hooks
-  /// cost nothing beyond an empty-list test.
+  /// Attach the protocol monitors (src/verify) to every bus, NoC master
+  /// port, bridge and memory in the platform.  Any protocol violation aborts
+  /// the run with a ProtocolViolation; leaks are reported at the end of the
+  /// run.  Off, no monitor exists and the hooks cost nothing beyond an
+  /// empty-list test.
   bool verify = false;
 
   /// Checkpoint-equivalence oracle (see DESIGN.md "State manifests,
@@ -140,7 +140,8 @@ struct PlatformConfig {
   /// evaluate() for components that declared themselves quiescent.  On by
   /// default; behaviour-neutral by contract (sleep is only legal while
   /// idle()), so switching it off must reproduce bit-identical digests —
-  /// which is exactly what the kernel-perf smoke in tools/check.sh asserts.
+  /// which is what the gating smoke in tools/check.sh and the fuzzer's
+  /// gated/ungated oracle assert.
   bool activity_gating = true;
 
   /// Two-regime workload for the Fig. 6 experiment: phase 1 is an intense

@@ -41,7 +41,7 @@ Platform::Platform(PlatformConfig cfg) : cfg_(cfg) {
   if (cfg_.include_dma) buildDma();
   // Out-of-graph state holders join the checkpoint set in construction order
   // (the order labels digest items, so it must be deterministic): the probe,
-  // then the verify context's auditor and monitors.
+  // then the verify context's monitors.
   sim_.addCheckpointable(&mem_fifo_probe_);
   if (cfg_.verify) {
     verify_ = std::make_unique<verify::VerifyContext>(sim_);
@@ -51,23 +51,15 @@ Platform::Platform(PlatformConfig cfg) : cfg_(cfg) {
 
 void Platform::attachVerification() {
   verify::VerifyContext& ctx = *verify_;
-  // NoC platforms have no bus to monitor — the port-level target monitors
-  // and the conservation auditor below still cover the memory contract and
-  // transaction accounting end-to-end across the fabric.
   if (central_) central_->attachMonitors(ctx);
+  if (mesh_) mesh_->attachMonitors(ctx);
   for (auto& c : clusters_) c.bus->attachMonitors(ctx);
   if (cpu_node_) cpu_node_->attachMonitors(ctx);
   if (mem_node_) mem_node_->attachMonitors(ctx);
-  for (auto& b : bridges_) {
-    b->attachMonitors(ctx);
-    b->setAuditor(&ctx.auditor());  // side-B clones are audited transactions
-  }
+  for (auto& b : bridges_) b->attachMonitors(ctx);
   if (onchip_) onchip_->attachMonitors(ctx);
   if (scratchpad_) scratchpad_->attachMonitors(ctx);
   if (lmi_) lmi_->attachMonitors(ctx);
-  for (auto& g : iptgs_) g->setAuditor(&ctx.auditor());
-  if (cpu_) cpu_->setAuditor(&ctx.auditor());
-  if (dma_) dma_->setAuditor(&ctx.auditor());
 }
 
 Platform::~Platform() = default;

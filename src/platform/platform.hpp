@@ -91,7 +91,7 @@ class Platform {
   /// The packet fabric, or nullptr unless Topology::NocMesh.
   const noc::NocMesh* nocMesh() const { return mesh_.get(); }
 
-  /// The protocol-monitor / conservation-audit registry, or nullptr when the
+  /// The protocol-monitor registry, or nullptr when the
   /// platform was built without `cfg.verify`.
   verify::VerifyContext* verifyContext() { return verify_.get(); }
 
@@ -120,8 +120,8 @@ class Platform {
   void buildTraffic();
   void buildCpu();
   void buildDma();
-  /// Walk every bus, bridge, memory and master, attaching monitors and the
-  /// conservation auditor to `verify_`.  Called once, after construction.
+  /// Walk every bus, mesh, bridge and memory, attaching monitors to
+  /// `verify_`.  Called once, after construction.
   void attachVerification();
   /// Checkpoint-equivalence oracle (cfg_.statecheck): advance to
   /// cfg_.statecheck_at_ps, then Simulator::replayCheck() over

@@ -45,7 +45,7 @@
 //   phase2_end_ps = 1600000000
 //   duration_ps = 0             # run for a fixed simulated time (two-phase)
 //   seed = 1
-//   verify = false              # attach protocol monitors + auditor
+//   verify = false              # attach the protocol monitors
 //   statecheck = false          # checkpoint-equivalence oracle
 //   statecheck_at_ps = 1000000  # oracle checkpoint instant
 //   statecheck_edges = 2000     # statecheck replay window (edges)

@@ -40,8 +40,8 @@ namespace state {
 class Digest;
 }  // namespace state
 
-/// State holder outside the component/updatable graph (verify monitors, the
-/// transaction auditor, stats probes) that must participate in
+/// State holder outside the component/updatable graph (verify monitors,
+/// stats probes) that must participate in
 /// Simulator::checkpoint() so a restored run does not see stale observer
 /// state (a monitor remembering in-flight requests from the abandoned
 /// timeline would false-positive).  It declares its state with the same

@@ -13,8 +13,8 @@
 //
 // and the macro generates the saveState()/restoreState() hooks and a
 // canonical stateDigest() from the one list.  Components (sim::Component)
-// and out-of-graph holders (sim::Checkpointable: protocol monitors, the
-// transaction auditor, FIFO state probes) use the same macros, so the kernel
+// and out-of-graph holders (sim::Checkpointable: protocol monitors, FIFO
+// state probes) use the same macros, so the kernel
 // snapshots, rewinds and digests both the same way.  The mpsoc_lint rule
 // `unmanifested-state` closes the loop statically: every trailing-underscore
 // member of a Component or Checkpointable subclass must appear in exactly
@@ -25,11 +25,9 @@
 //   * wiring (references, port/bus pointers, address maps) — established at
 //     construction, never mutated during simulation;
 //   * immutable configuration structs;
-//   * observer callbacks/taps and cached auditor/monitor pointers;
+//   * observer callbacks/taps and cached monitor pointers;
 //   * members that are themselves registered Updatables (FIFOs): the kernel
-//     checkpoints those directly through the per-domain updatable walk;
-//   * append-only trace sinks (timeline samples) whose owners
-//     guard their evaluate() against the deep-check replay pass.
+//     checkpoints those directly through the per-domain updatable walk.
 // Stats counters (issued/retired counts, latency probes, channel-utilisation
 // accumulators) are NOT exempt: deep-check replay re-runs evaluate(), so any
 // counter bumped there must be rolled back by restoreState() or the second

@@ -1,7 +1,6 @@
 #include "txn/master.hpp"
 
 #include "sim/check.hpp"
-#include "txn/audit.hpp"
 
 namespace mpsoc::txn {
 
@@ -33,11 +32,6 @@ void MasterBase::issue(const RequestPtr& req) {
   } else {
     ++retired_;  // posted writes retire at issue
   }
-  // Deep-check replay repeats this issue; the auditor's conservation books
-  // must only count the forward pass.
-  if (auditor_ && !clk_.simulator().inReplay()) {
-    auditor_->onIssue(clk_, *req, fire_and_forget);
-  }
   port_.req.push(req);
 }
 
@@ -48,9 +42,6 @@ void MasterBase::collectResponses() {
                   "response arrived with no outstanding transaction");
     --outstanding_;
     ++retired_;
-    if (auditor_ && !clk_.simulator().inReplay()) {
-      auditor_->onRetire(clk_, *rsp);
-    }
     rsp->req->completed_ps = clk_.simulator().now();
     latency_.record(rsp->req->created_ps, rsp->req->completed_ps);
     onResponse(rsp);

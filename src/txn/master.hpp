@@ -18,8 +18,6 @@
 
 namespace mpsoc::txn {
 
-class TxnAuditor;
-
 class MasterBase : public sim::Component {
  public:
   MasterBase(sim::ClockDomain& clk, std::string name, InitiatorPort& port,
@@ -45,10 +43,6 @@ class MasterBase : public sim::Component {
   std::uint64_t bytesWritten() const { return bytes_written_; }
   const stats::LatencyProbe& latency() const { return latency_; }
 
-  /// Report every issue/retire to a transaction-conservation auditor
-  /// (src/txn/audit.hpp).  Null (the default) reports nothing.
-  void setAuditor(TxnAuditor* auditor) { auditor_ = auditor; }
-
  protected:
   /// Hook for subclasses (e.g. unblocking a stalled CPU, advancing an agent).
   virtual void onResponse(const ResponsePtr& rsp) { (void)rsp; }
@@ -57,7 +51,6 @@ class MasterBase : public sim::Component {
 
  private:
   unsigned max_outstanding_;
-  TxnAuditor* auditor_ = nullptr;
   unsigned outstanding_ = 0;
   std::uint64_t issued_ = 0;
   std::uint64_t retired_ = 0;
@@ -68,7 +61,6 @@ class MasterBase : public sim::Component {
   SIM_STATE_MEMBERS(outstanding_, issued_, retired_, bytes_read_,
                     bytes_written_, latency_);
   SIM_STATE_EXEMPT(max_outstanding_, "immutable configuration");
-  SIM_STATE_EXEMPT(auditor_, "cached auditor pointer (observer wiring)");
 };
 
 }  // namespace mpsoc::txn

@@ -2,9 +2,7 @@
 
 namespace mpsoc::verify {
 
-VerifyContext::VerifyContext(sim::Simulator& sim) : sim_(sim) {
-  sim_.addCheckpointable(&auditor_);
-}
+VerifyContext::VerifyContext(sim::Simulator& sim) : sim_(sim) {}
 
 VerifyContext::~VerifyContext() = default;
 
@@ -16,7 +14,6 @@ std::uint64_t VerifyContext::eventsObserved() const {
 
 void VerifyContext::finish(bool expect_drained) const {
   for (const auto& m : monitors_) m->finish(expect_drained);
-  auditor_.finish(expect_drained);
 }
 
 }  // namespace mpsoc::verify

@@ -1,17 +1,16 @@
 #pragma once
 // VerifyContext: the per-platform registry that owns every attached protocol
-// monitor plus the transaction-conservation auditor.
+// monitor.
 //
 // A platform (or rig) that opts into verification creates one VerifyContext
-// on its simulator, walks its components calling attachMonitors(ctx) /
-// setAuditor(), and calls finish() at the end of the run.  Monitors raise
-// ProtocolViolation the instant a rule is broken; finish() performs the
-// teardown audits (stuck transactions in monitors, leaks in the auditor).
+// on its simulator, walks its components calling attachMonitors(ctx), and
+// calls finish() at the end of the run.  Monitors raise ProtocolViolation
+// the instant a rule is broken; finish() performs the teardown audits
+// (transactions a monitor still tracks are leaks).
 //
 // A run that leaves `verify` off never creates a context: every hook that
-// would feed one (FIFO taps, the SDRAM command observer, the master audit
-// hooks) is an empty-vector or null-pointer test, so monitoring costs
-// nothing until it is attached.
+// would feed one (FIFO taps, the SDRAM command observer) is an empty-vector
+// or null-pointer test, so monitoring costs nothing until it is attached.
 
 #include <cstdint>
 #include <memory>
@@ -20,16 +19,15 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "txn/audit.hpp"
 #include "verify/monitor.hpp"
 
 namespace mpsoc::verify {
 
-/// The context registers the conservation auditor and every monitor it
-/// constructs with the simulator (Simulator::addCheckpointable), in that
-/// order, so a state restore rewinds each one's books through its SIM_STATE
-/// manifest and each is its own digest item, labelled by name.  The
-/// simulator must outlive the context's last checkpoint.
+/// The context registers every monitor it constructs with the simulator
+/// (Simulator::addCheckpointable), in construction order, so a state restore
+/// rewinds each one's books through its SIM_STATE manifest and each is its
+/// own digest item, labelled by name.  The simulator must outlive the
+/// context's last checkpoint.
 class VerifyContext {
  public:
   explicit VerifyContext(sim::Simulator& sim);
@@ -49,25 +47,20 @@ class VerifyContext {
     return ref;
   }
 
-  /// Conservation auditor masters report issue/retire to.
-  txn::TxnAuditor& auditor() { return auditor_; }
-  const txn::TxnAuditor& auditor() const { return auditor_; }
-
   std::size_t monitorCount() const { return monitors_.size(); }
 
   /// Total port/command events checked across all monitors.  Clean-run tests
   /// assert this is non-zero to prove the monitors actually observed traffic.
   std::uint64_t eventsObserved() const;
 
-  /// Teardown audit: every monitor's finish() plus the conservation audit.
-  /// `expect_drained` = the workload ran to completion, so anything still in
-  /// flight is a leak; pass false after bounded (runFor-style) runs.
+  /// Teardown audit: every monitor's finish().  `expect_drained` = the
+  /// workload ran to completion, so anything still in flight is a leak; pass
+  /// false after bounded (runFor-style) runs.
   void finish(bool expect_drained) const;
 
  private:
   sim::Simulator& sim_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
-  txn::TxnAuditor auditor_;
 };
 
 }  // namespace mpsoc::verify

@@ -30,16 +30,14 @@ void InitiatorMonitor::onReqPush(const txn::RequestPtr& r) {
                   "posted attribute on a " << toString(r->op)
                                            << " request (only writes may be "
                                               "posted)");
-  for (const auto& e : queued_) {
-    MPSOC_MON_CHECK(e.id != r->id, "request id " << r->id
-                                                 << " issued while already "
-                                                    "queued at this port");
-  }
-  for (const auto& e : accepted_) {
-    MPSOC_MON_CHECK(e.id != r->id, "request id " << r->id
-                                                 << " re-issued while still "
-                                                    "outstanding");
-  }
+  // Every master draws its id at issue, so a port's ids strictly increase;
+  // a duplicate or a retired request issued again breaks the order.
+  MPSOC_MON_CHECK(r->id > last_id_, "request id " << r->id
+                                                  << " issued after id "
+                                                  << last_id_
+                                                  << " (issued twice or out "
+                                                     "of order)");
+  last_id_ = r->id;
   queued_.push_back(Entry{r->id, r});
 }
 

@@ -1,11 +1,11 @@
 #pragma once
 // Port-level protocol monitors.
 //
-// InitiatorMonitor binds to one InitiatorPort of an interconnect engine and
-// checks the request/response handshake the way a bound SVA module would
-// watch a bus interface:
-//   - request legality at issue (burst length, posted-write rules, no
-//     duplicate ids in flight),
+// InitiatorMonitor binds to one InitiatorPort of an interconnect engine (bus
+// layer or NoC mesh) and checks the request/response handshake the way a
+// bound SVA module would watch a bus interface:
+//   - request legality at issue (burst length, posted-write rules, ids that
+//     strictly increase, so no request is issued twice),
 //   - grant-side outstanding caps (per-initiator and, for AHB, a ledger
 //     shared by every initiator on the layer: one non-posted owner at a
 //     time),
@@ -13,6 +13,9 @@
 //     identity, respects the protocol's ordering rule (in-order for STBus
 //     T1/T2 and AHB; out-of-order allowed for STBus T3 and AXI), and carries
 //     the right beat count (read: the request's beats, write ack: 1).
+// Together with finish() this is the transaction-conservation check: every
+// issued request is answered at most once (exactly once on a drained run),
+// and a posted write is never answered.
 //
 // TargetMonitor binds to a TargetPort of a memory/slave and checks the
 // mirror-image contract: requests are serviced at most once, posted writes
@@ -73,10 +76,12 @@ class InitiatorMonitor final : public Monitor {
   InitiatorRules rules_;
   std::vector<Entry> queued_;   ///< pushed by the master, not yet granted
   std::deque<Entry> accepted_;  ///< granted, response pending (grant order)
+  std::uint64_t last_id_ = 0;   ///< id of the last request issued here
 
   // The ledger is shared by every monitor of the layer; each one rewinds it
   // to the same saved count, so the repeated restore is idempotent.
-  SIM_STATE_MEMBERS_WITH_BASE(Monitor, queued_, accepted_, rules_.ledger);
+  SIM_STATE_MEMBERS_WITH_BASE(Monitor, queued_, accepted_, last_id_,
+                              rules_.ledger);
   SIM_STATE_EXEMPT(rules_, "immutable configuration (ledger manifested)");
 };
 

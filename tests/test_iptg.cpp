@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -130,35 +131,41 @@ TEST(Iptg, SequenceModeReplaysExactly) {
 }
 
 TEST(Iptg, SyncPointDelaysDependentAgent) {
-  iptg::IptgConfig cfg;
-  iptg::AgentProfile producer;
-  producer.name = "prod";
-  producer.burst_beats = {{4, 1.0}};
-  producer.total_transactions = 20;
-  producer.gap_min = 4;
-  producer.gap_max = 4;
-  iptg::AgentProfile consumer;
-  consumer.name = "cons";
-  consumer.burst_beats = {{4, 1.0}};
-  consumer.total_transactions = 10;
-  consumer.after_agent = 0;
-  consumer.after_count = 10;
-  consumer.base_addr = 0x10000;
-  cfg.agents = {producer, consumer};
-  IptgRig rig(cfg);
-  rig.run();
-  EXPECT_TRUE(rig.gen.done());
-  // The consumer's first request must come after the producer's 10th.
-  int prod_seen = 0;
-  bool consumer_started_early = false;
-  for (const auto& r : rig.sink.seen) {
-    if (r->addr >= 0x10000) {
-      if (prod_seen < 10) consumer_started_early = true;
-    } else {
-      ++prod_seen;
+  // A producer quota below after_count (a scaled-down workload) releases the
+  // consumer once the producer has retired all of it.
+  for (const std::uint64_t quota : {20u, 6u}) {
+    iptg::IptgConfig cfg;
+    iptg::AgentProfile producer;
+    producer.name = "prod";
+    producer.burst_beats = {{4, 1.0}};
+    producer.total_transactions = quota;
+    producer.gap_min = 4;
+    producer.gap_max = 4;
+    iptg::AgentProfile consumer;
+    consumer.name = "cons";
+    consumer.burst_beats = {{4, 1.0}};
+    consumer.total_transactions = 10;
+    consumer.after_agent = 0;
+    consumer.after_count = 10;
+    consumer.base_addr = 0x10000;
+    cfg.agents = {producer, consumer};
+    IptgRig rig(cfg);
+    rig.run();
+    EXPECT_TRUE(rig.gen.done()) << "producer quota " << quota;
+    // The consumer's first request must come after the producer's 10th (or
+    // its last).
+    const std::uint64_t needed = std::min<std::uint64_t>(quota, 10);
+    std::uint64_t prod_seen = 0;
+    bool consumer_started_early = false;
+    for (const auto& r : rig.sink.seen) {
+      if (r->addr >= 0x10000) {
+        if (prod_seen < needed) consumer_started_early = true;
+      } else {
+        ++prod_seen;
+      }
     }
+    EXPECT_FALSE(consumer_started_early) << "producer quota " << quota;
   }
-  EXPECT_FALSE(consumer_started_early);
 }
 
 TEST(Iptg, MessageGroupingTagsRuns) {

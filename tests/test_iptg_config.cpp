@@ -208,12 +208,7 @@ TEST(Trace, CaptureAndReplayMoveTheSameBytes) {
     txn::TargetPort mp(clk, "mem", 4, 8);
     node.addTarget(mp, 0, 1ull << 30);
     mem::SimpleMemory memory(clk, "mem", mp, {1});
-    if (rec) {
-      memory.setRequestObserver(
-          [rec](sim::Picos now, const txn::RequestPtr& r) {
-            rec->record(now, r);
-          });
-    }
+    if (rec) rec->attach(mp);
     txn::InitiatorPort ip(clk, "m", 2, 8);
     node.addInitiator(ip);
     iptg::Iptg gen(clk, "g", ip, cfg);

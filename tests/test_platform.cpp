@@ -23,9 +23,9 @@ PlatformConfig smallConfig(Protocol p, Topology t, MemoryKind m) {
   cfg.topology = t;
   cfg.memory = m;
   cfg.workload_scale = 0.1;  // keep unit tests fast
-  // Every platform test runs fully monitored: protocol monitors on all
-  // buses/bridges/memories plus the conservation auditor (zero-false-positive
-  // property across the whole matrix).
+  // Every platform test runs fully monitored: protocol monitors on every
+  // bus, mesh master port, bridge and memory (zero-false-positive property
+  // across the whole matrix; a leak fails run()'s teardown audit).
   cfg.verify = true;
   return cfg;
 }
@@ -78,7 +78,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Protocol::Stbus, Protocol::Ahb,
                                          Protocol::Axi),
                        ::testing::Values(Topology::Full, Topology::Collapsed,
-                                         Topology::SingleLayer),
+                                         Topology::SingleLayer,
+                                         Topology::NocMesh),
                        ::testing::Values(MemoryKind::OnChip,
                                          MemoryKind::Lmi)),
     comboName);

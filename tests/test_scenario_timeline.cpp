@@ -1,4 +1,4 @@
-// Tests for the scenario-file parser and the windowed timeline recorder.
+// Tests for the scenario-file parser and the windowed FIFO-state timeline.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include "mem/simple_memory.hpp"
 #include "platform/scenario_parser.hpp"
 #include "sim/simulator.hpp"
-#include "stats/timeline.hpp"
+#include "stats/probes.hpp"
 #include "stbus/node.hpp"
 #include "txn/ports.hpp"
 
@@ -118,39 +118,9 @@ TEST(ScenarioParser, ShippedScenariosLoad) {
 
 // ---------------------------------------------------------------------------
 
-TEST(Timeline, WindowsMeanAndDelta) {
-  sim::Simulator s;
-  auto& clk = s.addClockDomain("clk", 100.0);
-
-  struct Source : sim::Component {
-    std::uint64_t counter = 0;
-    using sim::Component::Component;
-    void evaluate() override { counter += 2; }
-    bool idle() const override { return false; }
-  };
-  Source src(clk, "src");
-
-  stats::TimelineRecorder tl(clk, "tl", /*window=*/10);
-  tl.addSeries("level", [&] { return static_cast<double>(src.counter); });
-  tl.addSeries("rate", [&] { return static_cast<double>(src.counter); },
-               /*delta=*/true);
-
-  s.run(400'000);  // 40 cycles -> 4 windows
-  ASSERT_EQ(tl.windows(), 4u);
-  // Rate: +2 per cycle, 10 cycles per window -> 20 per window.
-  EXPECT_DOUBLE_EQ(tl.value(0, 1), 20.0);
-  EXPECT_DOUBLE_EQ(tl.value(3, 1), 20.0);
-  // Level means increase window over window.
-  EXPECT_LT(tl.value(0, 0), tl.value(1, 0));
-  EXPECT_LT(tl.value(2, 0), tl.value(3, 0));
-
-  const auto table = tl.table();
-  EXPECT_EQ(table.rows().size(), 4u);
-}
-
 TEST(Timeline, TracksFifoRegimes) {
   // A generator with a saturating phase then silence: the memory FIFO's
-  // windowed occupancy must fall between the two regimes.
+  // windowed classes must tell the two regimes apart.
   sim::Simulator sim;
   auto& clk = sim.addClockDomain("bus", 200.0);
   stbus::StbusNode node(clk, "n", {});
@@ -169,20 +139,23 @@ TEST(Timeline, TracksFifoRegimes) {
   cfg.agents.push_back(p);
   iptg::Iptg gen(clk, "g", ip, cfg);
 
-  stats::TimelineRecorder tl(clk, "mem-timeline", 500);
-  tl.addSeries("occupancy", [&] {
-    return static_cast<double>(mp.req.registeredSize());
-  });
-  tl.addSeries("served", [&] {
-    return static_cast<double>(memory.accessesServed());
-  }, true);
+  // Fig. 6 classes per 500-cycle window (2.5 us at 200 MHz).
+  constexpr sim::Picos kWindowPs = 2'500'000;
+  stats::PhaseSchedule windows;
+  for (sim::Picos t = 0; t < 50'000'000; t += kWindowPs) {
+    windows.addPhase("w", t, t + kWindowPs);
+  }
+  stats::FifoStateProbe probe;
+  probe.attach(mp.req, &windows);
 
   sim.run(50'000'000);  // 10k cycles; traffic ends long before
-  ASSERT_GE(tl.windows(), 10u);
-  // Early windows busy, late windows silent.
-  EXPECT_GT(tl.value(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(tl.value(tl.windows() - 1, 1), 0.0);
-  EXPECT_GT(tl.value(0, 0), tl.value(tl.windows() - 1, 0));
+  ASSERT_EQ(probe.phaseCount(), 20u);
+  const auto& first = probe.phase(0);
+  const auto& last = probe.phase(probe.phaseCount() - 1);
+  // Early windows store requests; the last window sees none at all.
+  EXPECT_GT(first.storing, 0u);
+  EXPECT_DOUBLE_EQ(last.fracNoRequest(), 1.0);
+  EXPECT_GT(first.occupancy.mean(), last.occupancy.mean());
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #      (includes the monitored platform smoke runs and the protocol-monitor
 #      negative tests)
 #   3. monitored scenario sweep: every shipped scenario under
-#      mpsoc_run --verify (protocol monitors + conservation audit)
+#      mpsoc_run --verify (protocol monitors, leaks checked at the end)
 #   4. parallel-sweep smoke: the shipped scenarios at -j 2 vs -j 1 must emit
 #      byte-identical digest sets (determinism under parallelism)
 #   5. gating smoke: fig3-small and a small NoC mesh, gated vs --no-gating

@@ -15,7 +15,7 @@
 //                   result digest is a failure, and so is a run-to-completion
 //                   case that never completes (a hang)
 //   --jobs N        worker pool width for the per-case pair (default 1)
-//   --no-verify     drop the protocol monitors + transaction auditor
+//   --no-verify     drop the protocol monitors
 //   --verify        accepted no-op (the default), so reproducer commands
 //                   are explicit about what they enable
 //   --statecheck    also run the checkpoint-equivalence oracle (slower)

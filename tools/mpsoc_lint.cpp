@@ -47,8 +47,8 @@
 //                       explicitly-audited singletons (suppress with the
 //                       usual annotation).
 //   unmanifested-state  every trailing-underscore data member of a Component
-//                       or Checkpointable subclass (protocol monitors, the
-//                       transaction auditor, probes) must appear in exactly
+//                       or Checkpointable subclass (protocol monitors,
+//                       probes) must appear in exactly
 //                       one SIM_STATE manifest entry (SIM_STATE_MEMBERS /
 //                       SIM_STATE_MEMBERS_WITH_BASE) or carry a
 //                       SIM_STATE_EXEMPT(member, "why") — otherwise
@@ -232,7 +232,7 @@ class FileLinter {
         "Component",  "InterconnectBase", "MasterBase", "AhbLayer",
         "AxiBus",     "Bridge",           "DmaEngine",  "Iptg",
         "LmiController", "Router",        "SimpleMemory", "St220",
-        "StbusNode",  "TimelineRecorder", "SlaveSide",  "MasterSide",
+        "StbusNode",  "SlaveSide",        "MasterSide",
         "Checkpointable", "Monitor",
     };
   }

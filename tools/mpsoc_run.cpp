@@ -7,8 +7,8 @@
 //                   simulation throughput, full metrics) as JSON; `-` writes
 //                   to stdout.  This is the mpsoc-sweep-v1 schema.
 //   --normalize N   normalise execution times to scenario index N (default 0)
-//   --verify        attach the protocol monitors and transaction auditor
-//                   (src/verify) to every platform; a violation aborts with
+//   --verify        attach the protocol monitors (src/verify) to every
+//                   platform; a violation or a leak aborts with
 //                   exit code 1
 //   --statecheck    run the checkpoint-equivalence oracle on every platform:
 //                   checkpoint mid-run, execute a window of edges, rewind,
