@@ -36,9 +36,6 @@ class Updatable;
 class Updatable {
  public:
   virtual ~Updatable() = default;
-  /// Commit staged state.  Called once per edge, after every component in the
-  /// edge's domains has run evaluate().
-  virtual void commit() = 0;
 
   // --- deep-check hooks (see Simulator::setDeepCheck) -----------------------
 
@@ -70,6 +67,11 @@ class Updatable {
 
  private:
   friend class ClockDomain;
+  /// Commit staged state.  Called once per edge, after every component in the
+  /// edge's domains has run evaluate().  Private: only ClockDomain::commitEdge
+  /// calls it, so a commit from component code is a compile error.
+  virtual void commit() = 0;
+
   bool commit_queued_ = false;  ///< enqueued for commit at this edge's end
   bool always_commit_ = false;  ///< committed on every edge (observed FIFOs)
 };

@@ -14,12 +14,13 @@
 // clock periods (a brute-force two-flop synchroniser), as in the paper's
 // hybrid bridges (Fig. 2).
 //
-// Phase discipline (enforced via SIM_CHECK, in every build type):
+// Phase discipline:
 //   * push/pop/popAt are legal only during the kernel's Evaluate phase —
 //     mutating a FIFO from commit() or from outside the simulation loop
-//     corrupts the registered-occupancy timeline;
-//   * commit() is legal only during the Commit phase, i.e. only when invoked
-//     by the kernel.  User code must never call it.
+//     corrupts the registered-occupancy timeline (SIM_CHECK, in every build
+//     type);
+//   * commit() is private: only the kernel (ClockDomain::commitEdge) can call
+//     it, so a commit from component code does not compile.
 // Read-only accessors (size, front, at, registeredSize) stay unrestricted so
 // probes and tests can inspect state at any time.
 //
@@ -191,40 +192,6 @@ class SyncFifo final : public Updatable {
   void addPushTap(Tap t) { push_taps_.push_back(std::move(t)); }
   void addPopTap(Tap t) { pop_taps_.push_back(std::move(t)); }
 
-  void commit() override {
-    SIM_CHECK_CTX(clk_.simulator().phase() == Phase::Commit, name_, &clk_,
-                  "commit() called outside the kernel's commit phase "
-                  "(user code must never commit FIFOs directly)");
-    FifoEdgeInfo info;
-    info.occupancy_before = committed_n_ + ooo_pops_;
-    info.pushed = staged_n_;
-    info.popped = pop_count_ + ooo_pops_;
-    info.capacity = capacity_;
-
-    head_ = rix(pop_count_);
-    committed_n_ = committed_n_ - pop_count_ + staged_n_;
-    staged_n_ = 0;
-    pop_count_ = 0;
-    ooo_pops_ = 0;
-    ooo_hash_ = detail::kFnvBasis;
-
-    info.occupancy_after = committed_n_;
-    SIM_CHECK_CTX(
-        info.occupancy_after ==
-            info.occupancy_before + info.pushed - info.popped,
-        name_, &clk_,
-        "commit() accounting mismatch: before=" << info.occupancy_before
-            << " +pushed=" << info.pushed << " -popped=" << info.popped
-            << " != after=" << info.occupancy_after);
-    if (info.pushed != 0) {
-      for (Component* c : push_wakers_) c->wake();
-    }
-    if (info.popped != 0) {
-      for (Component* c : pop_wakers_) c->wake();
-    }
-    if (observer_) observer_(observer_ctx_, info);
-  }
-
   // --- deep-check hooks -----------------------------------------------------
 
   const std::string& updatableName() const override { return name_; }
@@ -282,6 +249,37 @@ class SyncFifo final : public Updatable {
   }
 
  private:
+  void commit() override {
+    FifoEdgeInfo info;
+    info.occupancy_before = committed_n_ + ooo_pops_;
+    info.pushed = staged_n_;
+    info.popped = pop_count_ + ooo_pops_;
+    info.capacity = capacity_;
+
+    head_ = rix(pop_count_);
+    committed_n_ = committed_n_ - pop_count_ + staged_n_;
+    staged_n_ = 0;
+    pop_count_ = 0;
+    ooo_pops_ = 0;
+    ooo_hash_ = detail::kFnvBasis;
+
+    info.occupancy_after = committed_n_;
+    SIM_CHECK_CTX(
+        info.occupancy_after ==
+            info.occupancy_before + info.pushed - info.popped,
+        name_, &clk_,
+        "commit() accounting mismatch: before=" << info.occupancy_before
+            << " +pushed=" << info.pushed << " -popped=" << info.popped
+            << " != after=" << info.occupancy_after);
+    if (info.pushed != 0) {
+      for (Component* c : push_wakers_) c->wake();
+    }
+    if (info.popped != 0) {
+      for (Component* c : pop_wakers_) c->wake();
+    }
+    if (observer_) observer_(observer_ctx_, info);
+  }
+
   void checkPhase(const char* op) const {
     SIM_CHECK_CTX(clk_.simulator().phase() == Phase::Evaluate, name_, &clk_,
                   op << "() outside the evaluate phase: FIFOs may only be "
@@ -420,25 +418,6 @@ class AsyncFifo final : public Updatable {
   /// delay).
   void wakeOnPush(Component* c) { push_wakers_.push_back(c); }
 
-  void commit() override {
-    SIM_CHECK_CTX(prod_.simulator().phase() == Phase::Commit, name_, &prod_,
-                  "commit() called outside the kernel's commit phase "
-                  "(user code must never commit FIFOs directly)");
-    committed_.erase(committed_.begin(),
-                     committed_.begin() + static_cast<std::ptrdiff_t>(pop_count_));
-    pop_count_ = 0;
-    const bool pushed = !staged_.empty();
-    Picos visible = prod_.simulator().now() +
-                    static_cast<Picos>(sync_stages_) * cons_.period();
-    for (auto& v : staged_) {
-      committed_.push_back(Entry{std::move(v), visible});
-    }
-    staged_.clear();
-    if (pushed) {
-      for (Component* c : push_wakers_) c->wake();
-    }
-  }
-
   // --- deep-check hooks -----------------------------------------------------
 
   const std::string& updatableName() const override { return name_; }
@@ -492,6 +471,22 @@ class AsyncFifo final : public Updatable {
   }
 
  private:
+  void commit() override {
+    committed_.erase(committed_.begin(),
+                     committed_.begin() + static_cast<std::ptrdiff_t>(pop_count_));
+    pop_count_ = 0;
+    const bool pushed = !staged_.empty();
+    Picos visible = prod_.simulator().now() +
+                    static_cast<Picos>(sync_stages_) * cons_.period();
+    for (auto& v : staged_) {
+      committed_.push_back(Entry{std::move(v), visible});
+    }
+    staged_.clear();
+    if (pushed) {
+      for (Component* c : push_wakers_) c->wake();
+    }
+  }
+
   void checkPhase(const char* op) const {
     SIM_CHECK_CTX(prod_.simulator().phase() == Phase::Evaluate, name_, &prod_,
                   op << "() outside the evaluate phase: FIFOs may only be "

@@ -33,7 +33,7 @@ namespace mpsoc::sim {
 
 /// Where the kernel is within the two-phase edge protocol.  FIFOs use this to
 /// reject mutations outside their legal window: push/pop only during
-/// Evaluate, commit() only during Commit (i.e. only kernel-invoked).
+/// Evaluate.  commit() needs no runtime check: it is private to the kernel.
 enum class Phase { Outside, Evaluate, Commit };
 
 namespace state {

@@ -62,8 +62,9 @@ class InterconnectBase : public sim::Component {
 
   /// Attach protocol monitors for this engine's initiator-side ports (each
   /// engine knows its own ordering/outstanding rules).  Call after every
-  /// addInitiator()/addTarget().  Overridden by each protocol engine.
-  virtual void attachMonitors(verify::VerifyContext& ctx) { (void)ctx; }
+  /// addInitiator()/addTarget().  Pure virtual: an engine that forgets it
+  /// cannot be instantiated.
+  virtual void attachMonitors(verify::VerifyContext& ctx) = 0;
 
  protected:
   /// Record acceptance of a non-posted request; posted writes are not

@@ -19,12 +19,14 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/rigs.hpp"
 #include "mem/sdram.hpp"
 #include "sim/component.hpp"
 #include "sim/simulator.hpp"
+#include "txn/interconnect.hpp"
 #include "txn/ports.hpp"
 #include "txn/transaction.hpp"
 #include "verify/context.hpp"
@@ -753,6 +755,16 @@ TEST(VerifyContext, AggregatesMonitorsAndEvents) {
   EXPECT_EQ(ctx.eventsObserved(), 6u);
   EXPECT_NO_THROW(ctx.finish(/*expect_drained=*/true));
 }
+
+// ---------------------------------------------------------------------------
+// Monitor coverage is a type rule: a bus engine that forgets attachMonitors()
+// is abstract, so Platform::makeBus and the rigs cannot build it.
+
+struct EvaluateOnlyBus final : txn::InterconnectBase {
+  using txn::InterconnectBase::InterconnectBase;
+  void evaluate() override {}
+};
+static_assert(std::is_abstract_v<EvaluateOnlyBus>);
 
 // ---------------------------------------------------------------------------
 // Clean runs: the real rigs under full monitoring must produce zero

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # One-command analysis stack for mpsocsim:
-#   1. build (ASan+UBSan) + run mpsoc_lint over src/ tests/ tools/
+#   1. build (ASan+UBSan)
 #   2. full ctest pass under AddressSanitizer + UndefinedBehaviorSanitizer
-#      (includes the monitored platform smoke runs and the protocol-monitor
-#      negative tests)
+#      (includes the whole-tree mpsoc_lint run, the monitored platform smoke
+#      runs and the protocol-monitor negative tests)
 #   3. monitored scenario sweep: every shipped scenario under
 #      mpsoc_run --verify (protocol monitors, leaks checked at the end)
 #   4. parallel-sweep smoke: the shipped scenarios at -j 2 vs -j 1 must emit
@@ -60,14 +60,6 @@ cmake -B "$BUILD" -S "$ROOT" -DMPSOC_SANITIZE="address;undefined" \
 
 stage "build"
 cmake --build "$BUILD" -j "$JOBS" || exit 1
-
-stage "mpsoc_lint"
-# tests/lint/ is the linter's own deliberately-bad fixture corpus (covered by
-# the test_lint ctest) — excluded from the whole-tree run.
-if ! "$BUILD/tools/mpsoc_lint" --skip tests/lint/ \
-      "$ROOT/src" "$ROOT/tests" "$ROOT/tools"; then
-  FAILED=1
-fi
 
 stage "ctest under ASan+UBSan"
 # halt_on_error makes UBSan findings fail the test instead of just logging.

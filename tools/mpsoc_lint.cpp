@@ -1,7 +1,11 @@
 // mpsoc_lint — repo-specific static checks for the two-phase simulation
-// kernel.  Compiler warnings and clang-tidy cover generic C++ hazards; this
-// tool bans the patterns that specifically corrupt *this* codebase's
-// determinism and phase discipline:
+// kernel.  Compiler warnings and clang-tidy cover generic C++ hazards, and
+// the type system enforces two kernel rules outright: Updatable::commit() is
+// private to ClockDomain (component code cannot commit a FIFO), and
+// InterconnectBase::attachMonitors() is pure virtual (a bus engine without
+// monitor wiring cannot be instantiated).  This tool bans the remaining
+// patterns that specifically corrupt *this* codebase's determinism and phase
+// discipline, which only a text scan can see:
 //
 //   bare-assert         assert() compiles out in the default RelWithDebInfo
 //                       build — simulation code must use SIM_CHECK, which is
@@ -13,15 +17,6 @@
 //                       fed into stats or scheduling decisions differ between
 //                       libstdc++ versions and even between runs (pointer
 //                       hashing).  Iterate a deterministic container instead.
-//   commit-in-evaluate  calling .commit()/->commit() from an evaluate() body
-//                       bypasses the kernel's commit phase and breaks the
-//                       registered-state timeline (also rejected at runtime
-//                       by the Phase guard, but cheaper to catch here).
-//   monitor-registration a protocol-engine file (src/{stbus,ahb,axi,bridge,
-//                       mem}) declaring a Component / InterconnectBase /
-//                       MasterBase subclass must also declare or define
-//                       attachMonitors() — every bus, bridge and memory must
-//                       be coverable by the src/verify protocol monitors.
 //   raw-txn-fifo        declaring a SyncFifo<RequestPtr|ResponsePtr> outside
 //                       txn/ports.hpp creates a transaction channel the
 //                       monitors cannot see; transactions must travel through
@@ -64,13 +59,8 @@
 //                       entry is state the generated save/restore never
 //                       touches.
 //
-// Usage: mpsoc_lint [--json] [--skip <substring>]... <dir-or-file>...
-//        mpsoc_lint --list-rules
-//        (exit 1 when any finding is reported)
-// --list-rules prints the rule registry (name + one-line rationale).
-// --json emits the findings as a machine-readable JSON document on stdout —
-// the schema is {"files": N, "findings": [{file, line, rule, message}]} —
-// for editor and CI integration; the human-readable report stays on stderr.
+// Usage: mpsoc_lint [--skip <substring>]... <dir-or-file>...
+//        (exit 1 when any finding is reported, 2 on a usage or I/O error)
 // --skip drops any scanned path containing <substring> — used to exclude the
 // deliberately-dirty lint fixture corpus (tests/lint/) from whole-tree runs.
 // Suppress a finding with a trailing comment:  // mpsoc-lint: allow(<rule>)
@@ -81,7 +71,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -89,7 +78,6 @@
 #include <map>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,45 +91,6 @@ struct Finding {
   std::size_t line;
   std::string rule;
   std::string message;
-};
-
-/// Rule registry for --list-rules: one line per rule, kept in the order the
-/// header comment documents them.  Adding a rule without registering it here
-/// is caught by the lint self-test (tests/test_lint.cpp).
-struct RuleInfo {
-  const char* name;
-  const char* summary;
-};
-
-constexpr RuleInfo kRules[] = {
-    {"bare-assert",
-     "assert() compiles out in release builds; simulation code must use "
-     "SIM_CHECK (sim/check.hpp)"},
-    {"nondeterminism",
-     "rand()/time()/random_device/system clocks make runs unrepeatable; use "
-     "sim::Rng"},
-    {"unordered-iter",
-     "range-for over std::unordered_{map,set} visits elements in "
-     "implementation-defined order"},
-    {"commit-in-evaluate",
-     "evaluate() must stage state; the kernel commits at the end of the edge"},
-    {"monitor-registration",
-     "protocol-subsystem components must be coverable by the src/verify "
-     "monitors (attachMonitors)"},
-    {"raw-txn-fifo",
-     "transaction FIFOs must live inside monitored txn::InitiatorPort / "
-     "txn::TargetPort bundles"},
-    {"idle-busy-poll",
-     "evaluate() polling a FIFO without idle()/sleep() busy-spins the kernel "
-     "and blinds runUntilIdle()"},
-    {"shared-static",
-     "mutable static storage is shared across concurrently-running "
-     "simulations (core/sweep.hpp)"},
-    {"unmanifested-state",
-     "Component/Checkpointable member missing from its SIM_STATE "
-     "manifest: deep-check "
-     "replay and the --statecheck replay check cannot restore it "
-     "(sim/state.hpp)"},
 };
 
 bool isSourceFile(const fs::path& p) {
@@ -213,28 +162,17 @@ class FileLinter {
  public:
   FileLinter(std::string path, bool kernel_code)
       : path_(std::move(path)), kernel_code_(kernel_code) {
-    // The monitor-registration rule covers the protocol-engine subsystems
-    // that src/verify knows how to monitor.
-    for (const char* dir :
-         {"src/stbus", "src/ahb", "src/axi", "src/bridge", "src/mem"}) {
-      if (path_.find(dir) != std::string::npos) protocol_file_ = true;
-    }
     const std::string ports = "txn/ports.hpp";
     is_ports_header_ = path_.size() >= ports.size() &&
                        path_.compare(path_.size() - ports.size(),
                                      ports.size(), ports) == 0;
-    // State-holder registry for the unmanifested-state rule: the kernel
-    // bases (Component, Checkpointable) plus this repo's concrete component
-    // classes and the monitor base (collectComponentTypes adds any subclass
-    // declared in the scanned file itself, so new holders are covered
-    // without touching this list).
-    component_types_ = {
-        "Component",  "InterconnectBase", "MasterBase", "AhbLayer",
-        "AxiBus",     "Bridge",           "DmaEngine",  "Iptg",
-        "LmiController", "Router",        "SimpleMemory", "St220",
-        "StbusNode",  "SlaveSide",        "MasterSide",
-        "Checkpointable", "Monitor",
-    };
+    // State-holder registry for the unmanifested-state rule: the classes a
+    // state holder can derive from across files (the concrete engines are
+    // final).  collectComponentTypes adds any subclass declared in the
+    // scanned file itself, so new holders are covered without touching this
+    // list.
+    component_types_ = {"Component", "InterconnectBase", "MasterBase",
+                        "Checkpointable", "Monitor"};
   }
 
   std::vector<Finding> run() {
@@ -257,9 +195,6 @@ class FileLinter {
       collectUnorderedDecls(code);
       trackEvaluateBody(code);
       trackStateManifests(code, comment, lineno);
-      if (code.find("attachMonitors") != std::string::npos) {
-        has_attach_monitors_ = true;
-      }
       checkLine(code, comment, lineno);
     }
     if (first_poll_line_ != 0 && !has_idle_or_sleep_ &&
@@ -270,14 +205,6 @@ class FileLinter {
              "input must report idle (so runUntilIdle() can stop) and should "
              "sleep on empty (so activity gating can skip it) — see "
              "sim/component.hpp");
-    }
-    if (first_component_line_ != 0 && !has_attach_monitors_ &&
-        !monitor_rule_suppressed_) {
-      report(first_component_line_, "monitor-registration",
-             "'" + first_component_name_ +
-                 "' is a protocol-subsystem component but this file neither "
-                 "declares nor defines attachMonitors(); wire it to the "
-                 "src/verify monitors (or suppress on the class declaration)");
     }
     // unmanifested-state verdicts for any class scope the brace tracker did
     // not see closed (robustness against unbalanced preprocessor branches).
@@ -651,22 +578,6 @@ class FileLinter {
       }
     }
 
-    // monitor-registration: remember the first monitored-subsystem component
-    // class declared in this file; the verdict is issued at end of file.
-    if (protocol_file_) {
-      static const std::regex comp_decl(
-          R"(class\s+((?:\w+::)*\w+)(?:\s+final)?\s*:\s*public\s+(?:mpsoc::)?(?:sim::Component|txn::InterconnectBase|txn::MasterBase)\b)");
-      std::smatch m;
-      if (std::regex_search(code, m, comp_decl) &&
-          first_component_line_ == 0) {
-        if (suppressed(comment, "monitor-registration")) {
-          monitor_rule_suppressed_ = true;
-        }
-        first_component_line_ = lineno;
-        first_component_name_ = m[1].str();
-      }
-    }
-
     // raw-txn-fifo: transaction FIFOs outside the monitored port bundles.
     if (kernel_code_ && !is_ports_header_ &&
         !suppressed(comment, "raw-txn-fifo")) {
@@ -725,27 +636,12 @@ class FileLinter {
         }
       }
     }
-
-    // commit-in-evaluate: explicit commit() calls inside evaluate() bodies.
-    if (evaluate_depth_ > 0 && !suppressed(comment, "commit-in-evaluate")) {
-      static const std::regex commit_call(R"((?:\.|->)commit\s*\(\s*\))");
-      if (std::regex_search(code, commit_call)) {
-        report(lineno, "commit-in-evaluate",
-               "evaluate() must stage state, never commit it; the kernel "
-               "commits at the end of the edge");
-      }
-    }
   }
 
   std::string path_;
   bool kernel_code_;
-  bool protocol_file_ = false;
   bool is_ports_header_ = false;
   std::set<std::string> component_types_;
-  bool has_attach_monitors_ = false;
-  bool monitor_rule_suppressed_ = false;
-  std::size_t first_component_line_ = 0;
-  std::string first_component_name_;
   std::size_t first_poll_line_ = 0;
   bool has_idle_or_sleep_ = false;
   bool poll_rule_suppressed_ = false;
@@ -766,54 +662,21 @@ class FileLinter {
   std::size_t manifest_line_ = 0;
 };
 
-/// JSON string escaping for the --json report.
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> skips;
   std::vector<fs::path> roots;
-  bool want_json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--skip") == 0 && i + 1 < argc) {
       skips.emplace_back(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      want_json = true;
-    } else if (std::strcmp(argv[i], "--list-rules") == 0) {
-      for (const RuleInfo& r : kRules) {
-        std::cout << r.name << " - " << r.summary << "\n";
-      }
-      return 0;
     } else {
       roots.emplace_back(argv[i]);
     }
   }
   if (roots.empty()) {
-    std::cerr << "usage: mpsoc_lint [--json] [--skip <substring>]... "
-                 "<dir-or-file>...\n"
-                 "       mpsoc_lint --list-rules\n";
+    std::cerr << "usage: mpsoc_lint [--skip <substring>]... "
+                 "<dir-or-file>...\n";
     return 2;
   }
   const auto skipped = [&](const fs::path& p) {
@@ -857,24 +720,11 @@ int main(int argc, char** argv) {
     std::cerr << f.file << ":" << f.line << ": [" << f.rule << "] "
               << f.message << "\n";
   }
-  if (want_json) {
-    std::cout << "{\n  \"files\": " << files.size() << ",\n  \"findings\": [";
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      std::cout << (i == 0 ? "\n" : ",\n")
-                << "    {\"file\": \"" << jsonEscape(all[i].file)
-                << "\", \"line\": " << all[i].line << ", \"rule\": \""
-                << jsonEscape(all[i].rule) << "\", \"message\": \""
-                << jsonEscape(all[i].message) << "\"}";
-    }
-    std::cout << (all.empty() ? "]\n}\n" : "\n  ]\n}\n");
-  }
   if (!all.empty()) {
     std::cerr << all.size() << " finding(s) in " << files.size()
               << " file(s)\n";
     return 1;
   }
-  if (!want_json) {
-    std::cout << "mpsoc_lint: " << files.size() << " files clean\n";
-  }
+  std::cout << "mpsoc_lint: " << files.size() << " files clean\n";
   return 0;
 }
