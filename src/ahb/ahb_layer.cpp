@@ -35,10 +35,23 @@ void AhbLayer::evaluate() {
   if (state_ == State::Idle) {
     arbitrate();
   }
-  // Layer unlocked and every master queue drained: quiesce until a port
-  // push wakes us (wired in addInitiator/addTarget).  The O(1) state test
-  // keeps the full idle() scan off busy cycles.
-  if (state_ == State::Idle && !anyInflight() && idle()) sleep();
+  // Layer unlocked and every master queue drained: nothing moves until a
+  // port push wakes us (wired in addInitiator/addTarget).  The O(1) state
+  // test keeps the queue scan off busy cycles.
+  if (state_ == State::Idle && requestsDrained()) {
+    if (anyInflight()) {
+      park();
+    } else {
+      sleep();
+    }
+  }
+}
+
+bool AhbLayer::requestsDrained() const {
+  for (const auto* p : initiators_) {
+    if (!p->req.empty()) return false;
+  }
+  return true;
 }
 
 void AhbLayer::arbitrate() {
@@ -117,11 +130,7 @@ void AhbLayer::advance() {
 }
 
 bool AhbLayer::idle() const {
-  if (state_ != State::Idle || anyInflight()) return false;
-  for (const auto* p : initiators_) {
-    if (!p->req.empty()) return false;
-  }
-  return true;
+  return state_ == State::Idle && !anyInflight() && requestsDrained();
 }
 
 }  // namespace mpsoc::ahb

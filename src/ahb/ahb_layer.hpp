@@ -49,6 +49,8 @@ class AhbLayer final : public txn::InterconnectBase {
     Stream,        ///< streaming read data / write ack back to the master
   };
 
+  /// Every initiator request FIFO is empty.
+  bool requestsDrained() const;
   void arbitrate();
   void advance();
 

@@ -44,10 +44,33 @@ void AxiBus::evaluate() {
   responsePath();
   readRequestPath();
   writeRequestPath();
-  // All channels drained and nothing inflight: quiesce until a port push
-  // wakes us (wired in addInitiator/addTarget).  The O(1) inflight test
-  // keeps the full idle() scan off busy cycles.
-  if (!anyInflight() && idle()) sleep();
+  // No burst streaming and every input FIFO empty: nothing moves until a
+  // port push wakes us (wired in addInitiator/addTarget).  Transactions
+  // still in flight at the targets make that a park rather than an idle
+  // sleep.
+  if (quiet()) {
+    if (anyInflight()) {
+      park();
+    } else {
+      sleep();
+    }
+  }
+}
+
+bool AxiBus::quiet() const {
+  for (const auto& e : aw_) {
+    if (e.streaming) return false;
+  }
+  for (const auto& e : r_) {
+    if (!e.active.empty()) return false;
+  }
+  for (const auto* p : initiators_) {
+    if (!p->req.empty()) return false;
+  }
+  for (const auto* p : targets_) {
+    if (!p->rsp.empty()) return false;
+  }
+  return true;
 }
 
 bool AxiBus::outstandingOk(std::size_t initiator,

@@ -97,6 +97,9 @@ class AxiBus final : public txn::InterconnectBase {
   };
 
   void readRequestPath();
+  /// No burst streaming and every input FIFO empty: evaluate() is a no-op
+  /// until a port push.
+  bool quiet() const;
   void writeRequestPath();
   void responsePath();
   /// Append every response not yet streaming to its initiator's R link.
@@ -115,7 +118,8 @@ class AxiBus final : public txn::InterconnectBase {
   std::vector<REngine> r_;
   /// Per-target request-FIFO slots claimed by in-flight write payloads.
   std::vector<unsigned> reserved_;
-  /// Per-initiator one-request-per-channel-per-cycle guards.
+  /// Per-initiator one-request-per-channel-per-cycle guards, cleared at
+  /// the start of every evaluate().
   std::vector<bool> ar_issued_;
   std::vector<bool> w_granted_;
   bool finalized_ = false;
@@ -124,8 +128,10 @@ class AxiBus final : public txn::InterconnectBase {
   std::vector<int> window_idx_;
 
   SIM_STATE_MEMBERS_WITH_BASE(txn::InterconnectBase, ar_, aw_, r_, reserved_,
-                              ar_issued_, w_granted_, finalized_);
+                              finalized_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
+  SIM_STATE_EXEMPT(ar_issued_, "per-call scratch");
+  SIM_STATE_EXEMPT(w_granted_, "per-call scratch");
   SIM_STATE_EXEMPT(cands_, "per-call scratch");
   SIM_STATE_EXEMPT(window_idx_, "per-call scratch");
 };

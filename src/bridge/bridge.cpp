@@ -3,6 +3,8 @@
 #include "sim/check.hpp"
 #include "verify/bridge_monitor.hpp"
 #include "verify/context.hpp"
+#include <algorithm>
+#include <limits>
 #include <memory>
 
 namespace mpsoc::bridge {
@@ -10,6 +12,11 @@ namespace mpsoc::bridge {
 using txn::Opcode;
 using txn::RequestPtr;
 using txn::ResponsePtr;
+
+namespace {
+/// nextWork()/slaveNextWork() result: no timed work, only wake hooks.
+constexpr sim::Picos kOnlyWakes = std::numeric_limits<sim::Picos>::max();
+}  // namespace
 
 BridgeConfig lightweightBridgeConfig(std::uint32_t width_a,
                                      std::uint32_t width_b) {
@@ -55,7 +62,16 @@ class Bridge::SlaveSide final : public sim::Component {
     // caveat): quiesce until a_port_.req or bwd_ push wakes us (wired in
     // the Bridge constructor).  Deliberately side-local: work still in
     // flight towards side B keeps the *master* awake and non-idle instead.
-    if (b_.slaveIdle()) sleep();
+    if (b_.slaveIdle()) {
+      sleep();
+      return;
+    }
+    const sim::Picos at = b_.slaveNextWork();
+    if (at == kOnlyWakes) {
+      park();
+    } else {
+      sleepUntil(clk_.cycleAt(at));
+    }
   }
   bool idle() const override { return b_.slaveIdle(); }
 
@@ -77,59 +93,17 @@ class Bridge::MasterSide final : public txn::MasterBase {
         b_(b) {}
 
   void evaluate() override {
-    collectResponses();
-
-    // Drain locally buffered completions into the backward CDC FIFO.
-    while (!done_.empty() && b_.bwd_.canPush()) {
-      b_.bwd_.push(done_.front());
-      done_.pop_front();
-    }
-
-    // Move arrivals from the forward CDC FIFO into the latency line.
-    const sim::Picos lat =
-        static_cast<sim::Picos>(b_.cfg_.latency_b_cycles) * clk_.period();
-    while (b_.fwd_.canPop()) {
-      staged_.push_back({b_.fwd_.pop(), clk_.simulator().now() + lat});
-    }
-
-    // Issue at most one side-B transaction per cycle.
-    if (staged_.empty()) {
-      // Nothing staged, buffered or outstanding, and the forward CDC FIFO is
-      // structurally empty (the fwd_ term inside idle() uses
-      // sizeIgnoringSync, not canPop: the push wake fires a sync delay
-      // before readability, so a committed-but-invisible item must keep us
-      // awake).  Quiesce until fwd_ or b_port_.rsp push.
-      if (idle()) sleep();
+    work();
+    if (idle()) {
+      sleep();
       return;
     }
-    if (clk_.simulator().now() < staged_.front().ready_at) return;
-    const RequestPtr& orig = staged_.front().req;
-
-    // Decide from the original whether the clone can go out this cycle, and
-    // build it only then: at the outstanding limit the bridge waits here for
-    // many cycles, and a clone (record, source string, id) per wait cycle
-    // would be thrown away.
-    const bool posted = orig->op == Opcode::Write && b_.cfg_.posted_writes_b;
-    if (posted ? !canIssuePosted() : !canIssue()) return;
-
-    auto clone = std::make_shared<txn::Request>(*orig);
-    clone->id = clk_.simulator().nextTransactionId();
-    clone->root_id = orig->root_id;
-    clone->beats = txn::repackBeats(orig->beats, orig->bytes_per_beat,
-                                    b_.cfg_.width_b_bytes);
-    clone->bytes_per_beat = b_.cfg_.width_b_bytes;
-    if (clone->op == Opcode::Write) clone->posted = posted;
-    origin_[clone->id] = orig;
-    issue(clone);
-    if (clone->op == Opcode::Read) ++b_.reads_fwd_;
-    else ++b_.writes_fwd_;
-    if (posted) {
-      // No side-B response will arrive; a write forwarded as posted is
-      // complete for the bridge once issued.
-      if (!b_.cfg_.early_write_ack) done_.push_back(orig);
-      origin_.erase(clone->id);
+    const sim::Picos at = nextWork();
+    if (at == kOnlyWakes) {
+      park();
+    } else {
+      sleepUntil(clk_.cycleAt(at));
     }
-    staged_.pop_front();
   }
 
   bool idle() const override {
@@ -156,6 +130,77 @@ class Bridge::MasterSide final : public txn::MasterBase {
   }
 
  private:
+  void work() {
+    collectResponses();
+
+    // Drain locally buffered completions into the backward CDC FIFO.
+    while (!done_.empty() && b_.bwd_.canPush()) {
+      b_.bwd_.push(done_.front());
+      done_.pop_front();
+    }
+
+    // Move arrivals from the forward CDC FIFO into the latency line.
+    const sim::Picos lat =
+        static_cast<sim::Picos>(b_.cfg_.latency_b_cycles) * clk_.period();
+    while (b_.fwd_.canPop()) {
+      staged_.push_back({b_.fwd_.pop(), clk_.simulator().now() + lat});
+    }
+
+    // Issue at most one side-B transaction per cycle.
+    if (staged_.empty()) return;
+    if (clk_.simulator().now() < staged_.front().ready_at) return;
+    const RequestPtr& orig = staged_.front().req;
+
+    // Decide from the original whether the clone can go out this cycle, and
+    // build it only then: at the outstanding limit the bridge waits here for
+    // many cycles, and a clone (record, source string, id) per wait cycle
+    // would be thrown away.
+    if (!canIssueFront()) return;
+    const bool posted = orig->op == Opcode::Write && b_.cfg_.posted_writes_b;
+
+    auto clone = std::make_shared<txn::Request>(*orig);
+    clone->id = clk_.simulator().nextTransactionId();
+    clone->root_id = orig->root_id;
+    clone->beats = txn::repackBeats(orig->beats, orig->bytes_per_beat,
+                                    b_.cfg_.width_b_bytes);
+    clone->bytes_per_beat = b_.cfg_.width_b_bytes;
+    if (clone->op == Opcode::Write) clone->posted = posted;
+    origin_[clone->id] = orig;
+    issue(clone);
+    if (clone->op == Opcode::Read) ++b_.reads_fwd_;
+    else ++b_.writes_fwd_;
+    if (posted) {
+      // No side-B response will arrive; a write forwarded as posted is
+      // complete for the bridge once issued.
+      if (!b_.cfg_.early_write_ack) done_.push_back(orig);
+      origin_.erase(clone->id);
+    }
+    staged_.pop_front();
+  }
+
+  /// The staged front may go out on side B now (outstanding and port space).
+  bool canIssueFront() const {
+    const RequestPtr& orig = staged_.front().req;
+    const bool posted = orig->op == Opcode::Write && b_.cfg_.posted_writes_b;
+    return posted ? canIssuePosted() : canIssue();
+  }
+
+  /// After work(), on a non-idle side B: the instant it next has work of its
+  /// own, kOnlyWakes when only a response or a port pop (MasterBase's wake
+  /// hooks) or an fwd_ push can restart it, or 0 when it acts next cycle.
+  /// done_ waiting for bwd_ space counts as acting: AsyncFifo has no pop
+  /// hook.
+  sim::Picos nextWork() const {
+    if (!done_.empty()) return 0;
+    sim::Picos at = kOnlyWakes;
+    // A crossing still in the synchroniser becomes readable later.
+    if (b_.fwd_.sizeIgnoringSync() > 0) at = b_.fwd_.frontVisibleAt();
+    if (staged_.empty()) return at;
+    const sim::Picos ready = staged_.front().ready_at;
+    if (ready > clk_.simulator().now()) return std::min(at, ready);
+    return canIssueFront() ? 0 : at;
+  }
+
   Bridge& b_;
   std::deque<Staged> staged_;
   std::deque<RequestPtr> done_;
@@ -178,13 +223,15 @@ Bridge::Bridge(sim::ClockDomain& clk_a, sim::ClockDomain& clk_b,
       bwd_(clk_b, clk_a, name_ + ".bwd", cfg_.bwd_depth, cfg_.sync_stages) {
   slave_side_ = std::make_unique<SlaveSide>(clk_a, *this);
   master_side_ = std::make_unique<MasterSide>(clk_b, *this);
-  // Activity protocol wake wiring: side A sleeps on bridge-wide idle and is
-  // woken by new requests or returning completions; side B sleeps when its
-  // queues drain and is woken by forwarded requests or side-B responses.
+  // Activity protocol wake wiring: side A is woken by new requests, by
+  // returning completions and by its full response FIFO popping; side B by
+  // forwarded requests (and, as every MasterBase, by side-B responses and
+  // request-port pops).  Both sides also sleepUntil() their latency lines
+  // and synchronisers.
   a_port_.req.wakeOnPush(slave_side_.get());
+  a_port_.rsp.wakeOnPop(slave_side_.get());
   bwd_.wakeOnPush(slave_side_.get());
   fwd_.wakeOnPush(master_side_.get());
-  b_port_.rsp.wakeOnPush(master_side_.get());
 }
 
 Bridge::~Bridge() = default;
@@ -285,6 +332,34 @@ void Bridge::slaveEvaluate() {
     fwd_.push(r);
     staged_a_.pop_front();
   }
+}
+
+sim::Picos Bridge::slaveNextWork() const {
+  const sim::Picos now = clk_a_.simulator().now();
+  sim::Picos at = kOnlyWakes;
+  // 1. A completion still in the synchroniser becomes readable later.
+  if (bwd_.sizeIgnoringSync() > 0) at = bwd_.frontVisibleAt();
+  // 2. A response ready for side A goes out once the response FIFO has room
+  //    (its pop is a wake event).
+  const bool deliverable =
+      (!pending_.empty() && pending_.front().data_ready) || !acks_.empty();
+  if (deliverable && a_port_.rsp.canPush()) return 0;
+  // 3. A queued request is absorbed unless the target side is blocked: by
+  //    an end-to-end transaction (released from side B: step 1's wake or
+  //    step 4's latency line), by the last read's data still streaming, or
+  //    by the split-read limit (released by a delivery).
+  if (!a_port_.req.empty()) {
+    if (!cfg_.split_reads) {
+      if (!busy_) at = std::min(at, busy_until_);
+    } else if (a_port_.req.front()->op != Opcode::Read ||
+               reads_in_flight_ < cfg_.max_outstanding_reads) {
+      return 0;
+    }
+  }
+  // 4. The latency line matures; a matured head waiting for fwd_ space
+  //    counts as acting (AsyncFifo has no pop hook).
+  if (!staged_a_.empty()) at = std::min(at, staged_a_.front().ready_at);
+  return at <= now ? 0 : at;
 }
 
 bool Bridge::slaveIdle() const {

@@ -124,6 +124,10 @@ class Bridge {
   void slaveEvaluate();
   /// Side-A-local idleness (never reads master-side state mid-edge).
   bool slaveIdle() const;
+  /// After slaveEvaluate(), on a non-idle side A: the instant it next has
+  /// work of its own, the maximum Picos when only a wake hook can restart
+  /// it, or 0 when it acts next cycle.
+  sim::Picos slaveNextWork() const;
 
   std::string name_;
   BridgeConfig cfg_;

@@ -127,8 +127,9 @@ FuzzVerdict Fuzzer::check(const NamedScenario& sc) {
     return opts_.runner(sc);
   }
 
-  // Gating is behaviour-neutral by the sleep() contract, so the ungated run
-  // must reproduce the gated digest exactly.
+  // Gating is behaviour-neutral by the activity contract (an asleep
+  // component's evaluate() is a no-op), so the ungated run must reproduce
+  // the gated digest exactly.
   const std::vector<std::string> labels = {sc.name + "@gated",
                                            sc.name + "@ungated"};
   simulations_ += labels.size();

@@ -65,13 +65,42 @@ std::uint64_t St220::nextDataAddr() {
   return data_seq_;
 }
 
+void St220::waitForFill() {
+  // A finished core counts no more cycles; it only waits for its last fill.
+  if (!done()) wait_from_ = now() + 1;
+  park();
+}
+
+void St220::settleWait() {
+  const std::uint64_t waited = now() - wait_from_;
+  active_cycles_ += waited;
+  stall_cycles_ += waited;
+  wait_from_ = 0;
+}
+
 void St220::evaluate() {
   collectResponses();
   if (done()) {
     // Workload finished; once the last outstanding fill retires the core can
     // never issue again.
-    if (outstanding() == 0) sleep();
+    if (outstanding() == 0) {
+      sleep();
+    } else {
+      park();
+    }
     return;
+  }
+  if (wait_from_ != 0) {
+    // Parked on a miss.  Until the fill returns (or a pending fill can
+    // issue), this cycle is one more stall, counted when the wait ends; a
+    // wake by an unrelated response changes nothing.
+    const bool waiting =
+        fill_pending_ ? !(canIssue() && port_.req.canPush()) : stalled_;
+    if (waiting) {
+      park();
+      return;
+    }
+    settleWait();
   }
   ++active_cycles_;
 
@@ -82,10 +111,7 @@ void St220::evaluate() {
       issueFill(pending_fill_addr_, pending_fill_bytes_);
       fill_pending_ = false;
     }
-    return;
-  }
-  if (stalled_) {
-    ++stall_cycles_;
+    waitForFill();
     return;
   }
 
@@ -104,6 +130,7 @@ void St220::evaluate() {
     // the invariant spans the Cache::access call, so it is not locally
     // provable to the checker.
     scheduleFill(*ires.fill_addr, icache_.lineBytes());
+    waitForFill();
     return;  // the bundle resumes when the fill returns
   }
 
@@ -118,6 +145,7 @@ void St220::evaluate() {
     if (!dres.hit && dres.fill_addr) {
       scheduleFill(*dres.fill_addr, dcache_.lineBytes());
       ++bundles_done_;  // the bundle itself commits; the load stalls the next
+      waitForFill();
       return;
     }
     if (dres.write_through && canIssuePosted() && port_.req.canPush()) {

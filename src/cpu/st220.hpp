@@ -52,14 +52,15 @@ class St220 final : public txn::MasterBase {
   bool done() const { return bundles_done_ >= cfg_.total_bundles; }
 
   std::uint64_t bundlesExecuted() const { return bundles_done_; }
-  std::uint64_t stallCycles() const { return stall_cycles_; }
+  std::uint64_t stallCycles() const { return stall_cycles_ + waitedCycles(); }
   const Cache& icache() const { return icache_; }
   const Cache& dcache() const { return dcache_; }
   /// Cycles per executed bundle (1.0 = never stalled).
   double cpi() const {
-    return bundles_done_ ? static_cast<double>(active_cycles_) /
-                               static_cast<double>(bundles_done_)
-                         : 0.0;
+    return bundles_done_
+               ? static_cast<double>(active_cycles_ + waitedCycles()) /
+                     static_cast<double>(bundles_done_)
+               : 0.0;
   }
 
  protected:
@@ -71,6 +72,16 @@ class St220 final : public txn::MasterBase {
   void issueFill(std::uint64_t line_addr, std::uint32_t line_bytes);
   void issueWriteback(std::uint64_t line_addr, std::uint32_t line_bytes);
   std::uint64_t nextDataAddr();
+  /// Park on the miss just scheduled: the cycles from the next one on are
+  /// stall cycles, counted when the wait ends (settleWait).
+  void waitForFill();
+  /// Add the stall cycles [wait_from_, now) to the counters.
+  void settleWait();
+  /// Stall cycles elapsed in the current wait and not yet settled (the
+  /// counters' getters add them, so they read exact between edges).
+  std::uint64_t waitedCycles() const {
+    return wait_from_ != 0 ? now() + 1 - wait_from_ : 0;
+  }
 
   St220Config cfg_;
   Cache icache_;
@@ -83,6 +94,9 @@ class St220 final : public txn::MasterBase {
   std::uint64_t active_cycles_ = 0;
   std::uint64_t stall_cycles_ = 0;
   bool stalled_ = false;  ///< waiting for a demand fill
+  /// First stall cycle of the current parked wait not yet added to
+  /// active_cycles_/stall_cycles_; 0 when not waiting.
+  sim::Cycle wait_from_ = 0;
   /// A demand fill that could not be issued yet (port/outstanding full).
   bool fill_pending_ = false;
   std::uint64_t pending_fill_addr_ = 0;
@@ -90,8 +104,9 @@ class St220 final : public txn::MasterBase {
 
   SIM_STATE_MEMBERS_WITH_BASE(txn::MasterBase, icache_, dcache_, rng_, pc_,
                               data_seq_, bundles_done_, active_cycles_,
-                              stall_cycles_, stalled_, fill_pending_,
-                              pending_fill_addr_, pending_fill_bytes_);
+                              stall_cycles_, stalled_, wait_from_,
+                              fill_pending_, pending_fill_addr_,
+                              pending_fill_bytes_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
 };
 

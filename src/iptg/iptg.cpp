@@ -73,14 +73,27 @@ void Iptg::evaluate() {
     sleep();
     return;
   }
-  if (!port_.req.canPush()) return;
+  if (!port_.req.canPush()) {
+    // Nothing is drawn while the port is full: park until it pops.
+    park();
+    return;
+  }
 
   // One issue slot per cycle shared by all agents, rotating for fairness.
   const std::size_t n = agents_.size();
+  bool any_ready = false;
+  sim::Cycle gap_end = 0;  // earliest end of an agent's inter-message gap
   for (std::size_t k = 0; k < n; ++k) {
     std::size_t idx = (rr_next_ + k) % n;
     AgentState& a = agents_[idx];
-    if (!agentReady(a)) continue;
+    if (!agentReady(a)) {
+      if (!a.quotaDone() && a.blocked_until > now() &&
+          (gap_end == 0 || a.blocked_until < gap_end)) {
+        gap_end = a.blocked_until;
+      }
+      continue;
+    }
+    any_ready = true;
 
     // Throttle / gap: statistical pacing (phase overrides win).
     if (a.profile.sequence.empty()) {
@@ -105,6 +118,15 @@ void Iptg::evaluate() {
     else ++a.retired;  // posted writes retire at issue, like MasterBase
     rr_next_ = (idx + 1) % n;
     return;
+  }
+  if (!any_ready) {
+    // No agent could start, so no RNG was drawn and nothing changes until a
+    // gap ends or a response (outstanding slot, dependency) arrives.
+    if (gap_end != 0) {
+      sleepUntil(gap_end);
+    } else {
+      park();
+    }
   }
 }
 

@@ -18,7 +18,12 @@ LmiController::LmiController(sim::ClockDomain& clk, std::string name,
     : sim::Component(clk, std::move(name)), port_(port), cfg_(cfg),
       device_(std::make_unique<SdramDevice>(
           cfg.timing, cfg.geometry,
-          clk.period() * std::max(1u, cfg.clock_divider))) {}
+          clk.period() * std::max(1u, cfg.clock_divider))) {
+  // Wake events besides the timed ones: an arriving request, and a popped
+  // response freeing the output FIFO the controller parks on.
+  port_.req.wakeOnPush(this);
+  port_.rsp.wakeOnPop(this);
+}
 
 void LmiController::attachMonitors(verify::VerifyContext& ctx) {
   ctx.add<verify::TargetMonitor>(name_ + ".mon", &clk_, port_);
@@ -65,18 +70,29 @@ std::size_t LmiController::mergeRun(std::size_t first) const {
 }
 
 void LmiController::evaluate() {
-  // Never sleeps: the SDRAM refresh engine below is clocked by this call on
-  // every cycle (refreshes must fire on schedule even with an empty request
-  // queue), so the controller opts out of the activity-gating protocol.
+  // The SDRAM refresh engine is clocked by this call, so every wait below
+  // is a sleepUntil() bounded by the next refresh-due cycle: refreshes fire
+  // on schedule even with an empty request queue.
   const sim::Picos now = clk_.simulator().now();
   device_->maybeRefresh(now);
-  if (now < engine_busy_until_) return;
-  if (port_.req.empty()) return;
+  const sim::Cycle refresh = clk_.cycleAt(device_->nextRefreshAt());
+  const auto waitUntil = [&](sim::Picos t) {
+    sleepUntil(std::min(refresh, clk_.cycleAt(t)));
+  };
+  if (now < engine_busy_until_) {
+    waitUntil(engine_busy_until_);
+    return;
+  }
+  if (port_.req.empty()) {
+    sleepUntil(refresh);
+    return;
+  }
   // Overlap command setup with no more than the tail of the current data
   // transfer; otherwise requests wait in the input FIFO.
-  if (device_->dataBusFreeAt() >
-      now + static_cast<sim::Picos>(cfg_.pipeline_overlap_cycles) *
-                clk_.period()) {
+  const sim::Picos overlap =
+      static_cast<sim::Picos>(cfg_.pipeline_overlap_cycles) * clk_.period();
+  if (device_->dataBusFreeAt() > now + overlap) {
+    waitUntil(device_->dataBusFreeAt() - overlap);
     return;
   }
 
@@ -98,7 +114,12 @@ void LmiController::evaluate() {
   // Output FIFO back-pressure: fall back to a single request, then stall.
   if (!port_.rsp.canPush(responsesNeeded(run))) {
     run = 1;
-    if (!port_.rsp.canPush(responsesNeeded(1))) return;
+    if (!port_.rsp.canPush(responsesNeeded(1))) {
+      // Output back-pressure: woken by a response pop, a request push (a new
+      // pick may need no response) or the next refresh.
+      sleepUntil(refresh);
+      return;
+    }
   }
 
   batch_.clear();

@@ -85,6 +85,10 @@ class SdramDevice {
   /// True if the access would hit the currently open row.
   bool wouldHit(std::uint64_t addr) const;
 
+  /// Instant of the next auto-refresh: maybeRefresh() issues one at the
+  /// first call at or after it.
+  sim::Picos nextRefreshAt() const { return next_refresh_; }
+
   /// Instant at which the device data bus finishes its last scheduled
   /// transfer (the controller gates new command sequences on this).
   sim::Picos dataBusFreeAt() const { return data_bus_free_; }

@@ -12,9 +12,10 @@ using txn::Opcode;
 SimpleMemory::SimpleMemory(sim::ClockDomain& clk, std::string name,
                            txn::TargetPort& port, SimpleMemoryConfig cfg)
     : sim::Component(clk, std::move(name)), port_(port), cfg_(cfg) {
-  // Sleep condition is "request queue empty"; an arriving request is the
-  // wake event.
+  // Wake events: an arriving request, and a popped response freeing the
+  // output FIFO the memory parks on.
   port_.req.wakeOnPush(this);
+  port_.rsp.wakeOnPop(this);
 }
 
 void SimpleMemory::attachMonitors(verify::VerifyContext& ctx) {
@@ -29,11 +30,17 @@ void SimpleMemory::evaluate() {
     return;
   }
   const sim::Picos now = clk_.simulator().now();
-  if (now < busy_until_) return;
+  if (now < busy_until_) {
+    sleepUntil(clk_.cycleAt(busy_until_));
+    return;
+  }
 
   const txn::RequestPtr& req = port_.req.front();
   const bool needs_response = !(req->posted && req->op == Opcode::Write);
-  if (needs_response && !port_.rsp.canPush()) return;  // output back-pressure
+  if (needs_response && !port_.rsp.canPush()) {
+    park();  // output back-pressure: woken by the bus popping a response
+    return;
+  }
 
   const sim::Picos P = clk_.period();
   const sim::Picos per_beat = static_cast<sim::Picos>(1 + cfg_.wait_states) * P;

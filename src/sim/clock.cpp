@@ -19,7 +19,35 @@ void ClockDomain::addComponent(Component* c) {
 void ClockDomain::removeComponent(Component* c) {
   components_.erase(std::remove(components_.begin(), components_.end(), c),
                     components_.end());
+  timed_wakes_.erase(
+      std::remove_if(timed_wakes_.begin(), timed_wakes_.end(),
+                     [c](const TimedWake& w) { return w.c == c; }),
+      timed_wakes_.end());
   sim_.noteComponentRemoved(c);
+}
+
+void ClockDomain::fireWakes() {
+  const Cycle due = cycle_ + 1;
+  Cycle next = kNoWake;
+  std::size_t keep = 0;
+  for (const TimedWake& w : timed_wakes_) {
+    if (w.at <= due) {
+      if (w.c->wakeAt() == w.at) w.c->wake();
+    } else {
+      timed_wakes_[keep++] = w;
+      next = std::min(next, w.at);
+    }
+  }
+  timed_wakes_.resize(keep);
+  next_wake_ = next;
+}
+
+void ClockDomain::rebuildTimedWakes() {
+  timed_wakes_.clear();
+  next_wake_ = kNoWake;
+  for (Component* c : components_) {
+    if (c->wakeAt() != 0) addTimedWake(c, c->wakeAt());
+  }
 }
 
 void ClockDomain::addUpdatable(Updatable* u) { updatables_.push_back(u); }
@@ -43,19 +71,6 @@ void ClockDomain::removeUpdatable(Updatable* u) {
 
 void ClockDomain::evaluateEdge() {
   ++cycle_;
-  evaluateComponents(false);
-}
-
-void ClockDomain::evaluateComponents(bool reverse) {
-  if (reverse) {
-    // Deep-check replay runs *every* component, including quiescent ones: a
-    // component that went to sleep while it still had work to stage diverges
-    // from the forward (gated) pass here and trips the staged-digest check.
-    for (auto it = components_.rbegin(); it != components_.rend(); ++it) {
-      (*it)->evaluate();
-    }
-    return;
-  }
   const bool gate = sim_.activityGating();
   // Index loop: a component constructed during evaluate() (mid-run
   // registration) is appended to components_ and joins this very edge, in

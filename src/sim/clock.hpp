@@ -127,18 +127,23 @@ class ClockDomain {
   /// Time of the next edge on the global timeline.
   Picos nextEdge() const { return next_edge_ps_; }
 
+  /// First cycle of this domain whose edge falls at or after `t` (the cycle
+  /// a component waiting for instant `t` passes to sleepUntil()).  Only
+  /// meaningful while the domain evaluates its current edge.
+  Cycle cycleAt(Picos t) const {
+    // During evaluate next_edge_ps_ still holds the current edge's instant.
+    if (t <= next_edge_ps_) return cycle_;
+    return cycle_ + (t - next_edge_ps_ + period_ps_ - 1) / period_ps_;
+  }
+
   /// Registration order among the simulator's domains; coincident edges are
   /// evaluated in ascending index so results match the declaration order.
   std::size_t index() const { return index_; }
 
-  /// Phase 1 of an edge: bump the cycle counter and run every component.
+  /// Phase 1 of an edge: bump the cycle counter and run every component,
+  /// skipping sleeping ones when activity gating is on.  (Deep-check's
+  /// reversed replay pass is driven by the Simulator; see setDeepCheck.)
   void evaluateEdge();
-  /// Run the components of the current edge without bumping the cycle
-  /// counter.  The forward pass (`reverse` false) skips sleeping components
-  /// when activity gating is on; the deep-check replay pass (`reverse` true,
-  /// run before the forward pass and then rewound) runs every component in
-  /// reverse registration order to expose order-dependent evaluate logic.
-  void evaluateComponents(bool reverse);
   /// Phase 2 of an edge: commit all staged state and schedule the next edge.
   void commitEdge();
 
@@ -146,6 +151,31 @@ class ClockDomain {
 
  private:
   friend class Simulator;
+  friend class Component;
+
+  /// A pending Component::sleepUntil() wake.  An entry whose component no
+  /// longer waits for `at` (woken early by a FIFO hook, or re-parked) is
+  /// stale and dropped without firing.
+  struct TimedWake {
+    Cycle at;
+    Component* c;
+  };
+  static constexpr Cycle kNoWake = ~Cycle{0};
+
+  void addTimedWake(Component* c, Cycle at) {
+    timed_wakes_.push_back({at, c});
+    if (at < next_wake_) next_wake_ = at;
+  }
+  /// Start of an edge: wake every component whose timed wake is due at the
+  /// cycle about to run.  One compare when none is due.
+  void fireDueWakes() {
+    if (cycle_ + 1 >= next_wake_) fireWakes();
+  }
+  void fireWakes();
+  /// Re-derive the wake list from the components' own (manifested) wake
+  /// cycles; called after every restore, since the list itself is derived
+  /// state that no checkpoint covers.
+  void rebuildTimedWakes();
 
   /// First edge of a domain created while the simulation is already running:
   /// align to the next multiple of the period strictly after `now`, so the
@@ -165,6 +195,8 @@ class ClockDomain {
   std::vector<Updatable*> updatables_;
   std::vector<Updatable*> commit_queue_;
   std::vector<Updatable*> always_commit_;
+  std::vector<TimedWake> timed_wakes_;
+  Cycle next_wake_ = kNoWake;  ///< min over timed_wakes_
 };
 
 }  // namespace mpsoc::sim

@@ -18,21 +18,45 @@ Component::~Component() {
 }
 
 void Component::sleep() {
-  if (asleep_) return;
   SIM_CHECK_CTX(idle(), name_, &clk_,
                 "sleep() while not idle: a component may only declare itself "
-                "quiescent when it has no pending work");
+                "quiescent when it has no pending work (park() or "
+                "sleepUntil() hold work)");
+  parked_ = false;
+  wake_at_ = 0;
+  if (asleep_) return;
   asleep_ = true;
   clk_.simulator().noteSleep();
 }
 
+void Component::park() {
+  parked_ = true;
+  wake_at_ = 0;
+  if (asleep_) return;
+  asleep_ = true;
+  clk_.simulator().noteSleep();
+}
+
+void Component::sleepUntil(Cycle c) {
+  if (c <= clk_.now()) return;
+  // Re-deriving the same wait (an ungated run evaluates parked components)
+  // must leave the state and the domain's wake list unchanged.
+  if (parked_ && wake_at_ == c) return;
+  park();
+  wake_at_ = c;
+  clk_.addTimedWake(this, c);
+}
+
 void Component::restoreStateBase() {
-  // Mirror sleep()/wake() without their contracts: a restore may legally put
-  // the component back into either activity state, and only the simulator's
-  // asleep counter must stay balanced.
-  if (asleep_ == state_base_asleep_) return;
-  asleep_ = state_base_asleep_;
-  if (state_base_asleep_) {
+  // Mirror sleep()/park()/wake() without their contracts: a restore may
+  // legally put the component back into any activity state, and only the
+  // simulator's asleep counter must stay balanced.
+  parked_ = saved_activity_.parked;
+  wake_at_ = saved_activity_.wake_at;
+  if (asleep_ == saved_activity_.asleep) return;
+  sleep_checked_ = false;
+  asleep_ = saved_activity_.asleep;
+  if (asleep_) {
     clk_.simulator().noteSleep();
   } else {
     clk_.simulator().noteWake();
@@ -42,6 +66,9 @@ void Component::restoreStateBase() {
 void Component::wake() {
   if (!asleep_) return;
   asleep_ = false;
+  parked_ = false;
+  wake_at_ = 0;
+  sleep_checked_ = false;
   clk_.simulator().noteWake();
 }
 

@@ -49,25 +49,47 @@ class Component {
   // --- activity protocol ----------------------------------------------------
   //
   // A component that knows its evaluate() would be a no-op until some
-  // external event arrives can declare itself quiescent with sleep(); the
-  // kernel then skips its evaluate() (when activity gating is on — the
-  // default) and counts it as idle without polling.  Waking is the
-  // responsibility of whatever delivers the event: FIFO wake hooks
-  // (SyncFifo::wakeOnPush / wakeOnPop) fire at commit time of any edge that
-  // pushed/popped, and programming interfaces (e.g. DmaEngine::program) call
-  // wake() explicitly.
+  // external event arrives can go to sleep; the kernel then skips its
+  // evaluate() (when activity gating is on — the default).  Three entry
+  // points, one per kind of wait:
   //
-  // Contract: sleep() is only legal while idle() holds — enforced by
-  // SIM_CHECK — so gating can never change simulated behaviour, only skip
-  // provably no-op evaluations.  Deep-check replay re-evaluates sleeping
-  // components and flags any that would have staged work.
+  //   sleep()           idle: no work held (only legal while idle() holds,
+  //                     enforced by SIM_CHECK).  Counted idle without
+  //                     polling.
+  //   park()            asleep but still holding work (a transaction in
+  //                     flight, a stalled pipeline): woken by a wired FIFO
+  //                     hook.  runUntilIdle() keeps polling its idle().
+  //   sleepUntil(c)     park() plus a timed wake: the kernel wakes the
+  //                     component at the start of its domain's cycle `c`.
+  //
+  // Waking is the responsibility of whatever delivers the event: FIFO wake
+  // hooks (SyncFifo::wakeOnPush / wakeOnPop, AsyncFifo::wakeOnPush) fire at
+  // commit time of any edge that pushed/popped, programming interfaces (e.g.
+  // DmaEngine::program) call wake() explicitly, and the clock domain fires
+  // due timed wakes.  Any wake clears all three states.
+  //
+  // Contract: while asleep, evaluate() must be a no-op — it stages nothing
+  // and leaves stateDigest() unchanged — so gating can never change
+  // simulated behaviour, only skip provably empty evaluations.  An ungated
+  // run evaluates sleepers anyway (a parked component re-derives the same
+  // park() or sleepUntil() call), and deep-check replays every sleeper on
+  // every edge and raises InvariantViolation, naming it, if one breaks the
+  // contract (staged work on every edge; the state digest on the first edge
+  // of each sleep, where a counter bumped per cycle shows at once).
+  // Counters that a waiting component would bump every cycle must therefore
+  // be settled lazily (see St220's wait_from_).
 
-  /// True while this component has declared itself quiescent.
+  /// True while this component is asleep (sleep(), park() or sleepUntil()).
   bool asleep() const { return asleep_; }
+  /// True while asleep with work held (park() or sleepUntil()).
+  bool parked() const { return parked_; }
+  /// Cycle of the pending timed wake, or 0 for none.
+  Cycle wakeAt() const { return wake_at_; }
 
-  /// Clear the quiescent flag; the kernel resumes evaluating this component
-  /// from the next edge (or this edge, if called during its evaluate phase
-  /// before the component's domain evaluates).  Idempotent.
+  /// Clear the asleep state and any timed wake; the kernel resumes
+  /// evaluating this component from the next edge (or this edge, if called
+  /// during its evaluate phase before the component's domain evaluates).
+  /// Idempotent.
   void wake();
 
   ClockDomain& clk() { return clk_; }
@@ -78,22 +100,47 @@ class Component {
  protected:
   /// Declare this component quiescent.  Only legal while idle() holds.
   void sleep();
+  /// Sleep while holding work, until a wired FIFO hook wakes the component.
+  void park();
+  /// park(), plus a timed wake at the start of cycle `c` of this component's
+  /// domain.  A cycle not after now() leaves the component awake (its next
+  /// evaluate is the next edge either way).
+  void sleepUntil(Cycle c);
 
   // --- SIM_STATE base hooks (called by the generated manifest bodies) -------
 
-  /// Snapshot the base-class activity flag (every manifest covers it, so a
+  /// Snapshot the base-class activity state (every manifest covers it, so a
   /// replayed or restored window re-sleeps/re-wakes identically).
-  void saveStateBase() { state_base_asleep_ = asleep_; }
-  /// Restore the activity flag, keeping the kernel's asleep counter balanced.
+  void saveStateBase() { saved_activity_ = {asleep_, parked_, wake_at_}; }
+  /// Restore the activity state, keeping the kernel's asleep counter
+  /// balanced.  The domain's timed-wake list is derived state: the kernel
+  /// rebuilds it after a restore.
   void restoreStateBase();
-  void digestStateBase(state::Digest& d) const { d.add(asleep() ? 1u : 0u); }
+  void digestStateBase(state::Digest& d) const {
+    d.add(asleep_ ? 1u : 0u);
+    d.add(parked_ ? 1u : 0u);
+    d.add(wake_at_);
+  }
 
   ClockDomain& clk_;
   std::string name_;
 
  private:
+  friend class Simulator;
+
+  struct Activity {
+    bool asleep = false;
+    bool parked = false;
+    Cycle wake_at = 0;
+  };
+
   bool asleep_ = false;
-  bool state_base_asleep_ = false;
+  bool parked_ = false;
+  Cycle wake_at_ = 0;
+  Activity saved_activity_;
+  /// Deep-check bookkeeping (not model state): this sleep's first replay
+  /// already verified the state digest.  Cleared by every wake and restore.
+  bool sleep_checked_ = false;
 };
 
 }  // namespace mpsoc::sim

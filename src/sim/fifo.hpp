@@ -166,6 +166,10 @@ class SyncFifo final : public Updatable {
     }
     --committed_n_;
     ++ooo_pops_;
+    // The removal frees its slot within this edge, so a producer parked on
+    // the full FIFO may act in this very edge: wake it now rather than at
+    // commit, exactly as an ungated run would see the space.
+    for (Component* c : pop_wakers_) c->wake();
     notifyTaps(pop_taps_, v);
     return v;
   }
@@ -180,7 +184,9 @@ class SyncFifo final : public Updatable {
 
   /// Wake `c` at the end of any edge that pushed into / popped from this
   /// FIFO.  The hooks fire during the commit phase, after occupancy updated,
-  /// so the woken component sees the new state at its next evaluate.
+  /// so the woken component sees the new state at its next evaluate.  An
+  /// out-of-order popAt() frees its slot at once, so it also fires the pop
+  /// hooks at once.
   void wakeOnPush(Component* c) { push_wakers_.push_back(c); }
   void wakeOnPop(Component* c) { pop_wakers_.push_back(c); }
 
@@ -412,6 +418,14 @@ class AsyncFifo final : public Updatable {
   }
 
   std::size_t sizeIgnoringSync() const { return committed_.size() - pop_count_; }
+
+  /// Instant at which the oldest committed, unpopped item becomes readable
+  /// (a consumer waiting out the synchroniser passes it to sleepUntil).
+  Picos frontVisibleAt() const {
+    SIM_CHECK_CTX(sizeIgnoringSync() > 0, name_, &cons_,
+                  "frontVisibleAt() with nothing committed");
+    return committed_[pop_count_].visible_at;
+  }
 
   /// Wake `c` when the producer domain commits staged pushes (see the wake
   /// caveat in the class comment: this precedes readability by the sync

@@ -118,6 +118,10 @@ bool Simulator::step() {
     schedule_.pop_back();
   }
 
+  // Timed wakes due at this edge fire first, so the edge (and deep-check's
+  // save of it) sees their components awake.
+  for (ClockDomain* d : edge_scratch_) d->fireDueWakes();
+
   // Phase 1: evaluate every domain whose edge coincides with t.
   phase_ = Phase::Evaluate;
   if (deep_check_) {
@@ -141,17 +145,19 @@ bool Simulator::step() {
 void Simulator::evaluateDeepChecked(
     const std::vector<ClockDomain*>& edge_domains) {
   // Replay first, in reverse order: a well-behaved edge stages the same work
-  // regardless of component registration order.  The replay pass evaluates
-  // sleeping components too (see evaluateComponents), so an illegal sleep()
-  // shows up as a digest divergence.
+  // regardless of component registration order.
   saveDomains(edge_domains, "deep-check");
   const std::uint64_t txn_id = next_txn_id_;
   // The replay sees every edge domain at its new cycle; the forward pass
   // bumps each counter itself (evaluateEdge), as a plain run does.
   for (ClockDomain* d : edge_domains) ++d->cycle_;
   in_replay_ = true;
+  replaySleepers(edge_domains);
   for (auto it = edge_domains.rbegin(); it != edge_domains.rend(); ++it) {
-    (*it)->evaluateComponents(true);
+    const auto& comps = (*it)->components();
+    for (auto c = comps.rbegin(); c != comps.rend(); ++c) {
+      if (!(*c)->asleep()) (*c)->evaluate();
+    }
   }
   in_replay_ = false;
   std::vector<std::uint64_t> digests;
@@ -162,7 +168,10 @@ void Simulator::evaluateDeepChecked(
 
   // Rewind, then run the forward pass exactly as a plain run would: its
   // staged work is what the edge commits, under the same transaction ids.
+  // The replay's sleepUntil() calls left entries in the wake lists; the
+  // rebuild drops them.
   restoreDomains(edge_domains);
+  for (ClockDomain* d : edge_domains) d->rebuildTimedWakes();
   next_txn_id_ = txn_id;
   for (ClockDomain* d : edge_domains) d->evaluateEdge();
 
@@ -180,6 +189,51 @@ void Simulator::evaluateDeepChecked(
 
   for (ClockDomain* d : edge_domains) {
     for (Updatable* u : d->updatables()) u->checkInvariants();
+  }
+}
+
+void Simulator::replaySleepers(const std::vector<ClockDomain*>& edge_domains) {
+  // Every component asleep at the start of the edge is evaluated first, each
+  // against the activity contract: its evaluate() stages nothing (checked on
+  // every edge) and leaves its own state digest unchanged (checked on the
+  // first edge of each sleep: a counter bumped per cycle shows there, and
+  // digesting every sleeper on every edge would cost more than the rest of
+  // deep-check).  A component that slept or parked while it still had work
+  // to do is named here on the first edge it would act.
+  dc_staged_.clear();
+  for (ClockDomain* d : edge_domains) {
+    for (Updatable* u : d->updatables()) {
+      dc_staged_.push_back(u->stagedDigest());
+    }
+  }
+  for (auto it = edge_domains.rbegin(); it != edge_domains.rend(); ++it) {
+    const auto& comps = (*it)->components();
+    for (auto c = comps.rbegin(); c != comps.rend(); ++c) {
+      Component* sleeper = *c;
+      if (!sleeper->asleep()) continue;
+      const bool check_state = !sleeper->sleep_checked_;
+      const std::uint64_t before = check_state ? sleeper->stateDigest() : 0;
+      sleeper->evaluate();
+      std::size_t i = 0;
+      for (ClockDomain* d : edge_domains) {
+        for (Updatable* u : d->updatables()) {
+          SIM_CHECK_CTX(u->stagedDigest() == dc_staged_[i], sleeper->name(),
+                        *it,
+                        "asleep but its evaluate() staged work on '"
+                            << u->updatableName()
+                            << "': a component may only sleep or park while "
+                               "its evaluate() is a no-op until woken");
+          ++i;
+        }
+      }
+      if (!check_state) continue;
+      SIM_CHECK_CTX(sleeper->stateDigest() == before, sleeper->name(), *it,
+                    "asleep but its evaluate() changed its state: a "
+                    "component may only sleep or park while its evaluate() "
+                    "is a no-op until woken");
+      // Unchanged, so the rewind after the replay leaves the flag standing.
+      sleeper->sleep_checked_ = true;
+    }
   }
 }
 
@@ -212,6 +266,9 @@ void Simulator::restoreCheckpoint() {
   SIM_CHECK(domains_.size() == ckpt_.domain_state.size(),
             "clock-domain population changed since the checkpoint was taken");
   restoreDomains(domains_);
+  for (const auto& d : domains_) {
+    for (Component* c : d->components()) c->sleep_checked_ = false;
+  }
   for (Checkpointable* c : checkpointables_) c->restoreState();
   now_ps_ = ckpt_.now_ps;
   edges_executed_ = ckpt_.edges;
@@ -222,6 +279,7 @@ void Simulator::restoreCheckpoint() {
   }
   // The rewind moved every domain's next-edge instant; rebuild lazily.
   schedule_valid_ = false;
+  for (const auto& d : domains_) d->rebuildTimedWakes();
 }
 
 std::uint64_t Simulator::stateDigest() const {
@@ -345,9 +403,10 @@ void Simulator::refreshIdleScan() {
 
 bool Simulator::allIdle() const {
   for (Component* c : idle_scan_) {
-    // sleep() is only legal while idle(), so a sleeping component is idle by
-    // contract — no need to poll it.
-    if (c->asleep()) continue;
+    // sleep() is only legal while idle(), so a true sleeper is idle by
+    // contract — no need to poll it.  A parked component still holds work
+    // and is polled like an awake one.
+    if (c->asleep() && !c->parked()) continue;
     if (!c->idle()) return false;
   }
   return true;

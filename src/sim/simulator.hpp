@@ -14,9 +14,9 @@
 //
 // The edge loop is activity-driven: the next-edge instants are kept in a
 // cached schedule (domains grouped by coincident instant, rebuilt only when a
-// domain is added), and components that declared themselves quiescent via the
-// sleep()/wake() protocol are skipped during evaluate and counted idle
-// without polling.  See DESIGN.md "Kernel".
+// domain is added), and components asleep under the sleep()/park()/
+// sleepUntil() protocol are skipped during evaluate; each domain fires its
+// due timed wakes at the start of its edge.  See DESIGN.md "Kernel".
 
 #include <cstdint>
 #include <functional>
@@ -98,12 +98,13 @@ class Simulator {
   /// Current position within the two-phase edge protocol.
   Phase phase() const { return phase_; }
 
-  /// Activity gating (default on): components that called sleep() are skipped
-  /// during evaluate.  The sleep contract (only legal while idle()) makes
-  /// gating behaviour-neutral; switching it off re-evaluates every component
-  /// on every edge and must produce bit-identical results — the equivalence
-  /// tests, the check.sh gating smoke and the fuzzer's gated/ungated oracle
-  /// assert exactly that.
+  /// Activity gating (default on): asleep components (sleep(), park(),
+  /// sleepUntil()) are skipped during evaluate.  The activity contract (an
+  /// asleep component's evaluate() is a no-op) makes gating
+  /// behaviour-neutral; switching it off re-evaluates every component on
+  /// every edge and must produce bit-identical results — the equivalence
+  /// tests, the CI gating sweep, the check.sh gating smoke and the fuzzer's
+  /// gated/ungated oracle assert exactly that.
   void setActivityGating(bool on) { activity_gating_ = on; }
   bool activityGating() const { return activity_gating_; }
 
@@ -113,7 +114,8 @@ class Simulator {
   /// the forward pass after a deep-check replay draw the same ids.
   std::uint64_t nextTransactionId() { return next_txn_id_++; }
 
-  /// Number of components currently asleep (activity counter).
+  /// Number of components currently asleep, parked ones included (activity
+  /// counter).
   std::size_t asleepComponents() const { return asleep_count_; }
 
   /// Deep-check mode: at the start of every edge the kernel saves the edge
@@ -127,9 +129,12 @@ class Simulator {
   /// run is bit-identical to a plain one and composes with the protocol
   /// monitors.  Every component on the edge must carry a SIM_STATE manifest;
   /// an unmanifested one raises InvariantViolation, as in checkpoint().  The
-  /// replay pass evaluates sleeping components too, so a component that
-  /// slept while it still had work to stage is caught as a replay/forward
-  /// divergence.  Expensive; off by default.
+  /// replay pass evaluates the components asleep at the start of the edge
+  /// first, each against the activity contract: one that stages work, or
+  /// (on the first edge of its sleep) changes its own state digest, raises
+  /// InvariantViolation naming it.  So a component that slept or parked
+  /// while it still had work to do is caught on the first edge the forward
+  /// pass skips it.  Expensive; off by default.
   void setDeepCheck(bool on) { deep_check_ = on; }
   bool deepCheck() const { return deep_check_; }
 
@@ -231,6 +236,9 @@ class Simulator {
   /// Evaluate phase of a deep-checked edge: reversed replay, rewind, forward
   /// pass, staged-digest comparison (see setDeepCheck).
   void evaluateDeepChecked(const std::vector<ClockDomain*>& edge_domains);
+  /// Deep-check's replay of the components asleep at the start of the edge,
+  /// each checked against the activity contract (see setDeepCheck).
+  void replaySleepers(const std::vector<ClockDomain*>& edge_domains);
   /// Time of the next edge instant, without executing it.
   Picos nextEdgeTime();
   void rebuildSchedule();
@@ -269,6 +277,7 @@ class Simulator {
 
   // Checkpoint / deep-check bookkeeping.
   KernelCheckpoint ckpt_;
+  std::vector<std::uint64_t> dc_staged_;  ///< replaySleepers scratch
   std::vector<Checkpointable*> checkpointables_;
 
   // Activity bookkeeping.

@@ -45,10 +45,32 @@ void StbusNode::evaluate() {
   // free (Section 4.1.2).
   responsePath();
   requestPath();
-  // Fully drained (no streams, nothing inflight, all request queues empty):
-  // quiesce until a port push wakes us (wired in addInitiator/addTarget).
-  // The O(1) inflight test keeps the full idle() scan off busy cycles.
-  if (!anyInflight() && idle()) sleep();
+  // No stream active and every input FIFO empty: nothing moves until a port
+  // push wakes us (wired in addInitiator/addTarget).  Transactions still in
+  // flight at the targets make that a park rather than an idle sleep.
+  if (quiet()) {
+    if (anyInflight()) {
+      park();
+    } else {
+      sleep();
+    }
+  }
+}
+
+bool StbusNode::quiet() const {
+  for (const auto& e : req_engines_) {
+    if (e.streaming) return false;
+  }
+  for (const auto& e : rsp_engines_) {
+    if (e.stream.active()) return false;
+  }
+  for (const auto* p : initiators_) {
+    if (!p->req.empty()) return false;
+  }
+  for (const auto* p : targets_) {
+    if (!p->rsp.empty()) return false;
+  }
+  return true;
 }
 
 bool StbusNode::idle() const {

@@ -101,6 +101,9 @@ class StbusNode final : public txn::InterconnectBase {
     auto simStateMembers() { return std::tie(stream, chan); }
   };
 
+  /// No stream active and every input FIFO empty: evaluate() is a no-op
+  /// until a port push.
+  bool quiet() const;
   void requestPath();
   void responsePath();
   void runReqEngine(ReqEngine& e, std::optional<std::size_t> fixed_target);

@@ -7,7 +7,12 @@ namespace mpsoc::txn {
 MasterBase::MasterBase(sim::ClockDomain& clk, std::string name,
                        InitiatorPort& port, unsigned max_outstanding)
     : sim::Component(clk, std::move(name)), port_(port),
-      max_outstanding_(max_outstanding ? max_outstanding : 1) {}
+      max_outstanding_(max_outstanding ? max_outstanding : 1) {
+  // Activity protocol: a master parked on a stall wakes when a response
+  // arrives or when its full request port frees a slot.
+  port_.rsp.wakeOnPush(this);
+  port_.req.wakeOnPop(this);
+}
 
 bool MasterBase::canIssue() const {
   return outstanding_ < max_outstanding_ && port_.req.canPush();

@@ -7,6 +7,10 @@
 // the paper identifies as precondition (i) for distributed architectures to
 // win (guideline 3).  Posted writes are fire-and-forget: they retire when the
 // request is pushed and never occupy an outstanding slot.
+//
+// Every master is woken by a push into its response FIFO and by a pop from
+// its request FIFO, so a subclass can park() while it waits for a response
+// or for port space.
 
 #include <cstdint>
 #include <string>

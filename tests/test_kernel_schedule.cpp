@@ -1,18 +1,22 @@
 // Regression and unit tests for the activity-driven edge loop: the run()
 // time-bound fix, the runUntilIdle() stale-snapshot / last-active fixes, the
 // cached coincident-edge schedule, and the
-// sleep()/wake() activity protocol (gating equivalence, wake hooks, contract
-// enforcement, deep-check divergence on illegal sleeps).
+// sleep()/park()/sleepUntil()/wake() activity protocol (gating equivalence,
+// wake hooks, timed wakes, contract enforcement, deep-check divergence on
+// illegal sleeps and parks).
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/digest.hpp"
 #include "core/experiment.hpp"
 #include "platform/config.hpp"
+#include "platform/platform.hpp"
 #include "sim/check.hpp"
 #include "sim/component.hpp"
 #include "sim/fifo.hpp"
@@ -239,18 +243,39 @@ TEST(KernelActivity, WakeOnPushResumesSleeper) {
 
 TEST(KernelActivity, GatingOnOffProducesIdenticalDigests) {
   // Gating is behaviour-neutral by contract: a platform run with the kernel
-  // skipping quiescent components must produce the same canonical digest as
-  // one that evaluates every component on every edge.  Cases: the Fig. 3
-  // full STBus platform, and the 4x3 NoC mesh (sleeping routers and master
-  // adapters) with message-locking and with plain round-robin routers.  The
-  // store-and-forward router discipline, which the platform does not
-  // expose, is covered at the rig level in tests/test_noc.cpp.
-  platform::PlatformConfig fig3;
-  fig3.protocol = platform::Protocol::Stbus;
-  fig3.topology = platform::Topology::Full;
-  fig3.memory = platform::MemoryKind::OnChip;
-  fig3.onchip_wait_states = 1;
-  fig3.workload_scale = 0.25;
+  // skipping asleep components (idle sleepers, parked components, timed
+  // wakes) must produce the same canonical digest as one that evaluates
+  // every component on every edge.  Cases: the four benchmarked platform
+  // shapes at reduced scale — full STBus with the ST220 on on-chip memory,
+  // collapsed AXI with LMI and DMA, full AHB with LMI, and the 4x3 NoC mesh
+  // with LMI — plus the mesh with plain round-robin routers.  Parked
+  // components re-derive the same wait when an ungated run evaluates them,
+  // so the full state digest (activity flags included) and the ST220's
+  // lazily settled stall counters agree too.  The store-and-forward router
+  // discipline, which the platform does not expose, is covered at the rig
+  // level in tests/test_noc.cpp.
+  platform::PlatformConfig stbus;
+  stbus.protocol = platform::Protocol::Stbus;
+  stbus.topology = platform::Topology::Full;
+  stbus.memory = platform::MemoryKind::OnChip;
+  stbus.onchip_wait_states = 1;
+  stbus.include_cpu = true;
+  stbus.workload_scale = 0.25;
+
+  platform::PlatformConfig axi;
+  axi.protocol = platform::Protocol::Axi;
+  axi.topology = platform::Topology::Collapsed;
+  axi.memory = platform::MemoryKind::Lmi;
+  axi.use_case = platform::UseCase::Record;
+  axi.include_dma = true;
+  axi.include_cpu = true;
+  axi.workload_scale = 0.1;
+
+  platform::PlatformConfig ahb;
+  ahb.protocol = platform::Protocol::Ahb;
+  ahb.topology = platform::Topology::Full;
+  ahb.memory = platform::MemoryKind::Lmi;
+  ahb.workload_scale = 0.1;
 
   platform::PlatformConfig noc;
   noc.protocol = platform::Protocol::Stbus;
@@ -263,7 +288,9 @@ TEST(KernelActivity, GatingOnOffProducesIdenticalDigests) {
   noc_rr.message_arbitration = false;
 
   const std::pair<const char*, platform::PlatformConfig> cases[] = {
-      {"fig3-small", fig3}, {"noc-small", noc}, {"noc-small-rr", noc_rr}};
+      {"stbus-cpu-onchip", stbus}, {"axi-collapsed-lmi-dma", axi},
+      {"ahb-full-lmi", ahb},       {"noc-4x3-lmi", noc},
+      {"noc-4x3-lmi-rr", noc_rr}};
   for (auto [label, cfg] : cases) {
     SCOPED_TRACE(label);
     // Same label both times: the canonical digest covers it.
@@ -275,14 +302,79 @@ TEST(KernelActivity, GatingOnOffProducesIdenticalDigests) {
     EXPECT_TRUE(gated.completed);
     EXPECT_EQ(core::digestValue(gated), core::digestValue(ungated));
     EXPECT_EQ(gated.exec_ps, ungated.exec_ps);
+    EXPECT_EQ(gated.edges_executed, ungated.edges_executed);
+
+    cfg.activity_gating = true;
+    platform::Platform pg(cfg);
+    pg.run();
+    cfg.activity_gating = false;
+    platform::Platform pu(cfg);
+    pu.run();
+    EXPECT_EQ(pg.simulator().stateDigest(), pu.simulator().stateDigest());
+    ASSERT_EQ(pg.dsp() != nullptr, pu.dsp() != nullptr);
+    if (pg.dsp() != nullptr) {
+      EXPECT_EQ(pg.dsp()->stallCycles(), pu.dsp()->stallCycles());
+      EXPECT_EQ(pg.dsp()->cpi(), pu.dsp()->cpi());
+    }
   }
+}
+
+TEST(KernelActivity, St220StallCountersExactMidStall) {
+  // The ST220 parks on a miss and settles its stall cycles when the fill
+  // returns.  Read mid-stall — gated or not, and across a checkpoint and
+  // restore taken mid-stall — the counters must read exactly what the core
+  // has stalled so far.
+  platform::PlatformConfig cfg;
+  cfg.protocol = platform::Protocol::Stbus;
+  cfg.topology = platform::Topology::Full;
+  cfg.memory = platform::MemoryKind::OnChip;
+  cfg.include_cpu = true;
+  cfg.workload_scale = 0.1;
+  cfg.activity_gating = true;
+  platform::Platform pg(cfg);
+  cfg.activity_gating = false;
+  platform::Platform pu(cfg);
+  sim::Simulator& sg = pg.simulator();
+  sim::Simulator& su = pu.simulator();
+  const cpu::St220& dsp = *pg.dsp();
+
+  // Step both in lock-step to an edge a few cycles into a parked miss.
+  unsigned parked_edges = 0;
+  while (parked_edges < 5) {
+    ASSERT_TRUE(sg.step());
+    ASSERT_TRUE(su.step());
+    ASSERT_FALSE(dsp.done());
+    parked_edges = dsp.parked() ? parked_edges + 1 : 0;
+  }
+  ASSERT_GT(dsp.stallCycles(), 0u);
+  EXPECT_EQ(dsp.stallCycles(), pu.dsp()->stallCycles());
+  EXPECT_EQ(dsp.cpi(), pu.dsp()->cpi());
+  EXPECT_EQ(sg.stateDigest(), su.stateDigest());
+
+  const std::uint64_t stall_at_ckpt = dsp.stallCycles();
+  const double cpi_at_ckpt = dsp.cpi();
+  sg.checkpoint();
+  for (int i = 0; i < 2000; ++i) ASSERT_TRUE(sg.step());
+  const std::uint64_t stall_first = dsp.stallCycles();
+  const double cpi_first = dsp.cpi();
+  EXPECT_GT(stall_first, stall_at_ckpt);
+
+  sg.restoreCheckpoint();
+  EXPECT_EQ(dsp.stallCycles(), stall_at_ckpt);
+  EXPECT_EQ(dsp.cpi(), cpi_at_ckpt);
+  for (int i = 0; i < 2000; ++i) ASSERT_TRUE(sg.step());
+  EXPECT_EQ(dsp.stallCycles(), stall_first);
+  EXPECT_EQ(dsp.cpi(), cpi_first);
+  for (int i = 0; i < 2000; ++i) ASSERT_TRUE(su.step());
+  EXPECT_EQ(pu.dsp()->stallCycles(), stall_first);
+  EXPECT_EQ(sg.stateDigest(), su.stateDigest());
 }
 
 TEST(KernelActivity, DeepCheckCatchesIllegalSleep) {
   // A component whose idle() lies can slip past the sleep() contract check;
-  // the deep-check replay (which evaluates sleeping components too) then
-  // catches it as a forward/replay staged-state divergence on the first edge
-  // where the gated forward pass skips work the replay pass stages.
+  // the deep-check replay (which evaluates sleeping components first, each
+  // against the activity contract) then catches it on the first edge where
+  // the gated forward pass skips work the replay pass stages.
   struct Liar : sim::Component {
     sim::SyncFifo<int>& f;
     int next = 0;
@@ -302,6 +394,189 @@ TEST(KernelActivity, DeepCheckCatchesIllegalSleep) {
   sim::SyncFifo<int> f(clk, "f", 64);
   Liar c(clk, f);
   EXPECT_THROW(s.run(100'000), sim::InvariantViolation);
+}
+
+// ---------------------------------------------------------------------------
+// Timed wakes and parked components
+// ---------------------------------------------------------------------------
+
+/// Holds work (never idle) and, on each evaluate, records the cycle and
+/// sleeps for `nap` cycles.
+class Napper : public sim::Component {
+ public:
+  Napper(sim::ClockDomain& clk, std::string name, sim::Cycle nap)
+      : sim::Component(clk, std::move(name)), nap_(nap) {}
+  void evaluate() override {
+    seen.push_back(now());
+    ++runs_;
+    sleepUntil(now() + nap_);
+  }
+  bool idle() const override { return false; }
+  std::vector<sim::Cycle> seen;
+
+ private:
+  sim::Cycle nap_;
+  std::uint64_t runs_ = 0;
+  SIM_STATE_MEMBERS(runs_);
+  SIM_STATE_EXEMPT(nap_, "immutable configuration");
+  SIM_STATE_EXEMPT(seen, "test probe");
+};
+
+TEST(KernelTimedWake, FiresOnExactCycleAcrossNonIntegerRatio) {
+  // 300 MHz (3333 ps) against 100 MHz (10000 ps): the edges of the two
+  // domains coincide only at multiples of 9999 * 10000 ps, so each domain's
+  // wake must be found through its own cycle counter, not through time.
+  sim::Simulator s;
+  auto& fast = s.addClockDomain("fast", 300.0);
+  auto& slow = s.addClockDomain("slow", 100.0);
+  Napper nf(fast, "nf", 7);
+  Napper ns(slow, "ns", 3);
+  s.run(100 * fast.period());
+  const std::vector<sim::Cycle> expect_fast = {1,  8,  15, 22, 29, 36, 43,
+                                               50, 57, 64, 71, 78, 85, 92,
+                                               99};
+  EXPECT_EQ(nf.seen, expect_fast);
+  ASSERT_FALSE(ns.seen.empty());
+  for (std::size_t i = 0; i < ns.seen.size(); ++i) {
+    EXPECT_EQ(ns.seen[i], 1 + 3 * i);
+  }
+  EXPECT_TRUE(nf.parked());
+  EXPECT_EQ(nf.wakeAt(), 106u);
+}
+
+TEST(KernelTimedWake, EarlyPushWakeLeavesNoStaleFire) {
+  // The consumer naps until cycle 20, a push at cycle 5 wakes it early, it
+  // drains the FIFO and goes idle with sleep().  Its stale cycle-20 entry
+  // must not wake it again.
+  struct Producer : sim::Component {
+    sim::SyncFifo<int>& f;
+    Producer(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
+        : sim::Component(c, "prod"), f(fifo) {}
+    void evaluate() override {
+      if (now() == 5) f.push(7);
+    }
+  };
+  struct Consumer : sim::Component {
+    sim::SyncFifo<int>& f;
+    std::vector<sim::Cycle> seen;
+    Consumer(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
+        : sim::Component(c, "cons"), f(fifo) {}
+    void evaluate() override {
+      seen.push_back(now());
+      if (now() == 1) {
+        sleepUntil(20);
+        return;
+      }
+      while (!f.empty()) f.pop();
+      sleep();
+    }
+    bool idle() const override { return f.empty(); }
+  };
+  sim::Simulator s;
+  auto& clk = s.addClockDomain("clk", 100.0);
+  sim::SyncFifo<int> f(clk, "f", 4);
+  Producer p(clk, f);
+  Consumer c(clk, f);
+  f.wakeOnPush(&c);
+  s.run(30 * clk.period());
+  EXPECT_EQ(c.seen, (std::vector<sim::Cycle>{1, 6}));
+  EXPECT_TRUE(c.asleep());
+  EXPECT_FALSE(c.parked());
+  EXPECT_EQ(c.wakeAt(), 0u);
+}
+
+TEST(KernelTimedWake, ReplayCheckRebuildsWakeList) {
+  // The window starts with both nappers parked and their wakes due inside
+  // it.  The first pass fires those entries and queues later ones; the
+  // restore must rebuild the list from the restored components, or the
+  // replay would sleep through the wakes the first pass saw.
+  sim::Simulator s;
+  auto& a = s.addClockDomain("a", 400.0);
+  auto& b = s.addClockDomain("b", 250.0);
+  Napper na(a, "na", 5);
+  Napper nb(b, "nb", 3);
+  s.run(7 * a.period());
+  ASSERT_TRUE(na.parked());
+  ASSERT_TRUE(nb.parked());
+  const std::optional<sim::ReplayDivergence> div = s.replayCheck(40);
+  EXPECT_FALSE(div.has_value()) << div->holder;
+}
+
+TEST(KernelTimedWake, RunUntilIdleWaitsForParkedWork) {
+  // A parked component still holds work: runUntilIdle() polls its idle()
+  // and keeps running through its nap instead of stopping after the quiesce
+  // window.
+  struct Worker : sim::Component {
+    using sim::Component::Component;
+    bool done = false;
+    void evaluate() override {
+      if (now() == 1) {
+        sleepUntil(40);
+        return;
+      }
+      done = true;
+      sleep();
+    }
+    bool idle() const override { return done; }
+  };
+  sim::Simulator s;
+  auto& clk = s.addClockDomain("clk", 100.0);
+  Worker w(clk, "w");
+  const sim::Picos last_active = s.runUntilIdle(1'000'000'000);
+  EXPECT_TRUE(w.done);
+  // The last non-idle edge is cycle 39; the worker finishes at cycle 40.
+  EXPECT_EQ(last_active, 39 * clk.period());
+}
+
+TEST(KernelActivity, DeepCheckNamesParkerWithQueuedRequest) {
+  // A server that parks the first time it sees a request, instead of
+  // serving it: deep-check replays it on the first edge the forward pass
+  // skips it and names it.
+  struct Client : sim::Component {
+    sim::SyncFifo<int>& req;
+    Client(sim::ClockDomain& c, sim::SyncFifo<int>& f)
+        : sim::Component(c, "client"), req(f) {}
+    void evaluate() override {
+      if (now() == 1) req.push(1);
+    }
+    SIM_STATE_NONE();
+  };
+  struct LazyServer : sim::Component {
+    sim::SyncFifo<int>& req;
+    bool seen = false;
+    LazyServer(sim::ClockDomain& c, sim::SyncFifo<int>& f)
+        : sim::Component(c, "lazy"), req(f) {}
+    void evaluate() override {
+      if (req.empty()) {
+        park();
+        return;
+      }
+      if (!seen) {
+        seen = true;
+        park();  // the planted bug: a request is queued
+        return;
+      }
+      req.pop();
+    }
+    bool idle() const override { return req.empty(); }
+    SIM_STATE_MEMBERS(seen);
+  };
+  sim::Simulator s;
+  s.setDeepCheck(true);
+  auto& clk = s.addClockDomain("clk", 100.0);
+  sim::SyncFifo<int> f(clk, "req", 4);
+  Client client(clk, f);
+  LazyServer lazy(clk, f);
+  f.wakeOnPush(&lazy);
+  try {
+    s.run(20 * clk.period());
+    FAIL() << "deep-check missed a component parked with a queued request";
+  } catch (const sim::InvariantViolation& e) {
+    EXPECT_EQ(e.context().who, "lazy");
+    EXPECT_EQ(s.now(), 3 * clk.period());  // the first edge it sleeps through
+    EXPECT_NE(std::string(e.what()).find("asleep"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
