@@ -52,21 +52,12 @@ void ClockDomain::rebuildTimedWakes() {
 
 void ClockDomain::addUpdatable(Updatable* u) { updatables_.push_back(u); }
 
-void ClockDomain::markAlwaysCommit(Updatable* u) {
-  if (u->always_commit_) return;
-  u->always_commit_ = true;
-  always_commit_.push_back(u);
-}
-
 void ClockDomain::removeUpdatable(Updatable* u) {
   updatables_.erase(std::remove(updatables_.begin(), updatables_.end(), u),
                     updatables_.end());
   commit_queue_.erase(
       std::remove(commit_queue_.begin(), commit_queue_.end(), u),
       commit_queue_.end());
-  always_commit_.erase(
-      std::remove(always_commit_.begin(), always_commit_.end(), u),
-      always_commit_.end());
 }
 
 void ClockDomain::evaluateEdge() {
@@ -83,12 +74,9 @@ void ClockDomain::evaluateEdge() {
 }
 
 void ClockDomain::commitEdge() {
-  for (Updatable* u : always_commit_) {
-    u->commit();
-  }
   for (Updatable* u : commit_queue_) {
     u->commit_queued_ = false;
-    if (!u->always_commit_) u->commit();
+    u->commit();
   }
   commit_queue_.clear();
   next_edge_ps_ += period_ps_;

@@ -24,10 +24,9 @@ class Updatable;
 /// Commit scheduling: an Updatable that stages work during an edge must call
 /// ClockDomain::queueCommit(this) (FIFOs do this on every push/pop); the
 /// domain then commits exactly the touched updatables at the end of the edge.
-/// Updatables whose commit() has per-edge observable side effects even when
-/// nothing was staged (e.g. an observed FIFO feeding a cycle-classifying
-/// stats probe) are registered via ClockDomain::markAlwaysCommit() and run on
-/// every edge of their domain.
+/// There is no other commit policy: an untouched updatable is not committed,
+/// so anything that accounts per cycle (FifoStateProbe) settles the quiet
+/// cycles between two commits itself.
 ///
 /// Rewinding: the checkpoint hooks below are the only way an updatable is
 /// snapshotted and restored.  Simulator::checkpoint() uses them between
@@ -73,7 +72,6 @@ class Updatable {
   virtual void commit() = 0;
 
   bool commit_queued_ = false;  ///< enqueued for commit at this edge's end
-  bool always_commit_ = false;  ///< committed on every edge (observed FIFOs)
 };
 
 /// A named clock domain with a fixed period.  Components register themselves
@@ -102,27 +100,21 @@ class ClockDomain {
 
   // Registration (components and updatables).  Definitions live in
   // clock.cpp (they need the Simulator type).  An updatable commits only on
-  // edges where it called queueCommit(), unless markAlwaysCommit() says
-  // otherwise.
+  // edges where it called queueCommit().
   void addComponent(Component* c);
   void removeComponent(Component* c);
   void addUpdatable(Updatable* u);
   void removeUpdatable(Updatable* u);
 
   /// Enqueue `u` for commit at the end of the current edge.  Idempotent per
-  /// edge; updatables marked always-commit are never enqueued (they commit
-  /// unconditionally).  FIFOs call this from push/pop, so an untouched FIFO
-  /// costs nothing in the commit phase.
+  /// edge.  FIFOs call this from push/pop, so a FIFO is committed exactly on
+  /// the edges that touched it and an untouched one costs nothing in the
+  /// commit phase.
   void queueCommit(Updatable* u) {
-    if (u->always_commit_ || u->commit_queued_) return;
+    if (u->commit_queued_) return;
     u->commit_queued_ = true;
     commit_queue_.push_back(u);
   }
-
-  /// Commit `u` on every edge of this domain, touched or not.  Used when
-  /// commit() has observable per-edge side effects (FIFO observers classify
-  /// every cycle, including quiet ones).
-  void markAlwaysCommit(Updatable* u);
 
   /// Time of the next edge on the global timeline.
   Picos nextEdge() const { return next_edge_ps_; }
@@ -194,7 +186,6 @@ class ClockDomain {
   std::vector<Component*> components_;
   std::vector<Updatable*> updatables_;
   std::vector<Updatable*> commit_queue_;
-  std::vector<Updatable*> always_commit_;
   std::vector<TimedWake> timed_wakes_;
   Cycle next_wake_ = kNoWake;  ///< min over timed_wakes_
 };

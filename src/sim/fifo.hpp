@@ -25,11 +25,16 @@
 // probes and tests can inspect state at any time.
 //
 // Kernel integration: every mutation enqueues the FIFO on its domain's commit
-// queue (ClockDomain::queueCommit), so untouched FIFOs cost nothing in the
-// commit phase; FIFOs with an observer commit on every edge instead, because
-// observers classify quiet cycles too.  Commit is also where wake hooks fire:
-// components registered via wakeOnPush()/wakeOnPop() are woken whenever the
-// edge actually pushed/popped, driving the kernel's activity-gating protocol.
+// queue (ClockDomain::queueCommit), so a FIFO commits exactly on the edges
+// that pushed or popped and untouched FIFOs cost nothing in the commit phase.
+// Commit is where the per-edge observer runs (so it sees touched edges only;
+// a cycle-classifying observer such as stats::FifoStateProbe settles the
+// quiet cycles in between itself) and where wake hooks fire: components
+// registered via wakeOnPush()/wakeOnPop() are woken whenever the edge
+// actually pushed/popped, driving the kernel's activity-gating protocol.
+//
+// Transaction FIFOs are keyed (FifoKey below): only the port bundles can
+// build a SyncFifo of RequestPtr/ResponsePtr (txn/transaction.hpp).
 
 #include <cstddef>
 #include <deque>
@@ -57,8 +62,9 @@ inline std::uint64_t fnvCombine(std::uint64_t h, std::uint64_t v) {
 constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
 }  // namespace detail
 
-/// End-of-edge snapshot handed to FIFO observers (used by stats probes to
-/// classify every cycle as full / storing / no-request, per Fig. 6).
+/// End-of-edge snapshot handed to FIFO observers on every edge that pushed or
+/// popped (stats probes classify cycles as full / storing / no-request from
+/// it, per Fig. 6).
 struct FifoEdgeInfo {
   std::size_t occupancy_before = 0;  ///< items visible at the start of the edge
   std::size_t occupancy_after = 0;   ///< items visible at the start of the next
@@ -73,6 +79,15 @@ template <typename T>
 inline constexpr bool kFifoPayload =
     std::is_copy_constructible_v<T> && state::StateSupported<T>::value;
 
+/// Key type a SyncFifo<T> constructor demands.  Unkeyed payloads (the
+/// default) need none; a specialisation naming a key type with a private
+/// constructor restricts who can build FIFOs of that payload.
+struct Unkeyed {};
+template <typename T>
+struct FifoKey {
+  using type = Unkeyed;
+};
+
 template <typename T>
 class SyncFifo final : public Updatable {
   static_assert(kFifoPayload<T>,
@@ -81,16 +96,18 @@ class SyncFifo final : public Updatable {
 
  public:
   /// Per-edge observer: a plain function pointer + context, not a
-  /// std::function — this is the hottest callback in the simulator (observed
-  /// FIFOs fire it every domain edge) and must not pay type-erasure dispatch.
+  /// std::function — it runs inside commit() on every edge that touched the
+  /// FIFO and must not pay type-erasure dispatch.
   using ObserverFn = void (*)(void* ctx, const FifoEdgeInfo& info);
+  using Key = typename FifoKey<T>::type;
 
   SyncFifo(ClockDomain& clk, std::string name, std::size_t capacity)
-      : clk_(clk), name_(std::move(name)), capacity_(capacity) {
-    SIM_CHECK_CTX(capacity_ > 0, name_, &clk_, "FIFO capacity must be > 0");
-    ring_.resize(capacity_);
-    clk_.addUpdatable(this);
-  }
+    requires std::is_same_v<Key, Unkeyed>
+      : SyncFifo(clk, std::move(name), capacity, Unkeyed{}) {}
+  /// A FIFO of a keyed payload (transactions: txn::PortKey) takes the key.
+  SyncFifo(Key, ClockDomain& clk, std::string name, std::size_t capacity)
+    requires(!std::is_same_v<Key, Unkeyed>)
+      : SyncFifo(clk, std::move(name), capacity, Unkeyed{}) {}
   ~SyncFifo() override { clk_.removeUpdatable(this); }
 
   SyncFifo(const SyncFifo&) = delete;
@@ -174,12 +191,13 @@ class SyncFifo final : public Updatable {
     return v;
   }
 
-  /// Attach the per-edge observer.  An observed FIFO commits on every edge of
-  /// its domain (quiet cycles carry classification information too).
+  /// Attach the per-edge observer (one per FIFO; a second call replaces the
+  /// first).  It runs inside commit(), so it fires once per edge that pushed
+  /// or popped and never on a quiet edge: between two calls the occupancy
+  /// stays at the earlier call's occupancy_after.
   void setObserver(ObserverFn fn, void* ctx) {
     observer_ = fn;
     observer_ctx_ = ctx;
-    clk_.markAlwaysCommit(this);
   }
 
   /// Wake `c` at the end of any edge that pushed into / popped from this
@@ -255,6 +273,13 @@ class SyncFifo final : public Updatable {
   }
 
  private:
+  SyncFifo(ClockDomain& clk, std::string name, std::size_t capacity, Unkeyed)
+      : clk_(clk), name_(std::move(name)), capacity_(capacity) {
+    SIM_CHECK_CTX(capacity_ > 0, name_, &clk_, "FIFO capacity must be > 0");
+    ring_.resize(capacity_);
+    clk_.addUpdatable(this);
+  }
+
   void commit() override {
     FifoEdgeInfo info;
     info.occupancy_before = committed_n_ + ooo_pops_;

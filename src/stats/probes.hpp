@@ -53,8 +53,8 @@ class PhaseSchedule {
   std::vector<Phase> phases_;
 };
 
-/// Per-phase cycle classification of a request FIFO, sampled at every edge of
-/// the FIFO's clock domain via the SyncFifo observer hook:
+/// Per-phase cycle classification of a request FIFO, one sample per edge of
+/// the FIFO's clock domain:
 ///
 ///   full       — occupancy at the start of the edge == capacity
 ///                (grant deasserted: the interface cannot accept requests);
@@ -64,10 +64,20 @@ class PhaseSchedule {
 ///
 /// `empty` is tracked independently (it overlaps noRequest/storing).
 ///
+/// The SyncFifo observer hook fires only on edges that pushed or popped.  The
+/// probe keeps the last observed edge (cycle, instant, occupancy after it)
+/// and classifies each cycle between it and the next observed edge as a
+/// quiet edge (occupancy unchanged, nothing pushed or popped): one sample per
+/// cycle, in cycle order, in the phase of that cycle's own instant, so the
+/// buckets equal those of a probe that saw every edge.  total() and phase(i)
+/// return copies settled through the domain's current cycle without changing
+/// the probe; they are exact between edges.
+///
 /// Checkpointable: the probe accumulates from FIFO commit hooks, so a
-/// statecheck restore must rewind its buckets or the re-run window
-/// double-counts (the platform registers it via Simulator::addCheckpointable;
-/// its SIM_STATE manifest generates the hooks).
+/// statecheck restore must rewind its buckets and its last observed edge, or
+/// the re-run window double-counts or drops cycles (the platform registers
+/// it via Simulator::addCheckpointable; its SIM_STATE manifest generates the
+/// hooks).
 class FifoStateProbe : public sim::Checkpointable {
  public:
   struct Buckets {
@@ -100,27 +110,65 @@ class FifoStateProbe : public sim::Checkpointable {
     phases_ = phases;
     if (phases_) per_phase_.resize(phases_->count());
     clk_dom_ = &fifo.clk();
+    capacity_ = fifo.capacity();
+    last_cycle_ = clk_dom_->now();
+    last_t_ = clk_dom_->nextEdge() - clk_dom_->period();
+    last_occ_ = fifo.registeredSize();
     fifo.setObserver(
         [](void* ctx, const sim::FifoEdgeInfo& info) {
-          auto* self = static_cast<FifoStateProbe*>(ctx);
-          self->onEdge(info, self->clk_dom_->simulator().now());
+          static_cast<FifoStateProbe*>(ctx)->onEdge(info);
         },
         this);
   }
 
-  const Buckets& total() const { return total_; }
-  const Buckets& phase(std::size_t i) const { return per_phase_[i]; }
+  Buckets total() const {
+    Buckets b = total_;
+    forEachQuiet(currentCycle(),
+                 [&b](int, const sim::FifoEdgeInfo& q) { classify(b, q); });
+    return b;
+  }
+  Buckets phase(std::size_t i) const {
+    Buckets b = per_phase_[i];
+    forEachQuiet(currentCycle(), [&b, i](int p, const sim::FifoEdgeInfo& q) {
+      if (p == static_cast<int>(i)) classify(b, q);
+    });
+    return b;
+  }
   std::size_t phaseCount() const { return per_phase_.size(); }
 
   std::string checkpointName() const override { return "fifo-state-probe"; }
 
  private:
-  void onEdge(const sim::FifoEdgeInfo& info, sim::Picos now) {
-    classify(total_, info);
-    if (phases_) {
-      int p = phases_->phaseAt(now);
-      if (p >= 0) classify(per_phase_[static_cast<std::size_t>(p)], info);
+  void onEdge(const sim::FifoEdgeInfo& info) {
+    const sim::Cycle cycle = clk_dom_->now();
+    forEachQuiet(cycle - 1, [this](int p, const sim::FifoEdgeInfo& q) {
+      record(p, q);
+    });
+    const sim::Picos now = clk_dom_->simulator().now();
+    record(phases_ ? phases_->phaseAt(now) : -1, info);
+    last_cycle_ = cycle;
+    last_t_ = now;
+    last_occ_ = info.occupancy_after;
+  }
+
+  sim::Cycle currentCycle() const { return clk_dom_ ? clk_dom_->now() : 0; }
+
+  /// Call f(phase, quiet edge) for each cycle after the last observed edge
+  /// through `through`, in cycle order; `phase` is the schedule index of the
+  /// cycle's instant, or -1.
+  template <typename F>
+  void forEachQuiet(sim::Cycle through, F&& f) const {
+    const sim::FifoEdgeInfo quiet{last_occ_, last_occ_, 0, 0, capacity_};
+    sim::Picos t = last_t_;
+    for (sim::Cycle c = last_cycle_ + 1; c <= through; ++c) {
+      t += clk_dom_->period();
+      f(phases_ ? phases_->phaseAt(t) : -1, quiet);
     }
+  }
+
+  void record(int phase, const sim::FifoEdgeInfo& info) {
+    classify(total_, info);
+    if (phase >= 0) classify(per_phase_[static_cast<std::size_t>(phase)], info);
   }
 
   static void classify(Buckets& b, const sim::FifoEdgeInfo& info) {
@@ -138,11 +186,17 @@ class FifoStateProbe : public sim::Checkpointable {
 
   const PhaseSchedule* phases_ = nullptr;
   sim::ClockDomain* clk_dom_ = nullptr;
+  std::size_t capacity_ = 0;
   Buckets total_;
   std::vector<Buckets> per_phase_;
+  // Last observed (pushed or popped) edge; the cycles after it are quiet.
+  sim::Cycle last_cycle_ = 0;
+  sim::Picos last_t_ = 0;
+  std::size_t last_occ_ = 0;
 
-  SIM_STATE_MEMBERS(total_, per_phase_);
+  SIM_STATE_MEMBERS(total_, per_phase_, last_cycle_, last_t_, last_occ_);
   SIM_STATE_EXEMPT(clk_dom_, "wiring (the observed FIFO's domain)");
+  SIM_STATE_EXEMPT(capacity_, "configuration (the observed FIFO's capacity)");
 };
 
 /// Channel occupancy accounting.  The owning engine calls exactly one of

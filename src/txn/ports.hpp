@@ -18,7 +18,8 @@ namespace mpsoc::txn {
 struct InitiatorPort {
   InitiatorPort(sim::ClockDomain& clk, const std::string& name,
                 std::size_t req_depth = 4, std::size_t rsp_depth = 8)
-      : req(clk, name + ".req", req_depth), rsp(clk, name + ".rsp", rsp_depth) {}
+      : req(PortKey{}, clk, name + ".req", req_depth),
+        rsp(PortKey{}, clk, name + ".rsp", rsp_depth) {}
 
   sim::SyncFifo<RequestPtr> req;
   sim::SyncFifo<ResponsePtr> rsp;
@@ -31,7 +32,8 @@ struct InitiatorPort {
 struct TargetPort {
   TargetPort(sim::ClockDomain& clk, const std::string& name,
              std::size_t req_depth = 1, std::size_t rsp_depth = 4)
-      : req(clk, name + ".req", req_depth), rsp(clk, name + ".rsp", rsp_depth) {}
+      : req(PortKey{}, clk, name + ".req", req_depth),
+        rsp(PortKey{}, clk, name + ".rsp", rsp_depth) {}
 
   sim::SyncFifo<RequestPtr> req;
   sim::SyncFifo<ResponsePtr> rsp;

@@ -90,4 +90,32 @@ using ResponsePtr = std::shared_ptr<Response>;
 std::uint32_t repackBeats(std::uint32_t beats, std::uint32_t from_bytes,
                           std::uint32_t to_bytes);
 
+struct InitiatorPort;
+struct TargetPort;
+
+/// Passkey of the transaction FIFOs: a sim::SyncFifo of RequestPtr or
+/// ResponsePtr takes one, and only the port bundles (txn/ports.hpp) can
+/// create it.  Transactions therefore travel only through InitiatorPort /
+/// TargetPort, where the protocol monitors bind.
+class PortKey {
+  friend struct InitiatorPort;
+  friend struct TargetPort;
+  PortKey() = default;
+};
+
 }  // namespace mpsoc::txn
+
+// Specialised beside the payload types, so no SyncFifo of a transaction can
+// be instantiated without its key (the primary template is in sim/fifo.hpp).
+namespace mpsoc::sim {
+template <typename T>
+struct FifoKey;
+template <>
+struct FifoKey<txn::RequestPtr> {
+  using type = txn::PortKey;
+};
+template <>
+struct FifoKey<txn::ResponsePtr> {
+  using type = txn::PortKey;
+};
+}  // namespace mpsoc::sim

@@ -18,6 +18,7 @@
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
+#include "stats/probes.hpp"
 
 namespace {
 
@@ -66,7 +67,6 @@ struct CommitPusher : sim::Updatable {
   CommitPusher(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
       : clk(c), f(fifo) {
     clk.addUpdatable(this);
-    clk.markAlwaysCommit(this);
   }
   ~CommitPusher() override { clk.removeUpdatable(this); }
   void commit() override { f.push(99); }
@@ -75,11 +75,20 @@ struct CommitPusher : sim::Updatable {
   std::uint64_t checkpointDigest() const override { return 0; }
 };
 
+/// Queues an updatable for commit on every edge, as a FIFO push or pop does.
+struct CommitQueuer : sim::Component {
+  sim::Updatable& u;
+  CommitQueuer(sim::ClockDomain& c, sim::Updatable& target)
+      : sim::Component(c, "queuer"), u(target) {}
+  void evaluate() override { clk_.queueCommit(&u); }
+};
+
 TEST(PhaseGuards, PushDuringCommitThrows) {
   sim::Simulator s;
   auto& clk = s.addClockDomain("clk", 100.0);
   sim::SyncFifo<int> f(clk, "victim", 4);
   CommitPusher evil(clk, f);
+  CommitQueuer queuer(clk, evil);
 
   try {
     s.run(100'000);
@@ -370,43 +379,57 @@ struct MixedPopDriver : sim::Component {
 };
 
 TEST(FifoAccounting, MixedOooAndInOrderPopsStayConsistent) {
+  {
+    sim::Simulator s;
+    auto& clk = s.addClockDomain("clk", 100.0);
+    sim::SyncFifo<int> f(clk, "lmi.req", 2);
+    std::vector<sim::FifoEdgeInfo> infos;
+    f.setObserver(
+        [](void* ctx, const sim::FifoEdgeInfo& i) {
+          static_cast<std::vector<sim::FifoEdgeInfo>*>(ctx)->push_back(i);
+        },
+        &infos);
+    MixedPopDriver d(clk, f);
+    s.run(40'000);  // 4 edges
+    // Once per touched edge: edges 1 and 2; the quiet edges 3-4 are silent.
+    ASSERT_EQ(infos.size(), 2u);
+
+    // Edge 1: storing.
+    EXPECT_EQ(infos[0].occupancy_before, 0u);
+    EXPECT_EQ(infos[0].pushed, 2u);
+    EXPECT_EQ(infos[0].popped, 0u);
+    EXPECT_EQ(infos[0].occupancy_after, 2u);
+
+    // Edge 2: the edge-start occupancy counts the item the OOO removal took
+    // out of the committed queue mid-edge, and both pops are counted.
+    EXPECT_EQ(infos[1].occupancy_before, 2u);
+    EXPECT_EQ(infos[1].capacity, 2u);
+    EXPECT_EQ(infos[1].popped, 2u);
+    EXPECT_EQ(infos[1].pushed, 0u);
+    EXPECT_EQ(infos[1].occupancy_after, 0u);
+
+    // Every edge satisfies the conservation law (also SIM_CHECKed in
+    // commit()).
+    for (const auto& i : infos) {
+      EXPECT_EQ(i.occupancy_after, i.occupancy_before + i.pushed - i.popped);
+    }
+  }
+
+  // The same run through a FifoStateProbe, which classifies all four edges.
   sim::Simulator s;
   auto& clk = s.addClockDomain("clk", 100.0);
   sim::SyncFifo<int> f(clk, "lmi.req", 2);
-  std::vector<sim::FifoEdgeInfo> infos;
-  f.setObserver(
-      [](void* ctx, const sim::FifoEdgeInfo& i) {
-        static_cast<std::vector<sim::FifoEdgeInfo>*>(ctx)->push_back(i);
-      },
-      &infos);
+  stats::FifoStateProbe probe;
+  probe.attach(f);
   MixedPopDriver d(clk, f);
-  s.run(40'000);  // 4 edges
-  ASSERT_GE(infos.size(), 3u);
-
-  // Edge 1: storing.
-  EXPECT_EQ(infos[0].occupancy_before, 0u);
-  EXPECT_EQ(infos[0].pushed, 2u);
-  EXPECT_EQ(infos[0].popped, 0u);
-  EXPECT_EQ(infos[0].occupancy_after, 2u);
-
-  // Edge 2: the probe must see full occupancy at edge start even though the
-  // OOO removal shrank the committed queue mid-edge, and both pops must be
-  // counted.
-  EXPECT_EQ(infos[1].occupancy_before, 2u);
-  EXPECT_EQ(infos[1].capacity, 2u);  // occupancy_before == capacity -> "full"
-  EXPECT_EQ(infos[1].popped, 2u);
-  EXPECT_EQ(infos[1].pushed, 0u);
-  EXPECT_EQ(infos[1].occupancy_after, 0u);
-
-  // Edge 3: no-request, empty.
-  EXPECT_EQ(infos[2].occupancy_before, 0u);
-  EXPECT_EQ(infos[2].pushed, 0u);
-  EXPECT_EQ(infos[2].popped, 0u);
-
-  // Every edge satisfies the conservation law (also SIM_CHECKed in commit()).
-  for (const auto& i : infos) {
-    EXPECT_EQ(i.occupancy_after, i.occupancy_before + i.pushed - i.popped);
-  }
+  s.run(40'000);
+  const stats::FifoStateProbe::Buckets b = probe.total();
+  EXPECT_EQ(b.cycles, 4u);
+  EXPECT_EQ(b.storing, 1u);  // edge 1
+  // Edge 2 is full at edge start despite the popAt() within it.
+  EXPECT_EQ(b.full, 1u);
+  EXPECT_EQ(b.no_request, 2u);  // edges 3-4: quiet
+  EXPECT_EQ(b.empty, 3u);       // edges 1, 3 and 4
 }
 
 // ---------------------------------------------------------------------------

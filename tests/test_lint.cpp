@@ -101,7 +101,6 @@ const std::vector<RuleCase>& ruleCases() {
       {"bare-assert", "bare-assert/src/bad.cpp", {5}},
       {"nondeterminism", "nondeterminism/src/bad.cpp", {5}},
       {"unordered-iter", "unordered-iter/src/bad.cpp", {8}},
-      {"raw-txn-fifo", "raw-txn-fifo/src/bad.hpp", {5}},
       {"idle-busy-poll", "idle-busy-poll/src/bad.cpp", {4}},
       {"shared-static", "shared-static/src/bad.cpp", {4}},
       // A mutable static inside evaluate() is shared across sweep workers

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/component.hpp"
@@ -254,12 +255,17 @@ TEST(SyncFifo, ObserverReportsEdgeInfo) {
   auto& clk = s.addClockDomain("clk", 100.0);
   sim::SyncFifo<int> f(clk, "f", 2);
 
-  std::vector<sim::FifoEdgeInfo> infos;
+  // Each observed edge with the cycle it fired on.
+  struct Seen {
+    sim::ClockDomain* clk;
+    std::vector<std::pair<sim::Cycle, sim::FifoEdgeInfo>> edges;
+  } seen{&clk, {}};
   f.setObserver(
       [](void* ctx, const sim::FifoEdgeInfo& i) {
-        static_cast<std::vector<sim::FifoEdgeInfo>*>(ctx)->push_back(i);
+        auto* sn = static_cast<Seen*>(ctx);
+        sn->edges.emplace_back(sn->clk->now(), i);
       },
-      &infos);
+      &seen);
 
   struct Driver : sim::Component {
     sim::SyncFifo<int>& f;
@@ -274,12 +280,18 @@ TEST(SyncFifo, ObserverReportsEdgeInfo) {
   };
   Driver d(clk, f);
   s.run(40'000);  // 4 edges
-  ASSERT_GE(infos.size(), 3u);
-  EXPECT_EQ(infos[0].pushed, 1u);
-  EXPECT_EQ(infos[0].occupancy_before, 0u);
-  EXPECT_EQ(infos[0].occupancy_after, 1u);
-  EXPECT_EQ(infos[2].popped, 1u);
-  EXPECT_EQ(infos[2].occupancy_after, 0u);
+  // Once per touched edge (1: push, 3: pop); never on the quiet edges 2, 4.
+  ASSERT_EQ(seen.edges.size(), 2u);
+  EXPECT_EQ(seen.edges[0].first, 1u);
+  EXPECT_EQ(seen.edges[1].first, 3u);
+  const sim::FifoEdgeInfo& push = seen.edges[0].second;
+  EXPECT_EQ(push.pushed, 1u);
+  EXPECT_EQ(push.occupancy_before, 0u);
+  EXPECT_EQ(push.occupancy_after, 1u);
+  const sim::FifoEdgeInfo& pop = seen.edges[1].second;
+  EXPECT_EQ(pop.popped, 1u);
+  EXPECT_EQ(pop.occupancy_before, 1u);
+  EXPECT_EQ(pop.occupancy_after, 0u);
 }
 
 TEST(AsyncFifo, SynchronizationDelay) {

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -25,6 +26,7 @@
 #include "core/rigs.hpp"
 #include "mem/sdram.hpp"
 #include "sim/component.hpp"
+#include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 #include "txn/interconnect.hpp"
 #include "txn/ports.hpp"
@@ -765,6 +767,19 @@ struct EvaluateOnlyBus final : txn::InterconnectBase {
   void evaluate() override {}
 };
 static_assert(std::is_abstract_v<EvaluateOnlyBus>);
+
+// Transactions travel only through the monitored port bundles: a SyncFifo of
+// RequestPtr/ResponsePtr takes a txn::PortKey, which only InitiatorPort and
+// TargetPort can create.  Every other payload builds without a key.
+template <class T>
+inline constexpr bool kFifoBuildsWithoutKey =
+    std::is_constructible_v<sim::SyncFifo<T>, sim::ClockDomain&, std::string,
+                            std::size_t>;
+static_assert(!kFifoBuildsWithoutKey<txn::RequestPtr>);
+static_assert(!kFifoBuildsWithoutKey<txn::ResponsePtr>);
+static_assert(!std::is_default_constructible_v<txn::PortKey>);
+static_assert(kFifoBuildsWithoutKey<int>);
+static_assert(kFifoBuildsWithoutKey<std::uint64_t>);
 
 // ---------------------------------------------------------------------------
 // Clean runs: the real rigs under full monitoring must produce zero

@@ -8,9 +8,8 @@
 #      mpsoc_run --verify (protocol monitors, leaks checked at the end)
 #   4. parallel-sweep smoke: the shipped scenarios at -j 2 vs -j 1 must emit
 #      byte-identical digest sets (determinism under parallelism)
-#   5. gating smoke: fig3-small and a small NoC mesh, gated vs --no-gating
-#      digest compare — a mismatch means some component slept with work
-#      pending
+#   5. gating smoke: every shipped scenario, gated vs --no-gating digest
+#      compare — a mismatch means some component slept with work pending
 #   6. statecheck sweep: every shipped scenario under the
 #      checkpoint-equivalence oracle (mpsoc_run --verify --statecheck) — the
 #      oracle checkpoints mid-run, re-runs a window of edges after a rewind
@@ -106,32 +105,15 @@ else
 fi
 
 stage "gating smoke (activity gating on vs off)"
-# The Fig. 3 full-platform instance and a 4x3 NoC mesh (sleeping routers
-# and master adapters) at reduced workload scale, gated vs --no-gating: the
+# The shipped scenarios, the set CI's gating sweep uses (the Fig. 3 full
+# platforms, the 4x3 NoC mesh, the LMI platforms), gated vs --no-gating: the
 # digests must match, or some component slept with work pending.
 mkdir -p "$BUILD/gating-smoke"
-cat > "$BUILD/gating-smoke/fig3-small.scn" <<EOF
-name = fig3-small
-protocol = stbus
-topology = full
-memory = onchip
-wait_states = 1
-workload_scale = 0.25
-EOF
-cat > "$BUILD/gating-smoke/noc-small.scn" <<EOF
-name = noc-small
-protocol = stbus
-topology = noc-mesh
-memory = lmi
-noc_width = 4
-noc_height = 3
-workload_scale = 0.1
-EOF
 if "$BUILD/tools/mpsoc_run" --sweep --json "$BUILD/gating-smoke/gated.json" \
-      "$BUILD/gating-smoke"/*.scn > /dev/null && \
+      "$ROOT"/tools/scenarios/*.scn > /dev/null && \
    "$BUILD/tools/mpsoc_run" --sweep --no-gating \
       --json "$BUILD/gating-smoke/ungated.json" \
-      "$BUILD/gating-smoke"/*.scn > /dev/null; then
+      "$ROOT"/tools/scenarios/*.scn > /dev/null; then
   if same_digests "$BUILD/gating-smoke/gated.json" \
        "$BUILD/gating-smoke/ungated.json" \
        "gating smoke: gated and ungated digests differ (activity gating must

@@ -1,9 +1,12 @@
 // mpsoc_lint — repo-specific static checks for the two-phase simulation
 // kernel.  Compiler warnings and clang-tidy cover generic C++ hazards, and
-// the type system enforces two kernel rules outright: Updatable::commit() is
-// private to ClockDomain (component code cannot commit a FIFO), and
+// the type system enforces three kernel rules outright: Updatable::commit()
+// is private to ClockDomain (component code cannot commit a FIFO),
 // InterconnectBase::attachMonitors() is pure virtual (a bus engine without
-// monitor wiring cannot be instantiated).  This tool bans the remaining
+// monitor wiring cannot be instantiated), and a SyncFifo of RequestPtr or
+// ResponsePtr takes a txn::PortKey only the port bundles can create (no
+// transaction channel outside InitiatorPort/TargetPort, where monitors
+// bind).  This tool bans the remaining
 // patterns that specifically corrupt *this* codebase's determinism and phase
 // discipline, which only a text scan can see:
 //
@@ -17,10 +20,6 @@
 //                       fed into stats or scheduling decisions differ between
 //                       libstdc++ versions and even between runs (pointer
 //                       hashing).  Iterate a deterministic container instead.
-//   raw-txn-fifo        declaring a SyncFifo<RequestPtr|ResponsePtr> outside
-//                       txn/ports.hpp creates a transaction channel the
-//                       monitors cannot see; transactions must travel through
-//                       InitiatorPort/TargetPort bundles.
 //   idle-busy-poll      an evaluate() body that polls a FIFO for data
 //                       (.empty()/.canPop()) in a file that neither overrides
 //                       idle() nor ever calls sleep() busy-spins the kernel:
@@ -162,10 +161,6 @@ class FileLinter {
  public:
   FileLinter(std::string path, bool kernel_code)
       : path_(std::move(path)), kernel_code_(kernel_code) {
-    const std::string ports = "txn/ports.hpp";
-    is_ports_header_ = path_.size() >= ports.size() &&
-                       path_.compare(path_.size() - ports.size(),
-                                     ports.size(), ports) == 0;
     // State-holder registry for the unmanifested-state rule: the classes a
     // state holder can derive from across files (the concrete engines are
     // final).  collectComponentTypes adds any subclass declared in the
@@ -578,19 +573,6 @@ class FileLinter {
       }
     }
 
-    // raw-txn-fifo: transaction FIFOs outside the monitored port bundles.
-    if (kernel_code_ && !is_ports_header_ &&
-        !suppressed(comment, "raw-txn-fifo")) {
-      static const std::regex raw_fifo(
-          R"(\bSyncFifo\s*<\s*(?:txn::)?(?:RequestPtr|ResponsePtr)\s*>)");
-      if (std::regex_search(code, raw_fifo)) {
-        report(lineno, "raw-txn-fifo",
-               "transaction FIFOs must live inside txn::InitiatorPort / "
-               "txn::TargetPort so protocol monitors can tap them; do not "
-               "declare a bare SyncFifo of RequestPtr/ResponsePtr");
-      }
-    }
-
     // shared-static: mutable static storage in simulation code, function-
     // local statics (evaluate() bodies included) as well.  The sweep pool
     // runs simulations concurrently; anything `static` and writable is
@@ -640,7 +622,6 @@ class FileLinter {
 
   std::string path_;
   bool kernel_code_;
-  bool is_ports_header_ = false;
   std::set<std::string> component_types_;
   std::size_t first_poll_line_ = 0;
   bool has_idle_or_sleep_ = false;

@@ -20,8 +20,9 @@
 //                   duration is rejected — the oracle would silently never
 //                   fire
 //   --no-gating     disable kernel activity gating (evaluate every component
-//                   on every edge).  Digests must not change — the check.sh
-//                   kernel-perf smoke diffs gated vs. ungated runs with this
+//                   on every edge).  Digests must not change — CI's gating
+//                   equivalence sweep and check.sh's gating smoke diff
+//                   gated vs. ungated runs of tools/scenarios/*.scn with this
 //   --sweep         print the sweep view: per-point wall-clock, simulation
 //                   throughput (Medges/s) and canonical result digest
 //   -j N            run N scenarios concurrently (0 = one per hardware
