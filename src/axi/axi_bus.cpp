@@ -11,6 +11,12 @@ using txn::Opcode;
 using txn::RequestPtr;
 using txn::ResponsePtr;
 
+namespace {
+/// How deep the engine looks into each master's request queue for a
+/// read/write to dispatch (models the independent AR and AW+W paths).
+constexpr std::size_t kRequestWindow = 4;
+}  // namespace
+
 AxiBus::AxiBus(sim::ClockDomain& clk, std::string name, AxiBusConfig cfg)
     : txn::InterconnectBase(clk, std::move(name)), cfg_(cfg) {}
 
@@ -30,8 +36,8 @@ void AxiBus::finalize() {
   ar_.resize(numTargets());
   aw_.resize(numTargets());
   r_.resize(numInitiators());
-  for (auto& e : ar_) e.arb = txn::Arbiter(cfg_.arb);
-  for (auto& e : aw_) e.arb = txn::Arbiter(cfg_.arb);
+  for (auto& e : ar_) e.arb = txn::Arbiter(txn::ArbPolicy::RoundRobin);
+  for (auto& e : aw_) e.arb = txn::Arbiter(txn::ArbPolicy::RoundRobin);
   reserved_.assign(numTargets(), 0);
   ar_issued_.assign(numInitiators(), false);
   w_granted_.assign(numInitiators(), false);
@@ -82,8 +88,7 @@ bool AxiBus::outstandingOk(std::size_t initiator,
 int AxiBus::findInWindow(std::size_t initiator, Opcode op,
                          std::size_t target) const {
   const auto& q = initiators_[initiator]->req;
-  const std::size_t depth =
-      std::min<std::size_t>(q.size(), cfg_.request_window);
+  const std::size_t depth = std::min(q.size(), kRequestWindow);
   for (std::size_t k = 0; k < depth; ++k) {
     const RequestPtr& r = q.at(k);
     if (r->op == op && route(r->addr) == target) return static_cast<int>(k);
@@ -209,26 +214,18 @@ void AxiBus::responsePath() {
 
     // Fine-granularity link arbitration: pick a stream with a due beat, with
     // preference for the one served last (minimises switching) and otherwise
-    // round-robin.  If interleaving is disabled the engine behaves like a
-    // packet-granular channel: it sticks to stream 0 until completion.
+    // round-robin.
     std::size_t pick = eng.active.size();
-    if (cfg_.r_channel_interleaving) {
-      for (std::size_t off = 0; off < eng.active.size(); ++off) {
-        std::size_t idx = (eng.last_pick + off) % eng.active.size();
-        if (eng.active[idx].beatDue(now)) {
-          pick = idx;
-          break;
-        }
+    for (std::size_t off = 0; off < eng.active.size(); ++off) {
+      std::size_t idx = (eng.last_pick + off) % eng.active.size();
+      if (eng.active[idx].beatDue(now)) {
+        pick = idx;
+        break;
       }
-    } else {
-      if (eng.active[0].beatDue(now)) pick = 0;
     }
-    if (pick == eng.active.size()) {
-      // No beat due anywhere: in AXI the link is simply free this cycle (it
-      // is not reserved by a stalled burst) unless interleaving is off.
-      if (!cfg_.r_channel_interleaving) eng.chan.markHeld();
-      continue;
-    }
+    // No beat due anywhere: the link is simply free this cycle (it is not
+    // reserved by a stalled burst).
+    if (pick == eng.active.size()) continue;
     eng.last_pick = pick;
     if (streamBeat(eng.active[pick], eng.chan)) {
       eng.active.erase(eng.active.begin() +

@@ -12,7 +12,7 @@
 //    completion (transaction IDs);
 //  * burst transactions issue only the first address (one AR cycle per burst);
 //  * fine-granularity data-link arbitration: the per-master R channel
-//    re-arbitrates cycle by cycle and may interleave beats of different
+//    re-arbitrates cycle by cycle and interleaves beats of different
 //    in-flight responses, so a stalled response does not reserve the link.
 //
 // The last two points are what make AXI "more robust to traffic congestion"
@@ -22,7 +22,8 @@
 //
 // A master's single request queue is scanned through a small window to find
 // the first read and the first write, emulating the independent read/write
-// paths of a real AXI master interface.
+// paths of a real AXI master interface.  Every channel arbitrates
+// round-robin.
 
 #include <cstdint>
 #include <vector>
@@ -34,14 +35,7 @@
 namespace mpsoc::axi {
 
 struct AxiBusConfig {
-  txn::ArbPolicy arb = txn::ArbPolicy::RoundRobin;
   unsigned max_outstanding_per_initiator = 8;
-  /// How deep the engine looks into each master's request queue for a
-  /// read/write to dispatch (models the independent AR and AW+W paths).
-  unsigned request_window = 4;
-  /// true: the per-master R link may interleave beats of different responses
-  /// (fine-granularity arbitration).  false degrades R to packet granularity.
-  bool r_channel_interleaving = true;
 };
 
 class AxiBus final : public txn::InterconnectBase {
@@ -87,7 +81,7 @@ class AxiBus final : public txn::InterconnectBase {
       return std::tie(arb, streaming, beats_left, stream_target, chan);
     }
   };
-  /// Per-initiator read-data link with optional beat interleaving.
+  /// Per-initiator read-data link interleaving beats of its responses.
   struct REngine {
     std::vector<RspStream> active;
     std::size_t last_pick = 0;

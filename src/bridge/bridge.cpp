@@ -26,7 +26,6 @@ BridgeConfig lightweightBridgeConfig(std::uint32_t width_a,
   // bridges "do not exploit advanced features of the communication
   // protocols" and "penalize across-layer communications").
   cfg.split_reads = false;
-  cfg.early_write_ack = true;
   cfg.latency_a_cycles = 6;
   cfg.latency_b_cycles = 6;
   cfg.width_a_bytes = width_a;
@@ -39,7 +38,6 @@ BridgeConfig genConvConfig(std::uint32_t width_a, std::uint32_t width_b,
   BridgeConfig cfg;
   cfg.split_reads = true;
   cfg.max_outstanding_reads = outstanding;
-  cfg.early_write_ack = true;
   cfg.latency_a_cycles = 1;  // conversions combined in one optimised stage
   cfg.latency_b_cycles = 1;
   cfg.width_a_bytes = width_a;
@@ -121,12 +119,9 @@ class Bridge::MasterSide final : public txn::MasterBase {
     auto it = origin_.find(rsp->req->id);
     SIM_CHECK_CTX(it != origin_.end(), name_, &clk_,
                   "side-B response for unknown clone id " << rsp->req->id);
-    RequestPtr orig = it->second;
+    // Side B issues every write posted, so only read data comes back.
+    done_.push_back(it->second);
     origin_.erase(it);
-    if (orig->op == Opcode::Read || !b_.cfg_.early_write_ack) {
-      done_.push_back(orig);  // read data / late write ack travels back
-    }
-    // Early-acked writes: the side-B acknowledge is consumed silently.
   }
 
  private:
@@ -156,7 +151,6 @@ class Bridge::MasterSide final : public txn::MasterBase {
     // many cycles, and a clone (record, source string, id) per wait cycle
     // would be thrown away.
     if (!canIssueFront()) return;
-    const bool posted = orig->op == Opcode::Write && b_.cfg_.posted_writes_b;
 
     auto clone = std::make_shared<txn::Request>(*orig);
     clone->id = clk_.simulator().nextTransactionId();
@@ -164,25 +158,24 @@ class Bridge::MasterSide final : public txn::MasterBase {
     clone->beats = txn::repackBeats(orig->beats, orig->bytes_per_beat,
                                     b_.cfg_.width_b_bytes);
     clone->bytes_per_beat = b_.cfg_.width_b_bytes;
-    if (clone->op == Opcode::Write) clone->posted = posted;
-    origin_[clone->id] = orig;
-    issue(clone);
-    if (clone->op == Opcode::Read) ++b_.reads_fwd_;
-    else ++b_.writes_fwd_;
-    if (posted) {
-      // No side-B response will arrive; a write forwarded as posted is
-      // complete for the bridge once issued.
-      if (!b_.cfg_.early_write_ack) done_.push_back(orig);
-      origin_.erase(clone->id);
+    if (clone->op == Opcode::Read) {
+      origin_[clone->id] = orig;
+      ++b_.reads_fwd_;
+    } else {
+      // Posted: no side-B response will arrive, and the write was already
+      // acknowledged on side A, so it is complete for the bridge once issued.
+      clone->posted = true;
+      ++b_.writes_fwd_;
     }
+    issue(clone);
     staged_.pop_front();
   }
 
-  /// The staged front may go out on side B now (outstanding and port space).
+  /// The staged front may go out on side B now (outstanding and port space;
+  /// writes go out posted).
   bool canIssueFront() const {
-    const RequestPtr& orig = staged_.front().req;
-    const bool posted = orig->op == Opcode::Write && b_.cfg_.posted_writes_b;
-    return posted ? canIssuePosted() : canIssue();
+    return staged_.front().req->op == Opcode::Write ? canIssuePosted()
+                                                     : canIssue();
   }
 
   /// After work(), on a non-idle side B: the instant it next has work of its
@@ -219,8 +212,8 @@ Bridge::Bridge(sim::ClockDomain& clk_a, sim::ClockDomain& clk_b,
     : name_(std::move(name)), cfg_(cfg), clk_a_(clk_a), clk_b_(clk_b),
       a_port_(clk_a, name_ + ".a", cfg_.a_req_depth, 4),
       b_port_(clk_b, name_ + ".b", 2, 8),
-      fwd_(clk_a, clk_b, name_ + ".fwd", cfg_.fwd_depth, cfg_.sync_stages),
-      bwd_(clk_b, clk_a, name_ + ".bwd", cfg_.bwd_depth, cfg_.sync_stages) {
+      fwd_(clk_a, clk_b, name_ + ".fwd", cfg_.fwd_depth),
+      bwd_(clk_b, clk_a, name_ + ".bwd", cfg_.bwd_depth) {
   slave_side_ = std::make_unique<SlaveSide>(clk_a, *this);
   master_side_ = std::make_unique<MasterSide>(clk_b, *this);
   // Activity protocol wake wiring: side A is woken by new requests, by
@@ -245,24 +238,20 @@ void Bridge::slaveEvaluate() {
   const sim::Picos now = clk_a_.simulator().now();
   const sim::Picos pa = clk_a_.period();
 
-  // 1. Absorb side-B completions.
+  // 1. Absorb side-B read completions.
   while (bwd_.canPop()) {
     RequestPtr orig = bwd_.pop();
-    if (orig->op == Opcode::Read) {
-      bool matched = false;
-      for (auto& p : pending_) {
-        if (p.original == orig && !p.data_ready) {
-          p.data_ready = true;
-          matched = true;
-          break;
-        }
+    bool matched = false;
+    for (auto& p : pending_) {
+      if (p.original == orig && !p.data_ready) {
+        p.data_ready = true;
+        matched = true;
+        break;
       }
-      SIM_CHECK_CTX(matched, name_ + ".A", &clk_a_,
-                    "read completion without a pending entry (id "
-                        << orig->id << ")");
-    } else {
-      acks_.push_back(orig);  // late write ack path
     }
+    SIM_CHECK_CTX(matched, name_ + ".A", &clk_a_,
+                  "read completion without a pending entry (id "
+                      << orig->id << ")");
   }
 
   // 2. Deliver at most one response on side A per cycle, reads strictly in
@@ -313,7 +302,7 @@ void Bridge::slaveEvaluate() {
       RequestPtr r = a_port_.req.pop();
       if (!cfg_.split_reads) busy_ = true;
       if (is_read) ++reads_in_flight_;
-      if (!is_read && cfg_.early_write_ack && !r->posted) {
+      if (!is_read && !r->posted) {
         acks_.push_back(r);  // store-and-forward: ack once absorbed
       }
       if (is_read) pending_.push_back({r, false});

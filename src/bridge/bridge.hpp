@@ -6,8 +6,8 @@
 // well as the highly optimised STBus-STBus "GenConv" converter, because the
 // behaviours the paper shows to matter are *policies*, not protocol syntax:
 //
-//  * writes are handled store-and-forward: the payload is absorbed on side A
-//    (acknowledged early unless configured otherwise) and re-issued on side B;
+//  * writes are handled store-and-forward: the payload is absorbed and
+//    acknowledged on side A, then re-issued on side B as a posted write;
 //  * the target side may be *blocking* on reads — while a read is in flight
 //    the bridge accepts nothing else — which is the lightweight-bridge
 //    behaviour that nullifies AXI's advanced features in the distributed
@@ -19,11 +19,10 @@
 //    frequency conversion (e.g. 400 -> 250 MHz) with tunable latency.
 //
 // Read data is delivered on side A in request-acceptance order, but write
-// acknowledgements are not ordered against reads: a late write ack (and an
-// early ack queued while an older read is still pending) can overtake the
-// read.  A bridge is therefore not a safe target for an in-order protocol
-// that only examines the front of a target's response FIFO (STBus Type 2);
-// see ROADMAP Open item 7.
+// acknowledgements are not ordered against reads: an ack queued while an
+// older read is still pending can overtake the read.  A bridge is therefore
+// not a safe target for an in-order protocol that only examines the front of
+// a target's response FIFO (STBus Type 2); see ROADMAP Open item 2.
 
 #include <cstdint>
 #include <deque>
@@ -49,21 +48,15 @@ struct BridgeConfig {
   bool split_reads = false;
   /// Concurrent in-flight reads when split_reads is true.
   unsigned max_outstanding_reads = 8;
-  /// true: acknowledge writes on side A as soon as the payload is absorbed
-  /// (store-and-forward).  false: wait for the side-B acknowledge.
-  bool early_write_ack = true;
   /// Pipeline latency added to each traversal, in cycles of each side.
   unsigned latency_a_cycles = 1;
   unsigned latency_b_cycles = 1;
   /// Interface widths; payloads are repacked when they differ.
   std::uint32_t width_a_bytes = 4;
   std::uint32_t width_b_bytes = 4;
-  /// Issue writes on side B as posted (typical for STBus side B).
-  bool posted_writes_b = true;
-  /// Internal asynchronous FIFO depths and synchroniser stages.
+  /// Internal asynchronous FIFO depths (two synchroniser stages each).
   std::size_t fwd_depth = 4;
   std::size_t bwd_depth = 4;
-  unsigned sync_stages = 2;
   /// Depth of the side-A target-port request FIFO (bus-visible buffering).
   std::size_t a_req_depth = 2;
 };
@@ -141,7 +134,7 @@ class Bridge {
 
   std::deque<Staged> staged_a_;        ///< A-side latency line
   std::deque<PendingRead> pending_;    ///< reads in flight, acceptance order
-  std::deque<txn::RequestPtr> acks_;   ///< writes awaiting a late A-side ack
+  std::deque<txn::RequestPtr> acks_;   ///< absorbed writes awaiting an ack
   unsigned reads_in_flight_ = 0;
   /// Non-split mode: the bridge is handling one transaction end-to-end
   /// (read: until its data is delivered on side A; write: until the payload

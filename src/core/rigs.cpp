@@ -2,6 +2,11 @@
 
 namespace mpsoc::core {
 
+namespace {
+/// Every generator groups its transactions into 4-request messages.
+constexpr std::uint64_t kMessageLen = 4;
+}  // namespace
+
 SingleLayerRig::SingleLayerRig(SingleLayerConfig cfg) : cfg_(cfg) {
   clk_ = &sim_.addClockDomain("bus", cfg_.bus_mhz);
   switch (cfg_.protocol) {
@@ -39,10 +44,9 @@ SingleLayerRig::SingleLayerRig(SingleLayerConfig cfg) : cfg_(cfg) {
     p.read_fraction = cfg_.read_fraction;
     p.burst_beats = cfg_.bursts;
     p.pattern = iptg::AddressPattern::Random;
-    p.throttle = cfg_.throttle;
     p.gap_min = cfg_.gap_min;
     p.gap_max = cfg_.gap_max;
-    p.message_len = cfg_.message_len;
+    p.message_len = kMessageLen;
     p.outstanding = cfg_.outstanding;
     p.total_transactions = cfg_.txns_per_master;
     if (cfg_.spray_over_all_memories) {
@@ -85,18 +89,15 @@ double SingleLayerRig::busUtilization() const {
   if (cycles == 0) return 0.0;
   std::uint64_t busy = 0;
   if (auto* st = dynamic_cast<const stbus::StbusNode*>(bus_.get())) {
-    const bool shared = st->config().shared_bus;
-    const std::size_t nreq = shared ? 1 : tports_.size();
-    const std::size_t nrsp = shared ? 1 : iports_.size();
-    for (std::size_t t = 0; t < nreq; ++t) {
+    for (std::size_t t = 0; t < tports_.size(); ++t) {
       busy += st->reqChannel(t).transfers() + st->reqChannel(t).held();
     }
-    for (std::size_t i = 0; i < nrsp; ++i) {
+    for (std::size_t i = 0; i < iports_.size(); ++i) {
       busy += st->rspChannel(i).transfers() + st->rspChannel(i).held();
     }
     // Normalise by the number of physical channels.
     return static_cast<double>(busy) /
-           (cycles * static_cast<double>(nreq + nrsp));
+           (cycles * static_cast<double>(tports_.size() + iports_.size()));
   }
   if (auto* ah = dynamic_cast<const ahb::AhbLayer*>(bus_.get())) {
     busy = ah->channel().transfers() + ah->channel().held();
@@ -121,9 +122,7 @@ double SingleLayerRig::responseEfficiency() const {
   if (cycles == 0) return 0.0;
   std::uint64_t transfers = 0;
   if (auto* st = dynamic_cast<const stbus::StbusNode*>(bus_.get())) {
-    const std::size_t nrsp =
-        st->config().shared_bus ? 1 : iports_.size();
-    for (std::size_t i = 0; i < nrsp; ++i) {
+    for (std::size_t i = 0; i < iports_.size(); ++i) {
       transfers += st->rspChannel(i).transfers();
     }
   } else if (auto* ah = dynamic_cast<const ahb::AhbLayer*>(bus_.get())) {

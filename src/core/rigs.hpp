@@ -29,13 +29,10 @@ struct SingleLayerConfig {
   std::size_t target_fifo_depth = 2;  ///< per-memory input buffering
   double read_fraction = 1.0;
   std::vector<iptg::BurstChoice> bursts{{8, 1.0}};
-  /// Per-cycle transaction start probability (1.0 = saturating).
-  double throttle = 1.0;
   /// Idle gap (cycles, uniform) inserted between messages — the offered-load
   /// dial for the S4.1.1 sweep (0 = saturating).
   std::uint64_t gap_min = 0;
   std::uint64_t gap_max = 0;
-  std::uint64_t message_len = 4;
   unsigned outstanding = 4;
   std::uint64_t txns_per_master = 200;
   bool spray_over_all_memories = true;  ///< many-to-many vs partitioned

@@ -31,22 +31,12 @@ CacheAccessResult Cache::access(std::uint64_t addr, bool is_write) {
       ++hits_;
       l.lru = tick_;
       res.hit = true;
-      if (is_write) {
-        if (cfg_.write_policy == WritePolicy::WriteBack) {
-          l.dirty = true;
-        } else {
-          res.write_through = true;
-        }
-      }
+      if (is_write) l.dirty = true;
       return res;
     }
   }
 
   ++misses_;
-  if (is_write && !cfg_.write_allocate) {
-    res.write_through = true;  // store goes straight to memory
-    return res;
-  }
 
   // Allocate: evict the LRU way.
   Line* victim = base;
@@ -62,12 +52,9 @@ CacheAccessResult Cache::access(std::uint64_t addr, bool is_write) {
   }
   res.fill_addr = (addr / cfg_.line_bytes) * cfg_.line_bytes;
   victim->valid = true;
-  victim->dirty = is_write && cfg_.write_policy == WritePolicy::WriteBack;
+  victim->dirty = is_write;
   victim->tag = tag;
   victim->lru = tick_;
-  if (is_write && cfg_.write_policy == WritePolicy::WriteThrough) {
-    res.write_through = true;
-  }
   return res;
 }
 

@@ -1,7 +1,8 @@
 #pragma once
-// Set-associative cache model with true LRU, used for the ST220's
-// instruction and data caches.  Purely functional (no timing): the core
-// model turns misses into bus transactions and stall cycles.
+// Set-associative write-back, write-allocate cache model with true LRU, used
+// for the ST220's instruction and data caches.  Purely functional (no
+// timing): the core model turns misses into bus transactions and stall
+// cycles.
 
 #include <cstdint>
 #include <optional>
@@ -10,24 +11,18 @@
 
 namespace mpsoc::cpu {
 
-enum class WritePolicy : std::uint8_t { WriteBack, WriteThrough };
-
 struct CacheConfig {
   std::uint32_t size_bytes = 32 * 1024;
   std::uint32_t line_bytes = 32;
   std::uint32_t ways = 4;
-  WritePolicy write_policy = WritePolicy::WriteBack;
-  bool write_allocate = true;
 };
 
 struct CacheAccessResult {
   bool hit = false;
-  /// Line to fetch on a miss (allocating accesses only).
+  /// Line to fetch on a miss.
   std::optional<std::uint64_t> fill_addr;
   /// Dirty victim that must be written back.
   std::optional<std::uint64_t> writeback_addr;
-  /// Write-through: the store itself goes to memory.
-  bool write_through = false;
 };
 
 class Cache {

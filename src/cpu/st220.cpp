@@ -6,6 +6,11 @@ namespace mpsoc::cpu {
 
 using txn::Opcode;
 
+namespace {
+/// Bus priority of every fill and write-back.
+constexpr std::uint8_t kPriority = 2;
+}  // namespace
+
 St220::St220(sim::ClockDomain& clk, std::string name, txn::InitiatorPort& port,
              St220Config cfg)
     : txn::MasterBase(clk, std::move(name), port, /*max_outstanding=*/4),
@@ -32,7 +37,7 @@ void St220::issueFill(std::uint64_t line_addr, std::uint32_t line_bytes) {
   req->addr = line_addr;
   req->bytes_per_beat = cfg_.bytes_per_beat;
   req->beats = line_bytes / cfg_.bytes_per_beat;
-  req->priority = cfg_.priority;
+  req->priority = kPriority;
   req->tag = 1;  // demand fill
   issue(req);
   stalled_ = true;
@@ -46,7 +51,7 @@ void St220::issueWriteback(std::uint64_t line_addr, std::uint32_t line_bytes) {
   req->addr = line_addr;
   req->bytes_per_beat = cfg_.bytes_per_beat;
   req->beats = line_bytes / cfg_.bytes_per_beat;
-  req->priority = cfg_.priority;
+  req->priority = kPriority;
   req->posted = cfg_.posted_writebacks;
   req->tag = 2;  // eviction
   issue(req);
@@ -142,25 +147,11 @@ void St220::evaluate() {
     if (dres.writeback_addr && canIssuePosted() && port_.req.canPush()) {
       issueWriteback(*dres.writeback_addr, dcache_.lineBytes());
     }
-    if (!dres.hit && dres.fill_addr) {
+    if (dres.fill_addr) {  // a miss: every miss allocates
       scheduleFill(*dres.fill_addr, dcache_.lineBytes());
       ++bundles_done_;  // the bundle itself commits; the load stalls the next
       waitForFill();
       return;
-    }
-    if (dres.write_through && canIssuePosted() && port_.req.canPush()) {
-      // Write-through store of a single word.
-      auto req = std::make_shared<txn::Request>();
-      req->id = clk_.simulator().nextTransactionId();
-      req->root_id = req->id;
-      req->op = Opcode::Write;
-      req->addr = data_seq_;
-      req->bytes_per_beat = cfg_.bytes_per_beat;
-      req->beats = 1;
-      req->posted = cfg_.posted_writebacks;
-      req->priority = cfg_.priority;
-      req->tag = 3;
-      issue(req);
     }
   }
   ++bundles_done_;

@@ -21,8 +21,8 @@
 namespace mpsoc::cpu {
 
 struct St220Config {
-  CacheConfig icache{16 * 1024, 64, 2, WritePolicy::WriteBack, true};
-  CacheConfig dcache{32 * 1024, 32, 4, WritePolicy::WriteBack, true};
+  CacheConfig icache{16 * 1024, 64, 2};
+  CacheConfig dcache{32 * 1024, 32, 4};
 
   /// Synthetic benchmark shape.
   std::uint64_t code_base = 0;
@@ -37,7 +37,6 @@ struct St220Config {
   std::uint64_t total_bundles = 50'000;  ///< workload quota
   std::uint32_t bytes_per_beat = 4;      ///< 32-bit core bus interface
   bool posted_writebacks = true;
-  std::uint8_t priority = 2;
   std::uint64_t seed = 1;
 };
 

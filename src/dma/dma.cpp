@@ -11,12 +11,17 @@ using txn::Opcode;
 namespace {
 constexpr std::uint32_t kTagRead = 10;
 constexpr std::uint32_t kTagWrite = 11;
+constexpr unsigned kMaxInflightReads = 4;
+/// Copy buffer depth, in bursts: writes can only drain what reads filled.
+constexpr unsigned kBufferBursts = 8;
+/// Bus priority of every read and write.
+constexpr std::uint8_t kPriority = 1;
 }  // namespace
 
 DmaEngine::DmaEngine(sim::ClockDomain& clk, std::string name,
                      txn::InitiatorPort& port, DmaConfig cfg)
     : txn::MasterBase(clk, std::move(name), port,
-                      cfg.max_inflight_reads + cfg.buffer_bursts + 2),
+                      kMaxInflightReads + kBufferBursts + 2),
       cfg_(cfg) {}
 
 void DmaEngine::program(const DmaDescriptor& d) {
@@ -60,8 +65,8 @@ void DmaEngine::evaluate() {
     }
   }
   // Fill: next read slice of the active descriptor.
-  if (desc_idx_ < chain_.size() && reads_inflight_ < cfg_.max_inflight_reads &&
-      write_queue_.size() + reads_inflight_ < cfg_.buffer_bursts &&
+  if (desc_idx_ < chain_.size() && reads_inflight_ < kMaxInflightReads &&
+      write_queue_.size() + reads_inflight_ < kBufferBursts &&
       canIssue()) {
     issueNextRead();
   }
@@ -79,7 +84,7 @@ void DmaEngine::issueNextRead() {
   req->addr = d.src + read_offset_;
   req->beats = beats;
   req->bytes_per_beat = cfg_.bytes_per_beat;
-  req->priority = cfg_.priority;
+  req->priority = kPriority;
   req->tag = kTagRead;
 
   PendingWrite pw;
@@ -112,7 +117,7 @@ void DmaEngine::issueNextWrite() {
   req->addr = pw.dst;
   req->beats = pw.beats;
   req->bytes_per_beat = cfg_.bytes_per_beat;
-  req->priority = cfg_.priority;
+  req->priority = kPriority;
   req->posted = cfg_.posted_writes;
   req->tag = kTagWrite;
   write_descs_[req->id] = pw.desc_idx;

@@ -3,8 +3,8 @@
 // reference platform, modelled as a real bus master rather than a traffic
 // generator: it *moves* data, so every programmed byte crosses the
 // interconnect twice (a read burst from the source, then a write burst to
-// the destination), with a scatter-gather descriptor chain and a bounded
-// number of in-flight bursts.
+// the destination), with a scatter-gather descriptor chain, up to 4 read
+// bursts in flight and an 8-burst copy buffer.
 //
 // Usage: program() a chain of descriptors, run the simulation; done() turns
 // true when the last write of the last descriptor has been issued (posted)
@@ -32,11 +32,7 @@ struct DmaDescriptor {
 struct DmaConfig {
   std::uint32_t bytes_per_beat = 8;
   std::uint32_t burst_beats = 16;  ///< transfer granule
-  unsigned max_inflight_reads = 4;
-  /// Copy buffer depth, in bursts: writes can only drain what reads filled.
-  unsigned buffer_bursts = 8;
   bool posted_writes = true;
-  std::uint8_t priority = 1;
 };
 
 class DmaEngine final : public txn::MasterBase {

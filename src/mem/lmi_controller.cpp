@@ -13,6 +13,14 @@ namespace mpsoc::mem {
 using txn::Opcode;
 using txn::RequestPtr;
 
+namespace {
+/// Bus interface <-> SDRAM pins, in bus cycles.
+constexpr sim::Picos kInterfaceLatencyCycles = 3;
+/// How far command setup may overlap the tail of the current data transfer,
+/// in bus cycles.
+constexpr sim::Picos kPipelineOverlapCycles = 6;
+}  // namespace
+
 LmiController::LmiController(sim::ClockDomain& clk, std::string name,
                              txn::TargetPort& port, LmiConfig cfg)
     : sim::Component(clk, std::move(name)), port_(port), cfg_(cfg),
@@ -89,8 +97,7 @@ void LmiController::evaluate() {
   }
   // Overlap command setup with no more than the tail of the current data
   // transfer; otherwise requests wait in the input FIFO.
-  const sim::Picos overlap =
-      static_cast<sim::Picos>(cfg_.pipeline_overlap_cycles) * clk_.period();
+  const sim::Picos overlap = kPipelineOverlapCycles * clk_.period();
   if (device_->dataBusFreeAt() > now + overlap) {
     waitUntil(device_->dataBusFreeAt() - overlap);
     return;
@@ -141,8 +148,7 @@ void LmiController::evaluate() {
   served_ += run;
   merged_ += run - 1;
 
-  const sim::Picos iface =
-      static_cast<sim::Picos>(cfg_.interface_latency_cycles) * clk_.period();
+  const sim::Picos iface = kInterfaceLatencyCycles * clk_.period();
   std::uint32_t beat_offset = 0;
   for (const RequestPtr& r : batch_) {
     r->accepted_ps = now;

@@ -16,9 +16,14 @@
 //     and a command generator that resolves each access into SDRAM commands
 //     under the device timing constraints (see SdramDevice).
 //
-// `interface_latency_cycles` back-annotates the pipeline between the bus
-// interface and the SDRAM pins; with the default DDR timing it calibrates the
-// first-read-data latency to the paper's 11 bus cycles.
+// A fixed 3-cycle interface latency back-annotates the pipeline between the
+// bus interface and the SDRAM pins; with the default DDR timing it calibrates
+// the first-read-data latency to the paper's 11 bus cycles.  The engine
+// dequeues the next request only when the device data bus will free within 6
+// cycles, i.e. command setup (PRE/ACT) overlaps the tail of the current data
+// transfer.  Pending transactions therefore wait in the *input FIFO*, which
+// is what makes its occupancy statistics (Fig. 6) meaningful and gives
+// lookahead/merging a window to work on.
 //
 // Because the optimisation engine may service queued requests out of order,
 // the controller must sit behind an interconnect that supports out-of-order
@@ -47,13 +52,6 @@ struct LmiConfig {
   unsigned lookahead = 4;        ///< optimisation window (1 = plain FIFO)
   bool opcode_merging = true;
   unsigned merge_limit = 4;      ///< max requests fused into one access
-  unsigned interface_latency_cycles = 3;  ///< bus interface <-> SDRAM pins
-  /// The engine dequeues the next request only when the device data bus will
-  /// free within this many cycles, i.e. command setup (PRE/ACT) overlaps the
-  /// tail of the current data transfer.  Pending transactions therefore wait
-  /// in the *input FIFO* — which is what makes its occupancy statistics
-  /// (Fig. 6) meaningful and gives lookahead/merging a window to work on.
-  unsigned pipeline_overlap_cycles = 6;
   SdramTiming timing{};
   SdramGeometry geometry{};
 };

@@ -8,11 +8,11 @@
 // compared on the same workloads (bench_noc_outlook).
 //
 // Transport granularity: packets are serialised link by link at one flit per
-// cycle.  By default routers use virtual cut-through: a packet is handed to
-// the next hop once its header has crossed, while the link stays busy until
-// the tail has crossed.  Store-and-forward per hop (RouterConfig::cut_through
-// = false) is the pessimistic ablation; see router.hpp.  A request packet carries a header flit plus one flit per write-data beat;
-// a response packet a header flit plus one flit per read-data beat.
+// cycle.  Routers use virtual cut-through: a packet is handed to the next hop
+// once its header has crossed, while the link stays busy until the tail has
+// crossed (see router.hpp).  A request packet carries a header flit plus one
+// flit per write-data beat; a response packet a header flit plus one flit
+// per read-data beat.
 
 #include <cstdint>
 #include <memory>

@@ -4,6 +4,11 @@
 
 namespace mpsoc::noc {
 
+namespace {
+constexpr std::size_t kInputFifoDepth = 4;  ///< packets per input port
+constexpr unsigned kPipelineLatency = 2;    ///< cycles from grant to first flit
+}  // namespace
+
 Router::Router(sim::ClockDomain& clk, std::string name, unsigned x, unsigned y,
                unsigned mesh_w, unsigned mesh_h, RouterConfig cfg)
     : sim::Component(clk, std::move(name)), x_(x), y_(y), mesh_w_(mesh_w),
@@ -11,7 +16,7 @@ Router::Router(sim::ClockDomain& clk, std::string name, unsigned x, unsigned y,
   static const char* dir_names[kDirs] = {"N", "E", "S", "W", "L"};
   for (std::size_t d = 0; d < kDirs; ++d) {
     in_[d] = std::make_unique<PacketFifo>(
-        clk_, this->name() + ".in" + dir_names[d], cfg_.input_fifo_depth);
+        clk_, this->name() + ".in" + dir_names[d], kInputFifoDepth);
     in_[d]->wakeOnPush(this);
   }
   // XY (dimension-order) route to every node, indexed by node id y*W + x.
@@ -61,12 +66,10 @@ void Router::tickEngine(OutputEngine& e) {
   if (e.push_in > 0 && --e.push_in == 0) {
     e.sink->push(e.streaming);
     ++routed_;
-    // Cut-through: the link stays busy until the tail has crossed even
-    // though the packet object is already downstream.
-    if (e.cycles_left == 0) e.streaming.reset();
-  } else if (e.cycles_left == 0 && e.push_in == 0) {
-    e.streaming.reset();
   }
+  // Cut-through: the link stays busy until the tail has crossed even though
+  // the packet object is already downstream (push_in <= cycles_left).
+  if (e.cycles_left == 0) e.streaming.reset();
 }
 
 void Router::runOutput(std::size_t d, HeadRoutes& head) {
@@ -80,11 +83,10 @@ void Router::runOutput(std::size_t d, HeadRoutes& head) {
 
   auto grant = [&](std::size_t i) {
     e.streaming = in_[i]->pop();
-    const std::uint32_t total = cfg_.pipeline_latency + e.streaming->flits;
-    e.cycles_left = total;
-    e.push_in = cfg_.cut_through
-                    ? std::min<std::uint32_t>(cfg_.pipeline_latency + 1, total)
-                    : total;
+    // Every packet carries at least its header flit, so the header has
+    // crossed (and the packet is handed downstream) after pipeline+1 cycles.
+    e.cycles_left = kPipelineLatency + e.streaming->flits;
+    e.push_in = kPipelineLatency + 1;
     e.last_input = i;
     e.has_last = true;
     e.last_msg = e.streaming->req ? e.streaming->req->msg_id : 0;

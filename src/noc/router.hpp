@@ -1,8 +1,10 @@
 #pragma once
 // 2D-mesh router: five ports (North/East/South/West/Local), dimension-order
 // (XY) routing, round-robin output arbitration, input-buffered with
-// per-packet link serialisation (one flit per cycle per link) and a
-// configurable pipeline latency per hop.
+// per-packet link serialisation (one flit per cycle per link), a two-cycle
+// pipeline per hop and virtual cut-through: a packet is handed downstream
+// once its header has crossed, while the link stays busy for the whole
+// serialisation (per-hop latency pipeline+1, flit-limited throughput).
 //
 // Activity: a router sleeps once idle() holds (every input empty, no output
 // streaming; an engine streams until its packet's tail has crossed the link)
@@ -26,14 +28,6 @@ enum class Dir : std::uint8_t { North = 0, East, South, West, Local };
 constexpr std::size_t kDirs = 5;
 
 struct RouterConfig {
-  std::size_t input_fifo_depth = 4;  ///< packets per input port
-  unsigned pipeline_latency = 2;     ///< cycles from grant to first flit out
-  /// true (virtual cut-through): the packet is handed downstream as soon as
-  /// its header has crossed, while the link stays busy for the whole
-  /// serialisation — per-hop latency is pipeline+1, throughput is
-  /// flit-limited.  false: store-and-forward (the whole packet crosses
-  /// before the next hop starts), as a pessimistic ablation.
-  bool cut_through = true;
   /// Hold an output-port grant while the same input keeps presenting packets
   /// of the same non-zero msg_id — the NoC equivalent of STBus message
   /// arbitration, preserving memory-controller-friendly trains end-to-end

@@ -93,7 +93,8 @@ struct PlatformConfig {
   stbus::StbusType stbus_type = stbus::StbusType::T3;
   /// Use STBus message arbitration (controller-friendly traffic).
   bool message_arbitration = true;
-  /// Arbitration policy used by every interconnect layer.
+  /// Arbitration policy of the STBus and AHB layers; AXI layers always
+  /// arbitrate round-robin.
   txn::ArbPolicy arbitration = txn::ArbPolicy::FixedPriority;
 
   /// Lightweight (blocking-read) inter-cluster bridges even on the STBus
@@ -101,7 +102,8 @@ struct PlatformConfig {
   bool force_lightweight_bridges = false;
   /// GenConv-class (split, low-latency) bridges even on AHB/AXI platforms —
   /// isolates "topology" from "bridge functionality" (the Fig. 4 sweep's
-  /// protocol-interchangeability check).
+  /// protocol-interchangeability check).  Exclusive with
+  /// force_lightweight_bridges.
   bool force_split_bridges = false;
 
   std::uint64_t seed = 1;

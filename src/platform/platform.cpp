@@ -71,7 +71,6 @@ std::unique_ptr<txn::InterconnectBase> Platform::makeBus(
       stbus::StbusNodeConfig c;
       c.type = cfg_.stbus_type;
       c.message_arbitration = cfg_.message_arbitration;
-      c.max_outstanding_per_initiator = 8;
       c.arb = cfg_.arbitration;
       return std::make_unique<stbus::StbusNode>(clk, name, c);
     }

@@ -10,8 +10,9 @@
 //   wait_states = 1             # onchip memory speed
 //   stbus_type = 3              # 1 | 2 | 3
 //   arbitration = fixed-priority  # round-robin | lru | tdma | lottery
+//                                 # stbus/ahb only; axi is round-robin
 //   message_arbitration = true
-//   lightweight_bridges = false
+//   lightweight_bridges = false # at most one of these two
 //   split_bridges = false
 //   mem_bridge_split = true
 //   lmi_lookahead = 4

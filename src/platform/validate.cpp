@@ -23,6 +23,14 @@ std::string validateConfig(const PlatformConfig& cfg, sim::Picos duration_ps) {
     return os.str();
   }
 
+  // The two bridge overrides pick opposite bridge classes for the same
+  // uplinks; taking either silently would run a platform the file did not
+  // ask for.
+  if (cfg.force_lightweight_bridges && cfg.force_split_bridges) {
+    return "lightweight_bridges and split_bridges are mutually exclusive "
+           "(they force opposite inter-cluster bridge classes)";
+  }
+
   // LMI / SDRAM: the divider derives the device clock from the bus clock; a
   // zero divider is a divide-by-zero, a zero lookahead has no service window.
   if (cfg.lmi.clock_divider < 1) return "lmi_divider must be >= 1";

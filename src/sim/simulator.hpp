@@ -136,7 +136,6 @@ class Simulator {
   /// while it still had work to do is caught on the first edge the forward
   /// pass skips it.  Expensive; off by default.
   void setDeepCheck(bool on) { deep_check_ = on; }
-  bool deepCheck() const { return deep_check_; }
 
   /// True while deep-check runs the reversed replay pass of the current
   /// edge.  Observation taps (protocol monitors) and other side-effecting

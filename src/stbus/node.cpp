@@ -11,16 +11,23 @@ using txn::Opcode;
 using txn::RequestPtr;
 using txn::ResponsePtr;
 
+namespace {
+/// Outstanding (accepted, not yet responded) transactions the node tracks
+/// per initiator on Types 2 and 3; Type 1 allows one.
+constexpr unsigned kMaxOutstandingPerInitiator = 8;
+}  // namespace
+
 StbusNode::StbusNode(sim::ClockDomain& clk, std::string name,
                      StbusNodeConfig cfg)
-    : txn::InterconnectBase(clk, std::move(name)), cfg_(cfg) {
-  if (cfg_.type == StbusType::T1) cfg_.max_outstanding_per_initiator = 1;
-}
+    : txn::InterconnectBase(clk, std::move(name)), cfg_(cfg),
+      max_outstanding_(cfg.type == StbusType::T1
+                           ? 1
+                           : kMaxOutstandingPerInitiator) {}
 
 void StbusNode::attachMonitors(verify::VerifyContext& ctx) {
   verify::InitiatorRules rules;
   rules.in_order = cfg_.type != StbusType::T3;
-  rules.max_outstanding = cfg_.max_outstanding_per_initiator;
+  rules.max_outstanding = max_outstanding_;
   for (std::size_t i = 0; i < initiators_.size(); ++i) {
     ctx.add<verify::InitiatorMonitor>(name_ + ".mon.i" + std::to_string(i),
                                       &clk_, *initiators_[i], rules);
@@ -30,10 +37,8 @@ void StbusNode::attachMonitors(verify::VerifyContext& ctx) {
 void StbusNode::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  const std::size_t nreq = cfg_.shared_bus ? 1 : numTargets();
-  const std::size_t nrsp = cfg_.shared_bus ? 1 : numInitiators();
-  req_engines_.resize(nreq);
-  rsp_engines_.resize(nrsp);
+  req_engines_.resize(numTargets());
+  rsp_engines_.resize(numInitiators());
   for (auto& e : req_engines_) e.arb = txn::Arbiter(cfg_.arb);
 }
 
@@ -85,23 +90,19 @@ bool StbusNode::idle() const {
 }
 
 void StbusNode::requestPath() {
-  for (std::size_t i = 0; i < req_engines_.size(); ++i) {
-    runReqEngine(req_engines_[i],
-                 cfg_.shared_bus ? std::nullopt : std::make_optional(i));
+  for (std::size_t t = 0; t < req_engines_.size(); ++t) {
+    runReqEngine(req_engines_[t], t);
   }
 }
 
 void StbusNode::responsePath() {
   for (std::size_t i = 0; i < rsp_engines_.size(); ++i) {
     auto& e = rsp_engines_[i];
-    if (!e.stream.active()) {
-      selectResponse(e, cfg_.shared_bus ? std::nullopt : std::make_optional(i));
-    }
+    if (!e.stream.active()) selectResponse(e, i);
     if (e.stream.active()) {
       const std::size_t tgt = e.stream.target;
       if (streamBeat(e.stream, e.chan) && cfg_.type == StbusType::T1) {
-        auto& re = cfg_.shared_bus ? req_engines_[0] : req_engines_[tgt];
-        re.locked = false;
+        req_engines_[tgt].locked = false;
       }
     }
   }
@@ -112,14 +113,13 @@ bool StbusNode::eligible(std::size_t initiator, const RequestPtr& front,
   if (!targets_[target]->req.canPush()) return false;
   const bool fire_and_forget = front->posted && front->op == Opcode::Write;
   if (!fire_and_forget &&
-      inflightCount(initiator) >= cfg_.max_outstanding_per_initiator) {
+      inflightCount(initiator) >= max_outstanding_) {
     return false;
   }
   return true;
 }
 
-void StbusNode::runReqEngine(ReqEngine& e,
-                             std::optional<std::size_t> fixed_target) {
+void StbusNode::runReqEngine(ReqEngine& e, std::size_t target) {
   // Phase A: continue an in-progress request packet (one beat per cycle).
   auto advance = [&] {
     e.chan.markTransfer();
@@ -139,11 +139,9 @@ void StbusNode::runReqEngine(ReqEngine& e,
     auto* p = initiators_[e.last_initiator];
     if (!p->req.empty()) {
       const RequestPtr& f = p->req.front();
-      const std::size_t t = route(f->addr);
-      const bool same_channel = !fixed_target || t == *fixed_target;
-      if (same_channel && f->msg_id == e.last_msg &&
-          eligible(e.last_initiator, f, t)) {
-        startStream(e, e.last_initiator, t);
+      if (route(f->addr) == target && f->msg_id == e.last_msg &&
+          eligible(e.last_initiator, f, target)) {
+        startStream(e, e.last_initiator, target);
         advance();
         return;
       }
@@ -155,15 +153,12 @@ void StbusNode::runReqEngine(ReqEngine& e,
     auto* p = initiators_[i];
     if (p->req.empty()) continue;
     const RequestPtr& f = p->req.front();
-    const std::size_t t = route(f->addr);
-    if (fixed_target && t != *fixed_target) continue;
-    if (!eligible(i, f, t)) continue;
+    if (route(f->addr) != target || !eligible(i, f, target)) continue;
     cands_.push_back({i, f->priority});
   }
   auto winner = e.arb.pick(cands_, initiators_.size(), now());
   if (!winner) return;
-  const std::size_t t = route(initiators_[*winner]->req.front()->addr);
-  startStream(e, *winner, t);
+  startStream(e, *winner, target);
   advance();
 }
 
@@ -198,11 +193,9 @@ void StbusNode::finishStream(ReqEngine& e) {
   e.streaming.reset();
 }
 
-void StbusNode::selectResponse(RspEngine& e,
-                               std::optional<std::size_t> fixed_initiator) {
+void StbusNode::selectResponse(RspEngine& e, std::size_t initiator) {
   ResponsePtr best;
   std::size_t best_target = 0;
-  std::size_t best_ini = 0;
   sim::Picos best_key = std::numeric_limits<sim::Picos>::max();
 
   for (std::size_t t = 0; t < targets_.size(); ++t) {
@@ -214,23 +207,22 @@ void StbusNode::selectResponse(RspEngine& e,
                               : (fifo.empty() ? 0 : 1);
     for (std::size_t k = 0; k < depth; ++k) {
       const ResponsePtr& rsp = fifo.at(k);
-      const std::size_t ini = initiatorOf(rsp);
-      if (fixed_initiator && ini != *fixed_initiator) continue;
-      if (cfg_.type != StbusType::T3 && rsp->req->id != oldestInflight(ini)) {
+      if (initiatorOf(rsp) != initiator) continue;
+      if (cfg_.type != StbusType::T3 &&
+          rsp->req->id != oldestInflight(initiator)) {
         continue;  // in-order delivery per initiator
       }
       if (rsp->sched.first_beat < best_key) {
         best = rsp;
         best_key = rsp->sched.first_beat;
         best_target = t;
-        best_ini = ini;
       }
     }
   }
   if (best) {
     e.stream.rsp = best;
     e.stream.target = best_target;
-    e.stream.initiator = best_ini;
+    e.stream.initiator = initiator;
     e.stream.next_beat = 0;
   }
 }

@@ -1,10 +1,11 @@
 #pragma once
 // STBus node model (STMicroelectronics proprietary interconnect).
 //
-// Two physical channels per path — one for initiator requests, one for target
-// responses — with split transaction support: while one initiator receives
-// data, another can issue a request to a different target (crossbar mode) or
-// queue behind the first (shared-bus mode).  Protocol types:
+// A full crossbar: one request channel per target and one response channel
+// per initiator, with split transaction support: while one initiator
+// receives data, another can issue a request to a different target.  Each
+// initiator may have 8 accepted, not yet responded transactions (1 on Type
+// 1).  Protocol types:
 //
 //   Type 1 — peripheral protocol: no split, one outstanding transaction per
 //            initiator, the granted target path stays locked until the
@@ -26,7 +27,6 @@
 // its response channel at exactly 50% efficiency (Section 4.1.2).
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "stats/probes.hpp"
@@ -43,12 +43,6 @@ struct StbusNodeConfig {
   /// Hold the grant while the same initiator keeps presenting requests with
   /// the same non-zero msg_id.
   bool message_arbitration = true;
-  /// Outstanding (accepted, not yet responded) transactions the node tracks
-  /// per initiator.  Forced to 1 for Type 1.
-  unsigned max_outstanding_per_initiator = 8;
-  /// false: full crossbar (per-target request channel, per-initiator response
-  /// channel).  true: one shared request/response channel pair.
-  bool shared_bus = false;
 };
 
 class StbusNode final : public txn::InterconnectBase {
@@ -58,15 +52,13 @@ class StbusNode final : public txn::InterconnectBase {
   void evaluate() override;
   bool idle() const override;
 
-  const StbusNodeConfig& config() const { return cfg_; }
-
-  /// Request channel stats: one per target (crossbar) or a single shared one.
-  const stats::ChannelUtilization& reqChannel(std::size_t i = 0) const {
-    return req_engines_[i].chan;
+  /// Request channel stats of a target.
+  const stats::ChannelUtilization& reqChannel(std::size_t target) const {
+    return req_engines_[target].chan;
   }
-  /// Response channel stats: one per initiator (crossbar) or a single one.
-  const stats::ChannelUtilization& rspChannel(std::size_t i = 0) const {
-    return rsp_engines_[i].chan;
+  /// Response channel stats of an initiator.
+  const stats::ChannelUtilization& rspChannel(std::size_t initiator) const {
+    return rsp_engines_[initiator].chan;
   }
 
   /// Call once all ports are registered (builds per-channel engines).
@@ -106,10 +98,9 @@ class StbusNode final : public txn::InterconnectBase {
   bool quiet() const;
   void requestPath();
   void responsePath();
-  void runReqEngine(ReqEngine& e, std::optional<std::size_t> fixed_target);
-  /// Pick the next response deliverable on the channel of `eng`.
-  /// `fixed_initiator` set in crossbar mode.
-  void selectResponse(RspEngine& e, std::optional<std::size_t> fixed_initiator);
+  void runReqEngine(ReqEngine& e, std::size_t target);
+  /// Pick the next response deliverable on `initiator`'s channel `e`.
+  void selectResponse(RspEngine& e, std::size_t initiator);
 
   bool eligible(std::size_t initiator, const txn::RequestPtr& front,
                 std::size_t target) const;
@@ -117,6 +108,7 @@ class StbusNode final : public txn::InterconnectBase {
   void finishStream(ReqEngine& e);
 
   StbusNodeConfig cfg_;
+  unsigned max_outstanding_;  ///< per initiator
   std::vector<ReqEngine> req_engines_;
   std::vector<RspEngine> rsp_engines_;
   bool finalized_ = false;
@@ -125,6 +117,7 @@ class StbusNode final : public txn::InterconnectBase {
   SIM_STATE_MEMBERS_WITH_BASE(txn::InterconnectBase, req_engines_,
                               rsp_engines_, finalized_);
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
+  SIM_STATE_EXEMPT(max_outstanding_, "immutable configuration");
   SIM_STATE_EXEMPT(cands_, "per-call scratch");
 };
 

@@ -100,7 +100,7 @@ void BridgeMonitor::onRspA(const txn::ResponsePtr& r) {
                          "leaked back across the bridge)");
   if (it->orig->op == txn::Opcode::Read) {
     // Store-and-forward: read data cannot exist before the clone reached
-    // side B.  (Write acks may: early_write_ack acknowledges on absorption.)
+    // side B.  (Write acks may: the bridge acknowledges on absorption.)
     MPSOC_MON_CHECK(it->forwarded,
                     "read data for root id "
                         << r->req->root_id

@@ -1,6 +1,6 @@
 // Property sweep over the bridge configuration space: every combination of
-// read policy, write-ack policy, width conversion and clock ratio must move
-// every transaction exactly once, preserve byte counts, and terminate.
+// read policy, width conversion and clock ratio must move every transaction
+// exactly once, preserve byte counts, and terminate.
 
 #include <gtest/gtest.h>
 
@@ -18,14 +18,14 @@ namespace {
 
 using namespace mpsoc;
 
-// (split_reads, early_write_ack, width_a, width_b, mhz_a, mhz_b)
-using BridgeParam = std::tuple<bool, bool, std::uint32_t, std::uint32_t,
-                               double, double>;
+// (split_reads, width_a, width_b, mhz_a, mhz_b)
+using BridgeParam =
+    std::tuple<bool, std::uint32_t, std::uint32_t, double, double>;
 
 class BridgeMatrix : public ::testing::TestWithParam<BridgeParam> {};
 
 TEST_P(BridgeMatrix, ConservesTransactionsAndBytes) {
-  const auto [split, early_ack, wa, wb, mhz_a, mhz_b] = GetParam();
+  const auto [split, wa, wb, mhz_a, mhz_b] = GetParam();
 
   sim::Simulator sim;
   auto& clk_a = sim.addClockDomain("a", mhz_a);
@@ -37,7 +37,6 @@ TEST_P(BridgeMatrix, ConservesTransactionsAndBytes) {
   bridge::BridgeConfig bc;
   bc.split_reads = split;
   bc.max_outstanding_reads = 4;
-  bc.early_write_ack = early_ack;
   bc.width_a_bytes = wa;
   bc.width_b_bytes = wb;
   bc.latency_a_cycles = 2;
@@ -94,13 +93,12 @@ TEST_P(BridgeMatrix, ConservesTransactionsAndBytes) {
 
 std::string bridgeParamName(const ::testing::TestParamInfo<BridgeParam>& info) {
   const bool split = std::get<0>(info.param);
-  const bool ack = std::get<1>(info.param);
-  const std::uint32_t wa = std::get<2>(info.param);
-  const std::uint32_t wb = std::get<3>(info.param);
-  const double ma = std::get<4>(info.param);
-  const double mb = std::get<5>(info.param);
-  std::string s = split ? "split" : "blocking";
-  s += ack ? "_earlyack" : "_lateack";
+  const std::uint32_t wa = std::get<1>(info.param);
+  const std::uint32_t wb = std::get<2>(info.param);
+  const double ma = std::get<3>(info.param);
+  const double mb = std::get<4>(info.param);
+  // Every bridge acknowledges side-A writes on absorption ("earlyack").
+  std::string s = split ? "split_earlyack" : "blocking_earlyack";
   s += "_w" + std::to_string(wa) + "to" + std::to_string(wb);
   s += "_f" + std::to_string(static_cast<int>(ma)) + "to" +
        std::to_string(static_cast<int>(mb));
@@ -110,7 +108,6 @@ std::string bridgeParamName(const ::testing::TestParamInfo<BridgeParam>& info) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, BridgeMatrix,
     ::testing::Combine(::testing::Bool(),               // split reads
-                       ::testing::Bool(),               // early write ack
                        ::testing::Values(4u, 8u),       // width A
                        ::testing::Values(4u, 8u),       // width B
                        ::testing::Values(200.0),        // MHz A

@@ -59,31 +59,6 @@ TEST(Cache, WriteBackMarksDirtyAndEmitsVictim) {
   EXPECT_EQ(*victim_res.writeback_addr, 0x000u);
 }
 
-TEST(Cache, WriteThroughEmitsStoreAndNoDirtyVictims) {
-  cpu::CacheConfig cfg = smallCache();
-  cfg.write_policy = cpu::WritePolicy::WriteThrough;
-  cpu::Cache c(cfg);
-  auto r = c.access(0x000, true);
-  EXPECT_TRUE(r.write_through);
-  // Fill the set; no dirty victims under write-through.
-  for (int w = 1; w <= 4; ++w) {
-    auto rr = c.access(0x000 + static_cast<std::uint64_t>(w) * 64, false);
-    EXPECT_FALSE(rr.writeback_addr.has_value());
-  }
-}
-
-TEST(Cache, NoWriteAllocateBypasses) {
-  cpu::CacheConfig cfg = smallCache();
-  cfg.write_allocate = false;
-  cfg.write_policy = cpu::WritePolicy::WriteThrough;
-  cpu::Cache c(cfg);
-  auto r = c.access(0x200, true);
-  EXPECT_FALSE(r.hit);
-  EXPECT_FALSE(r.fill_addr.has_value());
-  EXPECT_TRUE(r.write_through);
-  EXPECT_FALSE(c.access(0x200, false).hit);  // still not resident
-}
-
 TEST(Cache, InvalidateAll) {
   cpu::Cache c(smallCache());
   c.access(0x000, false);

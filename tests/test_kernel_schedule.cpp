@@ -251,9 +251,7 @@ TEST(KernelActivity, GatingOnOffProducesIdenticalDigests) {
   // with LMI — plus the mesh with plain round-robin routers.  Parked
   // components re-derive the same wait when an ungated run evaluates them,
   // so the full state digest (activity flags included) and the ST220's
-  // lazily settled stall counters agree too.  The store-and-forward router
-  // discipline, which the platform does not expose, is covered at the rig
-  // level in tests/test_noc.cpp.
+  // lazily settled stall counters agree too.
   platform::PlatformConfig stbus;
   stbus.protocol = platform::Protocol::Stbus;
   stbus.topology = platform::Topology::Full;

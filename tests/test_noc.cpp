@@ -165,42 +165,6 @@ TEST(NocMesh, WritesArePostedAndArrive) {
   EXPECT_EQ(rig.memory->accessesServed(), 50u);
 }
 
-TEST(NocMesh, StoreAndForwardSlowerThanCutThrough) {
-  auto build = [](bool cut_through) {
-    auto rig = std::make_unique<NocRig>(3, 3, 8, std::vector<noc::NodeId>{0},
-                                        60, 1, 1);
-    (void)cut_through;  // configured below via a fresh rig
-    return rig;
-  };
-  // Build explicitly with the two router disciplines.
-  sim::Picos times[2];
-  for (int m = 0; m < 2; ++m) {
-    sim::Simulator sim;
-    auto& clk = sim.addClockDomain("noc", 400.0);
-    noc::MeshConfig mc{3, 3, {}, 4};
-    mc.router.cut_through = (m == 1);
-    noc::NocMesh mesh(clk, "noc", mc);
-    txn::TargetPort mp(clk, "mem", 8, 16);
-    mem::SimpleMemory memory(clk, "mem", mp, {1});
-    mesh.attachSlave(mp, 8, 0, 1ull << 30);
-    txn::InitiatorPort ip(clk, "m", 2, 8);
-    mesh.attachMaster(ip, 0);
-    iptg::IptgConfig cfg;
-    cfg.bytes_per_beat = 8;
-    iptg::AgentProfile p;
-    p.name = "a";
-    p.burst_beats = {{8, 1.0}};
-    p.outstanding = 1;  // latency-bound: hop latency dominates
-    p.total_transactions = 60;
-    cfg.agents.push_back(p);
-    iptg::Iptg gen(clk, "g", ip, cfg);
-    times[m] = sim.runUntilIdle(1'000'000'000'000ull);
-    EXPECT_TRUE(gen.done());
-  }
-  EXPECT_LT(times[1], times[0]);  // cut-through beats store-and-forward
-  (void)build;
-}
-
 TEST(NocMesh, MessageLockingPreservesTrains) {
   // Two masters inject 4-packet message trains toward one sink; with
   // message-locking routers the trains arrive unfragmented.
@@ -435,15 +399,11 @@ TEST(NocMesh, GatingIsBehaviourNeutralForEveryRouterDiscipline) {
   // deep-check replay pass evaluates sleeping components too, so a router or
   // adapter asleep while it has work to stage (a missing wake) diverges from
   // the gated forward pass and raises.
-  noc::RouterConfig store_and_forward;
-  store_and_forward.cut_through = false;
   noc::RouterConfig locking;
   locking.message_locking = true;
-  for (const noc::RouterConfig& rc :
-       {noc::RouterConfig{}, store_and_forward, locking}) {
-    SCOPED_TRACE(testing::Message() << "cut_through=" << rc.cut_through
-                                    << " message_locking="
-                                    << rc.message_locking);
+  for (const noc::RouterConfig& rc : {noc::RouterConfig{}, locking}) {
+    SCOPED_TRACE(testing::Message()
+                 << "message_locking=" << rc.message_locking);
     const MeshRun gated = runMesh(rc, true, false);
     const MeshRun ungated = runMesh(rc, false, false);
     EXPECT_EQ(gated.retired, 160u);

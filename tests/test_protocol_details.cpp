@@ -1,7 +1,7 @@
 // Protocol-detail tests: the finer mechanisms each engine models — STBus
 // type differences on request-channel occupancy and response ordering, AXI
-// read/write channel separation and R-link interleaving, asynchronous FIFO
-// stress, and the LMI under refresh pressure.
+// read/write channel separation, asynchronous FIFO stress, and the LMI under
+// refresh pressure.
 
 #include <gtest/gtest.h>
 
@@ -137,32 +137,6 @@ TEST(AxiDetails, ReadAndWriteChannelsAreIndependent) {
   const double reads_only = static_cast<double>(runAxi(1.0, 200));
   const double mixed = static_cast<double>(runAxi(0.5, 400));
   EXPECT_LT(mixed, 1.9 * reads_only);
-}
-
-TEST(AxiDetails, InterleavingDisabledStillCompletes) {
-  sim::Simulator sim;
-  auto& clk = sim.addClockDomain("bus", 200.0);
-  axi::AxiBusConfig cfg;
-  cfg.r_channel_interleaving = false;
-  axi::AxiBus bus(clk, "axi", cfg);
-  txn::TargetPort mp(clk, "mem", 4, 8);
-  bus.addTarget(mp, 0, 1ull << 30);
-  mem::SimpleMemory memory(clk, "mem", mp, {2});
-  txn::InitiatorPort ip(clk, "m", 4, 8);
-  bus.addInitiator(ip);
-  iptg::IptgConfig icfg;
-  icfg.bytes_per_beat = 8;
-  iptg::AgentProfile p;
-  p.name = "a";
-  p.read_fraction = 0.7;
-  p.burst_beats = {{8, 1.0}};
-  p.outstanding = 4;
-  p.total_transactions = 80;
-  icfg.agents.push_back(p);
-  iptg::Iptg gen(clk, "g", ip, icfg);
-  sim.runUntilIdle(1'000'000'000'000ull);
-  EXPECT_TRUE(gen.done());
-  EXPECT_EQ(gen.retired(), 80u);
 }
 
 // ---- AsyncFifo stress -------------------------------------------------------

@@ -395,7 +395,7 @@ TEST(StateCheck, LeakyComponentAbortsThePlatformRun) {
 
 // ---------------------------------------------------------------------------
 // validateConfig / scenario grammar: a statecheck that would silently never
-// run is a configuration error.
+// run, or a contradictory pair of overrides, is a configuration error.
 // ---------------------------------------------------------------------------
 
 void expectParseError(const std::string& text, const std::string& substr) {
@@ -415,6 +415,19 @@ TEST(StatecheckValidation, InstantZeroOrPastDurationIsRejected) {
       "name = x\nduration_ps = 500000\nstatecheck = true\n"
       "statecheck_at_ps = 500000\n",
       "at or past the run duration");
+}
+
+// The two bridge overrides force opposite bridge classes; a file setting
+// both is contradictory, whichever way the builder would resolve it.
+TEST(ScenarioValidation, ContradictoryBridgeOverridesAreRejected) {
+  expectParseError(
+      "name = x\nlightweight_bridges = true\nsplit_bridges = true\n",
+      "lightweight_bridges and split_bridges are mutually exclusive");
+  platform::PlatformConfig cfg;
+  cfg.force_lightweight_bridges = true;
+  EXPECT_TRUE(platform::validateConfig(cfg).empty());
+  cfg.force_split_bridges = true;
+  EXPECT_FALSE(platform::validateConfig(cfg).empty());
 }
 
 // The oracle replays a statecheck_edges window, so an empty one is rejected

@@ -124,14 +124,6 @@ TEST(StbusNode, WritesAndReadsBothComplete) {
   }
 }
 
-TEST(StbusNode, SharedBusModeCompletes) {
-  stbus::StbusNodeConfig cfg;
-  cfg.shared_bus = true;
-  ManyToOneRig rig(4, cfg, 1, 60);
-  rig.run();
-  for (const auto& g : rig.gens) EXPECT_TRUE(g->done());
-}
-
 TEST(StbusNode, MessageArbitrationKeepsMessagesTogether) {
   // Two initiators, message length 4 on initiator 0.  Requests of one message
   // must arrive at the memory back-to-back (no interleaving with the other

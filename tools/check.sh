@@ -74,24 +74,13 @@ if ! "$BUILD/tools/mpsoc_run" --verify "$ROOT"/tools/scenarios/*.scn; then
 fi
 
 stage "parallel-sweep smoke (-j 2 vs -j 1 digest compare)"
-# A tiny grid (reduced workload scale) so the smoke stays fast; the digest
-# sets of the serial and parallel runs must be byte-identical.
+# The shipped scenarios serially and two at a time: the digest sets must be
+# byte-identical.
 mkdir -p "$BUILD/sweep-smoke"
-for topo in single-layer collapsed full; do
-  cat > "$BUILD/sweep-smoke/$topo.scn" <<EOF
-name = smoke-$topo
-protocol = stbus
-topology = $topo
-memory = onchip
-wait_states = 1
-workload_scale = 0.1
-include_cpu = false
-EOF
-done
 if "$BUILD/tools/mpsoc_run" --sweep -j 1 --json "$BUILD/sweep-smoke/j1.json" \
-      "$BUILD/sweep-smoke"/*.scn > /dev/null && \
+      "$ROOT"/tools/scenarios/*.scn > /dev/null && \
    "$BUILD/tools/mpsoc_run" --sweep -j 2 --json "$BUILD/sweep-smoke/j2.json" \
-      "$BUILD/sweep-smoke"/*.scn > /dev/null; then
+      "$ROOT"/tools/scenarios/*.scn > /dev/null; then
   if same_digests "$BUILD/sweep-smoke/j1.json" "$BUILD/sweep-smoke/j2.json" \
        "sweep smoke: -j 1 and -j 2 digests differ (determinism regression)"
   then
