@@ -82,7 +82,6 @@ class Bridge {
   /// Attach to bus B with InterconnectBase::addInitiator().
   txn::InitiatorPort& masterPort() { return b_port_; }
 
-  const BridgeConfig& config() const { return cfg_; }
   const std::string& name() const { return name_; }
 
   std::uint64_t readsForwarded() const { return reads_fwd_; }

@@ -32,6 +32,7 @@ ScenarioResult harvest(platform::Platform& p, std::string label,
   r.label = std::move(label);
   r.exec_ps = exec_ps;
   r.edges_executed = p.simulator().edgesExecuted();
+  r.evaluations = p.simulator().evaluations();
   r.completed = p.allDone();
 
   const auto t = p.totals();

@@ -39,6 +39,9 @@ struct ScenarioResult {
   /// Edge instants the kernel executed — its unit of work, used by the sweep
   /// harness to report simulation throughput (edges per wall second).
   std::uint64_t edges_executed = 0;
+  /// Component evaluate() calls the run made (Simulator::evaluations): host
+  /// work, which activity gating changes, so it stays out of the digest.
+  std::uint64_t evaluations = 0;
   bool completed = false;
 
   std::uint64_t retired = 0;

@@ -71,6 +71,7 @@ std::string toJson(const ScenarioResult& r, int indent) {
   os << in << "\"label\": \"" << jsonEscape(r.label) << "\",\n";
   os << in << "\"exec_ps\": " << r.exec_ps << ",\n";
   os << in << "\"edges_executed\": " << r.edges_executed << ",\n";
+  os << in << "\"evaluations\": " << r.evaluations << ",\n";
   os << in << "\"completed\": " << (r.completed ? "true" : "false") << ",\n";
   os << in << "\"retired\": " << r.retired << ",\n";
   os << in << "\"bytes_total\": " << r.bytes_total << ",\n";

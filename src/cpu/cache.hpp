@@ -34,7 +34,6 @@ class Cache {
   /// Drop everything (e.g. on a synthetic context switch).
   void invalidateAll();
 
-  const CacheConfig& config() const { return cfg_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   double missRate() const {

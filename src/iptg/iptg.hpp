@@ -112,7 +112,6 @@ class Iptg final : public txn::MasterBase {
 
   std::uint64_t agentIssued(std::size_t i) const { return agents_[i].issued; }
   std::uint64_t agentRetired(std::size_t i) const { return agents_[i].retired; }
-  const IptgConfig& config() const { return cfg_; }
 
  protected:
   void onResponse(const txn::ResponsePtr& rsp) override;

@@ -65,7 +65,6 @@ class LmiController final : public sim::Component {
   bool idle() const override;
 
   const SdramDevice& device() const { return *device_; }
-  const LmiConfig& config() const { return cfg_; }
 
   std::uint64_t requestsServed() const { return served_; }
   std::uint64_t accessesIssued() const { return accesses_; }

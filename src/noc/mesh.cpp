@@ -20,9 +20,15 @@ class NocMesh::MasterAdapter final : public sim::Component {
                 txn::InitiatorPort& port, NodeId at,
                 Router::PacketFifo& egress)
       : sim::Component(clk, std::move(name)), mesh_(mesh), port_(port),
-        at_(at), egress_(egress) {
+        at_(at), egress_(egress),
+        local_in_(mesh.routers_[at]->input(Dir::Local)) {
+    // Pushes bring work; pops free the room (or, on the shared egress, the
+    // head) that a parked adapter waits for.
     egress_.wakeOnPush(this);
+    egress_.wakeOnPop(this);
     port_.req.wakeOnPush(this);
+    port_.rsp.wakeOnPop(this);
+    local_in_.wakeOnPop(this);
   }
 
   void evaluate() override {
@@ -45,8 +51,7 @@ class NocMesh::MasterAdapter final : public sim::Component {
       port_.rsp.push(rsp);
     }
     // Inject one request per cycle into the local router port.
-    auto& local_in = mesh_.routers_[at_]->input(Dir::Local);
-    if (!port_.req.empty() && local_in.canPush()) {
+    if (!port_.req.empty() && local_in_.canPush()) {
       RequestPtr r = port_.req.pop();
       auto pkt = std::make_shared<NocPacket>();
       pkt->kind = NocPacket::Kind::Request;
@@ -56,11 +61,17 @@ class NocMesh::MasterAdapter final : public sim::Component {
       pkt->flits = NocPacket::requestFlits(*r);
       // Posted writes produce no response packet (see SlaveAdapter).
       if (!(r->posted && r->op == Opcode::Write)) outstanding_.insert(r->id);
-      local_in.push(pkt);
+      local_in_.push(pkt);
     }
-    // With both inputs drained only a push into one of them can give this
-    // adapter work again, and both push hooks wake it.
-    if (idle()) sleep();
+    if (idle()) {
+      sleep();
+    } else if (port_.req.empty() || !local_in_.canPush()) {
+      // Nothing moves until a wired FIFO pushes or pops: the delivery loop
+      // stopped on an empty egress, a head that is not ours or a full
+      // response port, and injection on an empty request port or a full
+      // router input.
+      park();
+    }
   }
 
   bool idle() const override {
@@ -74,6 +85,7 @@ class NocMesh::MasterAdapter final : public sim::Component {
   txn::InitiatorPort& port_;
   NodeId at_;
   Router::PacketFifo& egress_;
+  Router::PacketFifo& local_in_;  ///< the router's Local input
   std::unordered_set<std::uint64_t> outstanding_;
 
   SIM_STATE_MEMBERS(outstanding_);
@@ -86,8 +98,16 @@ class NocMesh::SlaveAdapter final : public sim::Component {
  public:
   SlaveAdapter(sim::ClockDomain& clk, std::string name, NocMesh& mesh,
                txn::TargetPort& port, NodeId at, Router::PacketFifo& egress)
-      : sim::Component(clk, std::move(name)), mesh_(mesh), port_(port),
-        at_(at), egress_(egress) {}
+      : sim::Component(clk, std::move(name)), port_(port), at_(at),
+        egress_(egress), local_in_(mesh.routers_[at]->input(Dir::Local)) {
+    // Pushes bring work; pops free the room (or, on the shared egress, the
+    // head) that a parked adapter waits for.
+    egress_.wakeOnPush(this);
+    egress_.wakeOnPop(this);
+    port_.req.wakeOnPop(this);
+    port_.rsp.wakeOnPush(this);
+    local_in_.wakeOnPop(this);
+  }
 
   void evaluate() override {
     const sim::Picos now = clk_.simulator().now();
@@ -104,8 +124,7 @@ class NocMesh::SlaveAdapter final : public sim::Component {
       port_.req.push(pkt->req);
     }
     // Responses whose data has fully left the memory go back as packets.
-    auto& local_in = mesh_.routers_[at_]->input(Dir::Local);
-    if (!port_.rsp.empty() && local_in.canPush()) {
+    if (!port_.rsp.empty() && local_in_.canPush()) {
       const ResponsePtr& rsp = port_.rsp.front();
       if (rsp->sched.lastBeat(rsp->beats) <= now) {
         ResponsePtr done = port_.rsp.pop();
@@ -120,8 +139,22 @@ class NocMesh::SlaveAdapter final : public sim::Component {
         pkt->dst = it->second;
         pkt->flits = NocPacket::responseFlits(*done->req);
         origin_.erase(it);
-        local_in.push(pkt);
+        local_in_.push(pkt);
       }
+    }
+    if (idle()) {
+      sleep();
+    } else if (!port_.rsp.empty() && local_in_.canPush()) {
+      // Only the head response's last beat is outstanding (the request loop
+      // stopped on a FIFO event): wake when it has left the memory, or stay
+      // awake if it already has.
+      const ResponsePtr& rsp = port_.rsp.front();
+      sleepUntil(clk_.cycleAt(rsp->sched.lastBeat(rsp->beats)));
+    } else {
+      // Waiting on a FIFO event: a request or the head's owner on the
+      // egress, room in the memory's request port or the router input, or a
+      // response from the memory.
+      park();
     }
   }
 
@@ -130,10 +163,10 @@ class NocMesh::SlaveAdapter final : public sim::Component {
   }
 
  private:
-  NocMesh& mesh_;
   txn::TargetPort& port_;
   NodeId at_;
   Router::PacketFifo& egress_;
+  Router::PacketFifo& local_in_;  ///< the router's Local input
   std::unordered_map<std::uint64_t, NodeId> origin_;
 
   SIM_STATE_MEMBERS(origin_);

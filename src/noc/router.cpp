@@ -1,5 +1,7 @@
 #include "noc/router.hpp"
 
+#include <algorithm>
+
 #include "sim/check.hpp"
 
 namespace mpsoc::noc {
@@ -7,6 +9,8 @@ namespace mpsoc::noc {
 namespace {
 constexpr std::size_t kInputFifoDepth = 4;  ///< packets per input port
 constexpr unsigned kPipelineLatency = 2;    ///< cycles from grant to first flit
+// A grant hands its packet downstream on a later cycle, never its own.
+static_assert(kPipelineLatency >= 1);
 }  // namespace
 
 Router::Router(sim::ClockDomain& clk, std::string name, unsigned x, unsigned y,
@@ -53,23 +57,7 @@ void Router::evaluate() {
   HeadRoutes head;
   for (std::size_t i = 0; i < kDirs; ++i) head[i] = headRoute(i);
   for (std::size_t d = 0; d < kDirs; ++d) runOutput(d, head);
-
-  // Quiet once every input is empty and no engine is streaming.  An engine
-  // holds its packet until the tail has crossed the link (tickEngine), so a
-  // cut-through tail keeps the router awake; an input push wakes it.
-  if (idle()) sleep();
-}
-
-void Router::tickEngine(OutputEngine& e) {
-  e.chan.markTransfer();
-  --e.cycles_left;
-  if (e.push_in > 0 && --e.push_in == 0) {
-    e.sink->push(e.streaming);
-    ++routed_;
-  }
-  // Cut-through: the link stays busy until the tail has crossed even though
-  // the packet object is already downstream (push_in <= cycles_left).
-  if (e.cycles_left == 0) e.streaming.reset();
+  settle(head);
 }
 
 void Router::runOutput(std::size_t d, HeadRoutes& head) {
@@ -77,21 +65,28 @@ void Router::runOutput(std::size_t d, HeadRoutes& head) {
   if (!e.sink) return;
 
   if (e.streaming) {
-    tickEngine(e);
+    const sim::Cycle now = clk_.now();
+    if (now == e.handoff_at) {
+      e.sink->push(e.streaming);
+      ++routed_;
+    }
+    // Cut-through: the link stays busy until the tail has crossed even though
+    // the packet object is already downstream (handoff_at < free_at).
+    if (now + 1 == e.free_at) e.streaming.reset();
     return;
   }
 
   auto grant = [&](std::size_t i) {
     e.streaming = in_[i]->pop();
-    // Every packet carries at least its header flit, so the header has
-    // crossed (and the packet is handed downstream) after pipeline+1 cycles.
-    e.cycles_left = kPipelineLatency + e.streaming->flits;
-    e.push_in = kPipelineLatency + 1;
+    // Every packet carries at least its header flit: the header has crossed
+    // (and the packet is handed downstream) once the pipeline latency has
+    // passed, and the flits hold the link one cycle each after that.
+    e.handoff_at = clk_.now() + kPipelineLatency;
+    e.free_at = e.handoff_at + e.streaming->flits;
     e.last_input = i;
     e.has_last = true;
     e.last_msg = e.streaming->req ? e.streaming->req->msg_id : 0;
     head[i] = headRoute(i);
-    tickEngine(e);
   };
 
   // Message locking: the previously granted input keeps the port while it
@@ -114,6 +109,37 @@ void Router::runOutput(std::size_t d, HeadRoutes& head) {
     if (!e.sink->canPush()) return;
     grant(i);
     return;
+  }
+}
+
+void Router::settle(const HeadRoutes& head) {
+  if (idle()) {
+    sleep();  // an input push wakes it
+    return;
+  }
+  // A free engine grants whenever a head routes to it and its sink has room,
+  // so one that could still do so (freed on its tail cycle, or a head that a
+  // grant uncovered after its turn) keeps the router awake.  A sink's room
+  // only grows through a pop, and a head only changes through a push into
+  // an empty input: both wake the router.
+  const sim::Cycle now = clk_.now();
+  sim::Cycle wake = 0;
+  for (std::size_t d = 0; d < kDirs; ++d) {
+    const OutputEngine& e = out_[d];
+    if (!e.sink) continue;
+    if (e.streaming) {
+      // Next event: the handoff, then the tail cycle that lets go of it.
+      const sim::Cycle next = now < e.handoff_at ? e.handoff_at : e.free_at - 1;
+      if (wake == 0 || next < wake) wake = next;
+    } else if (e.sink->canPush() &&
+               std::find(head.begin(), head.end(), d) != head.end()) {
+      return;
+    }
+  }
+  if (wake != 0) {
+    sleepUntil(wake);
+  } else {
+    park();  // every waiting head is blocked on a full sink
   }
 }
 

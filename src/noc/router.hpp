@@ -6,10 +6,15 @@
 // once its header has crossed, while the link stays busy for the whole
 // serialisation (per-hop latency pipeline+1, flit-limited throughput).
 //
-// Activity: a router sleeps once idle() holds (every input empty, no output
-// streaming; an engine streams until its packet's tail has crossed the link)
-// and any push into one of its inputs wakes it.  XY routes come from a
-// per-destination table built at construction.
+// Activity: an engine keeps absolute cycles, so waiting costs nothing per
+// cycle: the grant on cycle g fixes the handoff (g + pipeline latency) and the
+// end of the serialisation (free_at, g + pipeline latency + flits).  After
+// each evaluate a router sleeps once idle() holds (every input empty, no
+// output streaming); stays awake while a free engine could grant next cycle;
+// else sleeps until its earliest handoff or tail cycle (free_at - 1, where
+// the engine lets go of its packet); else parks on back-pressure.  A push
+// into one of its inputs or a pop from one of its output sinks wakes it.
+// XY routes come from a per-destination table built at construction.
 
 #include <array>
 #include <cstdint>
@@ -20,7 +25,6 @@
 #include "noc/packet.hpp"
 #include "sim/component.hpp"
 #include "sim/fifo.hpp"
-#include "stats/probes.hpp"
 
 namespace mpsoc::noc {
 
@@ -51,9 +55,11 @@ class Router final : public sim::Component {
   PacketFifo& input(Dir d) { return *in_[static_cast<std::size_t>(d)]; }
 
   /// Wire the downstream sink of an output port: the neighbour router's
-  /// opposite input, or the local adapter's egress FIFO.
+  /// opposite input, or the local adapter's egress FIFO.  A pop from it
+  /// wakes this router (the pop may free the slot a parked grant waits for).
   void connectOutput(Dir d, PacketFifo* sink) {
     out_[static_cast<std::size_t>(d)].sink = sink;
+    sink->wakeOnPop(this);
   }
 
   void evaluate() override;
@@ -68,18 +74,17 @@ class Router final : public sim::Component {
  private:
   struct OutputEngine {
     PacketFifo* sink = nullptr;
-    NocPacketPtr streaming;
-    std::uint32_t cycles_left = 0;  ///< link occupancy remaining
-    std::uint32_t push_in = 0;      ///< cycles until handoff downstream
-    std::size_t last_input = 0;     ///< round-robin pointer
-    std::uint64_t last_msg = 0;     ///< message-locking state
+    NocPacketPtr streaming;      ///< held from grant to tail cycle
+    sim::Cycle handoff_at = 0;   ///< cycle the packet is pushed downstream
+    sim::Cycle free_at = 0;      ///< first cycle after the serialisation
+    std::size_t last_input = 0;  ///< round-robin pointer
+    std::uint64_t last_msg = 0;  ///< message-locking state
     bool has_last = false;
-    stats::ChannelUtilization chan;
 
     /// sink is wiring (downstream FIFO pointer), everything else mutates.
     auto simStateMembers() {
-      return std::tie(streaming, cycles_left, push_in, last_input, last_msg,
-                      has_last, chan);
+      return std::tie(streaming, handoff_at, free_at, last_input, last_msg,
+                      has_last);
     }
   };
 
@@ -88,9 +93,11 @@ class Router final : public sim::Component {
 
   std::size_t headRoute(std::size_t i) const;
 
-  void tickEngine(OutputEngine& e);
-
   void runOutput(std::size_t d, HeadRoutes& head);
+
+  /// After runOutput: sleep, stay awake, sleep until the next engine event,
+  /// or park (see the Activity note above).
+  void settle(const HeadRoutes& head);
 
   unsigned x_, y_, mesh_w_, mesh_h_;
   RouterConfig cfg_;

@@ -67,7 +67,6 @@ class Platform {
   /// Latency quantile (in ns) over all masters' awaited transactions.
   double readLatencyQuantileNs(double q) const;
 
-  const PlatformConfig& config() const { return cfg_; }
   sim::Simulator& simulator() { return sim_; }
 
   /// The memory-interface request FIFO statistics (Fig. 6).

@@ -63,6 +63,7 @@ void ClockDomain::removeUpdatable(Updatable* u) {
 void ClockDomain::evaluateEdge() {
   ++cycle_;
   const bool gate = sim_.activityGating();
+  std::uint64_t evaluated = 0;
   // Index loop: a component constructed during evaluate() (mid-run
   // registration) is appended to components_ and joins this very edge, in
   // deterministic registration order.
@@ -70,7 +71,9 @@ void ClockDomain::evaluateEdge() {
     Component* c = components_[i];
     if (gate && c->asleep()) continue;
     c->evaluate();
+    ++evaluated;
   }
+  sim_.noteEvaluations(evaluated);
 }
 
 void ClockDomain::commitEdge() {

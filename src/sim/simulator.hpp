@@ -95,6 +95,13 @@ class Simulator {
   /// throughput (edges/s) independently of clock-domain frequencies.
   std::uint64_t edgesExecuted() const { return edges_executed_; }
 
+  /// Number of component evaluate() calls made so far (deep-check's replay
+  /// pass excluded; a window replayed after restoreCheckpoint() counts
+  /// again) — the host work the activity protocol saves.  Host work, not
+  /// model state: no checkpoint or state digest covers it, since a gated and
+  /// an ungated run agree on every digest yet differ here.
+  std::uint64_t evaluations() const { return evaluations_; }
+
   /// Current position within the two-phase edge protocol.
   Phase phase() const { return phase_; }
 
@@ -222,6 +229,8 @@ class Simulator {
   void noteComponentRemoved(Component* c);
   void noteSleep() { ++asleep_count_; }
   void noteWake() { --asleep_count_; }
+  /// Added once per domain edge by ClockDomain::evaluateEdge.
+  void noteEvaluations(std::uint64_t n) { evaluations_ += n; }
 
  private:
   /// One instant of the cached edge schedule: every domain whose next edge
@@ -259,6 +268,7 @@ class Simulator {
   std::vector<std::unique_ptr<ClockDomain>> domains_;
   Picos now_ps_ = 0;
   std::uint64_t edges_executed_ = 0;
+  std::uint64_t evaluations_ = 0;
   Phase phase_ = Phase::Outside;
   bool deep_check_ = false;
   bool in_replay_ = false;

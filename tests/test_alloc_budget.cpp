@@ -8,9 +8,11 @@
 // transactions the masters retired in it.
 //
 // What still allocates per transaction is the transaction record itself:
-// Request/Response shared_ptrs, the bridge's side-B clone and the tracking
-// tables' hash nodes — a handful per transaction.  The bounds sit about a
-// fifth above the measured figures (6.8 and 9.8 with GCC 12 / libstdc++).
+// Request/Response shared_ptrs, the bridge's side-B clone, the NoC's
+// NocPackets and the tracking tables' hash nodes (the NoC adapters'
+// outstanding_/origin_ among them) — a handful per transaction.  The bounds
+// sit about a fifth above the measured figures (6.1, 9.8 and 6.7 with
+// GCC 12 / libstdc++).
 // Work redone and thrown away on every cycle lands far over them: with the
 // bridge building its side-B clone before the issue check, the arbiters
 // rebuilding their candidate vectors per call and the IPTG rebuilding its
@@ -104,6 +106,19 @@ TEST(AllocBudget, Fig5AxiLmi) {
   // The non-split converter in front of the LMI retires a few transactions
   // per microsecond, so this window is longer.
   EXPECT_LE(allocationsPerTxn("fig5 axi+lmi", cfg, 300'000'000), 12.0);
+}
+
+TEST(AllocBudget, NocMeshLmi) {
+  if (!kCounting) GTEST_SKIP() << kSanitizerSkip;
+  // The shipped noc_mesh shape: 4x3 mesh, LMI at the centre node.
+  platform::PlatformConfig cfg;
+  cfg.protocol = platform::Protocol::Stbus;
+  cfg.topology = platform::Topology::NocMesh;
+  cfg.memory = platform::MemoryKind::Lmi;
+  cfg.noc_width = 4;
+  cfg.noc_height = 3;
+  cfg.workload_scale = 0.25;
+  EXPECT_LE(allocationsPerTxn("noc 4x3 + lmi", cfg, 100'000'000), 8.0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
 
@@ -248,7 +249,8 @@ TEST(NocMesh, MessageLockingPreservesTrains) {
 }
 
 // ---------------------------------------------------------------------------
-// Activity protocol: routers and master adapters sleep once quiet.
+// Activity protocol: routers and adapters sleep once quiet, park on
+// back-pressure and sleep through link serialisation.
 // ---------------------------------------------------------------------------
 
 /// Issues one read on demand and records its round-trip latency in cycles.
@@ -298,10 +300,13 @@ TEST(NocMesh, QuietFabricSleepsAndARequestWakesOnlyItsPath) {
   Prober prober(clk, ip);
 
   const sim::Component* adapter = nullptr;
+  const sim::Component* slave = nullptr;
   for (const sim::Component* c : clk.components()) {
     if (c->name() == "noc.ma0") adapter = c;
+    if (c->name() == "noc.sa8") slave = c;
   }
   ASSERT_NE(adapter, nullptr);
+  ASSERT_NE(slave, nullptr);
 
   // Step until the round trip has drained and the link tails have crossed;
   // record every router that is awake after some edge of the transaction.
@@ -317,7 +322,8 @@ TEST(NocMesh, QuietFabricSleepsAndARequestWakesOnlyItsPath) {
         woken.insert(n);
         any_awake = true;
       }
-      if (prober.latencies.size() == done && !any_awake && adapter->asleep()) {
+      if (prober.latencies.size() == done && !any_awake && adapter->asleep() &&
+          slave->asleep()) {
         break;
       }
     }
@@ -330,6 +336,7 @@ TEST(NocMesh, QuietFabricSleepsAndARequestWakesOnlyItsPath) {
     EXPECT_TRUE(mesh.router(n).asleep()) << "router " << n;
   }
   EXPECT_TRUE(adapter->asleep());
+  EXPECT_TRUE(slave->asleep());
 
   // (0,0) -> (2,2) runs east then south; the response runs west then north.
   // Only the centre router (1,1) lies on neither leg.
@@ -341,6 +348,7 @@ TEST(NocMesh, QuietFabricSleepsAndARequestWakesOnlyItsPath) {
     EXPECT_TRUE(mesh.router(n).asleep()) << "router " << n;
   }
   EXPECT_TRUE(adapter->asleep());
+  EXPECT_TRUE(slave->asleep());
 }
 
 struct MeshRun {
@@ -350,20 +358,35 @@ struct MeshRun {
   std::uint64_t retired = 0;
 };
 
-/// Four masters with 4-packet message trains on a 3x3 mesh with the memory
-/// at the centre, under the given router discipline.
-MeshRun runMesh(const noc::RouterConfig& rc, bool gated, bool deep_check) {
+/// Traffic for runMesh: masters at `masters` send 4-packet message trains
+/// to the memory at the centre of a 3x3 mesh.
+struct MeshLoad {
+  unsigned wait_states = 1;
+  std::vector<noc::NodeId> masters{0, 2, 6, 8};
+  unsigned outstanding = 4;
+  std::uint64_t txns = 40;
+};
+
+using MidRunCheck =
+    std::function<void(noc::NocMesh&, const sim::ClockDomain&)>;
+
+/// Runs `load` under the given router discipline to completion.  With
+/// `frozen` set it first steps 100 cycles into the memory's 10th access and
+/// calls it there.
+MeshRun runMesh(const noc::RouterConfig& rc, bool gated, bool deep_check,
+                const MeshLoad& load = {},
+                const MidRunCheck& frozen = nullptr) {
   sim::Simulator s;
   s.setActivityGating(gated);
   s.setDeepCheck(deep_check);
   auto& clk = s.addClockDomain("noc", 400.0);
   noc::NocMesh mesh(clk, "noc", {3, 3, rc, 4});
   txn::TargetPort mp(clk, "mem", 8, 16);
-  mem::SimpleMemory memory(clk, "mem", mp, {1});
+  mem::SimpleMemory memory(clk, "mem", mp, {load.wait_states});
   mesh.attachSlave(mp, 4, 0x0, 1ull << 30);
   std::vector<std::unique_ptr<txn::InitiatorPort>> ports;
   std::vector<std::unique_ptr<iptg::Iptg>> gens;
-  for (noc::NodeId at : {0, 2, 6, 8}) {
+  for (noc::NodeId at : load.masters) {
     ports.push_back(std::make_unique<txn::InitiatorPort>(
         clk, "m" + std::to_string(at), 2, 8));
     mesh.attachMaster(*ports.back(), at);
@@ -376,13 +399,20 @@ MeshRun runMesh(const noc::RouterConfig& rc, bool gated, bool deep_check) {
     p.posted_writes = true;
     p.burst_beats = {{4, 0.5}, {8, 0.5}};
     p.message_len = 4;
-    p.outstanding = 4;
+    p.outstanding = load.outstanding;
     p.base_addr = (1ull << 22) * at;
     p.region_size = 1 << 20;
-    p.total_transactions = 40;
+    p.total_transactions = load.txns;
     cfg.agents.push_back(p);
     gens.push_back(std::make_unique<iptg::Iptg>(
         clk, "g" + std::to_string(at), *ports.back(), cfg));
+  }
+  if (frozen) {
+    while (memory.accessesServed() < 10) s.step();
+    const sim::Cycle start = clk.now();
+    while (clk.now() < start + 100) s.step();
+    EXPECT_EQ(memory.accessesServed(), 10u) << "memory not slow enough";
+    frozen(mesh, clk);
   }
   MeshRun r;
   r.exec_ps = s.runUntilIdle(1'000'000'000'000ull);
@@ -394,8 +424,8 @@ MeshRun runMesh(const noc::RouterConfig& rc, bool gated, bool deep_check) {
 
 TEST(NocMesh, GatingIsBehaviourNeutralForEveryRouterDiscipline) {
   // Sleeping routers and adapters must not change behaviour: the complete
-  // kernel state digest (every router's engines and link counters, every
-  // FIFO, every generator) matches an ungated run at the end.  The
+  // kernel state digest (every router's engines, every FIFO, every
+  // generator) matches an ungated run at the end.  The
   // deep-check replay pass evaluates sleeping components too, so a router or
   // adapter asleep while it has work to stage (a missing wake) diverges from
   // the gated forward pass and raises.
@@ -415,6 +445,58 @@ TEST(NocMesh, GatingIsBehaviourNeutralForEveryRouterDiscipline) {
     MeshRun checked;
     ASSERT_NO_THROW(checked = runMesh(rc, true, true));
     EXPECT_EQ(checked.exec_ps, gated.exec_ps);
+  }
+}
+
+TEST(NocMesh, BlockedRoutersParkUntilTheirSinkPops) {
+  // Eight masters with deep request windows in front of a slow memory: its
+  // request port, the centre egress and the routers' inputs back up toward
+  // the masters.  One access takes 121 (4 beats) to 248 (8 beats) cycles, so
+  // 100 cycles into one the cascade of grants behind the request it took and
+  // the previous response have settled, and the next take is still ahead.
+  MeshLoad load;
+  load.wait_states = 30;
+  load.masters = {0, 1, 2, 3, 5, 6, 7, 8};
+  load.outstanding = 8;
+  load.txns = 6;
+  noc::RouterConfig locking;
+  locking.message_locking = true;
+  for (const noc::RouterConfig& rc : {noc::RouterConfig{}, locking}) {
+    SCOPED_TRACE(testing::Message()
+                 << "message_locking=" << rc.message_locking);
+    // Deep-check first: a missing wake raises, naming the sleeper, on the
+    // first edge it would have acted (a gated run would stall instead).
+    MeshRun checked;
+    ASSERT_NO_THROW(checked = runMesh(rc, true, true, load));
+    // Mid-run nothing in the fabric is awake: a router or adapter holding
+    // blocked work is parked (woken by a pop of the FIFO it waits on), one
+    // with nothing to do is asleep.  No link is streaming, so every blocked
+    // router waits on no cycle; the backlog reaches past the centre router.
+    const MeshRun gated = runMesh(
+        rc, true, false, load,
+        [](noc::NocMesh& mesh, const sim::ClockDomain& clk) {
+          std::size_t blocked_routers = 0;
+          for (const sim::Component* c : clk.components()) {
+            if (c->name().rfind("noc.", 0) != 0) continue;
+            EXPECT_TRUE(c->asleep()) << c->name();
+            if (c->idle()) continue;
+            EXPECT_TRUE(c->parked()) << c->name();
+            if (c->name().rfind("noc.r", 0) != 0) continue;
+            EXPECT_EQ(c->wakeAt(), 0u) << c->name();
+            ++blocked_routers;
+          }
+          EXPECT_FALSE(mesh.router(4).idle());
+          EXPECT_GE(blocked_routers, 3u) << "the fabric did not back up";
+        });
+    const MeshRun ungated = runMesh(rc, false, false, load);
+    EXPECT_EQ(gated.retired, 48u);
+    EXPECT_EQ(gated.retired, ungated.retired);
+    EXPECT_EQ(gated.exec_ps, ungated.exec_ps);
+    EXPECT_EQ(gated.hops, ungated.hops);
+    EXPECT_EQ(gated.state_digest, ungated.state_digest);
+
+    EXPECT_EQ(checked.exec_ps, gated.exec_ps);
+    EXPECT_EQ(checked.state_digest, gated.state_digest);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/digest.hpp"
+#include "core/export.hpp"
 #include "core/sweep.hpp"
 
 namespace {
@@ -67,6 +68,28 @@ TEST(Sweep, DigestsAreByteIdenticalAcrossJobCounts) {
     EXPECT_EQ(da, core::digestText(b.points[i].result)) << points[i].label;
     EXPECT_EQ(da, core::digestText(c.points[i].result)) << points[i].label;
   }
+}
+
+TEST(Sweep, JsonReportsEvaluationsOutsideTheDigest) {
+  // The per-run evaluate() count is host work: gating lowers it while every
+  // digest holds, so it is reported in the JSON but never digested.
+  platform::PlatformConfig ungated_cfg = tinyConfig(1);
+  ungated_cfg.activity_gating = false;
+  const auto out = core::SweepRunner(core::SweepOptions{})
+                       .run({{"gated", tinyConfig(1), 0},
+                             {"ungated", ungated_cfg, 0}});
+  ASSERT_TRUE(out.ok);
+  const core::ScenarioResult& gated = out.points[0].result;
+  core::ScenarioResult ungated = out.points[1].result;
+  EXPECT_GT(gated.evaluations, 0u);
+  EXPECT_LT(gated.evaluations, ungated.evaluations);
+  ungated.label = gated.label;
+  EXPECT_EQ(core::digestText(gated), core::digestText(ungated));
+
+  const std::string js = core::toSweepJson(out, 1);
+  EXPECT_NE(js.find("\"evaluations\": " + std::to_string(gated.evaluations)),
+            std::string::npos);
+  EXPECT_EQ(core::digestText(gated).find("evaluations"), std::string::npos);
 }
 
 TEST(Sweep, FailureCancelsRemainingPoints) {
