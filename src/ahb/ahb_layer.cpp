@@ -38,13 +38,7 @@ void AhbLayer::evaluate() {
   // Layer unlocked and every master queue drained: nothing moves until a
   // port push wakes us (wired in addInitiator/addTarget).  The O(1) state
   // test keeps the queue scan off busy cycles.
-  if (state_ == State::Idle && requestsDrained()) {
-    if (anyInflight()) {
-      park();
-    } else {
-      sleep();
-    }
-  }
+  if (state_ == State::Idle && requestsDrained()) sleep();
 }
 
 bool AhbLayer::requestsDrained() const {

@@ -52,15 +52,8 @@ void AxiBus::evaluate() {
   writeRequestPath();
   // No burst streaming and every input FIFO empty: nothing moves until a
   // port push wakes us (wired in addInitiator/addTarget).  Transactions
-  // still in flight at the targets make that a park rather than an idle
-  // sleep.
-  if (quiet()) {
-    if (anyInflight()) {
-      park();
-    } else {
-      sleep();
-    }
-  }
+  // still in flight at the targets leave the sleep parked (not idle).
+  if (quiet()) sleep();
 }
 
 bool AxiBus::quiet() const {

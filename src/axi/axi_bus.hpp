@@ -45,8 +45,6 @@ class AxiBus final : public txn::InterconnectBase {
   void evaluate() override;
   bool idle() const override;
 
-  void finalize();
-
   /// One InitiatorMonitor per initiator port: out-of-order completion is
   /// legal (transaction IDs), outstanding cap from config.
   void attachMonitors(verify::VerifyContext& ctx) override;
@@ -90,6 +88,8 @@ class AxiBus final : public txn::InterconnectBase {
     auto simStateMembers() { return std::tie(active, last_pick, chan); }
   };
 
+  /// Size the per-channel engines; run by the first evaluate().
+  void finalize();
   void readRequestPath();
   /// No burst streaming and every input FIFO empty: evaluate() is a no-op
   /// until a port push.

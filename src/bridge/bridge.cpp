@@ -60,13 +60,9 @@ class Bridge::SlaveSide final : public sim::Component {
     // caveat): quiesce until a_port_.req or bwd_ push wakes us (wired in
     // the Bridge constructor).  Deliberately side-local: work still in
     // flight towards side B keeps the *master* awake and non-idle instead.
-    if (b_.slaveIdle()) {
-      sleep();
-      return;
-    }
-    const sim::Picos at = b_.slaveNextWork();
+    const sim::Picos at = b_.slaveIdle() ? kOnlyWakes : b_.slaveNextWork();
     if (at == kOnlyWakes) {
-      park();
+      sleep();
     } else {
       sleepUntil(clk_.cycleAt(at));
     }
@@ -92,13 +88,9 @@ class Bridge::MasterSide final : public txn::MasterBase {
 
   void evaluate() override {
     work();
-    if (idle()) {
-      sleep();
-      return;
-    }
-    const sim::Picos at = nextWork();
+    const sim::Picos at = idle() ? kOnlyWakes : nextWork();
     if (at == kOnlyWakes) {
-      park();
+      sleep();
     } else {
       sleepUntil(clk_.cycleAt(at));
     }

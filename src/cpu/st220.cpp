@@ -73,7 +73,7 @@ std::uint64_t St220::nextDataAddr() {
 void St220::waitForFill() {
   // A finished core counts no more cycles; it only waits for its last fill.
   if (!done()) wait_from_ = now() + 1;
-  park();
+  sleep();
 }
 
 void St220::settleWait() {
@@ -88,11 +88,7 @@ void St220::evaluate() {
   if (done()) {
     // Workload finished; once the last outstanding fill retires the core can
     // never issue again.
-    if (outstanding() == 0) {
-      sleep();
-    } else {
-      park();
-    }
+    sleep();
     return;
   }
   if (wait_from_ != 0) {
@@ -102,7 +98,7 @@ void St220::evaluate() {
     const bool waiting =
         fill_pending_ ? !(canIssue() && port_.req.canPush()) : stalled_;
     if (waiting) {
-      park();
+      sleep();
       return;
     }
     settleWait();

@@ -74,8 +74,8 @@ void Iptg::evaluate() {
     return;
   }
   if (!port_.req.canPush()) {
-    // Nothing is drawn while the port is full: park until it pops.
-    park();
+    // Nothing is drawn while the port is full: sleep until it pops.
+    sleep();
     return;
   }
 
@@ -125,7 +125,7 @@ void Iptg::evaluate() {
     if (gap_end != 0) {
       sleepUntil(gap_end);
     } else {
-      park();
+      sleep();
     }
   }
 }

@@ -38,7 +38,7 @@ void SimpleMemory::evaluate() {
   const txn::RequestPtr& req = port_.req.front();
   const bool needs_response = !(req->posted && req->op == Opcode::Write);
   if (needs_response && !port_.rsp.canPush()) {
-    park();  // output back-pressure: woken by the bus popping a response
+    sleep();  // output back-pressure: woken by the bus popping a response
     return;
   }
 

@@ -63,14 +63,12 @@ class NocMesh::MasterAdapter final : public sim::Component {
       if (!(r->posted && r->op == Opcode::Write)) outstanding_.insert(r->id);
       local_in_.push(pkt);
     }
-    if (idle()) {
-      sleep();
-    } else if (port_.req.empty() || !local_in_.canPush()) {
+    if (port_.req.empty() || !local_in_.canPush()) {
       // Nothing moves until a wired FIFO pushes or pops: the delivery loop
       // stopped on an empty egress, a head that is not ours or a full
       // response port, and injection on an empty request port or a full
       // router input.
-      park();
+      sleep();
     }
   }
 
@@ -142,19 +140,17 @@ class NocMesh::SlaveAdapter final : public sim::Component {
         local_in_.push(pkt);
       }
     }
-    if (idle()) {
-      sleep();
-    } else if (!port_.rsp.empty() && local_in_.canPush()) {
+    if (!port_.rsp.empty() && local_in_.canPush()) {
       // Only the head response's last beat is outstanding (the request loop
       // stopped on a FIFO event): wake when it has left the memory, or stay
       // awake if it already has.
       const ResponsePtr& rsp = port_.rsp.front();
       sleepUntil(clk_.cycleAt(rsp->sched.lastBeat(rsp->beats)));
     } else {
-      // Waiting on a FIFO event: a request or the head's owner on the
-      // egress, room in the memory's request port or the router input, or a
-      // response from the memory.
-      park();
+      // Idle, or waiting on a FIFO event: a request or the head's owner on
+      // the egress, room in the memory's request port or the router input,
+      // or a response from the memory.
+      sleep();
     }
   }
 

@@ -139,7 +139,7 @@ void Router::settle(const HeadRoutes& head) {
   if (wake != 0) {
     sleepUntil(wake);
   } else {
-    park();  // every waiting head is blocked on a full sink
+    sleep();  // every waiting head is blocked on a full sink
   }
 }
 

@@ -12,8 +12,9 @@
 // each evaluate a router sleeps once idle() holds (every input empty, no
 // output streaming); stays awake while a free engine could grant next cycle;
 // else sleeps until its earliest handoff or tail cycle (free_at - 1, where
-// the engine lets go of its packet); else parks on back-pressure.  A push
-// into one of its inputs or a pop from one of its output sinks wakes it.
+// the engine lets go of its packet); else sleeps (parked) on back-pressure.
+// A push into one of its inputs or a pop from one of its output sinks wakes
+// it.
 // XY routes come from a per-destination table built at construction.
 
 #include <array>
@@ -95,8 +96,8 @@ class Router final : public sim::Component {
 
   void runOutput(std::size_t d, HeadRoutes& head);
 
-  /// After runOutput: sleep, stay awake, sleep until the next engine event,
-  /// or park (see the Activity note above).
+  /// After runOutput: sleep, stay awake, or sleep until the next engine
+  /// event (see the Activity note above).
   void settle(const HeadRoutes& head);
 
   unsigned x_, y_, mesh_w_, mesh_h_;

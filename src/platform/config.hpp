@@ -140,10 +140,10 @@ struct PlatformConfig {
 
   /// Kernel activity gating (see Simulator::setActivityGating): skip
   /// evaluate() for components that declared themselves quiescent.  On by
-  /// default; behaviour-neutral by contract (sleep is only legal while
-  /// idle()), so switching it off must reproduce bit-identical digests —
-  /// which is what the gating smoke in tools/check.sh and the fuzzer's
-  /// gated/ungated oracle assert.
+  /// default; behaviour-neutral by contract (an asleep component's
+  /// evaluate() is a no-op), so switching it off must reproduce
+  /// bit-identical digests — which is what tools/digest_sweeps.sh and the
+  /// fuzzer's gated/ungated oracle assert.
   bool activity_gating = true;
 
   /// Two-regime workload for the Fig. 6 experiment: phase 1 is an intense

@@ -13,7 +13,6 @@ ClockDomain::ClockDomain(Simulator& sim, std::string name, Picos period_ps)
 
 void ClockDomain::addComponent(Component* c) {
   components_.push_back(c);
-  sim_.noteComponentAdded(c);
 }
 
 void ClockDomain::removeComponent(Component* c) {
@@ -23,7 +22,6 @@ void ClockDomain::removeComponent(Component* c) {
       std::remove_if(timed_wakes_.begin(), timed_wakes_.end(),
                      [c](const TimedWake& w) { return w.c == c; }),
       timed_wakes_.end());
-  sim_.noteComponentRemoved(c);
 }
 
 void ClockDomain::fireWakes() {

@@ -2,7 +2,6 @@
 // A clock domain: a periodic edge source that drives a set of components and
 // commits the staged state (FIFOs, registers) bound to it.
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -128,10 +127,6 @@ class ClockDomain {
     return cycle_ + (t - next_edge_ps_ + period_ps_ - 1) / period_ps_;
   }
 
-  /// Registration order among the simulator's domains; coincident edges are
-  /// evaluated in ascending index so results match the declaration order.
-  std::size_t index() const { return index_; }
-
   /// Phase 1 of an edge: bump the cycle counter and run every component,
   /// skipping sleeping ones when activity gating is on.  (Deep-check's
   /// reversed replay pass is driven by the Simulator; see setDeepCheck.)
@@ -181,7 +176,6 @@ class ClockDomain {
   std::string name_;
   Picos period_ps_;
   Picos next_edge_ps_;
-  std::size_t index_ = 0;
   Cycle cycle_ = 0;
   std::vector<Component*> components_;
   std::vector<Updatable*> updatables_;

@@ -1,6 +1,5 @@
 #include "sim/component.hpp"
 
-#include "sim/check.hpp"
 #include "sim/simulator.hpp"
 
 namespace mpsoc::sim {
@@ -18,19 +17,7 @@ Component::~Component() {
 }
 
 void Component::sleep() {
-  SIM_CHECK_CTX(idle(), name_, &clk_,
-                "sleep() while not idle: a component may only declare itself "
-                "quiescent when it has no pending work (park() or "
-                "sleepUntil() hold work)");
-  parked_ = false;
-  wake_at_ = 0;
-  if (asleep_) return;
-  asleep_ = true;
-  clk_.simulator().noteSleep();
-}
-
-void Component::park() {
-  parked_ = true;
+  parked_ = !idle();
   wake_at_ = 0;
   if (asleep_) return;
   asleep_ = true;
@@ -39,17 +26,20 @@ void Component::park() {
 
 void Component::sleepUntil(Cycle c) {
   if (c <= clk_.now()) return;
-  // Re-deriving the same wait (an ungated run evaluates parked components)
-  // must leave the state and the domain's wake list unchanged.
+  // Re-deriving the same wait (an ungated run evaluates sleepers) must leave
+  // the state and the domain's wake list unchanged.
   if (parked_ && wake_at_ == c) return;
-  park();
+  parked_ = true;
   wake_at_ = c;
   clk_.addTimedWake(this, c);
+  if (asleep_) return;
+  asleep_ = true;
+  clk_.simulator().noteSleep();
 }
 
 void Component::restoreStateBase() {
-  // Mirror sleep()/park()/wake() without their contracts: a restore may
-  // legally put the component back into any activity state, and only the
+  // Mirror sleep()/wake() without deriving anything: a restore may legally
+  // put the component back into any activity state, and only the
   // simulator's asleep counter must stay balanced.
   parked_ = saved_activity_.parked;
   wake_at_ = saved_activity_.wake_at;

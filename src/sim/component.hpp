@@ -50,38 +50,40 @@ class Component {
   //
   // A component that knows its evaluate() would be a no-op until some
   // external event arrives can go to sleep; the kernel then skips its
-  // evaluate() (when activity gating is on — the default).  Three entry
-  // points, one per kind of wait:
+  // evaluate() (when activity gating is on — the default).  Two entry
+  // points:
   //
-  //   sleep()           idle: no work held (only legal while idle() holds,
-  //                     enforced by SIM_CHECK).  Counted idle without
-  //                     polling.
-  //   park()            asleep but still holding work (a transaction in
-  //                     flight, a stalled pipeline): woken by a wired FIFO
-  //                     hook.  runUntilIdle() keeps polling its idle().
-  //   sleepUntil(c)     park() plus a timed wake: the kernel wakes the
-  //                     component at the start of its domain's cycle `c`.
+  //   sleep()           until an event wakes the component (a wired FIFO
+  //                     hook or an explicit wake()).  It reads idle() once:
+  //                     a component that slept idle is counted idle without
+  //                     polling; one that slept holding work (a transaction
+  //                     in flight, a stalled pipeline) is parked() and
+  //                     runUntilIdle() keeps polling its idle().
+  //   sleepUntil(c)     sleep holding work, plus a timed wake: the kernel
+  //                     wakes the component at the start of its domain's
+  //                     cycle `c`.  Always parked().
   //
   // Waking is the responsibility of whatever delivers the event: FIFO wake
   // hooks (SyncFifo::wakeOnPush / wakeOnPop, AsyncFifo::wakeOnPush) fire at
   // commit time of any edge that pushed/popped, programming interfaces (e.g.
   // DmaEngine::program) call wake() explicitly, and the clock domain fires
-  // due timed wakes.  Any wake clears all three states.
+  // due timed wakes.  Any wake clears the asleep state and the timed wake.
   //
   // Contract: while asleep, evaluate() must be a no-op — it stages nothing
   // and leaves stateDigest() unchanged — so gating can never change
   // simulated behaviour, only skip provably empty evaluations.  An ungated
-  // run evaluates sleepers anyway (a parked component re-derives the same
-  // park() or sleepUntil() call), and deep-check replays every sleeper on
-  // every edge and raises InvariantViolation, naming it, if one breaks the
-  // contract (staged work on every edge; the state digest on the first edge
-  // of each sleep, where a counter bumped per cycle shows at once).
-  // Counters that a waiting component would bump every cycle must therefore
-  // be settled lazily (see St220's wait_from_).
+  // run evaluates sleepers anyway (a sleeper re-derives the same sleep() or
+  // sleepUntil() call), and deep-check replays every sleeper on every edge
+  // and raises InvariantViolation, naming it, if one breaks the contract
+  // (staged work on every edge; the state digest on the first edge of each
+  // sleep, where a counter bumped per cycle shows at once).  Counters that a
+  // waiting component would bump every cycle must therefore be settled
+  // lazily (see St220's wait_from_).
 
-  /// True while this component is asleep (sleep(), park() or sleepUntil()).
+  /// True while this component is asleep (sleep() or sleepUntil()).
   bool asleep() const { return asleep_; }
-  /// True while asleep with work held (park() or sleepUntil()).
+  /// True while asleep with work held: slept while idle() was false, or
+  /// waits for a timed wake.
   bool parked() const { return parked_; }
   /// Cycle of the pending timed wake, or 0 for none.
   Cycle wakeAt() const { return wake_at_; }
@@ -98,13 +100,11 @@ class Component {
   const std::string& name() const { return name_; }
 
  protected:
-  /// Declare this component quiescent.  Only legal while idle() holds.
+  /// Sleep until woken; parked() is set when idle() does not hold.
   void sleep();
-  /// Sleep while holding work, until a wired FIFO hook wakes the component.
-  void park();
-  /// park(), plus a timed wake at the start of cycle `c` of this component's
-  /// domain.  A cycle not after now() leaves the component awake (its next
-  /// evaluate is the next edge either way).
+  /// Sleep holding work, with a timed wake at the start of cycle `c` of this
+  /// component's domain.  A cycle not after now() leaves the component awake
+  /// (its next evaluate is the next edge either way).
   void sleepUntil(Cycle c);
 
   // --- SIM_STATE base hooks (called by the generated manifest bodies) -------

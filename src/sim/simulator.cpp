@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "sim/check.hpp"
@@ -48,74 +49,26 @@ ClockDomain& Simulator::addClockDomain(const std::string& name, double mhz) {
   domains_.push_back(
       std::make_unique<ClockDomain>(*this, name, periodFromMhz(mhz)));
   ClockDomain* d = domains_.back().get();
-  d->index_ = domains_.size() - 1;
   if (now_ps_ > 0) d->alignFirstEdge(now_ps_);
-  schedule_valid_ = false;
   return *d;
 }
 
-void Simulator::noteComponentAdded(Component*) { ++component_generation_; }
-
-void Simulator::noteComponentRemoved(Component*) { ++component_generation_; }
-
-Picos Simulator::nextEdgeTime() {
-  if (domains_.empty()) return kNever;
-  if (domains_.size() == 1) return domains_[0]->nextEdge();
-  if (!schedule_valid_) rebuildSchedule();
-  return schedule_.back().t;
-}
-
-void Simulator::rebuildSchedule() {
-  for (auto& slot : schedule_) {
-    slot.domains.clear();
-    slot_pool_.push_back(std::move(slot.domains));
-  }
-  schedule_.clear();
-  for (const auto& d : domains_) scheduleDomain(d.get());
-  schedule_valid_ = true;
-}
-
-void Simulator::scheduleDomain(ClockDomain* d) {
-  const Picos t = d->nextEdge();
-  // schedule_ is sorted by t descending (back() soonest); walk from the back.
-  std::size_t i = schedule_.size();
-  while (i > 0 && schedule_[i - 1].t < t) --i;
-  if (i > 0 && schedule_[i - 1].t == t) {
-    // Join the existing coincident slot, keeping domain declaration order.
-    auto& v = schedule_[i - 1].domains;
-    auto it = v.begin();
-    while (it != v.end() && (*it)->index() < d->index()) ++it;
-    v.insert(it, d);
-    return;
-  }
-  EdgeSlot slot;
-  if (!slot_pool_.empty()) {
-    slot.domains = std::move(slot_pool_.back());
-    slot_pool_.pop_back();
-  }
-  slot.t = t;
-  slot.domains.push_back(d);
-  schedule_.insert(schedule_.begin() + static_cast<std::ptrdiff_t>(i),
-                   std::move(slot));
+Picos Simulator::nextEdgeTime() const {
+  Picos t = kNever;
+  for (const auto& d : domains_) t = std::min(t, d->nextEdge());
+  return t;
 }
 
 bool Simulator::step() {
   if (domains_.empty()) return false;
   ++edges_executed_;
 
+  // The edge is the soonest next edge; every domain due at it joins, in
+  // registration order, so coincident edges evaluate together.
+  now_ps_ = nextEdgeTime();
   edge_scratch_.clear();
-  if (domains_.size() == 1) {
-    // Single-domain fast path: every edge is the sole domain's next edge.
-    ClockDomain* d = domains_[0].get();
-    now_ps_ = d->nextEdge();
-    edge_scratch_.push_back(d);
-  } else {
-    if (!schedule_valid_) rebuildSchedule();
-    EdgeSlot& slot = schedule_.back();
-    now_ps_ = slot.t;
-    edge_scratch_.swap(slot.domains);
-    slot_pool_.push_back(std::move(slot.domains));
-    schedule_.pop_back();
+  for (const auto& d : domains_) {
+    if (d->nextEdge() == now_ps_) edge_scratch_.push_back(d.get());
   }
 
   // Timed wakes due at this edge fire first, so the edge (and deep-check's
@@ -134,11 +87,6 @@ bool Simulator::step() {
   phase_ = Phase::Commit;
   for (ClockDomain* d : edge_scratch_) d->commitEdge();
   phase_ = Phase::Outside;
-
-  // Re-slot each domain at its freshly advanced next edge.
-  if (domains_.size() > 1 && schedule_valid_) {
-    for (ClockDomain* d : edge_scratch_) scheduleDomain(d);
-  }
   return true;
 }
 
@@ -198,8 +146,8 @@ void Simulator::replaySleepers(const std::vector<ClockDomain*>& edge_domains) {
   // every edge) and leaves its own state digest unchanged (checked on the
   // first edge of each sleep: a counter bumped per cycle shows there, and
   // digesting every sleeper on every edge would cost more than the rest of
-  // deep-check).  A component that slept or parked while it still had work
-  // to do is named here on the first edge it would act.
+  // deep-check).  A component that slept while it still had work to do is
+  // named here on the first edge it would act.
   dc_staged_.clear();
   for (ClockDomain* d : edge_domains) {
     for (Updatable* u : d->updatables()) {
@@ -221,16 +169,16 @@ void Simulator::replaySleepers(const std::vector<ClockDomain*>& edge_domains) {
                         *it,
                         "asleep but its evaluate() staged work on '"
                             << u->updatableName()
-                            << "': a component may only sleep or park while "
-                               "its evaluate() is a no-op until woken");
+                            << "': a component may only sleep while its "
+                               "evaluate() is a no-op until woken");
           ++i;
         }
       }
       if (!check_state) continue;
       SIM_CHECK_CTX(sleeper->stateDigest() == before, sleeper->name(), *it,
                     "asleep but its evaluate() changed its state: a "
-                    "component may only sleep or park while its evaluate() "
-                    "is a no-op until woken");
+                    "component may only sleep while its evaluate() is a "
+                    "no-op until woken");
       // Unchanged, so the rewind after the replay leaves the flag standing.
       sleeper->sleep_checked_ = true;
     }
@@ -277,8 +225,6 @@ void Simulator::restoreCheckpoint() {
     domains_[i]->cycle_ = ckpt_.domain_state[i].first;
     domains_[i]->next_edge_ps_ = ckpt_.domain_state[i].second;
   }
-  // The rewind moved every domain's next-edge instant; rebuild lazily.
-  schedule_valid_ = false;
   for (const auto& d : domains_) d->rebuildTimedWakes();
 }
 
@@ -378,14 +324,12 @@ Picos Simulator::runUntilIdle(Picos max_time_ps) {
   constexpr int kQuiesceEdges = 8;
   int idle_streak = 0;
   Picos last_active = now_ps_;
-  refreshIdleScan();
   // Already quiescent on entry: report the current time as the last-active
   // instant and execute nothing (previously the loop burned the full quiesce
   // streak of edges, advancing time and stats on an idle platform).
   if (allIdle()) return last_active;
   while (now_ps_ < max_time_ps) {
     if (!step()) break;
-    if (idle_scan_generation_ != component_generation_) refreshIdleScan();
     if (allIdle()) {
       if (++idle_streak >= kQuiesceEdges) break;
     } else {
@@ -396,18 +340,14 @@ Picos Simulator::runUntilIdle(Picos max_time_ps) {
   return last_active;
 }
 
-void Simulator::refreshIdleScan() {
-  idle_scan_ = allComponents();
-  idle_scan_generation_ = component_generation_;
-}
-
 bool Simulator::allIdle() const {
-  for (Component* c : idle_scan_) {
-    // sleep() is only legal while idle(), so a true sleeper is idle by
-    // contract — no need to poll it.  A parked component still holds work
-    // and is polled like an awake one.
-    if (c->asleep() && !c->parked()) continue;
-    if (!c->idle()) return false;
+  for (const auto& d : domains_) {
+    for (Component* c : d->components()) {
+      // A sleeper that was idle when it slept is idle until woken: no poll.
+      // A parked one still holds work and is polled like an awake one.
+      if (c->asleep() && !c->parked()) continue;
+      if (!c->idle()) return false;
+    }
   }
   return true;
 }
@@ -415,15 +355,9 @@ bool Simulator::allIdle() const {
 void Simulator::finish() {
   if (finished_) return;
   finished_ = true;
-  for (Component* c : allComponents()) c->endOfSimulation();
-}
-
-std::vector<Component*> Simulator::allComponents() const {
-  std::vector<Component*> out;
   for (const auto& d : domains_) {
-    for (Component* c : d->components()) out.push_back(c);
+    for (Component* c : d->components()) c->endOfSimulation();
   }
-  return out;
 }
 
 }  // namespace mpsoc::sim

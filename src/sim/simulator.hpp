@@ -12,11 +12,12 @@
 // registration order and is the custom-kernel equivalent of the SystemC
 // delta-cycle semantics the paper's virtual platform relies on.
 //
-// The edge loop is activity-driven: the next-edge instants are kept in a
-// cached schedule (domains grouped by coincident instant, rebuilt only when a
-// domain is added), and components asleep under the sleep()/park()/
-// sleepUntil() protocol are skipped during evaluate; each domain fires its
-// due timed wakes at the start of its edge.  See DESIGN.md "Kernel".
+// The edge loop is activity-driven: each edge is the soonest
+// ClockDomain::nextEdge() over the domains (a platform has a handful, so a
+// scan is the schedule), every domain due at that instant runs in
+// registration order, and components asleep under the sleep()/sleepUntil()
+// protocol are skipped during evaluate; each domain fires its due timed
+// wakes at the start of its edge.  See DESIGN.md "Kernel".
 
 #include <cstdint>
 #include <functional>
@@ -105,13 +106,13 @@ class Simulator {
   /// Current position within the two-phase edge protocol.
   Phase phase() const { return phase_; }
 
-  /// Activity gating (default on): asleep components (sleep(), park(),
+  /// Activity gating (default on): asleep components (sleep(),
   /// sleepUntil()) are skipped during evaluate.  The activity contract (an
   /// asleep component's evaluate() is a no-op) makes gating
   /// behaviour-neutral; switching it off re-evaluates every component on
   /// every edge and must produce bit-identical results — the equivalence
-  /// tests, the CI gating sweep, the check.sh gating smoke and the fuzzer's
-  /// gated/ungated oracle assert exactly that.
+  /// tests, tools/digest_sweeps.sh (run by CI and check.sh) and the
+  /// fuzzer's gated/ungated oracle assert exactly that.
   void setActivityGating(bool on) { activity_gating_ = on; }
   bool activityGating() const { return activity_gating_; }
 
@@ -121,8 +122,8 @@ class Simulator {
   /// the forward pass after a deep-check replay draw the same ids.
   std::uint64_t nextTransactionId() { return next_txn_id_++; }
 
-  /// Number of components currently asleep, parked ones included (activity
-  /// counter).
+  /// Number of components currently asleep, whether they slept idle, with
+  /// work held or until a timed wake (activity counter).
   std::size_t asleepComponents() const { return asleep_count_; }
 
   /// Deep-check mode: at the start of every edge the kernel saves the edge
@@ -139,8 +140,8 @@ class Simulator {
   /// replay pass evaluates the components asleep at the start of the edge
   /// first, each against the activity contract: one that stages work, or
   /// (on the first edge of its sleep) changes its own state digest, raises
-  /// InvariantViolation naming it.  So a component that slept or parked
-  /// while it still had work to do is caught on the first edge the forward
+  /// InvariantViolation naming it.  So a component that slept while its
+  /// evaluate() would still act is caught on the first edge the forward
   /// pass skips it.  Expensive; off by default.
   void setDeepCheck(bool on) { deep_check_ = on; }
 
@@ -209,8 +210,10 @@ class Simulator {
   /// `quiesce_edges` consecutive edge instants, or until max_time_ps.
   /// Returns the time of the last non-idle edge (the execution time).
   /// If the platform is already quiescent on entry, returns now() without
-  /// executing any edge.  Components registered while the loop runs (mid-run
-  /// construction) are picked up and idle-polled from their first edge.
+  /// executing any edge.  The idle poll walks the domains' component lists,
+  /// so components registered while the loop runs (mid-run construction)
+  /// are polled from their first edge.  A component that slept while idle()
+  /// held (not parked()) counts as idle without a poll.
   Picos runUntilIdle(Picos max_time_ps);
 
   /// Invoke endOfSimulation() on every component exactly once.
@@ -220,38 +223,23 @@ class Simulator {
     return domains_;
   }
 
-  /// All components across all domains (for idle checks / finish hooks).
-  std::vector<Component*> allComponents() const;
-
   // --- kernel bookkeeping (called by ClockDomain / Component) ---------------
 
-  void noteComponentAdded(Component* c);
-  void noteComponentRemoved(Component* c);
   void noteSleep() { ++asleep_count_; }
   void noteWake() { --asleep_count_; }
   /// Added once per domain edge by ClockDomain::evaluateEdge.
   void noteEvaluations(std::uint64_t n) { evaluations_ += n; }
 
  private:
-  /// One instant of the cached edge schedule: every domain whose next edge
-  /// falls on `t`, in domain registration order.  schedule_ is kept sorted by
-  /// t descending, so back() is always the soonest instant.
-  struct EdgeSlot {
-    Picos t = 0;
-    std::vector<ClockDomain*> domains;
-  };
-
   /// Evaluate phase of a deep-checked edge: reversed replay, rewind, forward
   /// pass, staged-digest comparison (see setDeepCheck).
   void evaluateDeepChecked(const std::vector<ClockDomain*>& edge_domains);
   /// Deep-check's replay of the components asleep at the start of the edge,
   /// each checked against the activity contract (see setDeepCheck).
   void replaySleepers(const std::vector<ClockDomain*>& edge_domains);
-  /// Time of the next edge instant, without executing it.
-  Picos nextEdgeTime();
-  void rebuildSchedule();
-  void scheduleDomain(ClockDomain* d);
-  void refreshIdleScan();
+  /// Time of the next edge instant (the soonest domain edge), without
+  /// executing it.
+  Picos nextEdgeTime() const;
   bool allIdle() const;
 
   /// Kernel half of a checkpoint: global time, edge count, transaction-id
@@ -276,26 +264,16 @@ class Simulator {
   bool activity_gating_ = true;
   std::uint64_t next_txn_id_ = 1;
 
-  // Cached coincident-edge schedule (multi-domain path; a single domain short
-  // circuits it).  slot_pool_ recycles slot vectors so the steady-state edge
-  // loop performs no allocation.
-  std::vector<EdgeSlot> schedule_;
-  std::vector<std::vector<ClockDomain*>> slot_pool_;
+  /// The domains due at the current edge, in registration order (reused,
+  /// so the steady-state edge loop performs no allocation).
   std::vector<ClockDomain*> edge_scratch_;
-  bool schedule_valid_ = false;
 
   // Checkpoint / deep-check bookkeeping.
   KernelCheckpoint ckpt_;
   std::vector<std::uint64_t> dc_staged_;  ///< replaySleepers scratch
   std::vector<Checkpointable*> checkpointables_;
 
-  // Activity bookkeeping.
-  std::size_t asleep_count_ = 0;
-  /// Bumped on every component registration/removal; consumers holding a
-  /// component list (runUntilIdle's idle-scan cache) re-derive it on change.
-  std::uint64_t component_generation_ = 0;
-  std::vector<Component*> idle_scan_;
-  std::uint64_t idle_scan_generation_ = ~0ULL;
+  std::size_t asleep_count_ = 0;  ///< activity counter
 };
 
 }  // namespace mpsoc::sim

@@ -61,9 +61,6 @@ class StbusNode final : public txn::InterconnectBase {
     return rsp_engines_[initiator].chan;
   }
 
-  /// Call once all ports are registered (builds per-channel engines).
-  void finalize();
-
   /// One InitiatorMonitor per initiator port: in-order delivery for T1/T2,
   /// out-of-order allowed for T3, per-initiator outstanding cap from config.
   void attachMonitors(verify::VerifyContext& ctx) override;
@@ -93,6 +90,8 @@ class StbusNode final : public txn::InterconnectBase {
     auto simStateMembers() { return std::tie(stream, chan); }
   };
 
+  /// Build the per-channel engines; run by the first evaluate().
+  void finalize();
   /// No stream active and every input FIFO empty: evaluate() is a no-op
   /// until a port push.
   bool quiet() const;

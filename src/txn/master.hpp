@@ -9,7 +9,7 @@
 // request is pushed and never occupy an outstanding slot.
 //
 // Every master is woken by a push into its response FIFO and by a pop from
-// its request FIFO, so a subclass can park() while it waits for a response
+// its request FIFO, so a subclass can sleep() while it waits for a response
 // or for port space.
 
 #include <cstdint>

@@ -1,9 +1,9 @@
 // Regression and unit tests for the activity-driven edge loop: the run()
 // time-bound fix, the runUntilIdle() stale-snapshot / last-active fixes, the
-// cached coincident-edge schedule, and the
-// sleep()/park()/sleepUntil()/wake() activity protocol (gating equivalence,
-// wake hooks, timed wakes, contract enforcement, deep-check divergence on
-// illegal sleeps and parks).
+// coincident-edge scan over the clock domains, and the
+// sleep()/sleepUntil()/wake() activity protocol (gating equivalence, wake
+// hooks, timed wakes, the parked flag sleep() derives from idle(), deep-check
+// divergence on illegal sleeps).
 
 #include <gtest/gtest.h>
 
@@ -126,13 +126,13 @@ TEST(KernelRunUntilIdle, MidRunRegisteredComponentIsPolled) {
 }
 
 // ---------------------------------------------------------------------------
-// Edge-schedule cache
+// Edge schedule
 // ---------------------------------------------------------------------------
 
 TEST(KernelSchedule, DomainAddedMidRunAlignsToGrid) {
   // A domain created at t=30 ns gets its first edge at the next multiple of
   // its period after now() — the grid it would occupy had it existed from
-  // t=0 — and the cached schedule is rebuilt to include it.
+  // t=0 — and joins the edge scan from there.
   sim::Simulator s;
   auto& a = s.addClockDomain("a", 100.0);  // 10 ns
   Ticker ta(a, "ta");
@@ -156,8 +156,8 @@ TEST(KernelSchedule, DomainAddedMidRunAlignsToGrid) {
 
 TEST(KernelSchedule, CoincidentNonIntegerRatioEdgesCountOnce) {
   // 400 MHz (2500 ps) against 250 MHz (4000 ps): periods in 5:8 ratio, first
-  // coincidence at 20 ns.  The coincident instant is one edge (one slot in
-  // the schedule), so edgesExecuted() counts 8 + 5 - 1.
+  // coincidence at 20 ns.  The coincident instant is one edge that runs both
+  // domains, so edgesExecuted() counts 8 + 5 - 1.
   sim::Simulator s;
   auto& fast = s.addClockDomain("fast", 400.0);
   auto& slow = s.addClockDomain("slow", 250.0);
@@ -170,33 +170,56 @@ TEST(KernelSchedule, CoincidentNonIntegerRatioEdgesCountOnce) {
   EXPECT_EQ(s.now(), 20'000u);
 }
 
-TEST(KernelSchedule, SingleDomainFastPath) {
-  // One domain bypasses the schedule entirely; edge accounting must match.
-  sim::Simulator s;
-  auto& clk = s.addClockDomain("clk", 100.0);
-  Ticker t(clk, "t");
-  s.run(1'000'000);
-  EXPECT_EQ(s.edgesExecuted(), 100u);
-  EXPECT_EQ(t.seen.size(), 100u);
-  EXPECT_EQ(s.now(), 1'000'000u);
-}
-
 // ---------------------------------------------------------------------------
 // Activity protocol
 // ---------------------------------------------------------------------------
 
-TEST(KernelActivity, SleepRequiresIdle) {
-  // sleep() while idle() does not hold violates the gating contract and must
-  // be rejected immediately.
-  struct BadSleeper : sim::Component {
-    using sim::Component::Component;
-    void evaluate() override { sleep(); }
-    bool idle() const override { return false; }
+TEST(KernelActivity, SleepWhileHoldingWorkIsPolled) {
+  // A worker holds a job it can only finish once a reply arrives at cycle
+  // 31, and sleeps with idle() false until the push wakes it.  sleep()
+  // derives parked() from idle(), so runUntilIdle() keeps polling the
+  // worker instead of counting it idle and stopping with the job undone
+  // (the replier itself always reports idle).
+  struct Replier : sim::Component {
+    sim::SyncFifo<int>& out;
+    Replier(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
+        : sim::Component(c, "replier"), out(fifo) {}
+    void evaluate() override {
+      if (now() == 30) out.push(1);
+    }
+  };
+  struct Worker : sim::Component {
+    sim::SyncFifo<int>& in;
+    bool done = false;
+    unsigned runs = 0;
+    Worker(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
+        : sim::Component(c, "worker"), in(fifo) {}
+    void evaluate() override {
+      ++runs;
+      if (!in.empty()) {
+        in.pop();
+        done = true;
+      }
+      sleep();
+    }
+    bool idle() const override { return done; }
   };
   sim::Simulator s;
   auto& clk = s.addClockDomain("clk", 100.0);
-  BadSleeper c(clk, "bad");
-  EXPECT_THROW(s.run(20'000), sim::InvariantViolation);
+  sim::SyncFifo<int> f(clk, "reply", 4);
+  Replier r(clk, f);
+  Worker w(clk, f);
+  f.wakeOnPush(&w);
+
+  s.run(10 * clk.period());
+  EXPECT_TRUE(w.asleep());
+  EXPECT_TRUE(w.parked());
+  const sim::Picos last_active = s.runUntilIdle(1'000'000'000);
+  EXPECT_TRUE(w.done);
+  EXPECT_EQ(w.runs, 2u);  // cycle 1, then woken by the push for cycle 31
+  EXPECT_EQ(last_active, 30 * clk.period());
+  EXPECT_TRUE(w.asleep());
+  EXPECT_FALSE(w.parked());  // slept idle this time
 }
 
 TEST(KernelActivity, WakeOnPushResumesSleeper) {
@@ -369,10 +392,11 @@ TEST(KernelActivity, St220StallCountersExactMidStall) {
 }
 
 TEST(KernelActivity, DeepCheckCatchesIllegalSleep) {
-  // A component whose idle() lies can slip past the sleep() contract check;
-  // the deep-check replay (which evaluates sleeping components first, each
-  // against the activity contract) then catches it on the first edge where
-  // the gated forward pass skips work the replay pass stages.
+  // A component that sleeps while its evaluate() would still stage work
+  // (here with a lying idle(), so it is not even parked): the deep-check
+  // replay (which evaluates sleeping components first, each against the
+  // activity contract) catches it on the first edge where the gated forward
+  // pass skips work the replay pass stages.
   struct Liar : sim::Component {
     sim::SyncFifo<int>& f;
     int next = 0;
@@ -527,7 +551,7 @@ TEST(KernelTimedWake, RunUntilIdleWaitsForParkedWork) {
 }
 
 TEST(KernelActivity, DeepCheckNamesParkerWithQueuedRequest) {
-  // A server that parks the first time it sees a request, instead of
+  // A server that sleeps the first time it sees a request, instead of
   // serving it: deep-check replays it on the first edge the forward pass
   // skips it and names it.
   struct Client : sim::Component {
@@ -546,12 +570,12 @@ TEST(KernelActivity, DeepCheckNamesParkerWithQueuedRequest) {
         : sim::Component(c, "lazy"), req(f) {}
     void evaluate() override {
       if (req.empty()) {
-        park();
+        sleep();
         return;
       }
       if (!seen) {
         seen = true;
-        park();  // the planted bug: a request is queued
+        sleep();  // the planted bug: a request is queued
         return;
       }
       req.pop();
@@ -568,7 +592,7 @@ TEST(KernelActivity, DeepCheckNamesParkerWithQueuedRequest) {
   f.wakeOnPush(&lazy);
   try {
     s.run(20 * clk.period());
-    FAIL() << "deep-check missed a component parked with a queued request";
+    FAIL() << "deep-check missed a component asleep with a queued request";
   } catch (const sim::InvariantViolation& e) {
     EXPECT_EQ(e.context().who, "lazy");
     EXPECT_EQ(s.now(), 3 * clk.period());  // the first edge it sleeps through

@@ -249,7 +249,7 @@ TEST(NocMesh, MessageLockingPreservesTrains) {
 }
 
 // ---------------------------------------------------------------------------
-// Activity protocol: routers and adapters sleep once quiet, park on
+// Activity protocol: routers and adapters sleep once quiet, sleep parked on
 // back-pressure and sleep through link serialisation.
 // ---------------------------------------------------------------------------
 

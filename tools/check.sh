@@ -4,28 +4,22 @@
 #   2. full ctest pass under AddressSanitizer + UndefinedBehaviorSanitizer
 #      (includes the whole-tree mpsoc_lint run, the monitored platform smoke
 #      runs and the protocol-monitor negative tests)
-#   3. monitored scenario sweep: every shipped scenario under
-#      mpsoc_run --verify (protocol monitors, leaks checked at the end)
-#   4. parallel-sweep smoke: the shipped scenarios at -j 2 vs -j 1 must emit
-#      byte-identical digest sets (determinism under parallelism)
-#   5. gating smoke: every shipped scenario, gated vs --no-gating digest
-#      compare — a mismatch means some component slept with work pending
-#   6. statecheck sweep: every shipped scenario under the
-#      checkpoint-equivalence oracle (mpsoc_run --verify --statecheck) — the
-#      oracle checkpoints mid-run, re-runs a window of edges after a rewind
-#      and fails the stage if any state holder's digest diverges (an
-#      incomplete SIM_STATE manifest); final digests must still match the
-#      unchecked sweep
-#   7. fuzz smoke: a bounded seeded campaign (mpsoc_fuzz, 50 cases) —
+#   3. digest sweeps (tools/digest_sweeps.sh, the script CI runs): every
+#      shipped scenario plain, monitored under the checkpoint-equivalence
+#      oracle (--verify --statecheck), ungated (--no-gating) and two at a
+#      time (-j 2); all four must print the same digests — a mismatch means
+#      an incomplete SIM_STATE manifest, a component that slept with work
+#      pending, or state shared between concurrent simulations
+#   4. fuzz smoke: a bounded seeded campaign (mpsoc_fuzz, 50 cases) —
 #      generator determinism is asserted by diffing two --emit passes, then
 #      the monitored campaign gates on violations, invariant trips,
 #      gated/ungated digest divergence and run-to-completion cases that never
 #      complete (hangs), auto-shrinking any failure to a minimal reproducer
-#   8. ThreadSanitizer sweep: separate TSan build (tsan is incompatible with
+#   5. ThreadSanitizer sweep: separate TSan build (tsan is incompatible with
 #      asan) running every shipped scenario, monitored, as one
 #      mpsoc_run --sweep -j 4 — the sweep pool is the only multi-threaded
 #      path, so any state shared between concurrent simulations fails here
-#   9. clang-format --dry-run over src/ tests/ tools/ (skipped with a notice
+#   6. clang-format --dry-run over src/ tests/ tools/ (skipped with a notice
 #      when clang-format is not installed; tests/lint/ fixtures excluded)
 #
 # Usage: tools/check.sh [build-dir]     (default: build-check)
@@ -39,19 +33,6 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 FAILED=0
 
 stage() { printf '\n=== %s ===\n' "$*"; }
-
-# same_digests A.json B.json WHY: succeed when two mpsoc_run --json outputs
-# carry the same non-empty list of per-point digests; otherwise print WHY and
-# the digest diff.
-same_digests() {
-  local a b
-  a="$(grep -o '"digest": "[0-9a-f]*"' "$1")"
-  b="$(grep -o '"digest": "[0-9a-f]*"' "$2")"
-  [ -n "$a" ] && [ "$a" = "$b" ] && return 0
-  echo "$3"
-  diff <(echo "$a") <(echo "$b")
-  return 1
-}
 
 stage "configure (ASan+UBSan)"
 cmake -B "$BUILD" -S "$ROOT" -DMPSOC_SANITIZE="address;undefined" \
@@ -68,79 +49,8 @@ if ! (cd "$BUILD" && \
   FAILED=1
 fi
 
-stage "monitored scenario sweep (mpsoc_run --verify)"
-if ! "$BUILD/tools/mpsoc_run" --verify "$ROOT"/tools/scenarios/*.scn; then
-  FAILED=1
-fi
-
-stage "parallel-sweep smoke (-j 2 vs -j 1 digest compare)"
-# The shipped scenarios serially and two at a time: the digest sets must be
-# byte-identical.
-mkdir -p "$BUILD/sweep-smoke"
-if "$BUILD/tools/mpsoc_run" --sweep -j 1 --json "$BUILD/sweep-smoke/j1.json" \
-      "$ROOT"/tools/scenarios/*.scn > /dev/null && \
-   "$BUILD/tools/mpsoc_run" --sweep -j 2 --json "$BUILD/sweep-smoke/j2.json" \
-      "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-  if same_digests "$BUILD/sweep-smoke/j1.json" "$BUILD/sweep-smoke/j2.json" \
-       "sweep smoke: -j 1 and -j 2 digests differ (determinism regression)"
-  then
-    echo "sweep smoke: digests identical at -j 1 and -j 2"
-  else
-    FAILED=1
-  fi
-else
-  echo "sweep smoke: mpsoc_run failed"
-  FAILED=1
-fi
-
-stage "gating smoke (activity gating on vs off)"
-# The shipped scenarios, the set CI's gating sweep uses (the Fig. 3 full
-# platforms, the 4x3 NoC mesh, the LMI platforms), gated vs --no-gating: the
-# digests must match, or some component slept with work pending.
-mkdir -p "$BUILD/gating-smoke"
-if "$BUILD/tools/mpsoc_run" --sweep --json "$BUILD/gating-smoke/gated.json" \
-      "$ROOT"/tools/scenarios/*.scn > /dev/null && \
-   "$BUILD/tools/mpsoc_run" --sweep --no-gating \
-      --json "$BUILD/gating-smoke/ungated.json" \
-      "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-  if same_digests "$BUILD/gating-smoke/gated.json" \
-       "$BUILD/gating-smoke/ungated.json" \
-       "gating smoke: gated and ungated digests differ (activity gating must
-be behaviour-neutral; a component slept with work pending)"; then
-    echo "gating smoke: digests identical with activity gating on and off"
-  else
-    FAILED=1
-  fi
-else
-  echo "gating smoke: mpsoc_run failed"
-  FAILED=1
-fi
-
-stage "statecheck sweep (checkpoint-equivalence oracle)"
-# The --statecheck replay check (Simulator::replayCheck) over every shipped
-# scenario, fully monitored: each run checkpoints at 1 us, executes a window
-# of edges, rewinds and re-executes; any diverging state digest (an
-# incomplete SIM_STATE manifest, or an evaluate() depending on
-# un-checkpointed state) aborts the run.  The oracle replays a window
-# mid-run, so the final results must still match the unchecked baseline
-# digests bit-for-bit.
-mkdir -p "$BUILD/statecheck-smoke"
-if ! "$BUILD/tools/mpsoc_run" --sweep \
-      --json "$BUILD/statecheck-smoke/base.json" \
-      "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-  echo "statecheck sweep: unchecked baseline run failed"
-  FAILED=1
-elif ! "$BUILD/tools/mpsoc_run" --verify --statecheck \
-        --sweep --json "$BUILD/statecheck-smoke/checked.json" \
-        "$ROOT"/tools/scenarios/*.scn > /dev/null; then
-  echo "statecheck sweep: divergence or failure"
-  FAILED=1
-elif same_digests "$BUILD/statecheck-smoke/base.json" \
-       "$BUILD/statecheck-smoke/checked.json" \
-       "statecheck sweep: digests differ from the unchecked run (the oracle's
-rewind must be invisible to results)"; then
-  echo "statecheck sweep: oracle green, digests identical"
-else
+stage "digest sweeps (plain vs --verify --statecheck, --no-gating, -j 2)"
+if ! "$ROOT/tools/digest_sweeps.sh" "$BUILD/tools/mpsoc_run"; then
   FAILED=1
 fi
 

@@ -20,8 +20,8 @@
 //                   duration is rejected — the oracle would silently never
 //                   fire
 //   --no-gating     disable kernel activity gating (evaluate every component
-//                   on every edge).  Digests must not change — CI's gating
-//                   equivalence sweep and check.sh's gating smoke diff
+//                   on every edge).  Digests must not change —
+//                   tools/digest_sweeps.sh (run by CI and check.sh) diffs
 //                   gated vs. ungated runs of tools/scenarios/*.scn with this
 //   --sweep         print the sweep view: per-point wall-clock, simulation
 //                   throughput (Medges/s) and canonical result digest
@@ -35,6 +35,7 @@
 // paper's Fig. 3 instances).  All scenarios share the reference workload, so
 // their execution times are directly comparable.
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -50,6 +51,15 @@
 using namespace mpsoc;
 
 namespace {
+
+/// Parse a whole decimal argument into `out`.  False on a malformed or
+/// out-of-range value, which the caller reports as a usage error.
+template <typename T>
+bool parseNumber(const char* arg, T& out) {
+  const char* end = arg + std::strlen(arg);
+  const auto [ptr, ec] = std::from_chars(arg, end, out);
+  return ec == std::errc() && ptr == end;
+}
 
 void usage() {
   std::cerr << "usage: mpsoc_run [--csv] [--json <path|->] [--normalize N] "
@@ -72,6 +82,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
 
   for (int i = 1; i < argc; ++i) {
+    bool ok = true;
     if (std::strcmp(argv[i], "--csv") == 0) {
       want_csv = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -81,20 +92,23 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--statecheck") == 0) {
       want_statecheck = true;
     } else if (std::strcmp(argv[i], "--checkpoint-at") == 0 && i + 1 < argc) {
-      checkpoint_at = std::stoll(argv[++i]);
+      ok = parseNumber(argv[++i], checkpoint_at);
     } else if (std::strcmp(argv[i], "--no-gating") == 0) {
       no_gating = true;
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       want_sweep = true;
     } else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::stoul(argv[++i]));
+      ok = parseNumber(argv[++i], jobs);
     } else if (std::strcmp(argv[i], "--normalize") == 0 && i + 1 < argc) {
-      normalize_to = static_cast<std::size_t>(std::stoul(argv[++i]));
+      ok = parseNumber(argv[++i], normalize_to);
     } else if (argv[i][0] == '-' && argv[i][1] != '\0') {
-      usage();
-      return 2;
+      ok = false;
     } else {
       files.emplace_back(argv[i]);
+    }
+    if (!ok) {
+      usage();
+      return 2;
     }
   }
   if (files.empty()) {
