@@ -52,7 +52,7 @@ void AxiBus::evaluate() {
   writeRequestPath();
   // No burst streaming and every input FIFO empty: nothing moves until a
   // port push wakes us (wired in addInitiator/addTarget).  Transactions
-  // still in flight at the targets leave the sleep parked (not idle).
+  // still in flight at the targets keep idle() false while we sleep.
   if (quiet()) sleep();
 }
 

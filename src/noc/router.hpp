@@ -12,9 +12,9 @@
 // each evaluate a router sleeps once idle() holds (every input empty, no
 // output streaming); stays awake while a free engine could grant next cycle;
 // else sleeps until its earliest handoff or tail cycle (free_at - 1, where
-// the engine lets go of its packet); else sleeps (parked) on back-pressure.
-// A push into one of its inputs or a pop from one of its output sinks wakes
-// it.
+// the engine lets go of its packet); else sleeps, holding work, on
+// back-pressure.  A push into one of its inputs or a pop from one of its
+// output sinks wakes it.
 // XY routes come from a per-destination table built at construction.
 
 #include <array>

@@ -7,6 +7,14 @@
 
 namespace mpsoc::sim {
 
+namespace {
+/// A timed wake (Component::sleepUntil) is due once its domain reaches the
+/// wake cycle.
+bool timedWakeDue(const Component* c, Cycle cycle) {
+  return c->wakeAt() != 0 && c->wakeAt() <= cycle;
+}
+}  // namespace
+
 ClockDomain::ClockDomain(Simulator& sim, std::string name, Picos period_ps)
     : sim_(sim), name_(std::move(name)), period_ps_(period_ps),
       next_edge_ps_(period_ps) {}
@@ -18,33 +26,11 @@ void ClockDomain::addComponent(Component* c) {
 void ClockDomain::removeComponent(Component* c) {
   components_.erase(std::remove(components_.begin(), components_.end(), c),
                     components_.end());
-  timed_wakes_.erase(
-      std::remove_if(timed_wakes_.begin(), timed_wakes_.end(),
-                     [c](const TimedWake& w) { return w.c == c; }),
-      timed_wakes_.end());
 }
 
-void ClockDomain::fireWakes() {
-  const Cycle due = cycle_ + 1;
-  Cycle next = kNoWake;
-  std::size_t keep = 0;
-  for (const TimedWake& w : timed_wakes_) {
-    if (w.at <= due) {
-      if (w.c->wakeAt() == w.at) w.c->wake();
-    } else {
-      timed_wakes_[keep++] = w;
-      next = std::min(next, w.at);
-    }
-  }
-  timed_wakes_.resize(keep);
-  next_wake_ = next;
-}
-
-void ClockDomain::rebuildTimedWakes() {
-  timed_wakes_.clear();
-  next_wake_ = kNoWake;
+void ClockDomain::wakeDue() {
   for (Component* c : components_) {
-    if (c->wakeAt() != 0) addTimedWake(c, c->wakeAt());
+    if (timedWakeDue(c, cycle_ + 1)) c->wake();
   }
 }
 
@@ -67,7 +53,13 @@ void ClockDomain::evaluateEdge() {
   // deterministic registration order.
   for (std::size_t i = 0; i < components_.size(); ++i) {
     Component* c = components_[i];
-    if (gate && c->asleep()) continue;
+    if (c->asleep()) {
+      if (timedWakeDue(c, cycle_)) {
+        c->wake();
+      } else if (gate) {
+        continue;
+      }
+    }
     c->evaluate();
     ++evaluated;
   }

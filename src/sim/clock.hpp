@@ -128,7 +128,9 @@ class ClockDomain {
   }
 
   /// Phase 1 of an edge: bump the cycle counter and run every component,
-  /// skipping sleeping ones when activity gating is on.  (Deep-check's
+  /// skipping sleeping ones when activity gating is on.  The same scan fires
+  /// timed wakes: a sleeper whose wakeAt() is due at the new cycle is woken
+  /// at its own position and evaluated, gated or not.  (Deep-check's
   /// reversed replay pass is driven by the Simulator; see setDeepCheck.)
   void evaluateEdge();
   /// Phase 2 of an edge: commit all staged state and schedule the next edge.
@@ -138,31 +140,11 @@ class ClockDomain {
 
  private:
   friend class Simulator;
-  friend class Component;
 
-  /// A pending Component::sleepUntil() wake.  An entry whose component no
-  /// longer waits for `at` (woken early by a FIFO hook, or re-parked) is
-  /// stale and dropped without firing.
-  struct TimedWake {
-    Cycle at;
-    Component* c;
-  };
-  static constexpr Cycle kNoWake = ~Cycle{0};
-
-  void addTimedWake(Component* c, Cycle at) {
-    timed_wakes_.push_back({at, c});
-    if (at < next_wake_) next_wake_ = at;
-  }
-  /// Start of an edge: wake every component whose timed wake is due at the
-  /// cycle about to run.  One compare when none is due.
-  void fireDueWakes() {
-    if (cycle_ + 1 >= next_wake_) fireWakes();
-  }
-  void fireWakes();
-  /// Re-derive the wake list from the components' own (manifested) wake
-  /// cycles; called after every restore, since the list itself is derived
-  /// state that no checkpoint covers.
-  void rebuildTimedWakes();
+  /// Wake every sleeper whose timed wake is due at the cycle about to run,
+  /// with the due test evaluateEdge() applies during its scan.  Only
+  /// deep-check calls it, so the edge it saves sees those components awake.
+  void wakeDue();
 
   /// First edge of a domain created while the simulation is already running:
   /// align to the next multiple of the period strictly after `now`, so the
@@ -180,8 +162,6 @@ class ClockDomain {
   std::vector<Component*> components_;
   std::vector<Updatable*> updatables_;
   std::vector<Updatable*> commit_queue_;
-  std::vector<TimedWake> timed_wakes_;
-  Cycle next_wake_ = kNoWake;  ///< min over timed_wakes_
 };
 
 }  // namespace mpsoc::sim

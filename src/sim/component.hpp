@@ -54,20 +54,21 @@ class Component {
   // points:
   //
   //   sleep()           until an event wakes the component (a wired FIFO
-  //                     hook or an explicit wake()).  It reads idle() once:
-  //                     a component that slept idle is counted idle without
-  //                     polling; one that slept holding work (a transaction
-  //                     in flight, a stalled pipeline) is parked() and
-  //                     runUntilIdle() keeps polling its idle().
-  //   sleepUntil(c)     sleep holding work, plus a timed wake: the kernel
-  //                     wakes the component at the start of its domain's
-  //                     cycle `c`.  Always parked().
+  //                     hook or an explicit wake()).
+  //   sleepUntil(c)     the same, plus a timed wake: the kernel wakes the
+  //                     component at the start of its domain's cycle `c`.
+  //
+  // The whole activity state is this component's own asleep() and wakeAt();
+  // the kernel keeps no copy of it.  A sleeper may hold work (a transaction
+  // in flight, a stalled pipeline): runUntilIdle() polls every component's
+  // idle(), asleep or not.
   //
   // Waking is the responsibility of whatever delivers the event: FIFO wake
   // hooks (SyncFifo::wakeOnPush / wakeOnPop, AsyncFifo::wakeOnPush) fire at
   // commit time of any edge that pushed/popped, programming interfaces (e.g.
-  // DmaEngine::program) call wake() explicitly, and the clock domain fires
-  // due timed wakes.  Any wake clears the asleep state and the timed wake.
+  // DmaEngine::program) call wake() explicitly, and the clock domain's
+  // evaluate scan wakes a sleeper whose wakeAt() is due when it reaches it.
+  // Any wake clears the asleep state and the timed wake.
   //
   // Contract: while asleep, evaluate() must be a no-op — it stages nothing
   // and leaves stateDigest() unchanged — so gating can never change
@@ -82,9 +83,6 @@ class Component {
 
   /// True while this component is asleep (sleep() or sleepUntil()).
   bool asleep() const { return asleep_; }
-  /// True while asleep with work held: slept while idle() was false, or
-  /// waits for a timed wake.
-  bool parked() const { return parked_; }
   /// Cycle of the pending timed wake, or 0 for none.
   Cycle wakeAt() const { return wake_at_; }
 
@@ -100,25 +98,25 @@ class Component {
   const std::string& name() const { return name_; }
 
  protected:
-  /// Sleep until woken; parked() is set when idle() does not hold.
+  /// Sleep until woken.
   void sleep();
-  /// Sleep holding work, with a timed wake at the start of cycle `c` of this
-  /// component's domain.  A cycle not after now() leaves the component awake
-  /// (its next evaluate is the next edge either way).
+  /// Sleep with a timed wake at the start of cycle `c` of this component's
+  /// domain.  A cycle not after now() leaves the component awake (its next
+  /// evaluate is the next edge either way).
   void sleepUntil(Cycle c);
 
   // --- SIM_STATE base hooks (called by the generated manifest bodies) -------
 
   /// Snapshot the base-class activity state (every manifest covers it, so a
   /// replayed or restored window re-sleeps/re-wakes identically).
-  void saveStateBase() { saved_activity_ = {asleep_, parked_, wake_at_}; }
-  /// Restore the activity state, keeping the kernel's asleep counter
-  /// balanced.  The domain's timed-wake list is derived state: the kernel
-  /// rebuilds it after a restore.
-  void restoreStateBase();
+  void saveStateBase() { saved_activity_ = {asleep_, wake_at_}; }
+  /// Restore the activity state.
+  void restoreStateBase() {
+    asleep_ = saved_activity_.asleep;
+    wake_at_ = saved_activity_.wake_at;
+  }
   void digestStateBase(state::Digest& d) const {
     d.add(asleep_ ? 1u : 0u);
-    d.add(parked_ ? 1u : 0u);
     d.add(wake_at_);
   }
 
@@ -130,16 +128,15 @@ class Component {
 
   struct Activity {
     bool asleep = false;
-    bool parked = false;
     Cycle wake_at = 0;
   };
 
   bool asleep_ = false;
-  bool parked_ = false;
   Cycle wake_at_ = 0;
   Activity saved_activity_;
   /// Deep-check bookkeeping (not model state): this sleep's first replay
-  /// already verified the state digest.  Cleared by every wake and restore.
+  /// already verified the state digest.  Cleared by every wake and by
+  /// Simulator::restoreCheckpoint().
   bool sleep_checked_ = false;
 };
 

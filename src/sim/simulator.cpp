@@ -71,10 +71,6 @@ bool Simulator::step() {
     if (d->nextEdge() == now_ps_) edge_scratch_.push_back(d.get());
   }
 
-  // Timed wakes due at this edge fire first, so the edge (and deep-check's
-  // save of it) sees their components awake.
-  for (ClockDomain* d : edge_scratch_) d->fireDueWakes();
-
   // Phase 1: evaluate every domain whose edge coincides with t.
   phase_ = Phase::Evaluate;
   if (deep_check_) {
@@ -92,6 +88,9 @@ bool Simulator::step() {
 
 void Simulator::evaluateDeepChecked(
     const std::vector<ClockDomain*>& edge_domains) {
+  // Timed wakes due at this edge fire before the save, so the replay sees
+  // their components awake, as the forward pass's scan will.
+  for (ClockDomain* d : edge_domains) d->wakeDue();
   // Replay first, in reverse order: a well-behaved edge stages the same work
   // regardless of component registration order.
   saveDomains(edge_domains, "deep-check");
@@ -116,10 +115,7 @@ void Simulator::evaluateDeepChecked(
 
   // Rewind, then run the forward pass exactly as a plain run would: its
   // staged work is what the edge commits, under the same transaction ids.
-  // The replay's sleepUntil() calls left entries in the wake lists; the
-  // rebuild drops them.
   restoreDomains(edge_domains);
-  for (ClockDomain* d : edge_domains) d->rebuildTimedWakes();
   next_txn_id_ = txn_id;
   for (ClockDomain* d : edge_domains) d->evaluateEdge();
 
@@ -225,7 +221,6 @@ void Simulator::restoreCheckpoint() {
     domains_[i]->cycle_ = ckpt_.domain_state[i].first;
     domains_[i]->next_edge_ps_ = ckpt_.domain_state[i].second;
   }
-  for (const auto& d : domains_) d->rebuildTimedWakes();
 }
 
 std::uint64_t Simulator::stateDigest() const {
@@ -343,13 +338,18 @@ Picos Simulator::runUntilIdle(Picos max_time_ps) {
 bool Simulator::allIdle() const {
   for (const auto& d : domains_) {
     for (Component* c : d->components()) {
-      // A sleeper that was idle when it slept is idle until woken: no poll.
-      // A parked one still holds work and is polled like an awake one.
-      if (c->asleep() && !c->parked()) continue;
       if (!c->idle()) return false;
     }
   }
   return true;
+}
+
+std::size_t Simulator::asleepComponents() const {
+  std::size_t n = 0;
+  for (const auto& d : domains_) {
+    for (const Component* c : d->components()) n += c->asleep() ? 1 : 0;
+  }
+  return n;
 }
 
 void Simulator::finish() {

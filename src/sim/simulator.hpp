@@ -16,8 +16,8 @@
 // ClockDomain::nextEdge() over the domains (a platform has a handful, so a
 // scan is the schedule), every domain due at that instant runs in
 // registration order, and components asleep under the sleep()/sleepUntil()
-// protocol are skipped during evaluate; each domain fires its due timed
-// wakes at the start of its edge.  See DESIGN.md "Kernel".
+// protocol are skipped during evaluate; the same scan wakes a sleeper whose
+// timed wake is due.  See DESIGN.md "Kernel".
 
 #include <cstdint>
 #include <functional>
@@ -122,9 +122,9 @@ class Simulator {
   /// the forward pass after a deep-check replay draw the same ids.
   std::uint64_t nextTransactionId() { return next_txn_id_++; }
 
-  /// Number of components currently asleep, whether they slept idle, with
-  /// work held or until a timed wake (activity counter).
-  std::size_t asleepComponents() const { return asleep_count_; }
+  /// Number of components currently asleep (sleep() or sleepUntil()),
+  /// counted by walking the domains.
+  std::size_t asleepComponents() const;
 
   /// Deep-check mode: at the start of every edge the kernel saves the edge
   /// domains through the checkpoint hooks (component manifests, updatables,
@@ -138,11 +138,12 @@ class Simulator {
   /// monitors.  Every component on the edge must carry a SIM_STATE manifest;
   /// an unmanifested one raises InvariantViolation, as in checkpoint().  The
   /// replay pass evaluates the components asleep at the start of the edge
-  /// first, each against the activity contract: one that stages work, or
-  /// (on the first edge of its sleep) changes its own state digest, raises
-  /// InvariantViolation naming it.  So a component that slept while its
-  /// evaluate() would still act is caught on the first edge the forward
-  /// pass skips it.  Expensive; off by default.
+  /// (after its due timed wakes fire) first, each against the activity
+  /// contract: one that stages work, or (on the first edge of its sleep)
+  /// changes its own state digest, raises InvariantViolation naming it.  So
+  /// a component that slept while its evaluate() would still act is caught
+  /// on the first edge the forward pass skips it.  Expensive; off by
+  /// default.
   void setDeepCheck(bool on) { deep_check_ = on; }
 
   /// True while deep-check runs the reversed replay pass of the current
@@ -212,8 +213,8 @@ class Simulator {
   /// If the platform is already quiescent on entry, returns now() without
   /// executing any edge.  The idle poll walks the domains' component lists,
   /// so components registered while the loop runs (mid-run construction)
-  /// are polled from their first edge.  A component that slept while idle()
-  /// held (not parked()) counts as idle without a poll.
+  /// are polled from their first edge.  Sleepers are polled too: a component
+  /// may sleep holding work.
   Picos runUntilIdle(Picos max_time_ps);
 
   /// Invoke endOfSimulation() on every component exactly once.
@@ -223,10 +224,8 @@ class Simulator {
     return domains_;
   }
 
-  // --- kernel bookkeeping (called by ClockDomain / Component) ---------------
+  // --- kernel bookkeeping (called by ClockDomain) ---------------------------
 
-  void noteSleep() { ++asleep_count_; }
-  void noteWake() { --asleep_count_; }
   /// Added once per domain edge by ClockDomain::evaluateEdge.
   void noteEvaluations(std::uint64_t n) { evaluations_ += n; }
 
@@ -272,8 +271,6 @@ class Simulator {
   KernelCheckpoint ckpt_;
   std::vector<std::uint64_t> dc_staged_;  ///< replaySleepers scratch
   std::vector<Checkpointable*> checkpointables_;
-
-  std::size_t asleep_count_ = 0;  ///< activity counter
 };
 
 }  // namespace mpsoc::sim

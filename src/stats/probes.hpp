@@ -202,38 +202,19 @@ class FifoStateProbe : public sim::Checkpointable {
 /// Channel occupancy accounting.  The owning engine calls exactly one of
 /// markTransfer()/markHeld() per cycle in which the channel is occupied;
 /// data-beat cycles are transfers, occupied-but-idle cycles (wait states on a
-/// locked channel) are held.  Efficiency = transfers / window; utilisation =
-/// (transfers + held) / window.
+/// locked channel) are held.
 class ChannelUtilization {
  public:
-  explicit ChannelUtilization(std::string name = "") : name_(std::move(name)) {}
-
   void markTransfer() { ++transfers_; }
   void markHeld() { ++held_; }
 
   std::uint64_t transfers() const { return transfers_; }
   std::uint64_t held() const { return held_; }
 
-  double efficiency(sim::Cycle total_cycles) const {
-    return total_cycles ? static_cast<double>(transfers_) /
-                              static_cast<double>(total_cycles)
-                        : 0.0;
-  }
-  double utilization(sim::Cycle total_cycles) const {
-    return total_cycles ? static_cast<double>(transfers_ + held_) /
-                              static_cast<double>(total_cycles)
-                        : 0.0;
-  }
-
-  const std::string& name() const { return name_; }
-
-  /// State-manifest hook (src/sim/state.hpp); name_ is configuration.
-  auto simStateMembers() {
-    return std::tie(transfers_, held_);
-  }
+  /// State-manifest hook (src/sim/state.hpp).
+  auto simStateMembers() { return std::tie(transfers_, held_); }
 
  private:
-  std::string name_;
   std::uint64_t transfers_ = 0;
   std::uint64_t held_ = 0;
 };

@@ -2,8 +2,8 @@
 // time-bound fix, the runUntilIdle() stale-snapshot / last-active fixes, the
 // coincident-edge scan over the clock domains, and the
 // sleep()/sleepUntil()/wake() activity protocol (gating equivalence, wake
-// hooks, timed wakes, the parked flag sleep() derives from idle(), deep-check
-// divergence on illegal sleeps).
+// hooks, timed wakes fired by the evaluate scan, runUntilIdle() polling
+// sleepers that hold work, deep-check divergence on illegal sleeps).
 
 #include <gtest/gtest.h>
 
@@ -176,10 +176,10 @@ TEST(KernelSchedule, CoincidentNonIntegerRatioEdgesCountOnce) {
 
 TEST(KernelActivity, SleepWhileHoldingWorkIsPolled) {
   // A worker holds a job it can only finish once a reply arrives at cycle
-  // 31, and sleeps with idle() false until the push wakes it.  sleep()
-  // derives parked() from idle(), so runUntilIdle() keeps polling the
-  // worker instead of counting it idle and stopping with the job undone
-  // (the replier itself always reports idle).
+  // 31, and sleeps with idle() false until the push wakes it.
+  // runUntilIdle() polls the sleeping worker's idle() instead of counting it
+  // idle and stopping with the job undone (the replier itself always reports
+  // idle).
   struct Replier : sim::Component {
     sim::SyncFifo<int>& out;
     Replier(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
@@ -213,13 +213,13 @@ TEST(KernelActivity, SleepWhileHoldingWorkIsPolled) {
 
   s.run(10 * clk.period());
   EXPECT_TRUE(w.asleep());
-  EXPECT_TRUE(w.parked());
+  EXPECT_FALSE(w.idle());
   const sim::Picos last_active = s.runUntilIdle(1'000'000'000);
   EXPECT_TRUE(w.done);
   EXPECT_EQ(w.runs, 2u);  // cycle 1, then woken by the push for cycle 31
   EXPECT_EQ(last_active, 30 * clk.period());
   EXPECT_TRUE(w.asleep());
-  EXPECT_FALSE(w.parked());  // slept idle this time
+  EXPECT_TRUE(w.idle());  // slept idle this time
 }
 
 TEST(KernelActivity, WakeOnPushResumesSleeper) {
@@ -359,13 +359,14 @@ TEST(KernelActivity, St220StallCountersExactMidStall) {
   sim::Simulator& su = pu.simulator();
   const cpu::St220& dsp = *pg.dsp();
 
-  // Step both in lock-step to an edge a few cycles into a parked miss.
-  unsigned parked_edges = 0;
-  while (parked_edges < 5) {
+  // Step both in lock-step to an edge a few cycles into a miss the core
+  // sleeps through.
+  unsigned stalled_edges = 0;
+  while (stalled_edges < 5) {
     ASSERT_TRUE(sg.step());
     ASSERT_TRUE(su.step());
     ASSERT_FALSE(dsp.done());
-    parked_edges = dsp.parked() ? parked_edges + 1 : 0;
+    stalled_edges = dsp.asleep() && !dsp.idle() ? stalled_edges + 1 : 0;
   }
   ASSERT_GT(dsp.stallCycles(), 0u);
   EXPECT_EQ(dsp.stallCycles(), pu.dsp()->stallCycles());
@@ -393,10 +394,10 @@ TEST(KernelActivity, St220StallCountersExactMidStall) {
 
 TEST(KernelActivity, DeepCheckCatchesIllegalSleep) {
   // A component that sleeps while its evaluate() would still stage work
-  // (here with a lying idle(), so it is not even parked): the deep-check
-  // replay (which evaluates sleeping components first, each against the
-  // activity contract) catches it on the first edge where the gated forward
-  // pass skips work the replay pass stages.
+  // (here with a lying idle()): the deep-check replay (which evaluates
+  // sleeping components first, each against the activity contract) catches
+  // it on the first edge where the gated forward pass skips work the replay
+  // pass stages.
   struct Liar : sim::Component {
     sim::SyncFifo<int>& f;
     int next = 0;
@@ -423,15 +424,22 @@ TEST(KernelActivity, DeepCheckCatchesIllegalSleep) {
 // ---------------------------------------------------------------------------
 
 /// Holds work (never idle) and, on each evaluate, records the cycle and
-/// sleeps for `nap` cycles.
+/// sleeps for `nap` cycles.  Evaluated while asleep (ungated, or by
+/// deep-check's replay) it only re-derives the same wait, and deep-check's
+/// replay pass records nothing.
 class Napper : public sim::Component {
  public:
   Napper(sim::ClockDomain& clk, std::string name, sim::Cycle nap)
       : sim::Component(clk, std::move(name)), nap_(nap) {}
   void evaluate() override {
-    seen.push_back(now());
+    if (now() < next_) {
+      sleepUntil(next_);
+      return;
+    }
+    if (!clk().simulator().inReplay()) seen.push_back(now());
     ++runs_;
-    sleepUntil(now() + nap_);
+    next_ = now() + nap_;
+    sleepUntil(next_);
   }
   bool idle() const override { return false; }
   std::vector<sim::Cycle> seen;
@@ -439,7 +447,8 @@ class Napper : public sim::Component {
  private:
   sim::Cycle nap_;
   std::uint64_t runs_ = 0;
-  SIM_STATE_MEMBERS(runs_);
+  sim::Cycle next_ = 0;
+  SIM_STATE_MEMBERS(runs_, next_);
   SIM_STATE_EXEMPT(nap_, "immutable configuration");
   SIM_STATE_EXEMPT(seen, "test probe");
 };
@@ -462,14 +471,14 @@ TEST(KernelTimedWake, FiresOnExactCycleAcrossNonIntegerRatio) {
   for (std::size_t i = 0; i < ns.seen.size(); ++i) {
     EXPECT_EQ(ns.seen[i], 1 + 3 * i);
   }
-  EXPECT_TRUE(nf.parked());
+  EXPECT_TRUE(nf.asleep());
   EXPECT_EQ(nf.wakeAt(), 106u);
 }
 
 TEST(KernelTimedWake, EarlyPushWakeLeavesNoStaleFire) {
   // The consumer naps until cycle 20, a push at cycle 5 wakes it early, it
-  // drains the FIFO and goes idle with sleep().  Its stale cycle-20 entry
-  // must not wake it again.
+  // drains the FIFO and goes idle with sleep().  The early wake cleared the
+  // cycle-20 wake, so it must not wake it again.
   struct Producer : sim::Component {
     sim::SyncFifo<int>& f;
     Producer(sim::ClockDomain& c, sim::SyncFifo<int>& fifo)
@@ -503,29 +512,61 @@ TEST(KernelTimedWake, EarlyPushWakeLeavesNoStaleFire) {
   s.run(30 * clk.period());
   EXPECT_EQ(c.seen, (std::vector<sim::Cycle>{1, 6}));
   EXPECT_TRUE(c.asleep());
-  EXPECT_FALSE(c.parked());
+  EXPECT_TRUE(c.idle());
   EXPECT_EQ(c.wakeAt(), 0u);
 }
 
-TEST(KernelTimedWake, ReplayCheckRebuildsWakeList) {
-  // The window starts with both nappers parked and their wakes due inside
-  // it.  The first pass fires those entries and queues later ones; the
-  // restore must rebuild the list from the restored components, or the
-  // replay would sleep through the wakes the first pass saw.
+TEST(KernelTimedWake, ReplayCheckReplaysTimedWakes) {
+  // The window starts with both nappers asleep and their wakes due inside
+  // it.  The first pass fires those wakes and sets later ones; the restore
+  // puts back the components' own wake cycles, and the replay must fire the
+  // same wakes the first pass saw.
   sim::Simulator s;
   auto& a = s.addClockDomain("a", 400.0);
   auto& b = s.addClockDomain("b", 250.0);
   Napper na(a, "na", 5);
   Napper nb(b, "nb", 3);
   s.run(7 * a.period());
-  ASSERT_TRUE(na.parked());
-  ASSERT_TRUE(nb.parked());
+  ASSERT_NE(na.wakeAt(), 0u);
+  ASSERT_NE(nb.wakeAt(), 0u);
   const std::optional<sim::ReplayDivergence> div = s.replayCheck(40);
   EXPECT_FALSE(div.has_value()) << div->holder;
 }
 
+TEST(KernelTimedWake, DeepCheckedWakesMatchPlainRun) {
+  // Deep-check fires the due wakes of an edge before it saves the edge, so
+  // its replay pass sees the waking nappers awake, not as sleepers that act.
+  // On 300/100 MHz domains the wakes of the two domains rarely coincide; a
+  // deep-checked run must see the same cycles and end in the same state as
+  // a plain one.  The slow napper naps one cycle, so each of its wake edges
+  // is the first edge of its sleep, where the replay checks a sleeper's
+  // state: a wake fired only after the save raises there.
+  struct Run {
+    std::vector<sim::Cycle> fast, slow;
+    std::uint64_t digest = 0;
+  };
+  const auto run = [](bool deep) {
+    sim::Simulator s;
+    s.setDeepCheck(deep);
+    auto& fast = s.addClockDomain("fast", 300.0);
+    auto& slow = s.addClockDomain("slow", 100.0);
+    Napper nf(fast, "nf", 7);
+    Napper ns(slow, "ns", 1);
+    s.run(100 * fast.period());
+    return Run{nf.seen, ns.seen, s.stateDigest()};
+  };
+  const Run plain = run(false);
+  Run checked;
+  ASSERT_NO_THROW(checked = run(true));
+  ASSERT_GT(plain.fast.size(), 10u);
+  ASSERT_GT(plain.slow.size(), 10u);
+  EXPECT_EQ(checked.fast, plain.fast);
+  EXPECT_EQ(checked.slow, plain.slow);
+  EXPECT_EQ(checked.digest, plain.digest);
+}
+
 TEST(KernelTimedWake, RunUntilIdleWaitsForParkedWork) {
-  // A parked component still holds work: runUntilIdle() polls its idle()
+  // A sleeping component may hold work: runUntilIdle() polls its idle()
   // and keeps running through its nap instead of stopping after the quiesce
   // window.
   struct Worker : sim::Component {

@@ -55,13 +55,14 @@ TEST(Counter, IncAndReset) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(ChannelUtilization, EfficiencyAndUtilization) {
-  stats::ChannelUtilization ch("rsp");
+TEST(ChannelUtilization, CountsTransfersAndHeldCycles) {
+  stats::ChannelUtilization ch;
+  EXPECT_EQ(ch.transfers(), 0u);
+  EXPECT_EQ(ch.held(), 0u);
   for (int i = 0; i < 50; ++i) ch.markTransfer();
   for (int i = 0; i < 30; ++i) ch.markHeld();
-  EXPECT_DOUBLE_EQ(ch.efficiency(100), 0.5);
-  EXPECT_DOUBLE_EQ(ch.utilization(100), 0.8);
-  EXPECT_DOUBLE_EQ(ch.efficiency(0), 0.0);
+  EXPECT_EQ(ch.transfers(), 50u);
+  EXPECT_EQ(ch.held(), 30u);
 }
 
 TEST(PhaseSchedule, LookupAndBounds) {

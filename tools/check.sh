@@ -10,11 +10,12 @@
 #      time (-j 2); all four must print the same digests — a mismatch means
 #      an incomplete SIM_STATE manifest, a component that slept with work
 #      pending, or state shared between concurrent simulations
-#   4. fuzz smoke: a bounded seeded campaign (mpsoc_fuzz, 50 cases) —
-#      generator determinism is asserted by diffing two --emit passes, then
-#      the monitored campaign gates on violations, invariant trips,
-#      gated/ungated digest divergence and run-to-completion cases that never
-#      complete (hangs), auto-shrinking any failure to a minimal reproducer
+#   4. fuzz smoke (tools/fuzz_smoke.sh, the script CI runs): a bounded
+#      seeded campaign (mpsoc_fuzz, 50 cases) — generator determinism is
+#      asserted by diffing two --emit passes, then the monitored campaign
+#      gates on violations, invariant trips, gated/ungated digest divergence
+#      and run-to-completion cases that never complete (hangs),
+#      auto-shrinking any failure to a minimal reproducer
 #   5. ThreadSanitizer sweep: separate TSan build (tsan is incompatible with
 #      asan) running every shipped scenario, monitored, as one
 #      mpsoc_run --sweep -j 4 — the sweep pool is the only multi-threaded
@@ -55,39 +56,10 @@ if ! "$ROOT/tools/digest_sweeps.sh" "$BUILD/tools/mpsoc_run"; then
 fi
 
 stage "fuzz smoke (seeded campaign, 50 cases, gated vs ungated)"
-# Bounded deterministic fuzz campaign: a fixed seed, so a failure here is a
-# regression, never noise.  Two --emit passes must print byte-identical
-# scenario sets (generator determinism); the campaign itself runs every case
-# fully monitored with activity gating on and off, gating on monitor
-# violations, invariant trips, gated/ungated digest divergence and
-# run-to-completion cases that never complete (hangs), and delta-debugs any
-# failure down to a minimal reproducer under
-# $BUILD/fuzz-smoke/corpus.
-FZ_OK=1
-mkdir -p "$BUILD/fuzz-smoke"
-if ! "$BUILD/tools/mpsoc_fuzz" --seed 2026 --count 50 --emit \
-      > "$BUILD/fuzz-smoke/emit1.txt" || \
-   ! "$BUILD/tools/mpsoc_fuzz" --seed 2026 --count 50 --emit \
-      > "$BUILD/fuzz-smoke/emit2.txt"; then
-  echo "fuzz smoke: generator run failed"
-  FZ_OK=0
-elif ! diff "$BUILD/fuzz-smoke/emit1.txt" "$BUILD/fuzz-smoke/emit2.txt" \
-      > /dev/null; then
-  echo "fuzz smoke: two --emit passes of the same seed differ (the"
-  echo "generator must be a pure function of seed and index)"
-  FZ_OK=0
+if ! "$ROOT/tools/fuzz_smoke.sh" "$BUILD/tools/mpsoc_fuzz" \
+      "$BUILD/fuzz-smoke/corpus"; then
+  FAILED=1
 fi
-if [ "$FZ_OK" -eq 1 ]; then
-  if "$BUILD/tools/mpsoc_fuzz" --seed 2026 --count 50 \
-        --corpus-dir "$BUILD/fuzz-smoke/corpus"; then
-    echo "fuzz smoke: 50 cases clean"
-  else
-    echo "fuzz smoke: campaign found a failure (minimal reproducer and"
-    echo "replay command above; corpus under $BUILD/fuzz-smoke/corpus)"
-    FZ_OK=0
-  fi
-fi
-[ "$FZ_OK" -eq 1 ] || FAILED=1
 
 stage "tsan sweep (all scenarios, monitored, mpsoc_run --sweep -j 4)"
 # ThreadSanitizer build in its own tree (tsan and asan cannot share one).

@@ -6,7 +6,8 @@
 //   --json <path>   write the sweep outcome (per-point digest, wall-clock,
 //                   simulation throughput, full metrics) as JSON; `-` writes
 //                   to stdout.  This is the mpsoc-sweep-v1 schema.
-//   --normalize N   normalise execution times to scenario index N (default 0)
+//   --normalize N   normalise execution times to scenario index N (default
+//                   0); an N past the last scenario is a usage error
 //   --verify        attach the protocol monitors (src/verify) to every
 //                   platform; a violation or a leak aborts with
 //                   exit code 1
@@ -111,7 +112,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (files.empty()) {
+  // --normalize picks one of the given scenarios.
+  if (files.empty() || normalize_to >= files.size()) {
     usage();
     return 2;
   }
@@ -189,7 +191,6 @@ int main(int argc, char** argv) {
   results.reserve(sweep.points.size());
   for (const auto& p : sweep.points) results.push_back(p.result);
 
-  if (normalize_to >= results.size()) normalize_to = 0;
   stats::TextTable t("mpsoc_run results");
   t.setHeader({"scenario", "exec (us)", "normalized", "BW (MB/s)",
                "read lat mean/p95 (ns)", "done"});
