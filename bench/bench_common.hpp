@@ -19,21 +19,27 @@
 
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "sim/line_parser.hpp"
 #include "stats/report.hpp"
 
 namespace mpsoc::benchx {
 
 class BenchOptions {
  public:
-  /// Parse `--out <path>` / `-j N`; anything else is an error (exit 2).
+  /// Parse `--out <path>` / `-j N`; anything else, a malformed N included,
+  /// is a usage error (exit 2).
   static BenchOptions parse(int argc, char** argv) {
     BenchOptions o;
     for (int i = 1; i < argc; ++i) {
+      bool ok = true;
       if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
         o.out_path_ = argv[++i];
       } else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) {
-        o.jobs_ = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+        ok = sim::parseNumber(argv[++i], o.jobs_);
       } else {
+        ok = false;
+      }
+      if (!ok) {
         std::cerr << "usage: " << argv[0] << " [--out <path>] [-j N]\n";
         std::exit(2);
       }

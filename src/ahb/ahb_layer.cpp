@@ -71,7 +71,6 @@ void AhbLayer::arbitrate() {
     wdata_left_ = active_->beats;
     state_ = State::WriteData;
   } else {
-    active_->accepted_ps = clk_.simulator().now();
     targets_[active_tgt_]->req.push(active_);
     state_ = State::WaitResponse;
   }
@@ -82,7 +81,6 @@ void AhbLayer::advance() {
     case State::WriteData: {
       chan_.markTransfer();
       if (--wdata_left_ == 0) {
-        active_->accepted_ps = clk_.simulator().now();
         targets_[active_tgt_]->req.push(active_);
         // A posted write (e.g. re-issued by a bridge) completes at data
         // acceptance: no response will ever arrive.

@@ -113,7 +113,6 @@ void AxiBus::readRequestPath() {
     eng.chan.markTransfer();  // a burst issues only its first address
     ar_issued_[*winner] = true;
     trackAccept(req, *winner);
-    req->accepted_ps = clk_.simulator().now();
     targets_[t]->req.push(req);
   }
 }
@@ -124,7 +123,6 @@ void AxiBus::writeRequestPath() {
     if (eng.streaming) {
       eng.chan.markTransfer();
       if (--eng.beats_left == 0) {
-        eng.streaming->accepted_ps = clk_.simulator().now();
         targets_[t]->req.push(eng.streaming);
         eng.streaming.reset();
         SIM_CHECK_CTX(reserved_[t] > 0, name_, &clk_,
@@ -161,7 +159,6 @@ void AxiBus::writeRequestPath() {
     // First data beat moves this cycle (AW and the first W beat overlap).
     eng.chan.markTransfer();
     if (--eng.beats_left == 0) {
-      eng.streaming->accepted_ps = clk_.simulator().now();
       targets_[t]->req.push(eng.streaming);
       eng.streaming.reset();
       --reserved_[t];

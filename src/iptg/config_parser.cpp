@@ -31,11 +31,11 @@ std::pair<std::uint64_t, std::uint64_t> parseRange(const std::string& s,
                                                    std::size_t line) {
   const auto dots = s.find("..");
   if (dots == std::string::npos) {
-    const std::uint64_t v = kParse.u64(s, line);
+    const std::uint64_t v = kParse.integer(s, line);
     return {v, v};
   }
-  const std::uint64_t lo = kParse.u64(trim(s.substr(0, dots)), line);
-  const std::uint64_t hi = kParse.u64(trim(s.substr(dots + 2)), line);
+  const std::uint64_t lo = kParse.integer(trim(s.substr(0, dots)), line);
+  const std::uint64_t hi = kParse.integer(trim(s.substr(dots + 2)), line);
   if (hi < lo) kParse.fail(line, "range upper bound below lower bound");
   return {lo, hi};
 }
@@ -85,10 +85,9 @@ IptgConfig parseIptgConfig(const std::string& text) {
     if (!agent) {
       // IP-level options.
       if (key == "bytes_per_beat") {
-        cfg.bytes_per_beat =
-            static_cast<std::uint32_t>(kParse.u64(val, line_no));
+        cfg.bytes_per_beat = kParse.integer<std::uint32_t>(val, line_no);
       } else if (key == "seed") {
-        cfg.seed = kParse.u64(val, line_no);
+        cfg.seed = kParse.integer(val, line_no);
       } else {
         kParse.fail(line_no, "unknown ip-level option '" + key + "'");
       }
@@ -104,11 +103,11 @@ IptgConfig parseIptgConfig(const std::string& text) {
         const auto colon = item.find(':');
         BurstChoice b;
         if (colon == std::string::npos) {
-          b.beats = static_cast<std::uint32_t>(kParse.u64(item, line_no));
+          b.beats = kParse.integer<std::uint32_t>(item, line_no);
           b.weight = 1.0;
         } else {
-          b.beats = static_cast<std::uint32_t>(
-              kParse.u64(trim(item.substr(0, colon)), line_no));
+          b.beats = kParse.integer<std::uint32_t>(
+              trim(item.substr(0, colon)), line_no);
           b.weight = kParse.real(trim(item.substr(colon + 1)), line_no);
         }
         if (b.beats == 0) kParse.fail(line_no, "burst length must be positive");
@@ -121,21 +120,21 @@ IptgConfig parseIptgConfig(const std::string& text) {
       else if (val == "strided") agent->pattern = AddressPattern::Strided;
       else kParse.fail(line_no, "unknown pattern '" + val + "'");
     } else if (key == "stride") {
-      agent->stride = kParse.u64(val, line_no);
+      agent->stride = kParse.integer(val, line_no);
     } else if (key == "base_addr") {
-      agent->base_addr = kParse.u64(val, line_no);
+      agent->base_addr = kParse.integer(val, line_no);
     } else if (key == "region_size") {
-      agent->region_size = kParse.u64(val, line_no);
+      agent->region_size = kParse.integer(val, line_no);
     } else if (key == "outstanding") {
-      agent->outstanding = static_cast<unsigned>(kParse.u64(val, line_no));
+      agent->outstanding = kParse.integer<unsigned>(val, line_no);
     } else if (key == "posted_writes") {
       agent->posted_writes = kParse.boolean(val, line_no);
     } else if (key == "priority") {
-      agent->priority = static_cast<std::uint8_t>(kParse.u64(val, line_no));
+      agent->priority = kParse.integer<std::uint8_t>(val, line_no);
     } else if (key == "message_len") {
-      agent->message_len = kParse.u64(val, line_no);
+      agent->message_len = kParse.integer(val, line_no);
     } else if (key == "total_transactions") {
-      agent->total_transactions = kParse.u64(val, line_no);
+      agent->total_transactions = kParse.integer(val, line_no);
     } else if (key == "throttle") {
       agent->throttle = kParse.real(val, line_no);
     } else if (key == "gap") {
@@ -149,7 +148,7 @@ IptgConfig parseIptgConfig(const std::string& text) {
       }
       deferred_after.emplace_back(trim(val.substr(0, colon)),
                                   cfg.agents.size() - 1);
-      agent->after_count = kParse.u64(trim(val.substr(colon + 1)), line_no);
+      agent->after_count = kParse.integer(trim(val.substr(colon + 1)), line_no);
     } else if (key == "sequence") {
       agent->sequence.clear();
       for (const auto& item : splitList(val, ',')) {
@@ -161,9 +160,9 @@ IptgConfig parseIptgConfig(const std::string& text) {
         if (parts[0] == "R" || parts[0] == "r") e.op = txn::Opcode::Read;
         else if (parts[0] == "W" || parts[0] == "w") e.op = txn::Opcode::Write;
         else kParse.fail(line_no, "sequence op must be R or W");
-        e.addr = kParse.u64(parts[1], line_no);
-        e.beats = static_cast<std::uint32_t>(kParse.u64(parts[2], line_no));
-        if (parts.size() == 4) e.gap_cycles = kParse.u64(parts[3], line_no);
+        e.addr = kParse.integer(parts[1], line_no);
+        e.beats = kParse.integer<std::uint32_t>(parts[2], line_no);
+        if (parts.size() == 4) e.gap_cycles = kParse.integer(parts[3], line_no);
         agent->sequence.push_back(e);
       }
     } else {

@@ -3,8 +3,8 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
+#include "sim/line_parser.hpp"
 #include "sim/simulator.hpp"
 
 namespace mpsoc::iptg {
@@ -37,35 +37,31 @@ void TraceRecorder::write(std::ostream& os) const {
 }
 
 std::vector<TraceRecord> parseTrace(std::istream& is) {
+  constexpr sim::LineParser kParse{"trace"};
   std::vector<TraceRecord> out;
+  std::vector<std::string> f;  // the line's whitespace-separated fields
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ls(line);
+    f.clear();
+    for (std::string tok; ls >> tok;) f.push_back(std::move(tok));
+    if (f.size() < 5 || f.size() > 6) kParse.fail(line_no, "malformed record");
     TraceRecord r;
-    char opc = 0;
-    std::string addr_s;
-    if (!(ls >> r.time_ps >> opc >> addr_s >> r.beats >> r.bytes_per_beat)) {
-      throw std::runtime_error("trace line " + std::to_string(line_no) +
-                               ": malformed record");
-    }
-    ls >> r.source;  // optional
-    if (opc == 'R' || opc == 'r') {
+    r.time_ps = kParse.integer<sim::Picos>(f[0], line_no);
+    if (f[1] == "R" || f[1] == "r") {
       r.op = txn::Opcode::Read;
-    } else if (opc == 'W' || opc == 'w') {
+    } else if (f[1] == "W" || f[1] == "w") {
       r.op = txn::Opcode::Write;
     } else {
-      throw std::runtime_error("trace line " + std::to_string(line_no) +
-                               ": bad opcode '" + std::string(1, opc) + "'");
+      kParse.fail(line_no, "bad opcode '" + f[1] + "'");
     }
-    try {
-      r.addr = std::stoull(addr_s, nullptr, 0);
-    } catch (const std::exception&) {
-      throw std::runtime_error("trace line " + std::to_string(line_no) +
-                               ": bad address '" + addr_s + "'");
-    }
+    r.addr = kParse.integer(f[2], line_no);
+    r.beats = kParse.integer<std::uint32_t>(f[3], line_no);
+    r.bytes_per_beat = kParse.integer<std::uint32_t>(f[4], line_no);
+    if (f.size() == 6) r.source = std::move(f[5]);
     out.push_back(std::move(r));
   }
   return out;

@@ -48,8 +48,9 @@ class TraceRecorder {
   std::vector<TraceRecord> records_;
 };
 
-/// Parse a trace written by TraceRecorder::write.  Throws std::runtime_error
-/// with the line number on malformed input.
+/// Parse a trace written by TraceRecorder::write: six fields, the source
+/// optional, each number read at its field's width.  Throws
+/// std::runtime_error with the line number on malformed input.
 std::vector<TraceRecord> parseTrace(std::istream& is);
 
 /// Convert a trace into a sequence-mode agent profile.  Gaps between

@@ -151,7 +151,6 @@ void LmiController::evaluate() {
   const sim::Picos iface = kInterfaceLatencyCycles * clk_.period();
   std::uint32_t beat_offset = 0;
   for (const RequestPtr& r : batch_) {
-    r->accepted_ps = now;
     const bool needs_rsp = !(r->posted && r->op == Opcode::Write);
     if (needs_rsp) {
       auto rsp = std::make_shared<txn::Response>();

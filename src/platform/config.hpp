@@ -93,7 +93,8 @@ struct PlatformConfig {
   stbus::StbusType stbus_type = stbus::StbusType::T3;
   /// Use STBus message arbitration (controller-friendly traffic).
   bool message_arbitration = true;
-  /// Arbitration policy of the STBus and AHB layers; AXI layers always
+  /// Arbitration policy of the STBus and AHB layers.  AXI layers and the
+  /// noc-mesh topology ignore it: AXI layers and NoC routers always
   /// arbitrate round-robin.
   txn::ArbPolicy arbitration = txn::ArbPolicy::FixedPriority;
 

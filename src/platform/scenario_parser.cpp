@@ -1,9 +1,13 @@
 #include "platform/scenario_parser.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "platform/validate.hpp"
 #include "sim/line_parser.hpp"
@@ -15,12 +19,181 @@ namespace {
 constexpr sim::LineParser kParse{"scenario"};
 using sim::trim;
 
+// --- value types --------------------------------------------------------
+//
+// A field's C++ type decides how its text is read and written.  Enum keys
+// share one spelling list between the two directions, indexed by the
+// enumerator's value.
+
+struct Spellings {
+  const char* noun;  ///< names the key in "unknown <noun> '<value>'"
+  std::span<const char* const> names;
+};
+
+constexpr const char* kProtocols[] = {"stbus", "ahb", "axi"};
+constexpr const char* kTopologies[] = {"full", "collapsed", "single-layer",
+                                       "noc-mesh"};
+constexpr const char* kMemories[] = {"onchip", "lmi"};
+constexpr const char* kArbitrations[] = {"fixed-priority", "round-robin",
+                                         "lru", "tdma", "lottery"};
+constexpr const char* kUseCases[] = {"playback", "record"};
+
+constexpr Spellings spellings(Protocol) { return {"protocol", kProtocols}; }
+constexpr Spellings spellings(Topology) { return {"topology", kTopologies}; }
+constexpr Spellings spellings(MemoryKind) {
+  return {"memory kind", kMemories};
+}
+constexpr Spellings spellings(txn::ArbPolicy) {
+  return {"arbitration policy", kArbitrations};
+}
+constexpr Spellings spellings(UseCase) { return {"use_case", kUseCases}; }
+
+void parseValue(const std::string& v, std::size_t, std::string& out) {
+  out = v;
+}
+void parseValue(const std::string& v, std::size_t line, bool& out) {
+  out = kParse.boolean(v, line);
+}
+void parseValue(const std::string& v, std::size_t line, double& out) {
+  out = kParse.real(v, line);
+}
+void parseValue(const std::string& v, std::size_t line,
+                stbus::StbusType& out) {
+  const auto t = kParse.integer(v, line);
+  if (t < 1 || t > 3) kParse.fail(line, "stbus_type must be 1..3");
+  out = static_cast<stbus::StbusType>(t);
+}
+template <typename T>
+  requires std::is_unsigned_v<T>
+void parseValue(const std::string& v, std::size_t line, T& out) {
+  out = kParse.integer<T>(v, line);
+}
+template <typename E>
+  requires std::is_enum_v<E>
+void parseValue(const std::string& v, std::size_t line, E& out) {
+  const Spellings s = spellings(E{});
+  for (std::size_t i = 0; i < s.names.size(); ++i) {
+    if (v == s.names[i]) {
+      out = static_cast<E>(i);
+      return;
+    }
+  }
+  kParse.fail(line, std::string("unknown ") + s.noun + " '" + v + "'");
+}
+
+void emitValue(std::ostream& os, const std::string& v) { os << v; }
+void emitValue(std::ostream& os, bool v) { os << (v ? "true" : "false"); }
+void emitValue(std::ostream& os, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);  // round-trip precision
+  os << buf;
+}
+void emitValue(std::ostream& os, stbus::StbusType v) {
+  os << static_cast<unsigned>(v);
+}
+template <typename T>
+  requires std::is_unsigned_v<T>
+void emitValue(std::ostream& os, T v) {
+  os << v;
+}
+template <typename E>
+  requires std::is_enum_v<E>
+void emitValue(std::ostream& os, E v) {
+  os << spellings(v).names[static_cast<std::size_t>(v)];
+}
+
+// --- the key table ------------------------------------------------------
+
+/// The struct a member pointer's field lives in, reached from the scenario.
+template <typename C, typename S>
+auto& part(S& s) {
+  if constexpr (std::is_same_v<C, NamedScenario>) return s;
+  else if constexpr (std::is_same_v<C, PlatformConfig>) return s.config;
+  else if constexpr (std::is_same_v<C, mem::LmiConfig>) return s.config.lmi;
+  else return s.config.lmi.timing;
+}
+
+template <typename C, typename T>
+C ownerOf(T C::*);
+
+struct Key {
+  const char* name;
+  void (*read)(NamedScenario&, const std::string&, std::size_t line);
+  void (*write)(std::ostream&, const NamedScenario&);
+};
+
+/// The row for key `name`, which sets the field `M` points to.
+template <auto M>
+constexpr Key key(const char* name) {
+  using C = decltype(ownerOf(M));
+  return {name,
+          [](NamedScenario& s, const std::string& v, std::size_t line) {
+            parseValue(v, line, part<C>(s).*M);
+          },
+          [](std::ostream& os, const NamedScenario& s) {
+            emitValue(os, part<C>(s).*M);
+          }};
+}
+
+using PC = PlatformConfig;
+using Lmi = mem::LmiConfig;
+using Sdram = mem::SdramTiming;
+
+/// The scenario grammar, in canonical (emit) order.
+constexpr Key kKeys[] = {
+    key<&NamedScenario::name>("name"),
+    key<&PC::protocol>("protocol"),
+    key<&PC::topology>("topology"),
+    key<&PC::memory>("memory"),
+    key<&PC::onchip_wait_states>("wait_states"),
+    key<&PC::stbus_type>("stbus_type"),
+    key<&PC::arbitration>("arbitration"),
+    key<&PC::message_arbitration>("message_arbitration"),
+    key<&PC::force_lightweight_bridges>("lightweight_bridges"),
+    key<&PC::force_split_bridges>("split_bridges"),
+    key<&PC::mem_bridge_split>("mem_bridge_split"),
+    key<&Lmi::lookahead>("lmi_lookahead"),
+    key<&Lmi::opcode_merging>("lmi_merging"),
+    key<&Lmi::merge_limit>("lmi_merge_limit"),
+    key<&Lmi::clock_divider>("lmi_divider"),
+    key<&Sdram::cas_latency>("sdram_cas"),
+    key<&Sdram::t_rcd>("sdram_trcd"),
+    key<&Sdram::t_rp>("sdram_trp"),
+    key<&Sdram::t_ras>("sdram_tras"),
+    key<&Sdram::t_rc>("sdram_trc"),
+    key<&Sdram::t_wr>("sdram_twr"),
+    key<&Sdram::t_rfc>("sdram_trfc"),
+    key<&Sdram::t_refi>("sdram_trefi"),
+    key<&Sdram::ddr>("sdram_ddr"),
+    key<&PC::mem_fifo_depth>("mem_fifo_depth"),
+    key<&PC::noc_width>("noc_width"),
+    key<&PC::noc_height>("noc_height"),
+    key<&PC::master_limit>("master_limit"),
+    key<&PC::cpu_mhz>("cpu_mhz"),
+    key<&PC::workload_scale>("workload_scale"),
+    key<&PC::agent_outstanding_override>("outstanding_override"),
+    key<&PC::agent_burst_override_beats>("burst_override"),
+    key<&PC::include_cpu>("include_cpu"),
+    key<&PC::include_dma>("include_dma"),
+    key<&PC::include_scratchpad>("include_scratchpad"),
+    key<&PC::scratchpad_wait_states>("scratchpad_wait_states"),
+    key<&PC::use_case>("use_case"),
+    key<&PC::two_phase_workload>("two_phase"),
+    key<&PC::phase1_end_ps>("phase1_end_ps"),
+    key<&PC::phase2_end_ps>("phase2_end_ps"),
+    key<&NamedScenario::duration_ps>("duration_ps"),
+    key<&PC::seed>("seed"),
+    key<&PC::verify>("verify"),
+    key<&PC::statecheck>("statecheck"),
+    key<&PC::statecheck_at_ps>("statecheck_at_ps"),
+    key<&PC::statecheck_edges>("statecheck_edges"),
+};
+
 }  // namespace
 
 NamedScenario parseScenario(const std::string& text) {
   NamedScenario out;
   out.name = "scenario";
-  PlatformConfig& cfg = out.config;
 
   std::istringstream iss(text);
   std::string raw;
@@ -37,129 +210,18 @@ NamedScenario parseScenario(const std::string& text) {
     const std::string val = trim(line.substr(eq + 1));
     if (val.empty()) kParse.fail(line_no, "empty value for '" + key + "'");
 
-    if (key == "name") {
-      out.name = val;
-    } else if (key == "protocol") {
-      if (val == "stbus") cfg.protocol = Protocol::Stbus;
-      else if (val == "ahb") cfg.protocol = Protocol::Ahb;
-      else if (val == "axi") cfg.protocol = Protocol::Axi;
-      else kParse.fail(line_no, "unknown protocol '" + val + "'");
-    } else if (key == "topology") {
-      if (val == "full") cfg.topology = Topology::Full;
-      else if (val == "collapsed") cfg.topology = Topology::Collapsed;
-      else if (val == "single-layer") cfg.topology = Topology::SingleLayer;
-      else if (val == "noc-mesh") cfg.topology = Topology::NocMesh;
-      else kParse.fail(line_no, "unknown topology '" + val + "'");
-    } else if (key == "memory") {
-      if (val == "onchip") cfg.memory = MemoryKind::OnChip;
-      else if (val == "lmi") cfg.memory = MemoryKind::Lmi;
-      else kParse.fail(line_no, "unknown memory kind '" + val + "'");
-    } else if (key == "wait_states") {
-      cfg.onchip_wait_states = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "stbus_type") {
-      const auto t = kParse.u64(val, line_no);
-      if (t < 1 || t > 3) kParse.fail(line_no, "stbus_type must be 1..3");
-      cfg.stbus_type = static_cast<stbus::StbusType>(t);
-    } else if (key == "arbitration") {
-      if (val == "fixed-priority") cfg.arbitration = txn::ArbPolicy::FixedPriority;
-      else if (val == "round-robin") cfg.arbitration = txn::ArbPolicy::RoundRobin;
-      else if (val == "lru") cfg.arbitration = txn::ArbPolicy::LeastRecentlyUsed;
-      else if (val == "tdma") cfg.arbitration = txn::ArbPolicy::Tdma;
-      else if (val == "lottery") cfg.arbitration = txn::ArbPolicy::Lottery;
-      else kParse.fail(line_no, "unknown arbitration policy '" + val + "'");
-    } else if (key == "message_arbitration") {
-      cfg.message_arbitration = kParse.boolean(val, line_no);
-    } else if (key == "lightweight_bridges") {
-      cfg.force_lightweight_bridges = kParse.boolean(val, line_no);
-    } else if (key == "split_bridges") {
-      cfg.force_split_bridges = kParse.boolean(val, line_no);
-    } else if (key == "mem_bridge_split") {
-      cfg.mem_bridge_split = kParse.boolean(val, line_no);
-    } else if (key == "lmi_lookahead") {
-      cfg.lmi.lookahead = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "lmi_merging") {
-      cfg.lmi.opcode_merging = kParse.boolean(val, line_no);
-    } else if (key == "lmi_merge_limit") {
-      cfg.lmi.merge_limit = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "lmi_divider") {
-      cfg.lmi.clock_divider = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "sdram_cas") {
-      cfg.lmi.timing.cas_latency =
-          static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "sdram_trcd") {
-      cfg.lmi.timing.t_rcd = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "sdram_trp") {
-      cfg.lmi.timing.t_rp = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "sdram_tras") {
-      cfg.lmi.timing.t_ras = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "sdram_trc") {
-      cfg.lmi.timing.t_rc = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "sdram_twr") {
-      cfg.lmi.timing.t_wr = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "sdram_trfc") {
-      cfg.lmi.timing.t_rfc = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "sdram_trefi") {
-      cfg.lmi.timing.t_refi = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "sdram_ddr") {
-      cfg.lmi.timing.ddr = kParse.boolean(val, line_no);
-    } else if (key == "mem_fifo_depth") {
-      cfg.mem_fifo_depth = kParse.u64(val, line_no);
-    } else if (key == "noc_width") {
-      cfg.noc_width = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "noc_height") {
-      cfg.noc_height = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "master_limit") {
-      cfg.master_limit = static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "cpu_mhz") {
-      cfg.cpu_mhz = kParse.real(val, line_no);
-    } else if (key == "workload_scale") {
-      cfg.workload_scale = kParse.real(val, line_no);
-    } else if (key == "outstanding_override") {
-      cfg.agent_outstanding_override =
-          static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "burst_override") {
-      cfg.agent_burst_override_beats =
-          static_cast<std::uint32_t>(kParse.u64(val, line_no));
-    } else if (key == "use_case") {
-      if (val == "playback") cfg.use_case = UseCase::Playback;
-      else if (val == "record") cfg.use_case = UseCase::Record;
-      else kParse.fail(line_no, "unknown use_case '" + val + "'");
-    } else if (key == "include_cpu") {
-      cfg.include_cpu = kParse.boolean(val, line_no);
-    } else if (key == "include_dma") {
-      cfg.include_dma = kParse.boolean(val, line_no);
-    } else if (key == "include_scratchpad") {
-      cfg.include_scratchpad = kParse.boolean(val, line_no);
-    } else if (key == "scratchpad_wait_states") {
-      cfg.scratchpad_wait_states =
-          static_cast<unsigned>(kParse.u64(val, line_no));
-    } else if (key == "two_phase") {
-      cfg.two_phase_workload = kParse.boolean(val, line_no);
-    } else if (key == "phase1_end_ps") {
-      cfg.phase1_end_ps = static_cast<sim::Picos>(kParse.u64(val, line_no));
-    } else if (key == "phase2_end_ps") {
-      cfg.phase2_end_ps = static_cast<sim::Picos>(kParse.u64(val, line_no));
-    } else if (key == "duration_ps") {
-      out.duration_ps = static_cast<sim::Picos>(kParse.u64(val, line_no));
-    } else if (key == "seed") {
-      cfg.seed = kParse.u64(val, line_no);
-    } else if (key == "verify") {
-      cfg.verify = kParse.boolean(val, line_no);
-    } else if (key == "statecheck") {
-      cfg.statecheck = kParse.boolean(val, line_no);
-    } else if (key == "statecheck_at_ps") {
-      cfg.statecheck_at_ps = static_cast<sim::Picos>(kParse.u64(val, line_no));
-    } else if (key == "statecheck_edges") {
-      cfg.statecheck_edges = kParse.u64(val, line_no);
-    } else {
+    const auto row = std::find_if(std::begin(kKeys), std::end(kKeys),
+                                  [&](const Key& k) { return key == k.name; });
+    if (row == std::end(kKeys)) {
       kParse.fail(line_no, "unknown scenario option '" + key + "'");
     }
+    row->read(out, val, line_no);
   }
-  const std::string why = validateConfig(cfg, out.duration_ps);
+  const std::string why = validateConfig(out.config, out.duration_ps);
   if (!why.empty()) {
     throw std::runtime_error("scenario '" + out.name + "': " + why);
   }
-  if (cfg.two_phase_workload && out.duration_ps == 0) {
+  if (out.config.two_phase_workload && out.duration_ps == 0) {
     throw std::runtime_error("scenario '" + out.name +
                              "': two_phase workloads are unbounded — set "
                              "duration_ps to a finite simulated time");
@@ -168,76 +230,12 @@ NamedScenario parseScenario(const std::string& text) {
 }
 
 std::string emitScenario(const NamedScenario& scenario) {
-  const PlatformConfig& cfg = scenario.config;
   std::ostringstream os;
-  auto b = [](bool v) { return v ? "true" : "false"; };
-  auto d = [](double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
-  const char* arb = "fixed-priority";
-  switch (cfg.arbitration) {
-    case txn::ArbPolicy::FixedPriority: arb = "fixed-priority"; break;
-    case txn::ArbPolicy::RoundRobin: arb = "round-robin"; break;
-    case txn::ArbPolicy::LeastRecentlyUsed: arb = "lru"; break;
-    case txn::ArbPolicy::Tdma: arb = "tdma"; break;
-    case txn::ArbPolicy::Lottery: arb = "lottery"; break;
+  for (const Key& k : kKeys) {
+    os << k.name << " = ";
+    k.write(os, scenario);
+    os << "\n";
   }
-  const char* proto = "stbus";
-  switch (cfg.protocol) {
-    case Protocol::Stbus: proto = "stbus"; break;
-    case Protocol::Ahb: proto = "ahb"; break;
-    case Protocol::Axi: proto = "axi"; break;
-  }
-  os << "name = " << scenario.name << "\n"
-     << "protocol = " << proto << "\n"
-     << "topology = " << toString(cfg.topology) << "\n"
-     << "memory = " << (cfg.memory == MemoryKind::Lmi ? "lmi" : "onchip")
-     << "\n"
-     << "wait_states = " << cfg.onchip_wait_states << "\n"
-     << "stbus_type = " << static_cast<unsigned>(cfg.stbus_type) << "\n"
-     << "arbitration = " << arb << "\n"
-     << "message_arbitration = " << b(cfg.message_arbitration) << "\n"
-     << "lightweight_bridges = " << b(cfg.force_lightweight_bridges) << "\n"
-     << "split_bridges = " << b(cfg.force_split_bridges) << "\n"
-     << "mem_bridge_split = " << b(cfg.mem_bridge_split) << "\n"
-     << "lmi_lookahead = " << cfg.lmi.lookahead << "\n"
-     << "lmi_merging = " << b(cfg.lmi.opcode_merging) << "\n"
-     << "lmi_merge_limit = " << cfg.lmi.merge_limit << "\n"
-     << "lmi_divider = " << cfg.lmi.clock_divider << "\n"
-     << "sdram_cas = " << cfg.lmi.timing.cas_latency << "\n"
-     << "sdram_trcd = " << cfg.lmi.timing.t_rcd << "\n"
-     << "sdram_trp = " << cfg.lmi.timing.t_rp << "\n"
-     << "sdram_tras = " << cfg.lmi.timing.t_ras << "\n"
-     << "sdram_trc = " << cfg.lmi.timing.t_rc << "\n"
-     << "sdram_twr = " << cfg.lmi.timing.t_wr << "\n"
-     << "sdram_trfc = " << cfg.lmi.timing.t_rfc << "\n"
-     << "sdram_trefi = " << cfg.lmi.timing.t_refi << "\n"
-     << "sdram_ddr = " << b(cfg.lmi.timing.ddr) << "\n"
-     << "mem_fifo_depth = " << cfg.mem_fifo_depth << "\n"
-     << "noc_width = " << cfg.noc_width << "\n"
-     << "noc_height = " << cfg.noc_height << "\n"
-     << "master_limit = " << cfg.master_limit << "\n"
-     << "cpu_mhz = " << d(cfg.cpu_mhz) << "\n"
-     << "workload_scale = " << d(cfg.workload_scale) << "\n"
-     << "outstanding_override = " << cfg.agent_outstanding_override << "\n"
-     << "burst_override = " << cfg.agent_burst_override_beats << "\n"
-     << "include_cpu = " << b(cfg.include_cpu) << "\n"
-     << "include_dma = " << b(cfg.include_dma) << "\n"
-     << "include_scratchpad = " << b(cfg.include_scratchpad) << "\n"
-     << "scratchpad_wait_states = " << cfg.scratchpad_wait_states << "\n"
-     << "use_case = "
-     << (cfg.use_case == UseCase::Record ? "record" : "playback") << "\n"
-     << "two_phase = " << b(cfg.two_phase_workload) << "\n"
-     << "phase1_end_ps = " << cfg.phase1_end_ps << "\n"
-     << "phase2_end_ps = " << cfg.phase2_end_ps << "\n"
-     << "duration_ps = " << scenario.duration_ps << "\n"
-     << "seed = " << cfg.seed << "\n"
-     << "verify = " << b(cfg.verify) << "\n"
-     << "statecheck = " << b(cfg.statecheck) << "\n"
-     << "statecheck_at_ps = " << cfg.statecheck_at_ps << "\n"
-     << "statecheck_edges = " << cfg.statecheck_edges << "\n";
   return os.str();
 }
 

@@ -10,7 +10,8 @@
 //   wait_states = 1             # onchip memory speed
 //   stbus_type = 3              # 1 | 2 | 3
 //   arbitration = fixed-priority  # round-robin | lru | tdma | lottery
-//                                 # stbus/ahb only; axi is round-robin
+//                                 # stbus/ahb only; axi layers and noc-mesh
+//                                 # routers are always round-robin
 //   message_arbitration = true
 //   lightweight_bridges = false # at most one of these two
 //   split_bridges = false
@@ -51,8 +52,13 @@
 //   statecheck_at_ps = 1000000  # oracle checkpoint instant
 //   statecheck_edges = 2000     # statecheck replay window (edges)
 //
-// Unknown keys are errors (with line numbers), so scenario files stay honest;
-// after the last key the whole config goes through
+// The grammar is one key table in scenario_parser.cpp: each row names a key
+// and the NamedScenario/PlatformConfig field it sets, and the field's type
+// decides how the value is read and written, so parse and emit cannot drift
+// apart.  Unknown keys are errors (with line numbers), so scenario files
+// stay honest.  A value must fit its field: an integer too wide for it, or a
+// negative one, is a line-numbered "number out of range" error rather than a
+// silent wrap.  After the last key the whole config goes through
 // platform::validateConfig(), so a file that parses is also buildable.
 //
 // emitScenario() is the inverse: a canonical full-form rendering (every key,

@@ -53,15 +53,6 @@
 
 namespace mpsoc::sim {
 
-namespace detail {
-/// FNV-1a combine for the structural staged-state digests of deep-check mode.
-inline std::uint64_t fnvCombine(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  return h * 1099511628211ULL;
-}
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-}  // namespace detail
-
 /// End-of-edge snapshot handed to FIFO observers on every edge that pushed or
 /// popped (stats probes classify cycles as full / storing / no-request from
 /// it, per Fig. 6).
@@ -174,7 +165,7 @@ class SyncFifo final : public Updatable {
     clk_.queueCommit(this);
     const std::size_t idx = pop_count_ + i;
     T v = std::move(ring_[rix(idx)]);
-    ooo_hash_ = detail::fnvCombine(ooo_hash_, idx);
+    ooo_hash_.add(idx);
     // Close the gap: shift every later element (committed and staged, which
     // sit contiguously after the committed run) one logical slot down.
     const std::size_t live = committed_n_ + staged_n_;
@@ -221,11 +212,12 @@ class SyncFifo final : public Updatable {
   const std::string& updatableName() const override { return name_; }
 
   std::uint64_t stagedDigest() const override {
-    std::uint64_t h = detail::kFnvBasis;
-    h = detail::fnvCombine(h, staged_n_);
-    h = detail::fnvCombine(h, pop_count_);
-    h = detail::fnvCombine(h, ooo_pops_);
-    return detail::fnvCombine(h, ooo_hash_);
+    state::Digest d;
+    d.add(staged_n_);
+    d.add(pop_count_);
+    d.add(ooo_pops_);
+    d.add(ooo_hash_.value());
+    return d.value();
   }
 
   void checkInvariants() const override {
@@ -260,7 +252,7 @@ class SyncFifo final : public Updatable {
     staged_n_ = 0;
     pop_count_ = 0;
     ooo_pops_ = 0;
-    ooo_hash_ = detail::kFnvBasis;
+    ooo_hash_ = {};
   }
 
   std::uint64_t checkpointDigest() const override {
@@ -292,7 +284,7 @@ class SyncFifo final : public Updatable {
     staged_n_ = 0;
     pop_count_ = 0;
     ooo_pops_ = 0;
-    ooo_hash_ = detail::kFnvBasis;
+    ooo_hash_ = {};
 
     info.occupancy_after = committed_n_;
     SIM_CHECK_CTX(
@@ -345,7 +337,7 @@ class SyncFifo final : public Updatable {
   std::size_t pop_count_ = 0;  ///< in-order pops staged this edge
   std::size_t ooo_pops_ = 0;   ///< out-of-order removals staged this edge
   /// Running hash of this edge's popAt positions (stagedDigest input).
-  std::uint64_t ooo_hash_ = detail::kFnvBasis;
+  state::Digest ooo_hash_;
   state::SnapshotSlot ckpt_;  ///< checkpoint of the committed ring
   ObserverFn observer_ = nullptr;
   void* observer_ctx_ = nullptr;
@@ -462,10 +454,10 @@ class AsyncFifo final : public Updatable {
   const std::string& updatableName() const override { return name_; }
 
   std::uint64_t stagedDigest() const override {
-    std::uint64_t h = detail::kFnvBasis;
-    h = detail::fnvCombine(h, staged_.size());
-    h = detail::fnvCombine(h, pop_count_);
-    return h;
+    state::Digest d;
+    d.add(staged_.size());
+    d.add(pop_count_);
+    return d.value();
   }
 
   void checkInvariants() const override {

@@ -300,9 +300,8 @@ std::optional<ReplayDivergence> Simulator::replayCheck(std::uint64_t edges) {
   return std::nullopt;
 }
 
-Picos Simulator::run(Picos max_time_ps, const std::function<bool()>& stop) {
+Picos Simulator::run(Picos max_time_ps) {
   while (now_ps_ < max_time_ps) {
-    if (stop && stop()) break;
     // Peek the upcoming instant so no edge past the bound ever executes; an
     // edge landing exactly on the bound still runs.
     const Picos t = nextEdgeTime();

@@ -20,7 +20,6 @@
 // timed wake is due.  See DESIGN.md "Kernel".
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -199,13 +198,12 @@ class Simulator {
   /// Returns false when there are no domains.
   bool step();
 
-  /// Run until `max_time_ps` (absolute) or until `stop` returns true (checked
-  /// between edges).  No edge past `max_time_ps` is executed: the upcoming
-  /// edge instant is peeked first, and the loop stops when it would exceed
-  /// the bound (an edge landing exactly on the bound still runs).  Returns
-  /// the final time — the instant of the last executed edge, <= max_time_ps.
-  Picos run(Picos max_time_ps,
-            const std::function<bool()>& stop = nullptr);
+  /// Run until `max_time_ps` (absolute).  No edge past `max_time_ps` is
+  /// executed: the upcoming edge instant is peeked first, and the loop stops
+  /// when it would exceed the bound (an edge landing exactly on the bound
+  /// still runs).  Returns the final time — the instant of the last executed
+  /// edge, <= max_time_ps.
+  Picos run(Picos max_time_ps);
 
   /// Run until every registered component reports idle() for
   /// `quiesce_edges` consecutive edge instants, or until max_time_ps.

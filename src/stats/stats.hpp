@@ -1,5 +1,5 @@
 #pragma once
-// Basic statistics primitives: counters, samplers (mean/stddev/min/max) and
+// Basic statistics primitives: samplers (mean/stddev/min/max) and
 // fixed-bin histograms.  All are plain value types; higher-level probes in
 // probes.hpp bind them to simulation objects.
 
@@ -12,19 +12,6 @@
 #include <vector>
 
 namespace mpsoc::stats {
-
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
-  /// State-manifest hook (src/sim/state.hpp).
-  auto simStateMembers() { return std::tie(value_); }
-
- private:
-  std::uint64_t value_ = 0;
-};
 
 /// Streaming sample statistics (Welford).
 class Sampler {

@@ -177,7 +177,6 @@ void StbusNode::startStream(ReqEngine& e, std::size_t initiator,
 void StbusNode::finishStream(ReqEngine& e) {
   SIM_CHECK_CTX(e.streaming != nullptr, name_, &clk_,
                 "finishStream() with no request streaming");
-  e.streaming->accepted_ps = clk_.simulator().now();
   targets_[e.stream_target]->req.push(e.streaming);
   // Type 1 locks the path until the response retires.  A posted write gets
   // no response (trackAccept does not track it either), so it never locks.

@@ -40,7 +40,6 @@ struct Request {
   std::uint32_t tag = 0;  ///< master-private tag (e.g. IPTG agent index)
 
   sim::Picos created_ps = 0;    ///< pushed by the originating master
-  sim::Picos accepted_ps = 0;   ///< accepted by the final target
   sim::Picos completed_ps = 0;  ///< response fully delivered to the master
 
   std::uint64_t bytes() const {
@@ -50,8 +49,7 @@ struct Request {
 
   auto simStateMembers() {
     return std::tie(id, root_id, op, addr, beats, bytes_per_beat, priority,
-                    posted, msg_id, source, tag, created_ps, accepted_ps,
-                    completed_ps);
+                    posted, msg_id, source, tag, created_ps, completed_ps);
   }
 };
 
@@ -78,9 +76,8 @@ struct Response {
   RequestPtr req;
   std::uint32_t beats = 1;  ///< read: data beats; write ack: 1
   BeatSchedule sched;
-  bool error = false;
 
-  auto simStateMembers() { return std::tie(req, beats, sched, error); }
+  auto simStateMembers() { return std::tie(req, beats, sched); }
 };
 
 using ResponsePtr = std::shared_ptr<Response>;

@@ -110,6 +110,14 @@ TEST(ScenarioParserDiagnostics, OutOfRangeValueIsRejected) {
       std::string::npos);
   EXPECT_NE(parseError("mem_fifo_depth = 0\n").find("mem_fifo_depth"),
             std::string::npos);
+  // An integer too wide for its field fails instead of wrapping (a 64-bit
+  // read narrowed to 32 bits would run a 3-wide mesh).
+  for (const char* text : {"name = x\nnoc_width = 4294967299\n",
+                           "name = x\nwait_states = 4294967296\n"}) {
+    const std::string msg = parseError(text);
+    EXPECT_NE(msg.find("number out of range"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  }
 }
 
 TEST(ScenarioParserDiagnostics, TruncatedLineIsRejected) {

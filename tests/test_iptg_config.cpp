@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "iptg/config_parser.hpp"
 #include "iptg/iptg.hpp"
@@ -111,6 +112,15 @@ TEST(IptgConfigParser, ErrorsCarryLineNumbers) {
   EXPECT_THROW(iptg::parseIptgConfig("[agent a]\ngap = 20..10\n"),
                std::runtime_error);
   EXPECT_THROW(iptg::parseIptgConfig("[bus x]\n"), std::runtime_error);
+  // priority is 8 bits wide: 300 is out of range, not 44.
+  try {
+    iptg::parseIptgConfig("[agent a]\npriority = 300\n");
+    ADD_FAILURE() << "accepted priority = 300";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 2: number out of range"), std::string::npos)
+        << what;
+  }
 }
 
 // A number with a junk suffix is reported as such, not as "not a number",
@@ -184,6 +194,22 @@ TEST(Trace, RejectsMalformedLines) {
   EXPECT_THROW(iptg::parseTrace(is), std::runtime_error);
   std::istringstream is2("not-a-number R 0x10 4 8\n");
   EXPECT_THROW(iptg::parseTrace(is2), std::runtime_error);
+  // Junk after an address and a negative beat count are named with their
+  // line instead of reading as 0x10 and 4294967295.
+  const std::pair<const char*, const char*> cases[] = {
+      {"0 R 0x0 4 8 src\n123 R 0x10zz 4 8 src\n",
+       "line 2: trailing characters in '0x10zz'"},
+      {"123 R 0x10 -1 8 src\n", "line 1: number out of range: '-1'"}};
+  for (const auto& [text, want] : cases) {
+    std::istringstream is_bad(text);
+    try {
+      iptg::parseTrace(is_bad);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Trace, SequenceFromTraceReconstructsGaps) {

@@ -46,15 +46,6 @@ TEST(Histogram, BinningAndOverflow) {
   EXPECT_NEAR(h.quantile(0.5), 5.0, 1.01);
 }
 
-TEST(Counter, IncAndReset) {
-  stats::Counter c;
-  c.inc();
-  c.inc(41);
-  EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(ChannelUtilization, CountsTransfersAndHeldCycles) {
   stats::ChannelUtilization ch;
   EXPECT_EQ(ch.transfers(), 0u);

@@ -29,26 +29,17 @@
 // Exit codes: 0 = clean, 1 = failure found (reproducer written + command
 // printed), 2 = usage error.
 
-#include <charconv>
 #include <cstring>
 #include <iostream>
 #include <string>
 
 #include "core/fuzz.hpp"
 #include "platform/scenario_parser.hpp"
+#include "sim/line_parser.hpp"
 
 using namespace mpsoc;
 
 namespace {
-
-/// Parse a whole decimal argument into `out`.  False on a malformed or
-/// out-of-range value, which the caller reports as a usage error.
-template <typename T>
-bool parseNumber(const char* arg, T& out) {
-  const char* end = arg + std::strlen(arg);
-  const auto [ptr, ec] = std::from_chars(arg, end, out);
-  return ec == std::errc() && ptr == end;
-}
 
 void usage() {
   std::cerr << "usage: mpsoc_fuzz [--seed S] [--count N] [--jobs N] "
@@ -67,11 +58,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     bool ok = true;
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      ok = parseNumber(argv[++i], opts.seed);
+      ok = sim::parseNumber(argv[++i], opts.seed);
     } else if (std::strcmp(argv[i], "--count") == 0 && i + 1 < argc) {
-      ok = parseNumber(argv[++i], opts.count);
+      ok = sim::parseNumber(argv[++i], opts.count);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      ok = parseNumber(argv[++i], opts.jobs);
+      ok = sim::parseNumber(argv[++i], opts.jobs);
     } else if (std::strcmp(argv[i], "--verify") == 0) {
       opts.verify = true;
     } else if (std::strcmp(argv[i], "--no-verify") == 0) {

@@ -36,7 +36,6 @@
 // paper's Fig. 3 instances).  All scenarios share the reference workload, so
 // their execution times are directly comparable.
 
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -47,20 +46,12 @@
 #include "core/sweep.hpp"
 #include "platform/scenario_parser.hpp"
 #include "platform/validate.hpp"
+#include "sim/line_parser.hpp"
 #include "stats/report.hpp"
 
 using namespace mpsoc;
 
 namespace {
-
-/// Parse a whole decimal argument into `out`.  False on a malformed or
-/// out-of-range value, which the caller reports as a usage error.
-template <typename T>
-bool parseNumber(const char* arg, T& out) {
-  const char* end = arg + std::strlen(arg);
-  const auto [ptr, ec] = std::from_chars(arg, end, out);
-  return ec == std::errc() && ptr == end;
-}
 
 void usage() {
   std::cerr << "usage: mpsoc_run [--csv] [--json <path|->] [--normalize N] "
@@ -93,15 +84,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--statecheck") == 0) {
       want_statecheck = true;
     } else if (std::strcmp(argv[i], "--checkpoint-at") == 0 && i + 1 < argc) {
-      ok = parseNumber(argv[++i], checkpoint_at);
+      ok = sim::parseNumber(argv[++i], checkpoint_at);
     } else if (std::strcmp(argv[i], "--no-gating") == 0) {
       no_gating = true;
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       want_sweep = true;
     } else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) {
-      ok = parseNumber(argv[++i], jobs);
+      ok = sim::parseNumber(argv[++i], jobs);
     } else if (std::strcmp(argv[i], "--normalize") == 0 && i + 1 < argc) {
-      ok = parseNumber(argv[++i], normalize_to);
+      ok = sim::parseNumber(argv[++i], normalize_to);
     } else if (argv[i][0] == '-' && argv[i][1] != '\0') {
       ok = false;
     } else {
