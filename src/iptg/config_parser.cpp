@@ -1,6 +1,7 @@
 #include "iptg/config_parser.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -38,6 +39,16 @@ std::pair<std::uint64_t, std::uint64_t> parseRange(const std::string& s,
   const std::uint64_t hi = kParse.integer(trim(s.substr(dots + 2)), line);
   if (hi < lo) kParse.fail(line, "range upper bound below lower bound");
   return {lo, hi};
+}
+
+/// A probability (read_fraction, throttle): finite and in [0, 1].
+double fraction(const std::string& key, const std::string& s,
+                std::size_t line) {
+  const double v = kParse.real(s, line);
+  if (!std::isfinite(v) || v < 0.0 || v > 1.0) {
+    kParse.fail(line, "'" + key + "' must be in [0, 1], got '" + s + "'");
+  }
+  return v;
 }
 
 }  // namespace
@@ -96,7 +107,7 @@ IptgConfig parseIptgConfig(const std::string& text) {
 
     // Agent-level options.
     if (key == "read_fraction") {
-      agent->read_fraction = kParse.real(val, line_no);
+      agent->read_fraction = fraction(key, val, line_no);
     } else if (key == "bursts") {
       agent->burst_beats.clear();
       for (const auto& item : splitList(val, ',')) {
@@ -111,9 +122,17 @@ IptgConfig parseIptgConfig(const std::string& text) {
           b.weight = kParse.real(trim(item.substr(colon + 1)), line_no);
         }
         if (b.beats == 0) kParse.fail(line_no, "burst length must be positive");
+        if (!std::isfinite(b.weight) || b.weight < 0.0) {
+          kParse.fail(line_no, "burst weight must be finite and non-negative "
+                               "in '" + item + "'");
+        }
         agent->burst_beats.push_back(b);
       }
       if (agent->burst_beats.empty()) kParse.fail(line_no, "empty burst list");
+      if (std::none_of(agent->burst_beats.begin(), agent->burst_beats.end(),
+                       [](const BurstChoice& b) { return b.weight > 0.0; })) {
+        kParse.fail(line_no, "every burst weight is zero");
+      }
     } else if (key == "pattern") {
       if (val == "sequential") agent->pattern = AddressPattern::Sequential;
       else if (val == "random") agent->pattern = AddressPattern::Random;
@@ -136,7 +155,7 @@ IptgConfig parseIptgConfig(const std::string& text) {
     } else if (key == "total_transactions") {
       agent->total_transactions = kParse.integer(val, line_no);
     } else if (key == "throttle") {
-      agent->throttle = kParse.real(val, line_no);
+      agent->throttle = fraction(key, val, line_no);
     } else if (key == "gap") {
       const auto [lo, hi] = parseRange(val, line_no);
       agent->gap_min = lo;

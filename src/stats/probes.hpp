@@ -199,14 +199,19 @@ class FifoStateProbe : public sim::Checkpointable {
   SIM_STATE_EXEMPT(capacity_, "configuration (the observed FIFO's capacity)");
 };
 
-/// Channel occupancy accounting.  The owning engine calls exactly one of
-/// markTransfer()/markHeld() per cycle in which the channel is occupied;
-/// data-beat cycles are transfers, occupied-but-idle cycles (wait states on a
-/// locked channel) are held.
+/// Channel occupancy accounting: data-beat cycles are transfers,
+/// occupied-but-idle cycles (wait states on a locked channel) are held.  An
+/// engine either calls exactly one of markTransfer()/markHeld() per cycle in
+/// which the channel is occupied, or settles a whole occupancy at once with
+/// add() (the STBus node, which sleeps through its streams).
 class ChannelUtilization {
  public:
   void markTransfer() { ++transfers_; }
   void markHeld() { ++held_; }
+  void add(std::uint64_t transfers, std::uint64_t held) {
+    transfers_ += transfers;
+    held_ += held;
+  }
 
   std::uint64_t transfers() const { return transfers_; }
   std::uint64_t held() const { return held_; }

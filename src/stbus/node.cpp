@@ -1,9 +1,11 @@
 #include "stbus/node.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "sim/check.hpp"
 #include "verify/context.hpp"
 #include "verify/port_monitor.hpp"
-#include <limits>
 
 namespace mpsoc::stbus {
 
@@ -15,6 +17,23 @@ namespace {
 /// Outstanding (accepted, not yet responded) transactions the node tracks
 /// per initiator on Types 2 and 3; Type 1 allows one.
 constexpr unsigned kMaxOutstandingPerInitiator = 8;
+
+/// Walk the beats of `rsp` on a response channel that picked it on cycle
+/// `picked_at`, whose edge fell at `picked_ps` (clock period `period`): one
+/// beat per cycle, each on the first edge at or after its beatTime.  Calls
+/// `f(k, cycle)` for beat k = 0, 1, ... until it returns false.
+template <typename F>
+void walkBeats(const txn::Response& rsp, sim::Cycle picked_at,
+               sim::Picos picked_ps, sim::Picos period, F&& f) {
+  sim::Cycle c = picked_at;
+  for (std::uint32_t k = 0; k < rsp.beats; ++k, ++c) {
+    const sim::Picos due = rsp.sched.beatTime(k);
+    if (due > picked_ps) {
+      c = std::max(c, picked_at + (due - picked_ps + period - 1) / period);
+    }
+    if (!f(k, c)) return;
+  }
+}
 }  // namespace
 
 StbusNode::StbusNode(sim::ClockDomain& clk, std::string name,
@@ -22,7 +41,9 @@ StbusNode::StbusNode(sim::ClockDomain& clk, std::string name,
     : txn::InterconnectBase(clk, std::move(name)), cfg_(cfg),
       max_outstanding_(cfg.type == StbusType::T1
                            ? 1
-                           : kMaxOutstandingPerInitiator) {}
+                           : kMaxOutstandingPerInitiator) {
+  wake_on_pops_ = true;
+}
 
 void StbusNode::attachMonitors(verify::VerifyContext& ctx) {
   verify::InitiatorRules rules;
@@ -50,10 +71,7 @@ void StbusNode::evaluate() {
   // free (Section 4.1.2).
   responsePath();
   requestPath();
-  // No stream active and every input FIFO empty: nothing moves until a port
-  // push wakes us (wired in addInitiator/addTarget).  Transactions still in
-  // flight at the targets keep idle() false while we sleep.
-  if (quiet()) sleep();
+  settle();
 }
 
 bool StbusNode::quiet() const {
@@ -61,7 +79,7 @@ bool StbusNode::quiet() const {
     if (e.streaming) return false;
   }
   for (const auto& e : rsp_engines_) {
-    if (e.stream.active()) return false;
+    if (e.rsp) return false;
   }
   for (const auto* p : initiators_) {
     if (!p->req.empty()) return false;
@@ -83,6 +101,50 @@ bool StbusNode::idle() const {
   return true;
 }
 
+void StbusNode::settle() {
+  // No stream active and every input FIFO empty: nothing moves until a port
+  // push wakes us.  Transactions still in flight at the targets keep idle()
+  // false while we sleep.
+  if (quiet()) {
+    sleep();
+    return;
+  }
+  // Whatever else could change a decision reaches us as a wake: a push into
+  // an initiator request or target response FIFO, a pop of a target request
+  // FIFO (room for a grant) or of an initiator response FIFO (room for a last
+  // beat).  Outstanding slots and Type-1 locks free only when one of our own
+  // responses retires, on a cycle we are awake for.
+  const sim::Cycle now = clk_.now();
+  sim::Cycle wake = 0;
+  auto soonest = [&](sim::Cycle c) {
+    if (wake == 0 || c < wake) wake = c;
+  };
+  std::size_t unused_target = 0;
+  for (std::size_t i = 0; i < rsp_engines_.size(); ++i) {
+    const RspEngine& e = rsp_engines_[i];
+    if (!e.rsp) {
+      if (nextResponse(i, unused_target)) return;  // picks it next cycle
+    } else if (now < e.last_at) {
+      soonest(e.last_at);
+    }  // else its last beat waits for room in the initiator's response FIFO
+  }
+  for (std::size_t t = 0; t < req_engines_.size(); ++t) {
+    const ReqEngine& e = req_engines_[t];
+    if (e.streaming) {
+      soonest(e.done_at);
+    } else if (!e.locked) {
+      for (std::size_t i = 0; i < initiators_.size(); ++i) {
+        if (requests(i, t)) return;  // grants next cycle
+      }
+    }
+  }
+  if (wake != 0) {
+    sleepUntil(wake);
+  } else {
+    sleep();  // every waiting stream or request is blocked on a full FIFO
+  }
+}
+
 void StbusNode::requestPath() {
   for (std::size_t t = 0; t < req_engines_.size(); ++t) {
     runReqEngine(req_engines_[t], t);
@@ -90,38 +152,90 @@ void StbusNode::requestPath() {
 }
 
 void StbusNode::responsePath() {
+  const sim::Cycle now = clk_.now();
   for (std::size_t i = 0; i < rsp_engines_.size(); ++i) {
     auto& e = rsp_engines_[i];
-    if (!e.stream.active()) selectResponse(e, i);
-    if (e.stream.active()) {
-      const std::size_t tgt = e.stream.target;
-      if (streamBeat(e.stream, e.chan) && cfg_.type == StbusType::T1) {
-        req_engines_[tgt].locked = false;
-      }
+    if (!e.rsp) {
+      e.rsp = nextResponse(i, e.target);
+      if (!e.rsp) continue;
+      SIM_CHECK_CTX(e.rsp->beats > 0, name_, &clk_,
+                    "response for request id " << e.rsp->req->id
+                                               << " carries no beat");
+      e.picked_at = now;
+      e.picked_ps = clk_.simulator().now();
+      walkBeats(*e.rsp, e.picked_at, e.picked_ps, clk_.period(),
+                [&](std::uint32_t, sim::Cycle c) {
+                  e.last_at = c;
+                  return true;
+                });
+    }
+    // The last beat goes out only into room in the master's response queue;
+    // until then the channel is held (back-pressure).
+    if (now >= e.last_at && initiators_[i]->rsp.canPush()) {
+      retireResponse(e, i);
     }
   }
 }
 
-bool StbusNode::eligible(std::size_t initiator, const RequestPtr& front,
-                         std::size_t target) const {
+void StbusNode::retireResponse(RspEngine& e, std::size_t initiator) {
+  const std::uint64_t cycles = clk_.now() - e.picked_at + 1;
+  e.chan.add(e.rsp->beats, cycles - e.rsp->beats);
+  popResponseByIdentity(e.target, e.rsp);
+  initiators_[initiator]->rsp.push(e.rsp);
+  retire(e.rsp);
+  if (cfg_.type == StbusType::T1) req_engines_[e.target].locked = false;
+  e.rsp.reset();
+}
+
+std::uint32_t StbusNode::beatsOutBy(const RspEngine& e, sim::Cycle c) const {
+  std::uint32_t out = 0;
+  walkBeats(*e.rsp, e.picked_at, e.picked_ps, clk_.period(),
+            [&](std::uint32_t k, sim::Cycle beat) {
+              if (k + 1 == e.rsp->beats || beat > c) return false;
+              ++out;
+              return true;
+            });
+  return out;
+}
+
+stats::ChannelUtilization StbusNode::reqChannel(std::size_t target) const {
+  if (!finalized_) return {};  // nothing has run yet
+  const ReqEngine& e = req_engines_[target];
+  stats::ChannelUtilization chan = e.chan;
+  // One cell per cycle from the grant through now.
+  if (e.streaming) {
+    chan.add(packetCells(*e.streaming) - (e.done_at - now()), 0);
+  }
+  return chan;
+}
+
+stats::ChannelUtilization StbusNode::rspChannel(std::size_t initiator) const {
+  if (!finalized_) return {};
+  const RspEngine& e = rsp_engines_[initiator];
+  stats::ChannelUtilization chan = e.chan;
+  if (e.rsp) {
+    const std::uint64_t cycles = now() - e.picked_at + 1;
+    const std::uint32_t out = beatsOutBy(e, now());
+    chan.add(out, cycles - out);
+  }
+  return chan;
+}
+
+bool StbusNode::requests(std::size_t initiator, std::size_t target) const {
+  const auto& fifo = initiators_[initiator]->req;
+  if (fifo.empty()) return false;
+  const RequestPtr& front = fifo.front();
+  if (route(front->addr) != target) return false;
   if (!targets_[target]->req.canPush()) return false;
   const bool fire_and_forget = front->posted && front->op == Opcode::Write;
-  if (!fire_and_forget &&
-      inflightCount(initiator) >= max_outstanding_) {
-    return false;
-  }
-  return true;
+  return fire_and_forget || inflightCount(initiator) < max_outstanding_;
 }
 
 void StbusNode::runReqEngine(ReqEngine& e, std::size_t target) {
-  // Phase A: continue an in-progress request packet (one beat per cycle).
-  auto advance = [&] {
-    e.chan.markTransfer();
-    --e.beats_left;
-    if (e.beats_left == 0) finishStream(e);
-  };
+  // Phase A: an in-progress request packet goes out one cell per cycle and
+  // reaches the target with its last cell.
   if (e.streaming) {
-    advance();
+    if (now() == e.done_at) finishStream(e, target);
     return;
   }
   if (e.locked) return;  // Type 1: path locked until the response retires
@@ -129,55 +243,52 @@ void StbusNode::runReqEngine(ReqEngine& e, std::size_t target) {
   // Phase B: arbitration.  Message-granularity grant holding first: as long
   // as the previously granted initiator presents the next request of the
   // same message, it keeps the channel without re-arbitration.
-  if (cfg_.message_arbitration && e.has_last && e.last_msg != 0) {
-    auto* p = initiators_[e.last_initiator];
-    if (!p->req.empty()) {
-      const RequestPtr& f = p->req.front();
-      if (route(f->addr) == target && f->msg_id == e.last_msg &&
-          eligible(e.last_initiator, f, target)) {
-        startStream(e, e.last_initiator, target);
-        advance();
-        return;
-      }
-    }
+  if (cfg_.message_arbitration && e.has_last && e.last_msg != 0 &&
+      requests(e.last_initiator, target) &&
+      initiators_[e.last_initiator]->req.front()->msg_id == e.last_msg) {
+    startStream(e, e.last_initiator, target);
+    return;
   }
 
   cands_.clear();
   for (std::size_t i = 0; i < initiators_.size(); ++i) {
-    auto* p = initiators_[i];
-    if (p->req.empty()) continue;
-    const RequestPtr& f = p->req.front();
-    if (route(f->addr) != target || !eligible(i, f, target)) continue;
-    cands_.push_back({i, f->priority});
+    if (requests(i, target)) {
+      cands_.push_back({i, initiators_[i]->req.front()->priority});
+    }
   }
   auto winner = e.arb.pick(cands_, initiators_.size(), now());
-  if (!winner) return;
-  startStream(e, *winner, target);
-  advance();
+  if (winner) startStream(e, *winner, target);
+}
+
+std::uint32_t StbusNode::packetCells(const txn::Request& req) const {
+  // Channel occupancy of the request packet:
+  //  * writes carry their payload: `beats` cycles on every type;
+  //  * Type 3 shaped read packets are a single header cell;
+  //  * Types 1/2 express a read burst as one request cell per datum.
+  if (req.op == Opcode::Read && cfg_.type == StbusType::T3) return 1;
+  return req.beats;
 }
 
 void StbusNode::startStream(ReqEngine& e, std::size_t initiator,
                             std::size_t target) {
   RequestPtr req = initiators_[initiator]->req.pop();
-  // Channel occupancy of the request packet:
-  //  * writes carry their payload: `beats` cycles on every type;
-  //  * Type 3 shaped read packets are a single header cell;
-  //  * Types 1/2 express a read burst as one request cell per datum.
-  std::uint32_t cycles = req->beats;
-  if (req->op == Opcode::Read && cfg_.type == StbusType::T3) cycles = 1;
+  const std::uint32_t cells = packetCells(*req);
+  SIM_CHECK_CTX(cells > 0, name_, &clk_,
+                "request id " << req->id << " carries no beat");
   e.streaming = req;
-  e.beats_left = cycles;
-  e.stream_target = target;
+  e.done_at = now() + cells - 1;
   e.has_last = true;
   e.last_initiator = initiator;
   e.last_msg = req->msg_id;
   trackAccept(req, initiator);
+  if (e.done_at == now()) finishStream(e, target);
 }
 
-void StbusNode::finishStream(ReqEngine& e) {
+void StbusNode::finishStream(ReqEngine& e, std::size_t target) {
   SIM_CHECK_CTX(e.streaming != nullptr, name_, &clk_,
                 "finishStream() with no request streaming");
-  targets_[e.stream_target]->req.push(e.streaming);
+  e.chan.add(packetCells(*e.streaming), 0);
+  targets_[target]->req.push(e.streaming);
   // Type 1 locks the path until the response retires.  A posted write gets
   // no response (trackAccept does not track it either), so it never locks.
   const bool posted_write =
@@ -186,9 +297,9 @@ void StbusNode::finishStream(ReqEngine& e) {
   e.streaming.reset();
 }
 
-void StbusNode::selectResponse(RspEngine& e, std::size_t initiator) {
+txn::ResponsePtr StbusNode::nextResponse(std::size_t initiator,
+                                         std::size_t& target) const {
   ResponsePtr best;
-  std::size_t best_target = 0;
   sim::Picos best_key = std::numeric_limits<sim::Picos>::max();
 
   for (std::size_t t = 0; t < targets_.size(); ++t) {
@@ -208,16 +319,11 @@ void StbusNode::selectResponse(RspEngine& e, std::size_t initiator) {
       if (rsp->sched.first_beat < best_key) {
         best = rsp;
         best_key = rsp->sched.first_beat;
-        best_target = t;
+        target = t;
       }
     }
   }
-  if (best) {
-    e.stream.rsp = best;
-    e.stream.target = best_target;
-    e.stream.initiator = initiator;
-    e.stream.next_beat = 0;
-  }
+  return best;
 }
 
 }  // namespace mpsoc::stbus

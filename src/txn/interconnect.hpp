@@ -35,6 +35,8 @@ class InterconnectBase : public sim::Component {
     // Activity protocol: a request arriving on any initiator port is a wake
     // event for the engine (it may have slept with all queues drained).
     p.req.wakeOnPush(this);
+    // The master taking a response frees room a last beat may wait for.
+    if (wake_on_pops_) p.rsp.wakeOnPop(this);
     return initiators_.size() - 1;
   }
 
@@ -45,6 +47,8 @@ class InterconnectBase : public sim::Component {
     amap_.add(base, size, targets_.size() - 1);
     // A response surfacing on a target port must wake the engine too.
     p.rsp.wakeOnPush(this);
+    // The target taking a request frees room a grant may wait for.
+    if (wake_on_pops_) p.req.wakeOnPop(this);
     return targets_.size() - 1;
   }
 
@@ -173,6 +177,10 @@ class InterconnectBase : public sim::Component {
   std::vector<InitiatorPort*> initiators_;
   std::vector<TargetPort*> targets_;
   AddressMap amap_;
+  /// Set by an engine that sleeps through back-pressure (the STBus node):
+  /// ports added afterwards also wake it on a pop of a target's request FIFO
+  /// and of an initiator's response FIFO.
+  bool wake_on_pops_ = false;
 
  private:
   std::unordered_map<std::uint64_t, std::size_t> inflight_initiator_;
@@ -183,6 +191,7 @@ class InterconnectBase : public sim::Component {
   SIM_STATE_EXEMPT(initiators_, "wiring (port registry)");
   SIM_STATE_EXEMPT(targets_, "wiring (port registry)");
   SIM_STATE_EXEMPT(amap_, "immutable configuration (address map)");
+  SIM_STATE_EXEMPT(wake_on_pops_, "immutable configuration (wake wiring)");
 };
 
 }  // namespace mpsoc::txn

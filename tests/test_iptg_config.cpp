@@ -112,6 +112,18 @@ TEST(IptgConfigParser, ErrorsCarryLineNumbers) {
   EXPECT_THROW(iptg::parseIptgConfig("[agent a]\ngap = 20..10\n"),
                std::runtime_error);
   EXPECT_THROW(iptg::parseIptgConfig("[bus x]\n"), std::runtime_error);
+  // Probabilities and burst weights out of range are named, with the line.
+  for (const char* text :
+       {"[agent a]\nread_fraction = 7\n", "[agent a]\nthrottle = nan\n",
+        "[agent a]\nbursts = 8:-1.0\n", "[agent a]\nbursts = 4:0, 8:0\n"}) {
+    try {
+      iptg::parseIptgConfig(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("iptg config, line 2: ", 0), 0u)
+          << e.what();
+    }
+  }
   // priority is 8 bits wide: 300 is out of range, not 44.
   try {
     iptg::parseIptgConfig("[agent a]\npriority = 300\n");

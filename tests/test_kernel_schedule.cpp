@@ -15,6 +15,8 @@
 
 #include "core/digest.hpp"
 #include "core/experiment.hpp"
+#include "iptg/iptg.hpp"
+#include "mem/simple_memory.hpp"
 #include "platform/config.hpp"
 #include "platform/platform.hpp"
 #include "sim/check.hpp"
@@ -22,6 +24,8 @@
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
+#include "stbus/node.hpp"
+#include "txn/ports.hpp"
 
 namespace {
 
@@ -271,7 +275,8 @@ TEST(KernelActivity, GatingOnOffProducesIdenticalDigests) {
   // every component on every edge.  Cases: the four benchmarked platform
   // shapes at reduced scale — full STBus with the ST220 on on-chip memory,
   // collapsed AXI with LMI and DMA, full AHB with LMI, and the 4x3 NoC mesh
-  // with LMI — plus the mesh with plain round-robin routers.  Parked
+  // with LMI — plus the mesh with plain round-robin routers and full STBus
+  // under each other node type and arbitration policy.  Parked
   // components re-derive the same wait when an ungated run evaluates them,
   // so the full state digest (activity flags included) and the ST220's
   // lazily settled stall counters agree too.
@@ -308,10 +313,31 @@ TEST(KernelActivity, GatingOnOffProducesIdenticalDigests) {
   platform::PlatformConfig noc_rr = noc;
   noc_rr.message_arbitration = false;
 
+  // The STBus node sleeps through its beat streams; its other paths, at
+  // small scale: Type 1 locked paths, packet-granular round-robin, and the
+  // LRU, lottery and TDMA arbiters.  (Type 2 still hangs on bridged
+  // topologies, so it has no case here.)
+  platform::PlatformConfig st1 = stbus;
+  st1.workload_scale = 0.05;
+  st1.stbus_type = stbus::StbusType::T1;
+  platform::PlatformConfig st_rr = st1;
+  st_rr.stbus_type = stbus::StbusType::T3;
+  st_rr.arbitration = txn::ArbPolicy::RoundRobin;
+  st_rr.message_arbitration = false;
+  platform::PlatformConfig st_lru = st_rr;
+  st_lru.arbitration = txn::ArbPolicy::LeastRecentlyUsed;
+  st_lru.message_arbitration = true;
+  platform::PlatformConfig st_lottery = st_lru;
+  st_lottery.arbitration = txn::ArbPolicy::Lottery;
+  platform::PlatformConfig st_tdma = st_lru;
+  st_tdma.arbitration = txn::ArbPolicy::Tdma;
+
   const std::pair<const char*, platform::PlatformConfig> cases[] = {
-      {"stbus-cpu-onchip", stbus}, {"axi-collapsed-lmi-dma", axi},
-      {"ahb-full-lmi", ahb},       {"noc-4x3-lmi", noc},
-      {"noc-4x3-lmi-rr", noc_rr}};
+      {"stbus-cpu-onchip", stbus},   {"axi-collapsed-lmi-dma", axi},
+      {"ahb-full-lmi", ahb},         {"noc-4x3-lmi", noc},
+      {"noc-4x3-lmi-rr", noc_rr},    {"stbus-t1", st1},
+      {"stbus-rr-packet", st_rr},    {"stbus-lru", st_lru},
+      {"stbus-lottery", st_lottery}, {"stbus-tdma", st_tdma}};
   for (auto [label, cfg] : cases) {
     SCOPED_TRACE(label);
     // Same label both times: the canonical digest covers it.
@@ -390,6 +416,123 @@ TEST(KernelActivity, St220StallCountersExactMidStall) {
   for (int i = 0; i < 2000; ++i) ASSERT_TRUE(su.step());
   EXPECT_EQ(pu.dsp()->stallCycles(), stall_first);
   EXPECT_EQ(sg.stateDigest(), su.stateDigest());
+}
+
+// A small STBus node rig: three IPTG masters with mixed reads and writes of
+// 1 to 8 beats on two memories (1 and 5 wait states), and single-slot
+// response ports, so last beats meet back-pressure too.
+struct StbusNodeRig {
+  sim::Simulator sim;
+  sim::ClockDomain& clk;
+  stbus::StbusNode node;
+  txn::TargetPort fast_port;
+  txn::TargetPort slow_port;
+  mem::SimpleMemory fast;
+  mem::SimpleMemory slow;
+  std::vector<std::unique_ptr<txn::InitiatorPort>> ports;
+  std::vector<std::unique_ptr<iptg::Iptg>> gens;
+
+  explicit StbusNodeRig(bool gating)
+      : clk(sim.addClockDomain("bus", 200.0)), node(clk, "n", {}),
+        fast_port(clk, "fast", 2, 4), slow_port(clk, "slow", 1, 2),
+        fast(clk, "fastm", fast_port, {1}), slow(clk, "slowm", slow_port, {5}) {
+    sim.setActivityGating(gating);
+    node.addTarget(fast_port, 0, 1ull << 24);
+    node.addTarget(slow_port, 1ull << 24, 1ull << 24);
+    for (unsigned i = 0; i < 3; ++i) {
+      const std::string name = "m" + std::to_string(i);
+      ports.push_back(std::make_unique<txn::InitiatorPort>(clk, name, 2, 1));
+      node.addInitiator(*ports.back());
+      iptg::IptgConfig icfg;
+      icfg.seed = 7 + i;
+      iptg::AgentProfile prof;
+      prof.name = "a";
+      prof.read_fraction = i == 2 ? 0.3 : 0.7;
+      prof.burst_beats = {{1, 1.0}, {4, 1.0}, {8, 1.0}};
+      prof.base_addr = i == 1 ? 1ull << 24 : 0;
+      prof.region_size = 1 << 20;
+      prof.pattern = iptg::AddressPattern::Random;
+      prof.outstanding = 4;
+      prof.message_len = 3;
+      prof.total_transactions = 100;
+      icfg.agents.push_back(prof);
+      gens.push_back(std::make_unique<iptg::Iptg>(clk, "g" + name,
+                                                  *ports.back(), icfg));
+    }
+  }
+
+  /// transfers() and held() of every request channel, then of every
+  /// response channel.
+  std::vector<std::uint64_t> counters() const {
+    std::vector<std::uint64_t> out;
+    for (std::size_t t = 0; t < node.numTargets(); ++t) {
+      out.push_back(node.reqChannel(t).transfers());
+      out.push_back(node.reqChannel(t).held());
+    }
+    for (std::size_t i = 0; i < node.numInitiators(); ++i) {
+      out.push_back(node.rspChannel(i).transfers());
+      out.push_back(node.rspChannel(i).held());
+    }
+    return out;
+  }
+};
+
+TEST(KernelActivity, StbusChannelCountersExactMidStream) {
+  // The node sleeps through its request and response streams and settles
+  // its channel counters when a stream ends.  Read between any two edges —
+  // gated or not, and across a checkpoint and restore taken mid-stream — the
+  // counters must read what the channels have carried so far: each channel
+  // gains at most one cycle per edge, and the gated and ungated rigs agree.
+  StbusNodeRig g(true);
+  StbusNodeRig u(false);
+  std::vector<std::uint64_t> prev = g.counters();
+  unsigned asleep_moves = 0;  // edges whose counters moved while asleep
+  auto stepBoth = [&] {
+    ASSERT_TRUE(g.sim.step());
+    ASSERT_TRUE(u.sim.step());
+    const std::vector<std::uint64_t> cur = g.counters();
+    ASSERT_EQ(cur, u.counters()) << "cycle " << g.clk.now();
+    for (std::size_t k = 0; k < cur.size(); k += 2) {
+      const std::uint64_t before = prev[k] + prev[k + 1];
+      const std::uint64_t after = cur[k] + cur[k + 1];
+      ASSERT_LE(before, after) << "cycle " << g.clk.now();
+      ASSERT_LE(after, before + 1) << "cycle " << g.clk.now();
+    }
+    if (g.node.asleep() && cur != prev) ++asleep_moves;
+    prev = cur;
+  };
+
+  // Step in lock-step until the node has slept through a few stream cycles.
+  while (asleep_moves < 5) {
+    stepBoth();
+    if (HasFatalFailure()) return;
+  }
+  ASSERT_TRUE(g.node.asleep());
+  EXPECT_EQ(g.sim.stateDigest(), u.sim.stateDigest());
+
+  const std::vector<std::uint64_t> at_ckpt = g.counters();
+  g.sim.checkpoint();
+  std::vector<std::vector<std::uint64_t>> first;
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(g.sim.step());
+    first.push_back(g.counters());
+  }
+  g.sim.restoreCheckpoint();
+  EXPECT_EQ(g.counters(), at_ckpt);
+  prev = at_ckpt;
+  for (int i = 0; i < 300; ++i) {
+    stepBoth();
+    if (HasFatalFailure()) return;
+    ASSERT_EQ(g.counters(), first[static_cast<std::size_t>(i)]) << "edge " << i;
+  }
+  EXPECT_EQ(g.sim.stateDigest(), u.sim.stateDigest());
+
+  // Run both to the end: every master completes and the counters still agree.
+  g.sim.runUntilIdle(1'000'000'000'000ull);
+  u.sim.runUntilIdle(1'000'000'000'000ull);
+  for (const auto& gen : g.gens) EXPECT_TRUE(gen->done());
+  EXPECT_EQ(g.counters(), u.counters());
+  EXPECT_GT(asleep_moves, 5u);
 }
 
 TEST(KernelActivity, DeepCheckCatchesIllegalSleep) {

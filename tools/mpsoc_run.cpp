@@ -25,7 +25,8 @@
 //                   tools/digest_sweeps.sh (run by CI and check.sh) diffs
 //                   gated vs. ungated runs of tools/scenarios/*.scn with this
 //   --sweep         print the sweep view: per-point wall-clock, simulation
-//                   throughput (Medges/s) and canonical result digest
+//                   throughput (Medges/s), component evaluate() calls and
+//                   canonical result digest (the last column)
 //   -j N            run N scenarios concurrently (0 = one per hardware
 //                   thread).  Each run owns its own simulator, RNG streams,
 //                   stats and verify context; results and digests are
@@ -199,10 +200,12 @@ int main(int argc, char** argv) {
   if (want_sweep) {
     stats::TextTable s("sweep (-j " + std::to_string(jobs) + ", " +
                        stats::fmt(sweep.wall_ms, 1) + " ms wall)");
-    s.setHeader({"scenario", "wall (ms)", "Medges/s", "digest"});
+    s.setHeader({"scenario", "wall (ms)", "Medges/s", "evaluations",
+                 "digest"});
     for (const auto& p : sweep.points) {
       s.addRow({p.label, stats::fmt(p.wall_ms, 1),
                 stats::fmt(p.sim_edges_per_s / 1e6, 2),
+                std::to_string(p.result.evaluations),
                 core::digestHex(p.result)});
     }
     s.print(std::cout);
