@@ -35,10 +35,31 @@ void AhbLayer::evaluate() {
   if (state_ == State::Idle) {
     arbitrate();
   }
-  // Layer unlocked and every master queue drained: nothing moves until a
-  // port push wakes us (wired in addInitiator/addTarget).  The O(1) state
-  // test keeps the queue scan off busy cycles.
-  if (state_ == State::Idle && requestsDrained()) sleep();
+  settle();
+}
+
+void AhbLayer::settle() {
+  switch (state_) {
+    case State::Idle:
+      // Every master queue drained, or every head request faces a full
+      // target: a request push or a target pop wakes us (wired in
+      // addInitiator/addTarget).
+      sleep();
+      break;
+    case State::WriteData:
+      sleepUntil(last_at_);
+      break;
+    case State::WaitResponse:
+      sleep();  // the target's response push wakes us
+      break;
+    case State::Stream:
+      if (now() < last_at_) {
+        sleepUntil(last_at_);
+      } else {
+        sleep();  // the last beat waits for a pop of the master's queue
+      }
+      break;
+  }
 }
 
 bool AhbLayer::requestsDrained() const {
@@ -62,13 +83,17 @@ void AhbLayer::arbitrate() {
 
   active_ini_ = *winner;
   active_ = initiators_[active_ini_]->req.pop();
+  SIM_CHECK_CTX(active_->beats > 0, name_, &clk_,
+                "request id " << active_->id << " carries no beat");
   active_tgt_ = route(active_->addr);
   trackAccept(active_, active_ini_);
   // The address phase overlaps the previous transaction's final data beat
   // (pipelined handover), so it is not accounted as a separate busy cycle.
+  since_ = now();
 
   if (active_->op == Opcode::Write) {
-    wdata_left_ = active_->beats;
+    // One data beat per cycle after the address phase.
+    last_at_ = since_ + active_->beats;
     state_ = State::WriteData;
   } else {
     targets_[active_tgt_]->req.push(active_);
@@ -79,46 +104,78 @@ void AhbLayer::arbitrate() {
 void AhbLayer::advance() {
   switch (state_) {
     case State::WriteData: {
-      chan_.markTransfer();
-      if (--wdata_left_ == 0) {
-        targets_[active_tgt_]->req.push(active_);
-        // A posted write (e.g. re-issued by a bridge) completes at data
-        // acceptance: no response will ever arrive.
-        if (active_->posted) {
-          active_.reset();
-          state_ = State::Idle;
-        } else {
-          state_ = State::WaitResponse;
-        }
+      if (now() < last_at_) break;
+      chan_.add(active_->beats, 0);
+      targets_[active_tgt_]->req.push(active_);
+      // A posted write (e.g. re-issued by a bridge) completes at data
+      // acceptance: no response will ever arrive.
+      if (active_->posted) {
+        active_.reset();
+        state_ = State::Idle;
+      } else {
+        since_ = now();
+        state_ = State::WaitResponse;
       }
       break;
     }
     case State::WaitResponse: {
       auto& fifo = targets_[active_tgt_]->rsp;
-      if (!fifo.empty() && fifo.front()->req == active_) {
-        stream_.rsp = fifo.front();
-        stream_.target = active_tgt_;
-        stream_.initiator = active_ini_;
-        stream_.next_beat = 0;
-        state_ = State::Stream;
-        // Fall through into streaming this very cycle: the first data beat
-        // may already be due.
-        advance();
-        return;
-      }
-      chan_.markHeld();  // slave wait states: idle cycles on a locked bus
-      break;
+      if (fifo.empty() || fifo.front()->req != active_) break;
+      // Slave wait states: idle cycles on a locked bus, from the cycle after
+      // the request reached the target to the one before the response.
+      chan_.add(0, now() - since_ - 1);
+      rsp_ = fifo.front();
+      SIM_CHECK_CTX(rsp_->beats > 0, name_, &clk_,
+                    "response for request id " << active_->id
+                                               << " carries no beat");
+      since_ = now();
+      since_ps_ = clk_.simulator().now();
+      last_at_ = lastBeatCycle(*rsp_, 0, since_, since_ps_);
+      state_ = State::Stream;
+      // Fall through into streaming this very cycle: the last beat may
+      // already be due.
+      advance();
+      return;
     }
     case State::Stream: {
-      if (streamBeat(stream_, chan_)) {
-        active_.reset();
-        state_ = State::Idle;
-      }
+      // Beats go out as they fall due; the last one only into room in the
+      // master's response queue, the channel held until then.
+      auto& ini = *initiators_[active_ini_];
+      if (now() < last_at_ || !ini.rsp.canPush()) break;
+      chan_.add(rsp_->beats, now() - since_ + 1 - rsp_->beats);
+      popResponseByIdentity(active_tgt_, rsp_);
+      ini.rsp.push(rsp_);
+      retire(rsp_);
+      rsp_.reset();
+      active_.reset();
+      state_ = State::Idle;
       break;
     }
     case State::Idle:
       break;
   }
+}
+
+stats::ChannelUtilization AhbLayer::channel() const {
+  stats::ChannelUtilization chan = chan_;
+  switch (state_) {
+    case State::WriteData:
+      chan.add(now() - since_, 0);
+      break;
+    case State::WaitResponse:
+      chan.add(0, now() - since_);
+      break;
+    case State::Stream: {
+      const std::uint64_t cycles = now() - since_ + 1;
+      const std::uint32_t out =
+          beatsOutBefore(*rsp_, 0, since_, since_ps_, now() + 1);
+      chan.add(out, cycles - out);
+      break;
+    }
+    case State::Idle:
+      break;
+  }
+  return chan;
 }
 
 bool AhbLayer::idle() const {

@@ -24,6 +24,23 @@
 // the first read and the first write, emulating the independent read/write
 // paths of a real AXI master interface.  Every channel arbitrates
 // round-robin.
+//
+// Activity: the engines keep absolute cycles, so a stream costs nothing per
+// cycle.  A write engine granted on cycle g sends its payload's last beat
+// (and pushes the request to the target) on done_at = g + beats - 1.  An R
+// link carrying one response walks that response's BeatSchedule (one beat
+// per cycle, each no earlier than its beatTime) to the cycle of the last
+// beat, last_at, and retires there if the initiator's response FIFO has
+// room, else on the first cycle after a pop makes room.  A link carrying
+// several responses interleaves them beat by beat on the cycles a beat is
+// due; a last beat that meets a full response FIFO holds the link from
+// last_at until a pop.  The channel counters settle when a stream or wait
+// ends; arChannel()/wChannel()/rChannel() add the part in progress, so they
+// read exactly between edges.  After each evaluate the bus sleeps when
+// quiet(); stays awake after an edge that granted, moved an interleaved beat
+// or completed a stream (the next edge may act on it); else sleeps until
+// the soonest done_at, last_at or due interleaved beat; else sleeps on
+// back-pressure, woken by a port push or pop (txn/interconnect.hpp).
 
 #include <cstdint>
 #include <vector>
@@ -49,15 +66,13 @@ class AxiBus final : public txn::InterconnectBase {
   /// legal (transaction IDs), outstanding cap from config.
   void attachMonitors(verify::VerifyContext& ctx) override;
 
-  const stats::ChannelUtilization& arChannel(std::size_t target) const {
-    return ar_[target].chan;
-  }
-  const stats::ChannelUtilization& wChannel(std::size_t target) const {
-    return aw_[target].chan;
-  }
-  const stats::ChannelUtilization& rChannel(std::size_t initiator) const {
-    return r_[initiator].chan;
-  }
+  /// Read-address channel stats of a target, through the current cycle.
+  stats::ChannelUtilization arChannel(std::size_t target) const;
+  /// Write address+data channel stats of a target, through the current
+  /// cycle.
+  stats::ChannelUtilization wChannel(std::size_t target) const;
+  /// Read-data link stats of an initiator, through the current cycle.
+  stats::ChannelUtilization rChannel(std::size_t initiator) const;
 
  private:
   /// Read-address channel engine (per target): one cycle per burst.
@@ -71,21 +86,37 @@ class AxiBus final : public txn::InterconnectBase {
   struct AwEngine {
     txn::Arbiter arb;
     txn::RequestPtr streaming;
-    std::uint32_t beats_left = 0;
-    std::size_t stream_target = 0;
-    stats::ChannelUtilization chan;
+    sim::Cycle done_at = 0;  ///< cycle the payload's last beat goes out
+    stats::ChannelUtilization chan;  ///< settled when a payload completes
 
-    auto simStateMembers() {
-      return std::tie(arb, streaming, beats_left, stream_target, chan);
-    }
+    auto simStateMembers() { return std::tie(arb, streaming, done_at, chan); }
+  };
+  /// A response on an R link.
+  struct RStream {
+    txn::ResponsePtr rsp;
+    std::size_t target = 0;       ///< target FIFO `rsp` sits in
+    std::uint32_t next_beat = 0;  ///< beats out, a solo walk's excepted
+
+    auto simStateMembers() { return std::tie(rsp, target, next_beat); }
   };
   /// Per-initiator read-data link interleaving beats of its responses.
+  /// With one response (solo) its beats from next_beat on are walked from
+  /// walk_from; with several, each beat is stepped on the cycle it goes out.
   struct REngine {
-    std::vector<RspStream> active;
+    std::vector<RStream> active;
     std::size_t last_pick = 0;
-    stats::ChannelUtilization chan;
+    sim::Cycle walk_from = 0;  ///< solo: first cycle next_beat may go out
+    sim::Picos walk_ps = 0;    ///< solo: instant of walk_from's edge
+    /// Solo: cycle of the last beat.  Interleaved and `blocked`: cycle the
+    /// picked last beat first met a full response FIFO.
+    sim::Cycle last_at = 0;
+    bool blocked = false;  ///< interleaved: the picked last beat waits
+    stats::ChannelUtilization chan;  ///< settled per stepped beat and wait
 
-    auto simStateMembers() { return std::tie(active, last_pick, chan); }
+    auto simStateMembers() {
+      return std::tie(active, last_pick, walk_from, walk_ps, last_at, blocked,
+                      chan);
+    }
   };
 
   /// Size the per-channel engines; run by the first evaluate().
@@ -95,9 +126,24 @@ class AxiBus final : public txn::InterconnectBase {
   /// until a port push.
   bool quiet() const;
   void writeRequestPath();
+  /// The payload's last beat goes out: push it to the target.
+  void finishWrite(AwEngine& eng, std::size_t target);
   void responsePath();
   /// Append every response not yet streaming to its initiator's R link.
   void harvestResponses();
+  /// Advance initiator `i`'s R link by this cycle.
+  void runLink(REngine& e, std::size_t initiator);
+  /// Start the solo walk of `e`'s only stream at cycle `from` (edge at
+  /// `from_ps`).
+  void startSolo(REngine& e, sim::Cycle from, sim::Picos from_ps);
+  /// Settle `e`'s solo walk through the previous cycle: it interleaves from
+  /// this cycle on.
+  void endSolo(REngine& e);
+  /// Deliver `e.active[k]`'s response to the initiator and drop the stream.
+  void retireStream(REngine& e, std::size_t k, std::size_t initiator);
+  /// After every path: sleep, stay awake, or sleep until the next engine
+  /// event (see the Activity note above).
+  void settle();
 
   /// Index (within the visible window of initiator i's queue) of the first
   /// request with the given opcode routed anywhere, or -1.
@@ -116,6 +162,9 @@ class AxiBus final : public txn::InterconnectBase {
   /// the start of every evaluate().
   std::vector<bool> ar_issued_;
   std::vector<bool> w_granted_;
+  /// This evaluate granted, stepped an interleaved beat or completed a
+  /// stream: the next edge may act on it.
+  bool moved_ = false;
   bool finalized_ = false;
   /// Request-path arbitration scratch, rebuilt per target.
   std::vector<txn::Arbiter::Candidate> cands_;
@@ -126,6 +175,7 @@ class AxiBus final : public txn::InterconnectBase {
   SIM_STATE_EXEMPT(cfg_, "immutable configuration");
   SIM_STATE_EXEMPT(ar_issued_, "per-call scratch");
   SIM_STATE_EXEMPT(w_granted_, "per-call scratch");
+  SIM_STATE_EXEMPT(moved_, "per-call scratch");
   SIM_STATE_EXEMPT(cands_, "per-call scratch");
   SIM_STATE_EXEMPT(window_idx_, "per-call scratch");
 };

@@ -181,6 +181,9 @@ IptgConfig parseIptgConfig(const std::string& text) {
         else kParse.fail(line_no, "sequence op must be R or W");
         e.addr = kParse.integer(parts[1], line_no);
         e.beats = kParse.integer<std::uint32_t>(parts[2], line_no);
+        if (e.beats == 0) {
+          kParse.fail(line_no, "sequence beats must be positive");
+        }
         if (parts.size() == 4) e.gap_cycles = kParse.integer(parts[3], line_no);
         agent->sequence.push_back(e);
       }

@@ -60,6 +60,7 @@ std::vector<TraceRecord> parseTrace(std::istream& is) {
     }
     r.addr = kParse.integer(f[2], line_no);
     r.beats = kParse.integer<std::uint32_t>(f[3], line_no);
+    if (r.beats == 0) kParse.fail(line_no, "beats must be positive");
     r.bytes_per_beat = kParse.integer<std::uint32_t>(f[4], line_no);
     if (f.size() == 6) r.source = std::move(f[5]);
     out.push_back(std::move(r));

@@ -38,8 +38,11 @@ void LmiController::attachMonitors(verify::VerifyContext& ctx) {
   auto& sdram = ctx.add<verify::SdramLegalityMonitor>(
       name_ + ".sdram.mon", &clk_, device_->timing(),
       device_->geometry().banks, device_->clkPeriod());
-  device_->setCommandObserver(
-      [&sdram](const SdramCommand& c) { sdram.onCommand(c); });
+  // Deep-check's replay pass re-schedules the edge's accesses on the
+  // rewound device; only the forward pass reports them, as the FIFO taps do.
+  device_->setCommandObserver([&sdram, this](const SdramCommand& c) {
+    if (!clk_.simulator().inReplay()) sdram.onCommand(c);
+  });
 }
 
 std::size_t LmiController::selectRequest() const {

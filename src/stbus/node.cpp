@@ -1,6 +1,5 @@
 #include "stbus/node.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "sim/check.hpp"
@@ -17,23 +16,6 @@ namespace {
 /// Outstanding (accepted, not yet responded) transactions the node tracks
 /// per initiator on Types 2 and 3; Type 1 allows one.
 constexpr unsigned kMaxOutstandingPerInitiator = 8;
-
-/// Walk the beats of `rsp` on a response channel that picked it on cycle
-/// `picked_at`, whose edge fell at `picked_ps` (clock period `period`): one
-/// beat per cycle, each on the first edge at or after its beatTime.  Calls
-/// `f(k, cycle)` for beat k = 0, 1, ... until it returns false.
-template <typename F>
-void walkBeats(const txn::Response& rsp, sim::Cycle picked_at,
-               sim::Picos picked_ps, sim::Picos period, F&& f) {
-  sim::Cycle c = picked_at;
-  for (std::uint32_t k = 0; k < rsp.beats; ++k, ++c) {
-    const sim::Picos due = rsp.sched.beatTime(k);
-    if (due > picked_ps) {
-      c = std::max(c, picked_at + (due - picked_ps + period - 1) / period);
-    }
-    if (!f(k, c)) return;
-  }
-}
 }  // namespace
 
 StbusNode::StbusNode(sim::ClockDomain& clk, std::string name,
@@ -41,9 +23,7 @@ StbusNode::StbusNode(sim::ClockDomain& clk, std::string name,
     : txn::InterconnectBase(clk, std::move(name)), cfg_(cfg),
       max_outstanding_(cfg.type == StbusType::T1
                            ? 1
-                           : kMaxOutstandingPerInitiator) {
-  wake_on_pops_ = true;
-}
+                           : kMaxOutstandingPerInitiator) {}
 
 void StbusNode::attachMonitors(verify::VerifyContext& ctx) {
   verify::InitiatorRules rules;
@@ -163,11 +143,7 @@ void StbusNode::responsePath() {
                                                << " carries no beat");
       e.picked_at = now;
       e.picked_ps = clk_.simulator().now();
-      walkBeats(*e.rsp, e.picked_at, e.picked_ps, clk_.period(),
-                [&](std::uint32_t, sim::Cycle c) {
-                  e.last_at = c;
-                  return true;
-                });
+      e.last_at = lastBeatCycle(*e.rsp, 0, e.picked_at, e.picked_ps);
     }
     // The last beat goes out only into room in the master's response queue;
     // until then the channel is held (back-pressure).
@@ -187,17 +163,6 @@ void StbusNode::retireResponse(RspEngine& e, std::size_t initiator) {
   e.rsp.reset();
 }
 
-std::uint32_t StbusNode::beatsOutBy(const RspEngine& e, sim::Cycle c) const {
-  std::uint32_t out = 0;
-  walkBeats(*e.rsp, e.picked_at, e.picked_ps, clk_.period(),
-            [&](std::uint32_t k, sim::Cycle beat) {
-              if (k + 1 == e.rsp->beats || beat > c) return false;
-              ++out;
-              return true;
-            });
-  return out;
-}
-
 stats::ChannelUtilization StbusNode::reqChannel(std::size_t target) const {
   if (!finalized_) return {};  // nothing has run yet
   const ReqEngine& e = req_engines_[target];
@@ -215,7 +180,8 @@ stats::ChannelUtilization StbusNode::rspChannel(std::size_t initiator) const {
   stats::ChannelUtilization chan = e.chan;
   if (e.rsp) {
     const std::uint64_t cycles = now() - e.picked_at + 1;
-    const std::uint32_t out = beatsOutBy(e, now());
+    const std::uint32_t out =
+        beatsOutBefore(*e.rsp, 0, e.picked_at, e.picked_ps, now() + 1);
     chan.add(out, cycles - out);
   }
   return chan;

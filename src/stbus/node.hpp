@@ -128,9 +128,6 @@ class StbusNode final : public txn::InterconnectBase {
 
   /// Request-channel cells of a packet (see startStream).
   std::uint32_t packetCells(const txn::Request& req) const;
-  /// Beats of `e`'s response out by the end of cycle `c`, the last beat
-  /// excepted (it goes out only when the response retires).
-  std::uint32_t beatsOutBy(const RspEngine& e, sim::Cycle c) const;
 
   /// `initiator`'s head request routes to `target` and may be granted.
   bool requests(std::size_t initiator, std::size_t target) const;

@@ -1,8 +1,16 @@
 #pragma once
 // InterconnectBase: common structure shared by the STBus node, AHB layer and
 // AXI interconnect engines — port registries, address decoding, outstanding
-// transaction tracking, and the response-beat streaming helper that turns a
-// memory's BeatSchedule into cycle-by-cycle channel occupancy.
+// transaction tracking, and the beat walk that turns a memory's BeatSchedule
+// into the cycles a response's beats cross a data channel.
+//
+// Activity: every engine keeps absolute cycles for its streams and waits
+// (the cycle a payload's last beat goes out, the cycle a response's last
+// beat is due) and sleeps between them, so no engine counts beats down per
+// cycle.  The ports wake it on every event it can wait for: a push into an
+// initiator's request FIFO or a target's response FIFO, and a pop from a
+// target's request FIFO (room for a grant) or an initiator's response FIFO
+// (room for a last beat).
 
 #include <algorithm>
 #include <cstdint>
@@ -13,7 +21,6 @@
 
 #include "sim/check.hpp"
 #include "sim/component.hpp"
-#include "stats/probes.hpp"
 #include "txn/ports.hpp"
 #include "txn/transaction.hpp"
 
@@ -36,7 +43,7 @@ class InterconnectBase : public sim::Component {
     // event for the engine (it may have slept with all queues drained).
     p.req.wakeOnPush(this);
     // The master taking a response frees room a last beat may wait for.
-    if (wake_on_pops_) p.rsp.wakeOnPop(this);
+    p.rsp.wakeOnPop(this);
     return initiators_.size() - 1;
   }
 
@@ -48,7 +55,7 @@ class InterconnectBase : public sim::Component {
     // A response surfacing on a target port must wake the engine too.
     p.rsp.wakeOnPush(this);
     // The target taking a request frees room a grant may wait for.
-    if (wake_on_pops_) p.req.wakeOnPop(this);
+    p.req.wakeOnPop(this);
     return targets_.size() - 1;
   }
 
@@ -112,53 +119,48 @@ class InterconnectBase : public sim::Component {
     dq.erase(std::find(dq.begin(), dq.end(), rsp->req->id));
   }
 
-  /// An in-progress response transfer on a response channel.
-  struct RspStream {
-    ResponsePtr rsp;
-    std::size_t target = 0;     ///< source target port
-    std::size_t initiator = 0;  ///< destination initiator port
-    std::uint32_t next_beat = 0;
-
-    auto simStateMembers() {
-      return std::tie(rsp, target, initiator, next_beat);
-    }
-
-    bool active() const { return rsp != nullptr; }
-    bool beatDue(sim::Picos now) const {
-      return now >= rsp->sched.beatTime(next_beat);
-    }
-    bool lastBeat() const { return next_beat + 1 == rsp->beats; }
-  };
-
-  /// Advance a response stream by at most one beat this cycle.
-  ///
-  /// Returns true if the stream completed (response delivered to the
-  /// initiator and removed from the target FIFO).  `chan` records transfer /
-  /// held cycles.  The caller guarantees `s.rsp` is still resident in
-  /// `targets_[s.target]->rsp` (front or deeper; it is located by identity on
-  /// completion).
-  bool streamBeat(RspStream& s, stats::ChannelUtilization& chan) {
-    const sim::Picos now = clk_.simulator().now();
-    if (!s.beatDue(now)) {
-      chan.markHeld();
-      return false;
-    }
-    if (s.lastBeat()) {
-      auto& ini = *initiators_[s.initiator];
-      if (!ini.rsp.canPush()) {
-        chan.markHeld();  // back-pressure from the master's response queue
-        return false;
+  /// Walk the beats of `rsp` from beat `first` on a data channel where that
+  /// beat may go out no earlier than cycle `from`, whose edge falls at
+  /// `from_ps`: one beat per cycle, each on the first edge at or after its
+  /// beatTime.  Calls `f(k, cycle)` for k = first, first + 1, ... until it
+  /// returns false.
+  template <typename F>
+  void walkBeats(const Response& rsp, std::uint32_t first, sim::Cycle from,
+                 sim::Picos from_ps, F&& f) const {
+    const sim::Picos period = clk_.period();
+    sim::Cycle c = from;
+    for (std::uint32_t k = first; k < rsp.beats; ++k, ++c) {
+      const sim::Picos due = rsp.sched.beatTime(k);
+      if (due > from_ps) {
+        c = std::max(c, from + (due - from_ps + period - 1) / period);
       }
-      chan.markTransfer();
-      popResponseByIdentity(s.target, s.rsp);
-      ini.rsp.push(s.rsp);
-      retire(s.rsp);
-      s.rsp.reset();
-      return true;
+      if (!f(k, c)) return;
     }
-    chan.markTransfer();
-    ++s.next_beat;
-    return false;
+  }
+
+  /// Cycle of the last beat of `rsp` walked from beat `first` (walkBeats).
+  sim::Cycle lastBeatCycle(const Response& rsp, std::uint32_t first,
+                           sim::Cycle from, sim::Picos from_ps) const {
+    sim::Cycle last = from;
+    walkBeats(rsp, first, from, from_ps, [&](std::uint32_t, sim::Cycle c) {
+      last = c;
+      return true;
+    });
+    return last;
+  }
+
+  /// Beats of `rsp` from `first` on (walkBeats) out on cycles before `end`,
+  /// the last beat excepted: it goes out only when the response retires.
+  std::uint32_t beatsOutBefore(const Response& rsp, std::uint32_t first,
+                               sim::Cycle from, sim::Picos from_ps,
+                               sim::Cycle end) const {
+    std::uint32_t out = 0;
+    walkBeats(rsp, first, from, from_ps, [&](std::uint32_t k, sim::Cycle c) {
+      if (k + 1 == rsp.beats || c >= end) return false;
+      ++out;
+      return true;
+    });
+    return out;
   }
 
   void popResponseByIdentity(std::size_t target, const ResponsePtr& rsp) {
@@ -177,10 +179,6 @@ class InterconnectBase : public sim::Component {
   std::vector<InitiatorPort*> initiators_;
   std::vector<TargetPort*> targets_;
   AddressMap amap_;
-  /// Set by an engine that sleeps through back-pressure (the STBus node):
-  /// ports added afterwards also wake it on a pop of a target's request FIFO
-  /// and of an initiator's response FIFO.
-  bool wake_on_pops_ = false;
 
  private:
   std::unordered_map<std::uint64_t, std::size_t> inflight_initiator_;
@@ -191,7 +189,6 @@ class InterconnectBase : public sim::Component {
   SIM_STATE_EXEMPT(initiators_, "wiring (port registry)");
   SIM_STATE_EXEMPT(targets_, "wiring (port registry)");
   SIM_STATE_EXEMPT(amap_, "immutable configuration (address map)");
-  SIM_STATE_EXEMPT(wake_on_pops_, "immutable configuration (wake wiring)");
 };
 
 }  // namespace mpsoc::txn

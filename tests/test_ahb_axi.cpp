@@ -10,6 +10,7 @@
 #include "axi/axi_bus.hpp"
 #include "iptg/iptg.hpp"
 #include "mem/simple_memory.hpp"
+#include "sim/check.hpp"
 #include "sim/simulator.hpp"
 #include "stbus/node.hpp"
 #include "txn/ports.hpp"
@@ -201,6 +202,41 @@ TEST(AxiBus, PostedWritesComplete) {
   std::uint64_t served = 0;
   for (const auto& m : rig.mems) served += m->accessesServed();
   EXPECT_EQ(served, 150u);
+}
+
+// A request of no beat would stream forever; every engine names it at its
+// grant instead (the IPTG and trace grammars reject one, so only a profile
+// built in code can issue it).
+TEST(Interconnects, ZeroBeatRequestIsNamedAtGrant) {
+  const std::pair<Rig::Kind, txn::Opcode> cases[] = {
+      {Rig::Kind::Stbus, txn::Opcode::Write},
+      {Rig::Kind::Ahb, txn::Opcode::Write},
+      {Rig::Kind::Ahb, txn::Opcode::Read},
+      {Rig::Kind::Axi, txn::Opcode::Write},
+      {Rig::Kind::Axi, txn::Opcode::Read}};
+  for (const auto& [kind, op] : cases) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    SCOPED_TRACE(op == txn::Opcode::Read ? "read" : "write");
+    Rig rig(kind, 1, 1, 1, 1, false);
+    iptg::IptgConfig icfg;
+    iptg::AgentProfile a;
+    a.name = "zero";
+    a.sequence = {{op, 0x40, 0, 0}};
+    icfg.agents = {a};
+    // Replace the rig's statistical master with the zero-beat one.
+    rig.gens.clear();
+    rig.gens.push_back(
+        std::make_unique<iptg::Iptg>(rig.clk, "zero", *rig.iports[0], icfg));
+    try {
+      rig.sim.run(1'000'000);
+      ADD_FAILURE() << "a request of no beat was granted silently";
+    } catch (const sim::InvariantViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("carries no beat"),
+                std::string::npos)
+          << e.what();
+      EXPECT_EQ(e.context().who, "bus");
+    }
+  }
 }
 
 }  // namespace

@@ -112,10 +112,12 @@ TEST(IptgConfigParser, ErrorsCarryLineNumbers) {
   EXPECT_THROW(iptg::parseIptgConfig("[agent a]\ngap = 20..10\n"),
                std::runtime_error);
   EXPECT_THROW(iptg::parseIptgConfig("[bus x]\n"), std::runtime_error);
-  // Probabilities and burst weights out of range are named, with the line.
+  // Probabilities, burst weights and sequence beats out of range are named,
+  // with the line.
   for (const char* text :
        {"[agent a]\nread_fraction = 7\n", "[agent a]\nthrottle = nan\n",
-        "[agent a]\nbursts = 8:-1.0\n", "[agent a]\nbursts = 4:0, 8:0\n"}) {
+        "[agent a]\nbursts = 8:-1.0\n", "[agent a]\nbursts = 4:0, 8:0\n",
+        "[agent a]\nsequence = W:0x0:0, R:0x40:4\n"}) {
     try {
       iptg::parseIptgConfig(text);
       ADD_FAILURE() << "accepted " << text;
@@ -207,11 +209,14 @@ TEST(Trace, RejectsMalformedLines) {
   std::istringstream is2("not-a-number R 0x10 4 8\n");
   EXPECT_THROW(iptg::parseTrace(is2), std::runtime_error);
   // Junk after an address and a negative beat count are named with their
-  // line instead of reading as 0x10 and 4294967295.
+  // line instead of reading as 0x10 and 4294967295; a record of no beat is
+  // named too.
   const std::pair<const char*, const char*> cases[] = {
       {"0 R 0x0 4 8 src\n123 R 0x10zz 4 8 src\n",
        "line 2: trailing characters in '0x10zz'"},
-      {"123 R 0x10 -1 8 src\n", "line 1: number out of range: '-1'"}};
+      {"123 R 0x10 -1 8 src\n", "line 1: number out of range: '-1'"},
+      {"0 R 0x0 4 8 src\n123 W 0x10 0 8 src\n",
+       "line 2: beats must be positive"}};
   for (const auto& [text, want] : cases) {
     std::istringstream is_bad(text);
     try {

@@ -10,11 +10,16 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "ahb/ahb_layer.hpp"
+#include "axi/axi_bus.hpp"
 #include "core/digest.hpp"
 #include "core/experiment.hpp"
+#include "core/rigs.hpp"
 #include "iptg/iptg.hpp"
 #include "mem/simple_memory.hpp"
 #include "platform/config.hpp"
@@ -25,6 +30,7 @@
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "stbus/node.hpp"
+#include "txn/master.hpp"
 #include "txn/ports.hpp"
 
 namespace {
@@ -275,11 +281,11 @@ TEST(KernelActivity, GatingOnOffProducesIdenticalDigests) {
   // every component on every edge.  Cases: the four benchmarked platform
   // shapes at reduced scale — full STBus with the ST220 on on-chip memory,
   // collapsed AXI with LMI and DMA, full AHB with LMI, and the 4x3 NoC mesh
-  // with LMI — plus the mesh with plain round-robin routers and full STBus
-  // under each other node type and arbitration policy.  Parked
-  // components re-derive the same wait when an ungated run evaluates them,
-  // so the full state digest (activity flags included) and the ST220's
-  // lazily settled stall counters agree too.
+  // with LMI — plus the mesh with plain round-robin routers, full STBus
+  // under each other node type and arbitration policy, full AXI and AHB, and
+  // a many-to-many AXI layer.  Parked components re-derive the same wait when
+  // an ungated run evaluates them, so the full state digest (activity flags
+  // included) and the ST220's lazily settled stall counters agree too.
   platform::PlatformConfig stbus;
   stbus.protocol = platform::Protocol::Stbus;
   stbus.topology = platform::Topology::Full;
@@ -332,12 +338,25 @@ TEST(KernelActivity, GatingOnOffProducesIdenticalDigests) {
   platform::PlatformConfig st_tdma = st_lru;
   st_tdma.arbitration = txn::ArbPolicy::Tdma;
 
+  // The AXI and AHB engines sleep through their streams and waits: full AXI
+  // and full AHB on the on-chip memory, and AHB on the LMI with the DMA
+  // beside the CPU.
+  platform::PlatformConfig axi_full = stbus;
+  axi_full.protocol = platform::Protocol::Axi;
+  axi_full.workload_scale = 0.1;
+  platform::PlatformConfig ahb_onchip = axi_full;
+  ahb_onchip.protocol = platform::Protocol::Ahb;
+  platform::PlatformConfig ahb_dma = ahb;
+  ahb_dma.include_dma = true;
+
   const std::pair<const char*, platform::PlatformConfig> cases[] = {
       {"stbus-cpu-onchip", stbus},   {"axi-collapsed-lmi-dma", axi},
       {"ahb-full-lmi", ahb},         {"noc-4x3-lmi", noc},
       {"noc-4x3-lmi-rr", noc_rr},    {"stbus-t1", st1},
       {"stbus-rr-packet", st_rr},    {"stbus-lru", st_lru},
-      {"stbus-lottery", st_lottery}, {"stbus-tdma", st_tdma}};
+      {"stbus-lottery", st_lottery}, {"stbus-tdma", st_tdma},
+      {"axi-full-onchip", axi_full}, {"ahb-full-onchip", ahb_onchip},
+      {"ahb-full-lmi-dma", ahb_dma}};
   for (auto [label, cfg] : cases) {
     SCOPED_TRACE(label);
     // Same label both times: the canonical digest covers it.
@@ -364,6 +383,26 @@ TEST(KernelActivity, GatingOnOffProducesIdenticalDigests) {
       EXPECT_EQ(pg.dsp()->cpi(), pu.dsp()->cpi());
     }
   }
+
+  // A single AXI layer, many-to-many: four masters spray bursts over three
+  // memories, so each R link interleaves responses from several targets.
+  core::SingleLayerConfig m2m;
+  m2m.protocol = core::RigProtocol::Axi;
+  m2m.masters = 4;
+  m2m.memories = 3;
+  m2m.wait_states = 2;
+  m2m.read_fraction = 0.8;
+  m2m.bursts = {{1, 1.0}, {4, 1.0}, {8, 1.0}};
+  m2m.txns_per_master = 150;
+  SCOPED_TRACE("axi-single-layer-m2m");
+  core::SingleLayerRig rg(m2m);
+  core::SingleLayerRig ru(m2m);
+  ru.simulator().setActivityGating(false);
+  EXPECT_EQ(rg.run(), ru.run());
+  EXPECT_TRUE(rg.allDone());
+  EXPECT_EQ(rg.simulator().stateDigest(), ru.simulator().stateDigest());
+  EXPECT_EQ(rg.busUtilization(), ru.busUtilization());
+  EXPECT_EQ(rg.responseEfficiency(), ru.responseEfficiency());
 }
 
 TEST(KernelActivity, St220StallCountersExactMidStall) {
@@ -418,24 +457,80 @@ TEST(KernelActivity, St220StallCountersExactMidStall) {
   EXPECT_EQ(sg.stateDigest(), su.stateDigest());
 }
 
-// A small STBus node rig: three IPTG masters with mixed reads and writes of
-// 1 to 8 beats on two memories (1 and 5 wait states), and single-slot
-// response ports, so last beats meet back-pressure too.
-struct StbusNodeRig {
+// A master that takes its responses only on every sixteenth cycle, so the
+// engine's last beats wait for room in its single-slot response FIFO.  It
+// cycles through an 8-beat read of the fast memory, a 1-beat read and two
+// posted 4-beat writes of the slow one (the second meets the first in the
+// slow memory's single-slot request FIFO), and a 2-beat write of the fast
+// one.
+class LazyMaster : public txn::MasterBase {
+ public:
+  LazyMaster(sim::ClockDomain& clk, txn::InitiatorPort& port)
+      : txn::MasterBase(clk, "lazy", port, 4) {}
+
+  void evaluate() override {
+    if (now() % 16 == 0) collectResponses();
+    if (next_ == kTotal) return;
+    const Kind& k = kKinds[next_ % 5];
+    if (k.posted ? !canIssuePosted() : !canIssue()) return;
+    auto req = std::make_shared<txn::Request>();
+    req->id = clk_.simulator().nextTransactionId();
+    req->root_id = req->id;
+    req->op = k.op;
+    req->addr = (k.slow ? 1ull << 24 : 0) + (next_ * 64) % (1 << 20);
+    req->beats = k.beats;
+    req->posted = k.posted;
+    issue(req);
+    ++next_;
+  }
+  bool idle() const override { return next_ == kTotal && outstanding() == 0; }
+
+ private:
+  struct Kind {
+    txn::Opcode op;
+    bool slow;  ///< the slow memory, else the fast one
+    std::uint32_t beats;
+    bool posted;
+  };
+  static constexpr Kind kKinds[5] = {{txn::Opcode::Read, false, 8, false},
+                                     {txn::Opcode::Read, true, 1, false},
+                                     {txn::Opcode::Write, true, 4, true},
+                                     {txn::Opcode::Write, true, 4, true},
+                                     {txn::Opcode::Write, false, 2, false}};
+  static constexpr std::uint64_t kTotal = 80;
+  std::uint64_t next_ = 0;
+
+  SIM_STATE_MEMBERS_WITH_BASE(txn::MasterBase, next_);
+};
+
+// A small single-layer rig over an interconnect engine: three IPTG masters
+// with mixed reads and writes of 1 to 8 beats on two memories (1 and 5 wait
+// states), and single-slot response ports, so last beats meet back-pressure
+// too.  Masters 0 and 2 use the fast memory and master 1 the slow one.
+// With `stress`, master 0 reads and writes both, so its responses from the
+// two memories share its response channel (AXI R interleaving), a
+// LazyMaster joins, and the fast memory has no wait state: its beats fall
+// due once per cycle, so a response that waited behind another has several
+// due at once.
+template <typename Bus>
+struct LayerRig {
   sim::Simulator sim;
   sim::ClockDomain& clk;
-  stbus::StbusNode node;
+  Bus node;
   txn::TargetPort fast_port;
   txn::TargetPort slow_port;
   mem::SimpleMemory fast;
   mem::SimpleMemory slow;
   std::vector<std::unique_ptr<txn::InitiatorPort>> ports;
   std::vector<std::unique_ptr<iptg::Iptg>> gens;
+  std::unique_ptr<txn::InitiatorPort> lazy_port;
+  std::unique_ptr<LazyMaster> lazy;
 
-  explicit StbusNodeRig(bool gating)
+  LayerRig(bool gating, bool stress)
       : clk(sim.addClockDomain("bus", 200.0)), node(clk, "n", {}),
         fast_port(clk, "fast", 2, 4), slow_port(clk, "slow", 1, 2),
-        fast(clk, "fastm", fast_port, {1}), slow(clk, "slowm", slow_port, {5}) {
+        fast(clk, "fastm", fast_port, {stress ? 0u : 1u}),
+        slow(clk, "slowm", slow_port, {5}) {
     sim.setActivityGating(gating);
     node.addTarget(fast_port, 0, 1ull << 24);
     node.addTarget(slow_port, 1ull << 24, 1ull << 24);
@@ -450,7 +545,7 @@ struct StbusNodeRig {
       prof.read_fraction = i == 2 ? 0.3 : 0.7;
       prof.burst_beats = {{1, 1.0}, {4, 1.0}, {8, 1.0}};
       prof.base_addr = i == 1 ? 1ull << 24 : 0;
-      prof.region_size = 1 << 20;
+      prof.region_size = stress && i == 0 ? 2ull << 24 : 1 << 20;
       prof.pattern = iptg::AddressPattern::Random;
       prof.outstanding = 4;
       prof.message_len = 3;
@@ -459,37 +554,145 @@ struct StbusNodeRig {
       gens.push_back(std::make_unique<iptg::Iptg>(clk, "g" + name,
                                                   *ports.back(), icfg));
     }
+    if (stress) {
+      lazy_port = std::make_unique<txn::InitiatorPort>(clk, "lz", 2, 1);
+      node.addInitiator(*lazy_port);
+      lazy = std::make_unique<LazyMaster>(clk, *lazy_port);
+    }
   }
 
-  /// transfers() and held() of every request channel, then of every
-  /// response channel.
+  /// transfers() and held() of every channel the engine reports.
   std::vector<std::uint64_t> counters() const {
     std::vector<std::uint64_t> out;
-    for (std::size_t t = 0; t < node.numTargets(); ++t) {
-      out.push_back(node.reqChannel(t).transfers());
-      out.push_back(node.reqChannel(t).held());
-    }
-    for (std::size_t i = 0; i < node.numInitiators(); ++i) {
-      out.push_back(node.rspChannel(i).transfers());
-      out.push_back(node.rspChannel(i).held());
+    auto put = [&](const stats::ChannelUtilization& c) {
+      out.push_back(c.transfers());
+      out.push_back(c.held());
+    };
+    if constexpr (std::is_same_v<Bus, stbus::StbusNode>) {
+      for (std::size_t t = 0; t < node.numTargets(); ++t) {
+        put(node.reqChannel(t));
+      }
+      for (std::size_t i = 0; i < node.numInitiators(); ++i) {
+        put(node.rspChannel(i));
+      }
+    } else if constexpr (std::is_same_v<Bus, ahb::AhbLayer>) {
+      put(node.channel());
+    } else {
+      for (std::size_t t = 0; t < node.numTargets(); ++t) {
+        put(node.arChannel(t));
+        put(node.wChannel(t));
+      }
+      for (std::size_t i = 0; i < node.numInitiators(); ++i) {
+        put(node.rChannel(i));
+      }
     }
     return out;
   }
 };
 
-TEST(KernelActivity, StbusChannelCountersExactMidStream) {
-  // The node sleeps through its request and response streams and settles
-  // its channel counters when a stream ends.  Read between any two edges —
-  // gated or not, and across a checkpoint and restore taken mid-stream — the
-  // counters must read what the channels have carried so far: each channel
-  // gains at most one cycle per edge, and the gated and ungated rigs agree.
-  StbusNodeRig g(true);
-  StbusNodeRig u(false);
+// The AXI R links as the per-cycle model the bus replaced: on every edge
+// each link harvests the responses the targets show, picks a stream with a
+// due beat (the one served last first, then round-robin) and moves one
+// beat; a last beat facing a full response FIFO holds the link.  Fed what
+// the bus sees at the start of each edge, it predicts every R counter.
+struct RLinkModel {
+  struct Stream {
+    txn::ResponsePtr rsp;
+    std::uint32_t next_beat = 0;
+  };
+  struct Link {
+    std::vector<Stream> active;
+    std::size_t last_pick = 0;
+    stats::ChannelUtilization chan;
+  };
+  std::vector<Link> links;
+  std::unordered_map<const txn::Request*, std::size_t> owner;
+  std::vector<txn::ResponsePtr> shown;  ///< target responses, in order
+  std::vector<bool> full;               ///< per initiator response FIFO
+
+  /// Between edges: record what the next edge's evaluate sees.
+  void observe(const std::vector<const txn::TargetPort*>& targets,
+               const std::vector<const txn::InitiatorPort*>& initiators) {
+    links.resize(initiators.size());
+    full.assign(initiators.size(), false);
+    for (std::size_t i = 0; i < initiators.size(); ++i) {
+      const auto& req = initiators[i]->req;
+      for (std::size_t k = 0; k < req.size(); ++k) owner[req.at(k).get()] = i;
+      full[i] = !initiators[i]->rsp.canPush();
+    }
+    shown.clear();
+    for (const auto* t : targets) {
+      for (std::size_t k = 0; k < t->rsp.size(); ++k) {
+        shown.push_back(t->rsp.at(k));
+      }
+    }
+  }
+
+  /// The edge at `now_ps` ran: move every link by one cycle.
+  void step(sim::Picos now_ps) {
+    for (const auto& rsp : shown) {
+      Link& l = links[owner.at(rsp->req.get())];
+      bool known = false;
+      for (const auto& s : l.active) known = known || s.rsp == rsp;
+      if (!known) l.active.push_back({rsp, 0});
+    }
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      Link& l = links[i];
+      std::size_t pick = l.active.size();
+      for (std::size_t off = 0; off < l.active.size(); ++off) {
+        const std::size_t idx = (l.last_pick + off) % l.active.size();
+        const Stream& s = l.active[idx];
+        if (now_ps >= s.rsp->sched.beatTime(s.next_beat)) {
+          pick = idx;
+          break;
+        }
+      }
+      if (pick == l.active.size()) continue;
+      l.last_pick = pick;
+      Stream& s = l.active[pick];
+      if (s.next_beat + 1 < s.rsp->beats) {
+        l.chan.markTransfer();
+        ++s.next_beat;
+      } else if (full[i]) {
+        l.chan.markHeld();
+      } else {
+        l.chan.markTransfer();
+        l.active.erase(l.active.begin() + static_cast<std::ptrdiff_t>(pick));
+        l.last_pick = 0;
+      }
+    }
+  }
+};
+
+// The engine sleeps through its streams and waits and settles its channel
+// counters when one ends.  Read between any two edges — gated or not, and
+// across a checkpoint and restore taken mid-stream — the counters must read
+// what the channels have carried so far: each channel gains at most one
+// cycle per edge, and the gated and ungated rigs agree.
+template <typename Bus>
+void checkCountersExactMidStream(bool stress) {
+  LayerRig<Bus> g(true, stress);
+  LayerRig<Bus> u(false, stress);
   std::vector<std::uint64_t> prev = g.counters();
   unsigned asleep_moves = 0;  // edges whose counters moved while asleep
+  RLinkModel model;  // AXI: the exact R counters, edge by edge
+  std::vector<const txn::InitiatorPort*> initiators;
+  for (const auto& p : g.ports) initiators.push_back(p.get());
+  if (g.lazy_port) initiators.push_back(g.lazy_port.get());
   auto stepBoth = [&] {
+    model.observe({&g.fast_port, &g.slow_port}, initiators);
     ASSERT_TRUE(g.sim.step());
     ASSERT_TRUE(u.sim.step());
+    if constexpr (std::is_same_v<Bus, axi::AxiBus>) {
+      model.step(g.sim.now());
+      for (std::size_t i = 0; i < initiators.size(); ++i) {
+        const stats::ChannelUtilization r = g.node.rChannel(i);
+        ASSERT_EQ(r.transfers(), model.links[i].chan.transfers())
+            << "initiator " << i << ", cycle " << g.clk.now();
+        ASSERT_EQ(r.held(), model.links[i].chan.held())
+            << "initiator " << i << ", cycle " << g.clk.now();
+      }
+    }
     const std::vector<std::uint64_t> cur = g.counters();
     ASSERT_EQ(cur, u.counters()) << "cycle " << g.clk.now();
     for (std::size_t k = 0; k < cur.size(); k += 2) {
@@ -502,10 +705,11 @@ TEST(KernelActivity, StbusChannelCountersExactMidStream) {
     prev = cur;
   };
 
-  // Step in lock-step until the node has slept through a few stream cycles.
+  // Step in lock-step until the engine has slept through a few stream
+  // cycles.
   while (asleep_moves < 5) {
     stepBoth();
-    if (HasFatalFailure()) return;
+    if (::testing::Test::HasFatalFailure()) return;
   }
   ASSERT_TRUE(g.node.asleep());
   EXPECT_EQ(g.sim.stateDigest(), u.sim.stateDigest());
@@ -522,7 +726,7 @@ TEST(KernelActivity, StbusChannelCountersExactMidStream) {
   prev = at_ckpt;
   for (int i = 0; i < 300; ++i) {
     stepBoth();
-    if (HasFatalFailure()) return;
+    if (::testing::Test::HasFatalFailure()) return;
     ASSERT_EQ(g.counters(), first[static_cast<std::size_t>(i)]) << "edge " << i;
   }
   EXPECT_EQ(g.sim.stateDigest(), u.sim.stateDigest());
@@ -531,8 +735,29 @@ TEST(KernelActivity, StbusChannelCountersExactMidStream) {
   g.sim.runUntilIdle(1'000'000'000'000ull);
   u.sim.runUntilIdle(1'000'000'000'000ull);
   for (const auto& gen : g.gens) EXPECT_TRUE(gen->done());
+  if (g.lazy) EXPECT_EQ(g.lazy->retired(), 80u);
   EXPECT_EQ(g.counters(), u.counters());
+  EXPECT_EQ(g.sim.stateDigest(), u.sim.stateDigest());
   EXPECT_GT(asleep_moves, 5u);
+}
+
+TEST(KernelActivity, StbusChannelCountersExactMidStream) {
+  checkCountersExactMidStream<stbus::StbusNode>(false);
+}
+
+TEST(KernelActivity, AxiAhbChannelCountersExactMidStream) {
+  // The AXI R link walks a lone response and steps interleaved ones; master
+  // 0's traffic over both memories makes it interleave, and the lazy master
+  // holds last beats (AXI and AHB) and fills the slow memory's request FIFO
+  // with posted writes (an idle AHB layer facing a full target).
+  {
+    SCOPED_TRACE("axi");
+    checkCountersExactMidStream<axi::AxiBus>(true);
+  }
+  {
+    SCOPED_TRACE("ahb");
+    checkCountersExactMidStream<ahb::AhbLayer>(true);
+  }
 }
 
 TEST(KernelActivity, DeepCheckCatchesIllegalSleep) {

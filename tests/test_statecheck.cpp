@@ -288,6 +288,22 @@ TEST(StateCheck, DeepCheckReplaysEveryEdgeOnFullPlatform) {
   EXPECT_EQ(deep, finalDigest(cfg, false));
 }
 
+// Full AHB on the LMI, monitored: the SDRAM legality monitor sees only the
+// forward pass's device commands (the replay pass re-schedules the same
+// accesses on the rewound device), and the AHB layers' waits (write data,
+// response, back-pressure) keep the activity contract under replay.
+TEST(StateCheck, DeepCheckReplaysEveryEdgeOnFullAhbLmi) {
+  platform::PlatformConfig cfg;
+  cfg.protocol = platform::Protocol::Ahb;
+  cfg.topology = platform::Topology::Full;
+  cfg.memory = platform::MemoryKind::Lmi;
+  cfg.workload_scale = 0.02;
+  cfg.verify = true;
+  std::uint64_t deep = 0;
+  ASSERT_NO_THROW(deep = finalDigest(cfg, true));
+  EXPECT_EQ(deep, finalDigest(cfg, false));
+}
+
 // Deep-check rewinds the id counter after its reversed replay pass, so the
 // forward pass (whose staged work the edge commits) re-draws the replay
 // pass's ids: a deep-checked run carries the same id stream as a plain one.
